@@ -253,9 +253,16 @@ def build_states(cfg: ExperimentConfig) -> StateSpace:
 
 
 def build_mdp(cfg: ExperimentConfig, field: FlowField | None = None, base_dir: str | Path = ".") -> MdpModel:
+    """The grid MDP of a config; ConfigError when a state centre lies outside
+    the field's domain (a CSV lattice too small, or a grid origin outside)."""
     if field is None:
         field = build_field(cfg, base_dir)
-    return build_model(field, build_states(cfg), cfg.mdp_dt_h, cfg.vehicle_v_max_kmh, cfg.mdp_gamma)
+    states = build_states(cfg)
+    for s in range(states.n):
+        if not field.contains(states.position(s)):
+            i, j = states.coords(s)
+            raise ConfigError(f"grid: state ({i}, {j}) lies outside the field domain")
+    return build_model(field, states, cfg.mdp_dt_h, cfg.vehicle_v_max_kmh, cfg.mdp_gamma)
 
 
 def with_strength(cfg: ExperimentConfig, strength: float) -> ExperimentConfig:

@@ -8,15 +8,22 @@ stiffness integrals and centroid quadrature for advection and source terms,
 the goal value is pinned to zero by symmetric elimination, and the solved
 nodal coefficients define a value function that is continuous over the whole
 mesh cover and evaluable (with recovered first and second derivatives)
-anywhere inside it. Second derivatives come from a quadratic fit over a node
-patch with the symmetry of the state lattice: at interior nodes, the 3x3 block
-of grid neighbours (k=1) or the (+-1, +-1), (+-2, 0) and (0, +-2) neighbours
-(k=2), as the eight-neighbour transition law reaches in every direction.
+anywhere inside it. Point queries take constant time: a uniform bucket grid,
+its buckets as wide as the largest triangle, lists per bucket the triangles
+that may contain a point in it and the nodes of its 3x3 block of buckets, so
+locating a point, testing the cover and finding the nearest node weigh a
+handful of candidates and not the whole mesh, with the same result as a
+search of the whole mesh. Second derivatives come from a quadratic fit over a
+node patch with the symmetry of the state lattice: at interior nodes, the 3x3
+block of grid neighbours (k=1) or the (+-1, +-1), (+-2, 0) and (0, +-2)
+neighbours (k=2), as the eight-neighbour transition law reaches in every
+direction.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,11 +39,68 @@ from .moments import PdeCoefficients
 _BARY_TOL = 1e-9  # dimensionless barycentric containment tolerance
 _NODE_TOL_KM = 1e-9
 _MIN_AREA_KM2 = 1e-12
+_BUCKET_PAD_KM = 1e-6  # triangle boxes are padded so near-boundary points find them
 
 
 def _cross_z(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """z-component of the cross product of planar vectors (broadcasts)."""
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+class _BucketIndex:
+    """Uniform grid of square buckets over the nodes' bounding box.
+
+    The bucket width is the largest side of any triangle's bounding box.
+    Each bucket lists every triangle whose bounding box, padded by
+    ``_BUCKET_PAD_KM``, meets it, so a triangle that contains a point (within
+    the barycentric tolerance) is listed in that point's bucket. Each bucket
+    also lists the nodes of its 3x3 block of buckets, which holds every node
+    within one bucket width of any point in the bucket. Points off the grid
+    use the nearest bucket, which keeps both guarantees.
+    """
+
+    def __init__(self, nodes: np.ndarray, triangles: np.ndarray):
+        corners = nodes[triangles]
+        lo, hi = corners.min(axis=1), corners.max(axis=1)
+        self.width = float((hi - lo).max())
+        self.origin = nodes.min(axis=0)
+        top = np.floor((nodes.max(axis=0) - self.origin) / self.width)
+        self.shape = (int(top[0]) + 1, int(top[1]) + 1)
+        self.triangles = self._by_bucket(
+            self._cells(lo - _BUCKET_PAD_KM), self._cells(hi + _BUCKET_PAD_KM)
+        )
+        cell = self._cells(nodes)
+        self.nodes = self._by_bucket(
+            np.maximum(cell - 1, 0), np.minimum(cell + 1, np.subtract(self.shape, 1))
+        )
+
+    def _by_bucket(self, first: np.ndarray, last: np.ndarray) -> list[np.ndarray]:
+        """Per bucket, the ascending ids of the items whose inclusive bucket
+        range ``first[item]``..``last[item]`` (column, row) holds it."""
+        nbx, nby = self.shape
+        span = (last - first).max(axis=0) + 1
+        buckets, items = [], []
+        for dy in range(span[1]):
+            for dx in range(span[0]):
+                ix, iy = first[:, 0] + dx, first[:, 1] + dy
+                ok = (ix <= last[:, 0]) & (iy <= last[:, 1])
+                buckets.append((iy * nbx + ix)[ok])
+                items.append(np.nonzero(ok)[0])
+        bucket_of, item = np.concatenate(buckets), np.concatenate(items)
+        ends = np.cumsum(np.bincount(bucket_of, minlength=nbx * nby))[:-1]
+        return np.split(item[np.lexsort((item, bucket_of))], ends)
+
+    def _cells(self, points: np.ndarray) -> np.ndarray:
+        """Bucket (column, row) of each point, clamped onto the grid."""
+        cells = np.floor((points - self.origin) / self.width).astype(np.int64)
+        return np.clip(cells, 0, np.subtract(self.shape, 1))
+
+    def bucket(self, p: Point2 | np.ndarray) -> int:
+        """Flat id of the bucket that holds (or, off the grid, is nearest) p."""
+        nbx, nby = self.shape
+        ix = min(max(math.floor((p[0] - self.origin[0]) / self.width), 0), nbx - 1)
+        iy = min(max(math.floor((p[1] - self.origin[1]) / self.width), 0), nby - 1)
+        return iy * nbx + ix
 
 
 @dataclass(eq=False)
@@ -45,8 +109,17 @@ class Mesh:
 
     Triangles are counter-clockwise node-id triples; ``node_state`` maps each
     node back to its state id and ``goal_node`` marks the node pinned by the
-    solver. Geometry caches (areas, basis gradients, adjacency) are built
-    lazily and shared by every value function on the mesh.
+    solver. Geometry caches (areas, basis gradients, adjacency, the bucket
+    index) are built lazily and shared by every value function on the mesh.
+
+    Point queries go through the bucket index (``_BucketIndex``): ``locate``
+    and ``covers`` weigh only the triangles listed in the point's bucket and
+    take, in triangle order, the first with the largest minimum barycentric
+    weight, which is the triangle a search of the whole mesh would pick.
+    ``nearest_node`` searches the bucket's 3x3 block and falls back to every
+    node when the best candidate is more than a bucket width away, so the
+    lowest node id still wins exact ties. ``project`` scans every triangle
+    edge in one array expression.
     """
 
     nodes: np.ndarray  # (n_nodes, 2)
@@ -109,78 +182,93 @@ class Mesh:
         )
         return np.asarray(ids, dtype=np.int64)
 
-    def barycentric(self, p: Point2 | np.ndarray) -> np.ndarray:
-        """Barycentric coordinates of one point in every triangle, (n_tris, 3)."""
+    @cached_property
+    def _buckets(self) -> _BucketIndex:
+        return _BucketIndex(self.nodes, self.triangles)
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every triangle edge (a, b), (b, c), (c, a), in triangle order:
+        start points, edge vectors and squared lengths."""
+        start = self.nodes[self.triangles.ravel()]
+        vec = self.nodes[self.triangles[:, [1, 2, 0]].ravel()] - start
+        return start, vec, np.einsum("ed,ed->e", vec, vec)
+
+    def _weights(self, p: Point2 | np.ndarray, tris: np.ndarray | slice) -> np.ndarray:
+        """Barycentric coordinates of one point in the triangles ``tris``."""
         inv, r0 = self._bary_frames
-        v = np.asarray(p, dtype=float) - r0
-        lam12 = np.einsum("eij,ej->ei", inv, v)
+        v = np.asarray(p, dtype=float) - r0[tris]
+        lam12 = np.einsum("eij,ej->ei", inv[tris], v)
         lam0 = 1.0 - lam12.sum(axis=1)
         return np.column_stack([lam0, lam12])
 
+    def _find(self, p: Point2 | np.ndarray) -> tuple[int, np.ndarray] | None:
+        """Containing triangle and weights, or None off the cover."""
+        tris = self._buckets.triangles[self._buckets.bucket(p)]
+        if len(tris):
+            lam = self._weights(p, tris)
+            mins = lam.min(axis=1)
+            k = int(np.argmax(mins))
+            if mins[k] >= -_BARY_TOL:
+                return int(tris[k]), lam[k]
+        return None
+
+    def barycentric(self, p: Point2 | np.ndarray) -> np.ndarray:
+        """Barycentric coordinates of one point in every triangle, (n_tris, 3)."""
+        return self._weights(p, slice(None))
+
     def locate(self, p: Point2 | np.ndarray) -> tuple[int, np.ndarray]:
         """Containing triangle and barycentric weights; DomainError outside."""
-        lam = self.barycentric(p)
-        mins = lam.min(axis=1)
-        e = int(np.argmax(mins))
-        if mins[e] < -_BARY_TOL:
+        found = self._find(p)
+        if found is None:
             raise DomainError(f"point {tuple(np.asarray(p))} outside mesh cover")
-        return e, lam[e]
+        return found
 
     def locate_many(
-        self, points: np.ndarray, clamp: bool = False, chunk: int = 512
+        self, points: np.ndarray, clamp: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized point location; optionally projects uncovered points."""
+        """Point location of each row; optionally projects uncovered points."""
         points = np.asarray(points, dtype=float)
-        inv, r0 = self._bary_frames
         tri_idx = np.empty(len(points), dtype=np.int64)
         lams = np.empty((len(points), 3))
-        for lo in range(0, len(points), chunk):
-            pts = points[lo : lo + chunk]
-            v = pts[:, None, :] - r0[None, :, :]
-            lam12 = np.einsum("eij,pej->pei", inv, v)
-            lam0 = 1.0 - lam12.sum(axis=2)
-            lam = np.concatenate([lam0[:, :, None], lam12], axis=2)
-            mins = lam.min(axis=2)
-            best = np.argmax(mins, axis=1)
-            rows = np.arange(len(pts))
-            tri_idx[lo : lo + chunk] = best
-            lams[lo : lo + chunk] = lam[rows, best]
-            bad = mins[rows, best] < -_BARY_TOL
-            if bad.any():
+        for r, q in enumerate(points):
+            found = self._find(q)
+            if found is None:
                 if not clamp:
                     raise DomainError("a query point lies outside the mesh cover")
-                for r in np.nonzero(bad)[0]:
-                    proj = self.project(Point2(*pts[r]))
-                    e, l = self.locate(proj)
-                    tri_idx[lo + r] = e
-                    lams[lo + r] = l
+                found = self.locate(self.project(Point2(*q)))
+            tri_idx[r], lams[r] = found
         return tri_idx, np.clip(lams, 0.0, 1.0)
 
     def covers(self, p: Point2 | np.ndarray) -> bool:
-        return bool(self.barycentric(p).min(axis=1).max() >= -_BARY_TOL)
+        return self._find(p) is not None
 
     def nearest_node(self, p: Point2 | np.ndarray) -> int:
-        d = self.nodes - np.asarray(p, dtype=float)
+        """Closest node; the lowest node id wins exact ties."""
+        q = np.asarray(p, dtype=float)
+        ids = self._buckets.nodes[self._buckets.bucket(q)]
+        d = self.nodes[ids] - q
+        d2 = np.einsum("nd,nd->n", d, d)
+        # The block holds every node within one bucket width of q; the factor
+        # keeps that true under the rounding of the bucket arithmetic.
+        if len(ids):
+            k = int(np.argmin(d2))
+            if d2[k] <= (self._buckets.width * (1.0 - 1e-9)) ** 2:
+                return int(ids[k])
+        d = self.nodes - q
         return int(np.argmin(np.einsum("nd,nd->n", d, d)))
 
     def project(self, p: Point2) -> Point2:
-        """Closest point of the mesh cover (used for queries off the hull)."""
+        """Closest point of the mesh cover (used for queries off the hull);
+        the first closest edge point in triangle-edge order."""
         if self.covers(p):
             return p
+        start, vec, length2 = self._edges
         q = np.asarray(p, dtype=float)
-        best = None
-        best_d = np.inf
-        for a, b, c in self.triangles:
-            for u, v in ((a, b), (b, c), (c, a)):
-                pa, pb = self.nodes[u], self.nodes[v]
-                ab = pb - pa
-                t = np.clip(np.dot(q - pa, ab) / np.dot(ab, ab), 0.0, 1.0)
-                cand = pa + t * ab
-                d = np.dot(q - cand, q - cand)
-                if d < best_d:
-                    best_d = d
-                    best = cand
-        assert best is not None
+        t = np.clip(np.einsum("ed,ed->e", q - start, vec) / length2, 0.0, 1.0)
+        cand = start + t[:, None] * vec
+        d = q - cand
+        best = cand[int(np.argmin(np.einsum("ed,ed->e", d, d)))]
         return Point2(float(best[0]), float(best[1]))
 
     @cached_property
@@ -495,9 +583,6 @@ class ContinuousValue:
         e, lam = self.mesh.locate(p)
         return float(lam @ self.coefficients[self.mesh.triangles[e]])
 
-    def evaluate_clamped(self, p: Point2) -> float:
-        return self.evaluate(self.mesh.project(Point2(*np.asarray(p, dtype=float))))
-
     def evaluate_many(self, points: np.ndarray, clamp: bool = False) -> np.ndarray:
         tri_idx, lams = self.mesh.locate_many(points, clamp=clamp)
         return np.einsum("pl,pl->p", lams, self.coefficients[self.mesh.triangles[tri_idx]])
@@ -525,10 +610,6 @@ class ContinuousValue:
             return np.zeros((2, 2))
         c = pinv @ self.coefficients[ids]
         return np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])
-
-    def hessian_fit_ok(self, p: Point2 | np.ndarray) -> bool:
-        """False when the nearest node's patch fell back to a zero fit."""
-        return self.mesh.hessian_patches[self.mesh.nearest_node(p)][1] is not None
 
 
 def write_mesh_csv(nodes_path, tris_path, mesh: Mesh) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -155,6 +156,8 @@ class MdpModel:
     ``succ``/``prob`` have shape (n_actions, n_states, 9); rows are padded with
     the state itself at probability zero so they stay fixed-width. ``rewards``
     holds the transition-weighted expected reward per (state, action).
+    ``moment_table`` holds the displacement moments of every row, built on
+    first use.
     """
 
     states: StateSpace
@@ -175,6 +178,20 @@ class MdpModel:
     @property
     def n_actions(self) -> int:
         return len(self.actions)
+
+    @cached_property
+    def moment_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only drift E[s' - s], shape (n_actions, n_states, 2), and
+        second moment E[(s' - s)(s' - s)^T], shape (n_actions, n_states, 2, 2),
+        of every transition row (km and km^2). Padding entries have zero
+        displacement and zero probability, so they add nothing."""
+        positions = self.states.positions()
+        disp = positions[self.succ] - positions[None, :, None, :]
+        drift = np.einsum("asj,asjd->asd", self.prob, disp)
+        second = np.einsum("asj,asjd,asje->asde", self.prob, disp, disp)
+        drift.setflags(write=False)
+        second.setflags(write=False)
+        return drift, second
 
     def transition_row(self, s: int, a: int) -> tuple[np.ndarray, np.ndarray]:
         """Successor ids and probabilities with zero-padding removed."""

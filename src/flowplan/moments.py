@@ -24,14 +24,14 @@ Convention = Literal["displacement", "paper-literal"]
 @dataclass(frozen=True, eq=False)
 class DriftDiffusion:
     """One-step displacement moments: drift (km) and non-central second
-    moment (km^2) of a single (state, action) transition row."""
+    moment (km^2) of one transition row, or of a stack of rows."""
 
-    drift: np.ndarray  # shape (2,)
-    diffusion: np.ndarray  # shape (2, 2), symmetric PSD
+    drift: np.ndarray  # shape (..., 2)
+    diffusion: np.ndarray  # shape (..., 2, 2), symmetric PSD
 
     def __post_init__(self) -> None:
-        if self.drift.shape != (2,) or self.diffusion.shape != (2, 2):
-            raise ValueError("drift must be a 2-vector and diffusion a 2x2 matrix")
+        if self.drift.shape[-1:] != (2,) or self.diffusion.shape != self.drift.shape + (2,):
+            raise ValueError("drift must hold 2-vectors and diffusion matching 2x2 matrices")
 
 
 @dataclass(eq=False)
@@ -51,20 +51,23 @@ def _check_convention(convention: str) -> None:
 
 
 def transition_moments(
-    model: MdpModel, s: int, a: int, convention: Convention = "displacement"
+    model: MdpModel,
+    s: int | np.ndarray,
+    a: int | np.ndarray | slice,
+    convention: Convention = "displacement",
 ) -> DriftDiffusion:
-    """Displacement moments of a transition row.
+    """Displacement moments of a transition row, read from the model's table.
 
     drift_i = sum_s' T(s,a;s') (s'_i - s_i) and
     diffusion_ij = sum_s' T(s,a;s') (s'_i - s_i)(s'_j - s_j); the
-    paper-literal convention flips the drift sign.
+    paper-literal convention flips the drift sign. ``s`` and ``a`` index the
+    table as numpy indices do: ``a=slice(None)`` gives every action's row of
+    state ``s``, stacked in action order. Integer and slice indices give
+    read-only views of the table; index arrays give copies.
     """
     _check_convention(convention)
-    ids, probs = model.transition_row(s, a)
-    positions = model.states.positions()
-    disp = positions[ids] - positions[s]
-    drift = probs @ disp
-    diffusion = (disp * probs[:, None]).T @ disp
+    drift, diffusion = model.moment_table
+    drift, diffusion = drift[a, s], diffusion[a, s]
     if convention == "paper-literal":
         drift = -drift
     return DriftDiffusion(drift, diffusion)
@@ -88,17 +91,10 @@ def assemble_coefficients(
         raise ValueError("node_states must be a non-empty 1-D array of state ids")
     if node_states.min() < 0 or node_states.max() >= model.n_states:
         raise ValueError("node maps to a state id outside the model")
-    n = len(node_states)
-    drift = np.empty((n, 2))
-    diffusion = np.empty((n, 2, 2))
-    source = np.empty(n)
-    for k, s in enumerate(node_states):
-        a = int(policy[s])
-        m = transition_moments(model, int(s), a, convention)
-        drift[k] = m.drift
-        diffusion[k] = m.diffusion
-        source[k] = model.rewards[s, a]
-    return PdeCoefficients(drift, diffusion, source, model.gamma, goal_node)
+    actions = np.asarray(policy)[node_states]
+    m = transition_moments(model, node_states, actions, convention)
+    source = model.rewards[node_states, actions]
+    return PdeCoefficients(m.drift, m.diffusion, source, model.gamma, goal_node)
 
 
 def write_coefficients_csv(path, node_positions: np.ndarray, coeffs: PdeCoefficients) -> None:

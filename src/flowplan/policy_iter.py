@@ -87,17 +87,19 @@ def _state_scores(
     hess: np.ndarray,
     convention: Convention,
 ) -> np.ndarray:
+    """Every action's score at state ``s``: expected reward plus the drift and
+    curvature terms of the local expansion of the value, less the reaction
+    term."""
     gamma = model.gamma
-    scores = np.empty(model.n_actions)
-    for a in range(model.n_actions):
-        m = transition_moments(model, s, a, convention)
-        diff_term = 0.5 * float(np.tensordot(m.diffusion, hess))
-        scores[a] = (
-            model.rewards[s, a]
-            + gamma * (float(m.drift @ grad) + diff_term)
-            - (1.0 - gamma) * value_at
-        )
-    return scores
+    m = transition_moments(model, s, slice(None), convention)
+    diff_term = 0.5 * np.einsum("aij,ij->a", m.diffusion, hess)
+    return model.rewards[s] + gamma * (m.drift @ grad + diff_term) - (1.0 - gamma) * value_at
+
+
+def best_action(scores: np.ndarray) -> int:
+    """Index of the best score; scores within 1e-12 of the best count as
+    tied, and the lowest action index wins a tie."""
+    return int(np.argmax(scores >= scores.max() - _TIE_TOL))
 
 
 def improve_policy_continuous(
@@ -136,7 +138,7 @@ def improve_policy_continuous(
         grad = value.gradient(p)
         hess = value.hessian(p)
         scores = _state_scores(model, s, v, grad, hess, convention)
-        best = int(np.argmax(scores >= scores.max() - _TIE_TOL))
+        best = best_action(scores)
         if incumbent is None:
             policy[s] = best
         else:

@@ -22,7 +22,7 @@ from . import fem
 from .flowfield import FlowField, Point2, field_velocity
 from .mdp import Action, MdpModel, StateSpace
 from .moments import Convention
-from .policy_iter import ApiResult, _state_scores
+from .policy_iter import _state_scores, best_action
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,6 @@ class ContinuousPlanner:
         self.value = value
         self.convention = convention
 
-    @classmethod
-    def from_result(cls, model: MdpModel, result: ApiResult, convention: Convention = "displacement"):
-        return cls(model, result.value, convention)
-
     def command(self, p: Point2) -> tuple[float, float]:
         s = self.model.states.state_at(p)
         if s == self.model.states.goal:
@@ -132,7 +128,7 @@ class ContinuousPlanner:
             self.value.hessian(q),
             self.convention,
         )
-        act = self.model.actions[int(np.argmax(scores))]
+        act = self.model.actions[best_action(scores)]
         return act.heading, act.speed
 
 

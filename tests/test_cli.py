@@ -1,0 +1,50 @@
+import pytest
+
+from flowplan.cli import main
+
+SMALL_GYRE = """\
+field.kind = gyre
+field.strength_kmh = 0.5
+field.size_km = 6.0
+field.width_km = 12.0
+field.height_km = 12.0
+grid.nx = 6
+grid.ny = 6
+grid.cell_km = 2.0
+grid.origin_x_km = 1.0
+grid.origin_y_km = 1.0
+goal.i = 4
+goal.j = 4
+output.raster_n = 5
+"""
+
+
+def _run(tmp_path, text, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+def test_solve_on_a_small_gyre_exits_zero(tmp_path, capsys):
+    code, err = _run(tmp_path, SMALL_GYRE, capsys)
+    assert code == 0, err
+    assert (tmp_path / "out" / "policy_api.csv").exists()
+
+
+def test_csv_field_smaller_than_the_grid_is_a_config_error(tmp_path, capsys):
+    # The lattice spans [0, 6] km, but the state centres reach 11 km.
+    rows = ["x_km,y_km,vx_kmh,vy_kmh"]
+    rows += [f"{x}.0,{y}.0,0.0,0.0" for y in range(7) for x in range(7)]
+    (tmp_path / "field.csv").write_text("\n".join(rows) + "\n")
+    text = SMALL_GYRE.replace("field.kind = gyre", "field.kind = csv\nfield.csv_path = field.csv")
+    code, err = _run(tmp_path, text, capsys)
+    assert code == 2
+    assert "config error" in err and "outside the field domain" in err
+
+
+@pytest.mark.parametrize("key", ["grid.origin_x_km", "grid.origin_y_km"])
+def test_gyre_grid_origin_below_the_domain_is_a_config_error(tmp_path, capsys, key):
+    code, err = _run(tmp_path, SMALL_GYRE.replace(f"{key} = 1.0", f"{key} = -1.0"), capsys)
+    assert code == 2
+    assert "config error" in err and "outside the field domain" in err

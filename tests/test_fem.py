@@ -112,6 +112,123 @@ def test_mesh_rejects_bad_subsample_factor():
         build_mesh(grid_states(2), k=2)
 
 
+# ------------------------------------------------- bucketed point queries
+
+
+def _brute_locate(mesh, p):
+    """Search of every triangle: the first with the largest minimum weight."""
+    lam = mesh.barycentric(p)
+    mins = lam.min(axis=1)
+    e = int(np.argmax(mins))
+    return None if mins[e] < -1e-9 else (e, lam[e])
+
+
+def _brute_nearest(mesh, p):
+    d = mesh.nodes - np.asarray(p, dtype=float)
+    return int(np.argmin(np.einsum("nd,nd->n", d, d)))
+
+
+def _edge_loop_project(mesh, p):
+    """Closest point over every triangle edge, visited one at a time."""
+    q = np.asarray(p, dtype=float)
+    best, best_d = None, np.inf
+    for a, b, c in mesh.triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            pa, pb = mesh.nodes[u], mesh.nodes[v]
+            ab = pb - pa
+            t = np.clip(np.dot(q - pa, ab) / np.dot(ab, ab), 0.0, 1.0)
+            cand = pa + t * ab
+            d = np.dot(q - cand, q - cand)
+            if d < best_d:
+                best_d, best = d, cand
+    return best
+
+
+def _query_points(mesh, states, rng):
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    pts = [rng.uniform(lo - 3.0, hi + 3.0, size=(300, 2))]  # some off the hull
+    pts.append(rng.uniform(lo - 50.0, hi + 50.0, size=(40, 2)))  # far outside
+    pts.append(mesh.nodes)
+    pts.append(states.positions())  # odd-parity centres too
+    start, end = mesh.nodes[mesh.triangles], mesh.nodes[np.roll(mesh.triangles, -1, axis=1)]
+    for t in (0.5, rng.uniform(0.0, 1.0)):
+        pts.append(((1.0 - t) * start + t * end).reshape(-1, 2))  # on edges
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize(
+    "n, k, goal",
+    [
+        (7, 1, (3, 2)),
+        (8, 2, (3, 3)),  # even goal: a lattice node
+        (8, 2, (3, 4)),  # odd goal inside the hull: inserted
+        (8, 2, (7, 0)),  # odd goal on a cut corner: hooked onto the hull
+    ],
+)
+def test_bucketed_queries_match_brute_force(n, k, goal):
+    states = grid_states(n, goal=goal)
+    mesh = build_mesh(states, k=k)
+    rng = np.random.default_rng(n * 10 + goal[1])
+    assert _check_queries(mesh, _query_points(mesh, states, rng)) > 40
+
+
+def test_bucketed_queries_on_a_sparse_mesh():
+    # A 10 km triangle and a tiny one 31 km east of it: between them, a
+    # bucket's 3x3 block holds no node or only a node farther than one
+    # bucket width, while a closer node lies outside the block.
+    nodes = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [41.0, 0.0], [41.1, 0.0], [41.0, 0.1]])
+    mesh = Mesh(nodes, np.array([[0, 1, 2], [3, 4, 5]]), np.arange(6), goal_node=0)
+    pts = np.random.default_rng(4).uniform(-20.0, 60.0, size=(300, 2))
+    pts = np.concatenate([pts, nodes, [[5.0, 1.0], [41.01, 0.01], [29.0, 0.0]]])
+    assert mesh.nearest_node(Point2(29.0, 0.0)) == 3
+    assert _check_queries(mesh, pts) > 250
+
+
+def _check_queries(mesh, points):
+    """Checks every query at every point against brute force; returns the
+    number of points off the cover."""
+    outside = 0
+    for p in points:
+        found = _brute_locate(mesh, p)
+        assert mesh.covers(p) == (found is not None)
+        assert mesh.nearest_node(p) == _brute_nearest(mesh, p)
+        if found is None:
+            outside += 1
+            with pytest.raises(DomainError):
+                mesh.locate(p)
+            proj = mesh.project(Point2(*p))
+            assert np.abs(np.asarray(proj) - _edge_loop_project(mesh, p)).max() <= 1e-12
+        else:
+            e, lam = mesh.locate(p)
+            assert e == found[0]
+            assert np.array_equal(lam, found[1])
+    return outside
+
+
+def test_nearest_node_takes_lowest_id_on_exact_ties():
+    states = grid_states(8, goal=(3, 3))
+    mesh = build_mesh(states, k=2)
+    centre = states.position(states.index(4, 3))  # odd parity: four nodes at 2 km
+    d = np.linalg.norm(mesh.nodes - np.asarray(centre), axis=1)
+    tied = np.nonzero(d == d.min())[0]
+    assert len(tied) == 4
+    assert mesh.nearest_node(centre) == tied.min()
+
+
+def test_locate_many_matches_single_point_queries():
+    states = grid_states(8, goal=(3, 4))
+    mesh = build_mesh(states, k=2)
+    pts = _query_points(mesh, states, np.random.default_rng(3))
+    tri_idx, lams = mesh.locate_many(pts, clamp=True)
+    for p, e, lam in zip(pts, tri_idx, lams):
+        q = p if mesh.covers(p) else mesh.project(Point2(*p))
+        e_ref, lam_ref = mesh.locate(q)
+        assert e == e_ref
+        assert np.array_equal(lam, np.clip(lam_ref, 0.0, 1.0))
+    with pytest.raises(DomainError):
+        mesh.locate_many(pts)
+
+
 # ------------------------------------------------------- element integrals
 
 
