@@ -202,6 +202,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         fail("mdp.gamma", "must lie in [0, 1)")
     if cfg.fem_k not in (1, 2):
         fail("fem.k", f"must be 1 or 2 (got {cfg.fem_k})")
+    if cfg.fem_k == 2 and (cfg.grid_nx < 3 or cfg.grid_ny < 3):
+        fail("fem.k", "k = 2 needs a grid of at least 3x3 states")
     if cfg.fem_moment_convention not in ("displacement", "paper-literal"):
         fail("fem.moment_convention", f"unknown convention {cfg.fem_moment_convention!r}")
     if cfg.api_max_iterations < 1:
@@ -228,6 +230,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
     max_y = cfg.grid_origin_y_km + (cfg.grid_ny - 1) * cfg.grid_cell_km
     if cfg.field_kind == "gyre" and (max_x > cfg.field_width_km + 1e-9 or max_y > cfg.field_height_km + 1e-9):
         fail("grid.nx", "state grid extends beyond the field domain")
+    # A gyre's domain is [0, width] x [0, height]; a CSV field's is known only
+    # once loaded, so build_mdp checks the start there.
+    if cfg.field_kind == "gyre":
+        for key, value, extent in (
+            ("start.x_km", cfg.start_x_km, cfg.field_width_km),
+            ("start.y_km", cfg.start_y_km, cfg.field_height_km),
+        ):
+            if not -1e-9 <= value <= extent + 1e-9:
+                fail(key, "start lies outside the field domain")
 
 
 def build_field(cfg: ExperimentConfig, base_dir: str | Path = ".") -> FlowField:
@@ -253,10 +264,13 @@ def build_states(cfg: ExperimentConfig) -> StateSpace:
 
 
 def build_mdp(cfg: ExperimentConfig, field: FlowField | None = None, base_dir: str | Path = ".") -> MdpModel:
-    """The grid MDP of a config; ConfigError when a state centre lies outside
-    the field's domain (a CSV lattice too small, or a grid origin outside)."""
+    """The grid MDP of a config; ConfigError when a state centre or the start
+    lies outside the field's domain (a CSV lattice too small, or a grid
+    origin outside)."""
     if field is None:
         field = build_field(cfg, base_dir)
+    if not field.contains(Point2(cfg.start_x_km, cfg.start_y_km)):
+        raise ConfigError("start: the start lies outside the field domain")
     states = build_states(cfg)
     for s in range(states.n):
         if not field.contains(states.position(s)):

@@ -17,13 +17,19 @@ search of the whole mesh. Second derivatives come from a quadratic fit over a
 node patch with the symmetry of the state lattice: at interior nodes, the 3x3
 block of grid neighbours (k=1) or the (+-1, +-1), (+-2, 0) and (0, +-2)
 neighbours (k=2), as the eight-neighbour transition law reaches in every
-direction.
+direction. The fits form one sparse recovery operator from nodal values to
+nodal Hessians (in the spirit of patch recovery, Zienkiewicz & Zhu 1992),
+with one pseudo-inverse per distinct patch shape. ``ContinuousValue.expansion``
+gives the value, gradient and Hessian at many points from one batched point
+location and one batched nearest-node search over padded bucket tables, and
+reads the cached element gradients, nodal gradients and nodal Hessians; it
+agrees to the bit with the one-point ``evaluate``, ``gradient`` and
+``hessian``, which stay as its reference.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,11 +46,23 @@ _BARY_TOL = 1e-9  # dimensionless barycentric containment tolerance
 _NODE_TOL_KM = 1e-9
 _MIN_AREA_KM2 = 1e-12
 _BUCKET_PAD_KM = 1e-6  # triangle boxes are padded so near-boundary points find them
+_BATCH_ROWS = 512  # rows per batched point location (about 0.3 MB per temporary)
 
 
 def _cross_z(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """z-component of the cross product of planar vectors (broadcasts)."""
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _pad(lists: list[np.ndarray]) -> np.ndarray:
+    """The lists as the rows of one table, padded with id 0. A pad never
+    changes an answer: an item missing from a bucket's list neither contains
+    a point of the bucket nor lies within a bucket width of it, and an item
+    listed twice loses to its first listing."""
+    table = np.zeros((len(lists), max(1, max(map(len, lists)))), dtype=np.int64)
+    for row, ids in zip(table, lists):
+        row[: len(ids)] = ids
+    return table
 
 
 class _BucketIndex:
@@ -56,7 +74,9 @@ class _BucketIndex:
     the barycentric tolerance) is listed in that point's bucket. Each bucket
     also lists the nodes of its 3x3 block of buckets, which holds every node
     within one bucket width of any point in the bucket. Points off the grid
-    use the nearest bucket, which keeps both guarantees.
+    use the nearest bucket, which keeps both guarantees. Each kind of list is
+    kept as one padded table (``_pad``) with a row per bucket, so a query
+    gathers the candidates of many points at once.
     """
 
     def __init__(self, nodes: np.ndarray, triangles: np.ndarray):
@@ -66,12 +86,16 @@ class _BucketIndex:
         self.origin = nodes.min(axis=0)
         top = np.floor((nodes.max(axis=0) - self.origin) / self.width)
         self.shape = (int(top[0]) + 1, int(top[1]) + 1)
-        self.triangles = self._by_bucket(
-            self._cells(lo - _BUCKET_PAD_KM), self._cells(hi + _BUCKET_PAD_KM)
+        self._last = top  # the last bucket's (column, row)
+        self._stride = np.array([1, self.shape[0]])  # (column, row) -> flat id
+        self.triangle_table = _pad(
+            self._by_bucket(self._cells(lo - _BUCKET_PAD_KM), self._cells(hi + _BUCKET_PAD_KM))
         )
         cell = self._cells(nodes)
-        self.nodes = self._by_bucket(
-            np.maximum(cell - 1, 0), np.minimum(cell + 1, np.subtract(self.shape, 1))
+        self.node_table = _pad(
+            self._by_bucket(
+                np.maximum(cell - 1, 0), np.minimum(cell + 1, np.subtract(self.shape, 1))
+            )
         )
 
     def _by_bucket(self, first: np.ndarray, last: np.ndarray) -> list[np.ndarray]:
@@ -92,15 +116,13 @@ class _BucketIndex:
 
     def _cells(self, points: np.ndarray) -> np.ndarray:
         """Bucket (column, row) of each point, clamped onto the grid."""
-        cells = np.floor((points - self.origin) / self.width).astype(np.int64)
-        return np.clip(cells, 0, np.subtract(self.shape, 1))
+        cells = np.floor((points - self.origin) / self.width)
+        return np.minimum(np.maximum(cells, 0), self._last).astype(np.int64)
 
-    def bucket(self, p: Point2 | np.ndarray) -> int:
-        """Flat id of the bucket that holds (or, off the grid, is nearest) p."""
-        nbx, nby = self.shape
-        ix = min(max(math.floor((p[0] - self.origin[0]) / self.width), 0), nbx - 1)
-        iy = min(max(math.floor((p[1] - self.origin[1]) / self.width), 0), nby - 1)
-        return iy * nbx + ix
+    def buckets(self, points: np.ndarray) -> np.ndarray:
+        """Flat id of the bucket that holds (or, off the grid, is nearest)
+        each row of points."""
+        return self._cells(points) @ self._stride
 
 
 @dataclass(eq=False)
@@ -118,7 +140,9 @@ class Mesh:
     weight, which is the triangle a search of the whole mesh would pick.
     ``nearest_node`` searches the bucket's 3x3 block and falls back to every
     node when the best candidate is more than a bucket width away, so the
-    lowest node id still wins exact ties. ``project`` scans every triangle
+    lowest node id still wins exact ties. One point is a batch of one:
+    ``locate_many`` and ``ContinuousValue.expansion`` answer every row of a
+    batch with the same array expressions. ``project`` scans every triangle
     edge in one array expression.
     """
 
@@ -194,28 +218,17 @@ class Mesh:
         vec = self.nodes[self.triangles[:, [1, 2, 0]].ravel()] - start
         return start, vec, np.einsum("ed,ed->e", vec, vec)
 
-    def _weights(self, p: Point2 | np.ndarray, tris: np.ndarray | slice) -> np.ndarray:
-        """Barycentric coordinates of one point in the triangles ``tris``."""
-        inv, r0 = self._bary_frames
-        v = np.asarray(p, dtype=float) - r0[tris]
-        lam12 = np.einsum("eij,ej->ei", inv[tris], v)
-        lam0 = 1.0 - lam12.sum(axis=1)
-        return np.column_stack([lam0, lam12])
-
     def _find(self, p: Point2 | np.ndarray) -> tuple[int, np.ndarray] | None:
         """Containing triangle and weights, or None off the cover."""
-        tris = self._buckets.triangles[self._buckets.bucket(p)]
-        if len(tris):
-            lam = self._weights(p, tris)
-            mins = lam.min(axis=1)
-            k = int(np.argmax(mins))
-            if mins[k] >= -_BARY_TOL:
-                return int(tris[k]), lam[k]
-        return None
+        q = np.asarray(p, dtype=float).reshape(1, 2)
+        tri, lam = self._find_many(q, self._buckets.buckets(q))
+        return None if tri[0] < 0 else (int(tri[0]), lam[0])
 
     def barycentric(self, p: Point2 | np.ndarray) -> np.ndarray:
         """Barycentric coordinates of one point in every triangle, (n_tris, 3)."""
-        return self._weights(p, slice(None))
+        inv, r0 = self._bary_frames
+        lam12 = np.einsum("eij,ej->ei", inv, np.asarray(p, dtype=float) - r0)
+        return np.column_stack([1.0 - lam12.sum(axis=1), lam12])
 
     def locate(self, p: Point2 | np.ndarray) -> tuple[int, np.ndarray]:
         """Containing triangle and barycentric weights; DomainError outside."""
@@ -224,20 +237,53 @@ class Mesh:
             raise DomainError(f"point {tuple(np.asarray(p))} outside mesh cover")
         return found
 
+    def _find_many(
+        self, points: np.ndarray, buckets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``_find`` of every row at once, given each row's bucket: containing
+        triangle (-1 off the cover) and barycentric weights. Rows go in
+        batches of ``_BATCH_ROWS``, which bounds the temporaries."""
+        if len(points) > _BATCH_ROWS:
+            parts = [
+                self._find_many(points[r : r + _BATCH_ROWS], buckets[r : r + _BATCH_ROWS])
+                for r in range(0, len(points), _BATCH_ROWS)
+            ]
+            return np.concatenate([t for t, _ in parts]), np.concatenate([w for _, w in parts])
+        tris = self._buckets.triangle_table[buckets]
+        inv, r0 = self._bary_frames
+        lam12 = np.einsum("pcij,pcj->pci", inv[tris], points[:, None, :] - r0[tris])
+        lam = np.concatenate([1.0 - lam12.sum(axis=-1, keepdims=True), lam12], axis=-1)
+        mins = lam.min(axis=-1)
+        rows, k = np.arange(len(points)), mins.argmax(axis=1)
+        return np.where(mins[rows, k] >= -_BARY_TOL, tris[rows, k], -1), lam[rows, k]
+
+    def _locate_rows(
+        self, points: np.ndarray, clamp: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The located points (rows off the cover replaced by their
+        projection when ``clamp``), their buckets, their triangles and their
+        raw barycentric weights."""
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        buckets = self._buckets.buckets(points)
+        tri_idx, lams = self._find_many(points, buckets)
+        off = np.nonzero(tri_idx < 0)[0]
+        if len(off):
+            if not clamp:
+                raise DomainError("a query point lies outside the mesh cover")
+            points = points.copy()
+            for r in off:
+                points[r] = self.project(Point2(*points[r]))
+            buckets[off] = self._buckets.buckets(points[off])
+            tri_idx[off], lams[off] = self._find_many(points[off], buckets[off])
+            if (tri_idx[off] < 0).any():
+                raise DomainError("a projected point lies outside the mesh cover")
+        return points, buckets, tri_idx, lams
+
     def locate_many(
         self, points: np.ndarray, clamp: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """Point location of each row; optionally projects uncovered points."""
-        points = np.asarray(points, dtype=float)
-        tri_idx = np.empty(len(points), dtype=np.int64)
-        lams = np.empty((len(points), 3))
-        for r, q in enumerate(points):
-            found = self._find(q)
-            if found is None:
-                if not clamp:
-                    raise DomainError("a query point lies outside the mesh cover")
-                found = self.locate(self.project(Point2(*q)))
-            tri_idx[r], lams[r] = found
+        _, _, tri_idx, lams = self._locate_rows(points, clamp)
         return tri_idx, np.clip(lams, 0.0, 1.0)
 
     def covers(self, p: Point2 | np.ndarray) -> bool:
@@ -245,18 +291,24 @@ class Mesh:
 
     def nearest_node(self, p: Point2 | np.ndarray) -> int:
         """Closest node; the lowest node id wins exact ties."""
-        q = np.asarray(p, dtype=float)
-        ids = self._buckets.nodes[self._buckets.bucket(q)]
-        d = self.nodes[ids] - q
-        d2 = np.einsum("nd,nd->n", d, d)
-        # The block holds every node within one bucket width of q; the factor
-        # keeps that true under the rounding of the bucket arithmetic.
-        if len(ids):
-            k = int(np.argmin(d2))
-            if d2[k] <= (self._buckets.width * (1.0 - 1e-9)) ** 2:
-                return int(ids[k])
-        d = self.nodes - q
-        return int(np.argmin(np.einsum("nd,nd->n", d, d)))
+        q = np.asarray(p, dtype=float).reshape(1, 2)
+        return int(self._nearest_many(q, self._buckets.buckets(q))[0])
+
+    def _nearest_many(self, points: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+        """``nearest_node`` of every row at once, given each row's bucket."""
+        ids = self._buckets.node_table[buckets]
+        d = self.nodes[ids] - points[:, None, :]
+        d2 = np.einsum("pmd,pmd->pm", d, d)
+        rows, k = np.arange(len(points)), d2.argmin(axis=1)
+        nearest = ids[rows, k]
+        # The block holds every node within one bucket width of a point; the
+        # factor keeps that true under the rounding of the bucket arithmetic.
+        # Beyond it, every node is searched.
+        far = np.nonzero(d2[rows, k] > (self._buckets.width * (1.0 - 1e-9)) ** 2)[0]
+        if len(far):
+            d = self.nodes[None, :, :] - points[far, None, :]
+            nearest[far] = np.einsum("pnd,pnd->pn", d, d).argmin(axis=1)
+        return nearest
 
     def project(self, p: Point2) -> Point2:
         """Closest point of the mesh cover (used for queries off the hull);
@@ -291,6 +343,7 @@ class Mesh:
             for n in tri:
                 rings[n].update(tri)
         patches: list[tuple[np.ndarray, np.ndarray | None]] = []
+        fits: dict[bytes, np.ndarray | None] = {}  # one fit per distinct patch shape
         for n, ring in enumerate(rings):
             ids = np.array(sorted(set().union(*(rings[m] for m in ring))), dtype=np.int64)
             if len(ring) >= 6:
@@ -298,21 +351,52 @@ class Mesh:
                 dist = np.linalg.norm(self.nodes[ids] - self.nodes[n], axis=1)
                 ids = ids[dist <= reach + _NODE_TOL_KM]
             d = self.nodes[ids] - self.nodes[n]
-            design = np.column_stack(
-                [
-                    np.ones(len(ids)),
-                    d[:, 0],
-                    d[:, 1],
-                    d[:, 0] ** 2,
-                    d[:, 0] * d[:, 1],
-                    d[:, 1] ** 2,
-                ]
-            )
-            if len(ids) < 6 or np.linalg.matrix_rank(design) < 6:
-                patches.append((ids, None))
-            else:
-                patches.append((ids, np.linalg.pinv(design)))
+            key = d.tobytes()
+            if key not in fits:
+                design = np.column_stack(
+                    [
+                        np.ones(len(ids)),
+                        d[:, 0],
+                        d[:, 1],
+                        d[:, 0] ** 2,
+                        d[:, 0] * d[:, 1],
+                        d[:, 1] ** 2,
+                    ]
+                )
+                full = len(ids) >= 6 and np.linalg.matrix_rank(design) == 6
+                fits[key] = np.linalg.pinv(design) if full else None
+            patches.append((ids, fits[key]))
         return patches
+
+    @cached_property
+    def hessian_operator(self) -> sp.csr_matrix:
+        """The patch fits as one linear map from nodal values to fitted
+        quadratic coefficients: row 3n + k of this (3 n_nodes, n_nodes)
+        matrix gives node n's coefficient of x^2, xy, y^2 for k = 0, 1, 2
+        (empty rows where the patch cannot support the fit)."""
+        rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+        for n, (ids, pinv) in enumerate(self.hessian_patches):
+            if pinv is not None:
+                rows.append(np.repeat(3 * n + np.arange(3), len(ids)))
+                cols.append(np.tile(ids, 3))
+                vals.append(pinv[3:].ravel())
+        return sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(3 * self.n_nodes, self.n_nodes),
+        )
+
+    @cached_property
+    def edge_neighbours(self) -> np.ndarray:
+        """Per triangle and local vertex l, the triangle across the edge
+        opposite l, or -1 on the hull; shape (n_tris, 3)."""
+        opposite = self.triangles[:, [[1, 2], [2, 0], [0, 1]]]
+        key = np.sort(opposite, axis=2).reshape(-1, 2)
+        order = np.lexsort((key[:, 1], key[:, 0]))
+        shared = (key[order[1:]] == key[order[:-1]]).all(axis=1)
+        a, b = order[:-1][shared], order[1:][shared]
+        out = np.full(len(key), -1, dtype=np.int64)
+        out[a], out[b] = b // 3, a // 3
+        return out.reshape(-1, 3)
 
 
 def _ccw(nodes: np.ndarray, tri: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -503,17 +587,30 @@ def constrain_goal(system: SparseSystem, goal_node: int) -> SparseSystem:
 
     The constrained value is zero, so no contribution moves to the right-hand
     side; the goal row and column are cleared and replaced by an identity row.
+    The stored entries of the goal row and column are dropped, not zeroed, and
+    every other stored entry keeps its place in the canonical CSR arrays.
     """
     n = system.matrix.shape[0]
     if not 0 <= goal_node < n:
         raise ValueError("goal node out of range")
-    k = system.matrix.tolil(copy=True)
+    a = system.matrix.tocsr()
+    a.sum_duplicates()
+    row = np.repeat(np.arange(n), np.diff(a.indptr))
+    keep = (row != goal_node) & (a.indices != goal_node)
+    at = np.searchsorted(row[keep], goal_node)  # the goal row is empty now
+    counts = np.bincount(row[keep], minlength=n)
+    counts[goal_node] = 1
+    matrix = sp.csr_matrix(
+        (
+            np.insert(a.data[keep], at, 1.0),
+            np.insert(a.indices[keep], at, goal_node),
+            np.concatenate([[0], np.cumsum(counts)]),
+        ),
+        shape=(n, n),
+    )
     rhs = system.rhs.copy()
-    k[goal_node, :] = 0.0
-    k[:, goal_node] = 0.0
-    k[goal_node, goal_node] = 1.0
     rhs[goal_node] = 0.0
-    return SparseSystem(k.tocsr(), rhs)
+    return SparseSystem(matrix, rhs)
 
 
 def solve(system: SparseSystem) -> np.ndarray:
@@ -553,7 +650,12 @@ class ContinuousValue:
     from a least-squares quadratic fit over the patch around the nearest node
     (zero, by policy, where the patch cannot support the fit); the patch is
     the node's mesh neighbourhood widened to the lattice's symmetry, see
-    ``Mesh.hessian_patches``.
+    ``Mesh.hessian_patches``. The fits of every node are one matvec of
+    ``Mesh.hessian_operator`` with the coefficients (``node_hessians``).
+
+    ``evaluate``, ``gradient`` and ``hessian`` answer one point each;
+    ``expansion`` answers many at once, with the same numbers, and is what
+    policy improvement and the continuous planner use.
     """
 
     mesh: Mesh
@@ -602,14 +704,59 @@ class ContinuousValue:
         w = self.mesh.areas[elems]
         return (self.element_gradients[elems] * w[:, None]).sum(axis=0) / w.sum()
 
+    @cached_property
+    def node_hessians(self) -> np.ndarray:
+        """Fitted Hessian at every node, shape (n_nodes, 2, 2): one sparse
+        matvec of ``Mesh.hessian_operator`` with the nodal values."""
+        c = (self.mesh.hessian_operator @ self.coefficients).reshape(-1, 3)
+        out = np.empty((self.mesh.n_nodes, 2, 2))
+        out[:, 0, 0] = 2.0 * c[:, 0]
+        out[:, 0, 1] = out[:, 1, 0] = c[:, 1]
+        out[:, 1, 1] = 2.0 * c[:, 2]
+        return out
+
     def hessian(self, p: Point2 | np.ndarray) -> np.ndarray:
         if not self.mesh.covers(p):
             raise DomainError(f"point {tuple(np.asarray(p))} outside mesh cover")
-        ids, pinv = self.mesh.hessian_patches[self.mesh.nearest_node(p)]
-        if pinv is None:
-            return np.zeros((2, 2))
-        c = pinv @ self.coefficients[ids]
-        return np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])
+        return self.node_hessians[self.mesh.nearest_node(p)].copy()
+
+    def expansion(
+        self, points: np.ndarray, clamp: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Value (n,), gradient (n, 2) and Hessian (n, 2, 2) at each row of
+        ``points``: what ``evaluate``, ``gradient`` and ``hessian`` give one
+        point at a time, to the bit, from one batched point location and one
+        batched nearest-node search. Rows off the mesh cover raise
+        DomainError unless ``clamp`` moves them to their ``Mesh.project``.
+        """
+        mesh = self.mesh
+        points, buckets, tri, lam = mesh._locate_rows(points, clamp)
+        corners = self.coefficients[mesh.triangles[tri]]
+        # Stacked (1, k) @ (k, 1) products take the dot kernel that ``evaluate``
+        # and ``np.linalg.norm`` take, so the sums round alike.
+        value = (lam[:, None, :] @ corners[:, :, None])[:, 0, 0]
+
+        nearest = mesh._nearest_many(points, buckets)
+        d = (mesh.nodes[nearest] - points)[:, None, :]
+        at_node = np.sqrt(d @ d.swapaxes(1, 2))[:, 0, 0] < _NODE_TOL_KM
+        grad = np.where(
+            at_node[:, None], self.node_gradients[nearest], self.element_gradients[tri]
+        )
+        on_edge = ~at_node & (lam < _BARY_TOL).any(axis=1)
+        if on_edge.any():
+            # Area-weighted average over the triangles sharing the edge opposite
+            # the first vanishing weight; a sum of two terms rounds alike in
+            # either order.
+            e = tri[on_edge]
+            other = mesh.edge_neighbours[e, np.argmax(lam[on_edge] < _BARY_TOL, axis=1)]
+            w = mesh.areas[e]
+            num = self.element_gradients[e] * w[:, None]
+            pair = other >= 0
+            w2 = mesh.areas[other[pair]]
+            num[pair] += self.element_gradients[other[pair]] * w2[:, None]
+            w[pair] += w2
+            grad[on_edge] = num / w[:, None]
+        return value, grad, self.node_hessians[nearest]
 
 
 def write_mesh_csv(nodes_path, tris_path, mesh: Mesh) -> None:

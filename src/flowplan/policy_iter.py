@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .errors import DomainError
 from .mdp import MdpModel
 from .moments import Convention, assemble_coefficients, transition_moments
 
@@ -81,25 +80,32 @@ def initial_policy(model: MdpModel, kind: str = "goal-aimed") -> np.ndarray:
 
 def _state_scores(
     model: MdpModel,
-    s: int,
-    value_at: float,
+    s: int | np.ndarray,
+    value_at: float | np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
     convention: Convention,
 ) -> np.ndarray:
     """Every action's score at state ``s``: expected reward plus the drift and
     curvature terms of the local expansion of the value, less the reaction
-    term."""
+    term. With an array of states (and one value, gradient and Hessian row
+    per state) it scores each state in its own row, shape (n, n_actions),
+    with the arithmetic of the one-state case."""
     gamma = model.gamma
     m = transition_moments(model, s, slice(None), convention)
-    diff_term = 0.5 * np.einsum("aij,ij->a", m.diffusion, hess)
-    return model.rewards[s] + gamma * (m.drift @ grad + diff_term) - (1.0 - gamma) * value_at
+    drift = m.drift.swapaxes(0, -2)  # (..., n_a, 2)
+    diffusion = m.diffusion.swapaxes(0, -3)  # (..., n_a, 2, 2)
+    drift_term = (drift @ np.asarray(grad)[..., None])[..., 0]
+    diff_term = 0.5 * np.einsum("...aij,...ij->...a", diffusion, hess)
+    reaction = (1.0 - gamma) * np.asarray(value_at)[..., None]
+    return model.rewards[s] + gamma * (drift_term + diff_term) - reaction
 
 
-def best_action(scores: np.ndarray) -> int:
-    """Index of the best score; scores within 1e-12 of the best count as
-    tied, and the lowest action index wins a tie."""
-    return int(np.argmax(scores >= scores.max() - _TIE_TOL))
+def best_action(scores: np.ndarray) -> np.ndarray:
+    """Index of the best score of each row; scores within 1e-12 of the best
+    count as tied, and the lowest action index wins a tie."""
+    best = scores.max(axis=-1, keepdims=True)
+    return np.argmax(scores >= best - _TIE_TOL, axis=-1)
 
 
 def improve_policy_continuous(
@@ -120,31 +126,24 @@ def improve_policy_continuous(
     Scores within 1e-12 of the best count as tied, and ties resolve to the
     lowest action index, as in the discrete improvement step. With
     ``incumbent``/``margins`` set (the loop's hysteresis), a state keeps its
-    incumbent action unless the best challenger clears the margin.
+    incumbent action unless the best challenger clears the margin. All states
+    and actions are scored in one pass over ``ContinuousValue.expansion``.
     """
-    if states is None:
-        states = np.arange(model.n_states)
+    states = np.arange(model.n_states) if states is None else np.asarray(states, dtype=np.int64)
     policy = (
         np.zeros(model.n_states, dtype=np.int64) if incumbent is None else incumbent.copy()
     )
-    for s in states:
-        s = int(s)
-        p = model.states.position(s)
-        if not value.mesh.covers(p):
-            if not clamp:
-                raise DomainError(f"state center {tuple(p)} outside mesh cover")
-            p = value.mesh.project(p)
-        v = value.evaluate(p)
-        grad = value.gradient(p)
-        hess = value.hessian(p)
-        scores = _state_scores(model, s, v, grad, hess, convention)
-        best = best_action(scores)
-        if incumbent is None:
-            policy[s] = best
-        else:
-            margin = 0.0 if margins is None else float(margins[s])
-            if best != policy[s] and scores[best] > scores[policy[s]] + margin:
-                policy[s] = best
+    v, grad, hess = value.expansion(model.states.positions()[states], clamp=clamp)
+    scores = _state_scores(model, states, v, grad, hess, convention)
+    best = best_action(scores)
+    if incumbent is None:
+        policy[states] = best
+        return policy
+    held = policy[states]
+    margin = 0.0 if margins is None else margins[states]
+    rows = np.arange(len(states))
+    switch = (best != held) & (scores[rows, best] > scores[rows, held] + margin)
+    policy[states[switch]] = best[switch]
     return policy
 
 

@@ -119,15 +119,8 @@ class ContinuousPlanner:
             return goal_oriented_action(
                 p, self.model.states.position(s), self.model.actions[0].speed
             )
-        q = p if self.value.mesh.covers(p) else self.value.mesh.project(p)
-        scores = _state_scores(
-            self.model,
-            s,
-            self.value.evaluate(q),
-            self.value.gradient(q),
-            self.value.hessian(q),
-            self.convention,
-        )
+        v, grad, hess = self.value.expansion(np.array([p], dtype=float), clamp=True)
+        scores = _state_scores(self.model, s, v[0], grad[0], hess[0], self.convention)
         act = self.model.actions[best_action(scores)]
         return act.heading, act.speed
 

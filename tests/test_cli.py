@@ -48,3 +48,20 @@ def test_gyre_grid_origin_below_the_domain_is_a_config_error(tmp_path, capsys, k
     code, err = _run(tmp_path, SMALL_GYRE.replace(f"{key} = 1.0", f"{key} = -1.0"), capsys)
     assert code == 2
     assert "config error" in err and "outside the field domain" in err
+
+
+def test_k2_on_a_grid_under_3x3_is_a_config_error(tmp_path, capsys):
+    text = SMALL_GYRE.replace("grid.nx = 6", "grid.nx = 2").replace("goal.i = 4", "goal.i = 1")
+    code, err = _run(tmp_path, text + "fem.k = 2\n", capsys)
+    assert code == 2
+    assert "config error: fem.k" in err
+
+
+@pytest.mark.parametrize("key", ["start.x_km", "start.y_km"])
+def test_start_outside_the_domain_is_a_config_error_before_any_solve(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_GYRE + f"{key} = 12.5\nsim.trials = 1\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "stats.csv").exists()

@@ -185,8 +185,16 @@ def test_bucketed_queries_on_a_sparse_mesh():
 
 
 def _check_queries(mesh, points):
-    """Checks every query at every point against brute force; returns the
-    number of points off the cover."""
+    """Checks every query at every point, one at a time and batched, against
+    brute force; returns the number of points off the cover."""
+    buckets = mesh._buckets.buckets(points)
+    tri_idx, lams = mesh._find_many(points, buckets)
+    nearest = mesh._nearest_many(points, buckets)
+    for p, e, lam, n in zip(points, tri_idx, lams, nearest):
+        found = _brute_locate(mesh, p)
+        assert e == (-1 if found is None else found[0])
+        assert found is None or np.array_equal(lam, found[1])
+        assert n == _brute_nearest(mesh, p)
     outside = 0
     for p in points:
         found = _brute_locate(mesh, p)
@@ -227,6 +235,82 @@ def test_locate_many_matches_single_point_queries():
         assert np.array_equal(lam, np.clip(lam_ref, 0.0, 1.0))
     with pytest.raises(DomainError):
         mesh.locate_many(pts)
+
+
+@pytest.mark.parametrize(
+    "n, k, goal",
+    [
+        (7, 1, (3, 2)),
+        (8, 2, (3, 4)),  # odd goal inside the hull: inserted
+        (8, 2, (7, 0)),  # odd goal on a cut corner: hooked onto the hull
+    ],
+)
+def test_expansion_matches_scalar_queries_exactly(n, k, goal):
+    states = grid_states(n, goal=goal)
+    mesh = build_mesh(states, k=k)
+    rng = np.random.default_rng(10 * n + goal[1])
+    kinds = _check_expansion(mesh, _query_points(mesh, states, rng), rng)
+    assert kinds == {"off", "node", "edge", "interior"}
+
+
+def test_expansion_on_a_sparse_mesh():
+    # Empty buckets and nearest nodes outside the bucket's block (see
+    # test_bucketed_queries_on_a_sparse_mesh) in the batched queries.
+    nodes = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [41.0, 0.0], [41.1, 0.0], [41.0, 0.1]])
+    mesh = Mesh(nodes, np.array([[0, 1, 2], [3, 4, 5]]), np.arange(6), goal_node=0)
+    rng = np.random.default_rng(5)
+    pts = np.concatenate([rng.uniform(-20.0, 60.0, size=(300, 2)), nodes, [[29.0, 0.0]]])
+    assert "off" in _check_expansion(mesh, pts, rng)
+
+
+def _check_expansion(mesh, pts, rng):
+    """Every row of the batched expansion must be what evaluate, gradient
+    and hessian give at the row's point, or at its projection, to the bit;
+    returns the kinds of point met (node, edge, interior, off the cover)."""
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    value = ContinuousValue(
+        mesh, np.sin(0.4 * x) * np.cos(0.3 * y) + rng.normal(0.0, 0.01, mesh.n_nodes)
+    )
+    vals, grads, hessians = value.expansion(pts, clamp=True)
+    kinds = set()
+    for p, v, g, h in zip(pts, vals, grads, hessians):
+        q = p if mesh.covers(p) else mesh.project(Point2(*p))
+        _, lam = mesh.locate(q)
+        kinds.add(
+            "off" if q is not p else "node" if (lam > 1 - 1e-9).any()
+            else "edge" if (lam < 1e-9).any() else "interior"
+        )
+        assert v == value.evaluate(q)
+        assert np.array_equal(g, value.gradient(q))
+        assert np.array_equal(h, value.hessian(q))
+    with pytest.raises(DomainError):
+        value.expansion(pts)
+    return kinds
+
+
+@pytest.mark.parametrize("k, goal", [(1, (3, 2)), (2, (3, 4)), (2, (7, 0))])
+def test_node_hessians_are_the_patch_fits(k, goal):
+    mesh = build_mesh(grid_states(8, goal=goal), k=k)
+    coefficients = np.random.default_rng(k).normal(size=mesh.n_nodes)
+    hessians = ContinuousValue(mesh, coefficients).node_hessians
+    fitted = 0
+    for n, (ids, pinv) in enumerate(mesh.hessian_patches):
+        d = mesh.nodes[ids] - mesh.nodes[n]
+        design = np.column_stack(
+            [np.ones(len(ids)), d[:, 0], d[:, 1], d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2]
+        )
+        if pinv is None:
+            assert len(ids) < 6 or np.linalg.matrix_rank(design) < 6
+            assert not hessians[n].any()
+            continue
+        # One fit per distinct patch shape is still each node's own fit, to the bit.
+        assert np.array_equal(pinv, np.linalg.pinv(design))
+        c = pinv @ coefficients[ids]
+        want = np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])
+        # The sparse matvec sums the same products in its own order.
+        np.testing.assert_allclose(hessians[n], want, rtol=0, atol=1e-12)
+        fitted += 1
+    assert fitted > mesh.n_nodes // 2
 
 
 # ------------------------------------------------------- element integrals
@@ -295,6 +379,23 @@ def test_constrain_goal_idempotent():
     twice = constrain_goal(once, 0)
     assert (once.matrix != twice.matrix).nnz == 0
     np.testing.assert_allclose(once.rhs, twice.rhs, atol=0)
+
+
+def test_constrain_goal_keeps_the_stored_pattern_of_lil_elimination():
+    # Clearing the goal row and column of a LIL matrix drops their entries
+    # and keeps every other stored entry, explicit zeros included.
+    mesh = build_mesh(grid_states(6, goal=(2, 3)), k=1)
+    system = assemble(mesh, constant_coefficients(mesh, drift=(0.3, -0.2), source=1.0))
+    system.matrix.data[::7] = 0.0
+    g = mesh.goal_node
+    ref = system.matrix.tolil(copy=True)
+    ref[g, :] = 0.0
+    ref[:, g] = 0.0
+    ref[g, g] = 1.0
+    ref = ref.tocsr()
+    got = constrain_goal(system, g).matrix
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
 
 
 def test_solve_identity_system():

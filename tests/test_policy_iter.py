@@ -13,6 +13,7 @@ from flowplan.mdp import (
 from flowplan.policy_iter import (
     ApiConfig,
     approximate_policy_iteration,
+    best_action,
     evaluate_policy_fem,
     improve_policy_continuous,
     initial_policy,
@@ -92,6 +93,46 @@ def test_reaction_term_is_action_independent(gyre_benchmark):
         scores = _state_scores(model, s, 0.0, v.gradient(p), v.hessian(p), "displacement")
         dropped[s] = int(np.argmax(scores))
     assert np.array_equal(with_term, dropped)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_batched_improvement_matches_per_state_reference(gyre_benchmark, k):
+    # One scoring pass over all states against the per-state loop it
+    # replaced: scores, tie rule and stickiness margins. On the k=2 mesh the
+    # odd-parity centres lie on edges and two corners lie off the cover.
+    model, _ = gyre_benchmark
+    mesh = fem.build_mesh(model.states, k)
+    policy = initial_policy(model)
+    value, _ = evaluate_policy_fem(model, policy, mesh)
+    margins = np.random.default_rng(k).choice([0.0, 1e-4, 1e-2, 1.0], size=model.n_states)
+    plain, held = policy.copy(), policy.copy()
+    rows = []
+    for s in range(model.n_states):
+        p = model.states.position(s)
+        if not mesh.covers(p):
+            p = mesh.project(p)
+        scores = _state_scores(
+            model, s, value.evaluate(p), value.gradient(p), value.hessian(p), "displacement"
+        )
+        rows.append(scores)
+        best = int(best_action(scores))
+        plain[s] = best
+        if best != held[s] and scores[best] > scores[held[s]] + margins[s]:
+            held[s] = best
+    states = np.arange(model.n_states)
+    batched = _state_scores(
+        model,
+        states,
+        *value.expansion(model.states.positions(), clamp=True),
+        "displacement",
+    )
+    assert np.array_equal(batched, np.array(rows))
+    assert np.array_equal(improve_policy_continuous(model, value, clamp=True), plain)
+    got = improve_policy_continuous(
+        model, value, clamp=True, incumbent=policy, margins=margins
+    )
+    assert np.array_equal(got, held)
+    assert 0 < np.sum(held != policy) < np.sum(plain != policy)  # margins hold some
 
 
 def test_improvement_outside_mesh_raises(gyre_benchmark):
