@@ -28,6 +28,7 @@ from .flowfield import (
     gyre_velocity,
     load_grid_field,
     sample_disturbance,
+    sample_noise,
 )
 from .mdp import (
     Action,
@@ -60,6 +61,7 @@ from .simulator import (
     goal_oriented_action,
     run_experiment,
     simulate_trial,
+    simulate_trials,
     step,
 )
 from .config import ExperimentConfig, load_config, parse_config, serialize_config

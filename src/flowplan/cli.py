@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import fem, mdp, moments, simulator
 from .config import (
+    MSE_MIN_GRID,
     ExperimentConfig,
     build_field,
     build_mdp,
@@ -128,9 +130,11 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
             tag = f"{name}_A{strength:g}".replace(".", "p")
             simulator.write_trajectories_csv(out / f"trajectories_{tag}.csv", trajectories[name])
             st = stats[name]
+            ends = Counter(run.end_reason for run in trajectories[name])
             print(
                 f"A={strength:g} {name}: reached {st.reached}/{st.trials}, "
-                f"time {st.mean_time_h:.2f} h, length {st.mean_length_km:.2f} km"
+                f"time {st.mean_time_h:.2f} h, length {st.mean_length_km:.2f} km, ends "
+                + ", ".join(f"{reason} {ends[reason]}" for reason in simulator.END_REASONS)
             )
     simulator.write_stats_csv(out / "stats.csv", rows)
     return 0
@@ -138,6 +142,8 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
 
 def cmd_mse(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
     sizes = cfg.mse_grid_sizes or (cfg.grid_nx,)
+    if not cfg.mse_grid_sizes and cfg.grid_nx < MSE_MIN_GRID:  # validate_config checks the listed sizes
+        raise ConfigError(f"grid.nx: grid size {cfg.grid_nx} too small for mse (set mse.grid_sizes)")
     goal_x = cfg.grid_origin_x_km + cfg.goal_i * cfg.grid_cell_km
     goal_y = cfg.grid_origin_y_km + cfg.goal_j * cfg.grid_cell_km
     records = []

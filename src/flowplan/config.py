@@ -23,6 +23,11 @@ from .flowfield import (
 from .mdp import MdpModel, StateSpace, build_model
 
 
+# Smallest grid side the mse command solves; it meshes every size with k = 1
+# and with k = 2.
+MSE_MIN_GRID = 4
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     field_kind: str = "gyre"
@@ -223,7 +228,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.output_raster_n < 2:
         fail("output.raster_n", "must be at least 2")
     for n in cfg.mse_grid_sizes:
-        if n < 4:
+        if n < MSE_MIN_GRID:
             fail("mse.grid_sizes", f"grid size {n} too small")
     # Grid must sit inside the field domain so every state center is queryable.
     max_x = cfg.grid_origin_x_km + (cfg.grid_nx - 1) * cfg.grid_cell_km

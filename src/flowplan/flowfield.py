@@ -114,11 +114,13 @@ class FlowField:
             and self.origin.y - tol <= p[1] <= self.origin.y + self.extent[1] + tol
         )
 
-    def clamp(self, p: Point2) -> Point2:
-        """Project a point onto the domain, component-wise."""
-        x = min(max(p[0], self.origin.x), self.origin.x + self.extent[0])
-        y = min(max(p[1], self.origin.y), self.origin.y + self.extent[1])
-        return Point2(x, y)
+    def clamp(self, points: np.ndarray) -> np.ndarray:
+        """Project each row of ``points`` onto the domain, component-wise,
+        as Python's ``min(max(x, lo), hi)`` does (a signed zero included)."""
+        lo = np.array(self.origin)
+        hi = np.array([self.origin.x + self.extent[0], self.origin.y + self.extent[1]])
+        points = np.where(points < lo, lo, points)
+        return np.where(points > hi, hi, points)
 
 
 def gyre_field(
@@ -183,11 +185,17 @@ def field_velocity(field: FlowField, p: Point2) -> Velocity2:
     return _bilinear(field.grid, p)
 
 
+def sample_noise(noise: NoiseParams, rng: np.random.Generator, scale: float = 1.0) -> tuple[float, float]:
+    """Independent per-axis Gaussian velocity noise, x drawn before y, each
+    draw multiplied by ``scale``. Two scalar draws: one draw of both axes
+    gives the same numbers but costs several times as long."""
+    return scale * rng.normal(0.0, noise.sigma_x), scale * rng.normal(0.0, noise.sigma_y)
+
+
 def sample_disturbance(field: FlowField, p: Point2, rng: np.random.Generator) -> Velocity2:
     """Field velocity plus independent per-axis Gaussian noise."""
     base = field_velocity(field, p)
-    wx = rng.normal(0.0, field.noise.sigma_x)
-    wy = rng.normal(0.0, field.noise.sigma_y)
+    wx, wy = sample_noise(field.noise, rng)
     return Velocity2(base.vx + wx, base.vy + wy)
 
 

@@ -137,13 +137,14 @@ class StateSpace:
         out[:, 1] = self.origin.y + (idx // self.nx) * self.cell_km
         return out
 
-    def state_at(self, p: Point2) -> int:
-        """Containing cell of a point, clamped onto the grid."""
-        i = int(math.floor((p[0] - self.origin.x) / self.cell_km + 0.5))
-        j = int(math.floor((p[1] - self.origin.y) / self.cell_km + 0.5))
-        i = min(max(i, 0), self.nx - 1)
-        j = min(max(j, 0), self.ny - 1)
-        return self.index(i, j)
+    def state_at(self, p: Point2 | np.ndarray) -> int | np.ndarray:
+        """Containing cell of a point, clamped onto the grid; for an (n, 2)
+        array of points, the cell of each row."""
+        p = np.asarray(p, dtype=float)
+        ij = np.floor((p - self.origin) / self.cell_km + 0.5)
+        ij = np.minimum(np.maximum(ij, 0), (self.nx - 1, self.ny - 1)).astype(np.int64)
+        s = ij[..., 1] * self.nx + ij[..., 0]
+        return int(s) if s.ndim == 0 else s
 
     def is_terminal(self, s: int) -> bool:
         return s == self.goal or bool(self.obstacles[s])

@@ -65,3 +65,41 @@ def test_start_outside_the_domain_is_a_config_error_before_any_solve(tmp_path, c
     assert code == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "stats.csv").exists()
+
+
+def test_mse_on_a_grid_under_4x4_is_a_config_error_before_any_solve(tmp_path, capsys):
+    # Without mse.grid_sizes, mse solves the config's own grid size with k = 1
+    # and k = 2; a 2x2 grid must fail up front, not after the k = 1 solve.
+    text = SMALL_GYRE.replace("grid.nx = 6", "grid.nx = 2").replace("grid.ny = 6", "grid.ny = 2")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.replace("goal.i = 4", "goal.i = 1").replace("goal.j = 4", "goal.j = 1"))
+    code = main(["mse", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error: grid.nx" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out" / "mse.csv").exists()
+
+
+def test_simulate_on_a_small_gyre_writes_stats_and_trajectories(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_GYRE + "sim.trials = 4\nsim.budget_h = 6.0\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    stats = (out / "stats.csv").read_text().splitlines()
+    assert stats[0] == "planner,A,sigma,mean_time_h,std_time_h,mean_len_km,std_len_km,reached"
+    planners = [row.split(",")[0] for row in stats[1:]]
+    assert planners == ["classic-pi", "api-k1", "goal-oriented"]
+    for name in planners:
+        rows = (out / f"trajectories_{name}_A0p5.csv").read_text().splitlines()
+        assert rows[0] == "trial,t_h,x_km,y_km,psi_rad"
+        assert sorted({int(row.split(",")[0]) for row in rows[1:]}) == [0, 1, 2, 3]
+    # One summary line per planner, with the count of each way a trial ended.
+    lines = captured.out.splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        counts = line.split("ends ")[1]
+        assert [part.split()[0] for part in counts.split(", ")] == ["goal", "collision", "budget"]
+        assert sum(int(part.split()[1]) for part in counts.split(", ")) == 4

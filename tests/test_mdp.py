@@ -271,6 +271,20 @@ def test_state_at_clamps_to_grid():
     assert states.state_at(Point2(3.0, 5.0)) == states.index(1, 2)
 
 
+def test_state_at_rows_equal_the_per_point_cells():
+    # Rows on the cell boundaries (x = 2, 4, ... with 2 km cells from 1 km)
+    # round half up, as the per-point floor(u + 0.5) does.
+    states = StateSpace.regular(4, 4, 2.0, (3, 3))
+    rng = np.random.default_rng(3)
+    rows = np.vstack([rng.uniform(-2.0, 10.0, size=(50, 2)), [[2.0, 4.0], [6.0, 0.0], [8.0, 8.0]]])
+    cells = states.state_at(rows)
+    for (x, y), s in zip(rows, cells):
+        i = min(max(math.floor((x - 1.0) / 2.0 + 0.5), 0), 3)
+        j = min(max(math.floor((y - 1.0) / 2.0 + 0.5), 0), 3)
+        assert s == states.index(i, j) == states.state_at(Point2(x, y))
+    assert states.state_at(Point2(2.0, 4.0)) == states.index(1, 2)
+
+
 def test_value_and_policy_csv_schema(tmp_path, zero_field_model):
     from flowplan.mdp import write_policy_csv, write_value_csv
 

@@ -1,15 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from flowplan import fem
-from flowplan.flowfield import GyreParams, NoiseParams, Point2, gyre_field
-from flowplan.mdp import StateSpace, build_model
+from flowplan.errors import DomainError
+from flowplan.flowfield import GyreParams, NoiseParams, Point2, field_velocity, gyre_field
+from flowplan.mdp import StateSpace, build_model, classic_policy_iteration
+from flowplan.policy_iter import ApiConfig, _state_scores, approximate_policy_iteration, best_action
 from flowplan.simulator import (
+    END_REASONS,
     ContinuousPlanner,
+    DiscretePlanner,
     GoalOrientedPlanner,
     SimOptions,
     run_experiment,
     simulate_trial,
+    step,
 )
 
 
@@ -91,3 +98,187 @@ def test_continuous_planner_takes_lowest_action_on_exact_ties():
         heading, speed = planner.command(p)
         assert heading == headings[compass]
         assert speed == 3.0
+
+
+def _reference_trial(field, planner, start, goal, opts, rng, states, requery_dt_h=1.0):
+    """The one-trial-at-a-time loop and scalar Euler step that the lockstep
+    simulator replaced, kept as its reference. Returns the trajectory's
+    (times, points, headings, end reason, time cost, length)."""
+    p = Point2(*start)
+    trial_noise = None
+    if opts.noise_resample == "trial":
+        trial_noise = (rng.normal(0.0, field.noise.sigma_x), rng.normal(0.0, field.noise.sigma_y))
+    heading, speed = planner.command(p)
+    times, pts, headings = [0.0], [tuple(p)], [heading]
+    reason = "goal" if math.dist(p, goal) <= opts.goal_radius_km else "budget"
+    time_cost = 0.0
+    cell = states.state_at(p) if states is not None else None
+    since_query = 0.0
+    n_steps = int(opts.budget_h / opts.dt_h + 1e-9)
+    if reason != "goal":
+        for k in range(1, n_steps + 1):
+            base = field_velocity(field, p)
+            if trial_noise is None:
+                scale = math.sqrt(opts.dt_h) if opts.noise_scaling == "sqrt-dt" else 1.0
+                current = (
+                    base.vx + scale * rng.normal(0.0, field.noise.sigma_x),
+                    base.vy + scale * rng.normal(0.0, field.noise.sigma_y),
+                )
+            else:
+                current = (base.vx + trial_noise[0], base.vy + trial_noise[1])
+            nx = p[0] + (current[0] + speed * math.cos(heading)) * opts.dt_h
+            ny = p[1] + (current[1] + speed * math.sin(heading)) * opts.dt_h
+            p = Point2(
+                min(max(nx, field.origin.x), field.origin.x + field.extent[0]),
+                min(max(ny, field.origin.y), field.origin.y + field.extent[1]),
+            )
+            t = k * opts.dt_h
+            since_query += opts.dt_h
+            times.append(t)
+            pts.append(tuple(p))
+            headings.append(heading)
+            if math.dist(p, goal) <= opts.goal_radius_km:
+                reason, time_cost = "goal", t
+                break
+            if states is not None:
+                s = states.state_at(p)
+                if states.obstacles[s]:
+                    reason = "collision"
+                    break
+                cell_changed = s != cell
+                cell = s
+            else:
+                cell_changed = False
+            if planner.requery_every_step or cell_changed or since_query >= requery_dt_h - 1e-12:
+                heading, speed = planner.command(p)
+                since_query = 0.0
+            headings[-1] = heading
+    if reason != "goal":
+        time_cost = opts.budget_h
+    pts_arr = np.asarray(pts)
+    seg = np.diff(pts_arr, axis=0)
+    length = float(np.sqrt((seg**2).sum(axis=1)).sum())
+    return np.asarray(times), pts_arr, np.asarray(headings), reason, time_cost, length
+
+
+WALL = tuple((4, j) for j in range(2, 8))  # across the straight line from (1, 1) to the goal
+
+
+@pytest.fixture(scope="module", params=[(), WALL], ids=["open", "wall"])
+def solved(request):
+    """A 10x10 gyre problem, open or with a wall, and its three planners."""
+    field = gyre_field(GyreParams(0.5, 10.0), NoiseParams.isotropic(1.0), extent=(20.0, 20.0))
+    states = StateSpace.regular(10, 10, 2.0, (7, 7), obstacle_cells=request.param)
+    model = build_model(field, states, 1.0, 3.0, 0.95)
+    pi = classic_policy_iteration(model)
+    api = approximate_policy_iteration(model, ApiConfig(k=1))
+    goal = states.position(states.goal)
+    planners = {
+        "classic-pi": DiscretePlanner(pi.policy, states, model.actions),
+        "api": ContinuousPlanner(model, api.value),
+        "goal-oriented": GoalOrientedPlanner(goal, 3.0),
+    }
+    return field, states, model, planners
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [
+        SimOptions(budget_h=8.0),
+        SimOptions(budget_h=8.0, noise_resample="trial"),
+        SimOptions(budget_h=8.0, noise_scaling="sqrt-dt"),
+    ],
+    ids=["step", "trial", "sqrt-dt"],
+)
+def test_lockstep_trials_equal_the_one_trial_reference(solved, opts):
+    field, states, _, planners = solved
+    goal = states.position(states.goal)
+    start = Point2(1.0, 1.0)
+    _, runs = run_experiment(field, planners, start, goal, opts, 8, 3, states)
+    for name, planner in planners.items():
+        for trial, run in enumerate(runs[name]):
+            rng = np.random.default_rng(np.random.SeedSequence([3, trial]))
+            times, points, headings, reason, time_cost, length = _reference_trial(
+                field, planner, start, goal, opts, rng, states
+            )
+            assert np.array_equal(run.times, times)
+            assert np.array_equal(run.points, points)
+            assert np.array_equal(run.headings, headings)
+            assert (run.end_reason, run.reached) == (reason, reason == "goal")
+            assert (run.time_cost, run.length) == (time_cost, length)
+    if states.obstacles.any():
+        # Every end reason occurs, and trials collide at different steps, so
+        # rows leave the lockstep batch while others go on.
+        assert {run.end_reason for name in runs for run in runs[name]} == set(END_REASONS)
+        assert len({len(run) for run in runs["goal-oriented"] if run.end_reason == "collision"}) > 1
+
+
+@pytest.mark.parametrize("offset", [(-0.3, 0.4), (1.0, 0.0)], ids=["inside", "on-the-radius"])
+def test_start_inside_the_goal_radius_ends_every_planner_at_once(solved, offset):
+    field, states, _, planners = solved
+    goal = states.position(states.goal)
+    start = Point2(goal.x + offset[0], goal.y + offset[1])
+    _, runs = run_experiment(field, planners, start, goal, SimOptions(), 3, 5, states)
+    for name, planner in planners.items():
+        for trial, run in enumerate(runs[name]):
+            rng = np.random.default_rng(np.random.SeedSequence([5, trial]))
+            times, points, headings, *rest = _reference_trial(
+                field, planner, start, goal, SimOptions(), rng, states
+            )
+            assert np.array_equal(run.points, points) and np.array_equal(run.headings, headings)
+            assert (run.end_reason, run.time_cost, run.length, len(run)) == ("goal", 0.0, 0.0, 1)
+
+
+def _reference_command(planner, p):
+    """One planner command at one point, as the planners gave it before they
+    took rows: the continuous planner scores the point's state as an integer."""
+
+    def toward(goal, v_max):
+        dx, dy = goal[0] - p[0], goal[1] - p[1]
+        return (0.0, 0.0) if dx == 0.0 and dy == 0.0 else (math.atan2(dy, dx), v_max)
+
+    if isinstance(planner, GoalOrientedPlanner):
+        return toward(planner.goal, planner.v_max)
+    s = planner.states.state_at(p)
+    if s == planner.states.goal:
+        return toward(planner.states.position(s), planner.actions[0].speed)
+    if isinstance(planner, DiscretePlanner):
+        act = planner.actions[int(planner.policy[s])]
+    else:
+        v, grad, hess = planner.value.expansion(np.array([p]), clamp=True)
+        scores = _state_scores(planner.model, s, v[0], grad[0], hess[0], planner.convention)
+        act = planner.actions[best_action(scores)]
+    return act.heading, act.speed
+
+
+def test_row_commands_equal_one_point_commands(solved):
+    _, states, _, planners = solved
+    rng = np.random.default_rng(11)
+    goal = np.asarray(states.position(states.goal))
+    rows = np.vstack(
+        [
+            rng.uniform(0.0, 20.0, size=(40, 2)),
+            goal + rng.uniform(-0.9, 0.9, size=(6, 2)),  # in the goal cell
+            [goal, [0.0, 0.0], [0.3, 7.0], [19.8, 19.9], [20.0, 4.0], [5.5, 0.2]],
+            states.positions()[::7],
+        ]
+    )
+    assert not all(planners["api"].value.mesh.covers(Point2(*q)) for q in rows)
+    assert (states.state_at(rows) == states.goal).sum() >= 7
+    for name, planner in planners.items():
+        heading, speed = planner.command(rows)
+        for q, h, v in zip(rows, heading, speed):
+            p = Point2(*q)
+            assert planner.command(p) == (h, v) == _reference_command(planner, p), (name, q)
+    # At the goal point itself every planner stops.
+    for planner in planners.values():
+        assert planner.command(Point2(*goal)) == (0.0, 0.0)
+
+
+def test_step_rejects_a_row_outside_the_field(gyre):
+    field, _ = gyre
+    points = np.array([[5.0, 5.0], [5.0, -0.5]])
+    command = (np.zeros(2), np.full(2, 3.0))
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    with pytest.raises(DomainError):
+        step(field, points, command, 0.1, rngs)
