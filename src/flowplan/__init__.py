@@ -37,7 +37,6 @@ from .mdp import (
     build_model,
     classic_policy_iteration,
     compass_actions,
-    expected_reward,
     policy_evaluation_exact,
     policy_improvement_discrete,
     value_iteration,

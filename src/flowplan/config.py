@@ -8,7 +8,8 @@ a config yields an identical value, which keeps sweep runs reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -176,6 +177,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     def fail(key: str, message: str):
         raise ConfigError(f"{key}: {message}")
 
+    for key, (attr, kind) in _KEYS.items():
+        values = getattr(cfg, attr)
+        if kind == "float":
+            values = (values,)
+        if kind in ("float", "float_list") and not all(map(math.isfinite, values)):
+            fail(key, "must be finite")
     if cfg.field_kind not in ("gyre", "csv"):
         fail("field.kind", f"must be 'gyre' or 'csv' (got {cfg.field_kind!r})")
     if cfg.field_kind == "csv" and not cfg.field_csv_path:
@@ -282,7 +289,3 @@ def build_mdp(cfg: ExperimentConfig, field: FlowField | None = None, base_dir: s
             i, j = states.coords(s)
             raise ConfigError(f"grid: state ({i}, {j}) lies outside the field domain")
     return build_model(field, states, cfg.mdp_dt_h, cfg.vehicle_v_max_kmh, cfg.mdp_gamma)
-
-
-def with_strength(cfg: ExperimentConfig, strength: float) -> ExperimentConfig:
-    return replace(cfg, field_strength_kmh=strength)

@@ -22,9 +22,10 @@ nodal Hessians (in the spirit of patch recovery, Zienkiewicz & Zhu 1992),
 with one pseudo-inverse per distinct patch shape. ``ContinuousValue.expansion``
 gives the value, gradient and Hessian at many points from one batched point
 location and one batched nearest-node search over padded bucket tables, and
-reads the cached element gradients, nodal gradients and nodal Hessians; it
-agrees to the bit with the one-point ``evaluate``, ``gradient`` and
-``hessian``, which stay as its reference.
+reads the cached element gradients, nodal gradients and nodal Hessians. It
+is the one implementation of these queries: ``evaluate``, ``gradient`` and
+``hessian`` send it a batch of one. Edge adjacency has one table too,
+``Mesh.edge_neighbours``, built from the sorted edge keys of every triangle.
 """
 
 from __future__ import annotations
@@ -131,19 +132,21 @@ class Mesh:
 
     Triangles are counter-clockwise node-id triples; ``node_state`` maps each
     node back to its state id and ``goal_node`` marks the node pinned by the
-    solver. Geometry caches (areas, basis gradients, adjacency, the bucket
-    index) are built lazily and shared by every value function on the mesh.
+    solver. Geometry caches (areas, basis gradients, edge adjacency, the
+    bucket index) are built lazily and shared by every value function on the
+    mesh; the edge table is built at once, as it also checks conformity.
 
-    Point queries go through the bucket index (``_BucketIndex``): ``locate``
-    and ``covers`` weigh only the triangles listed in the point's bucket and
-    take, in triangle order, the first with the largest minimum barycentric
-    weight, which is the triangle a search of the whole mesh would pick.
-    ``nearest_node`` searches the bucket's 3x3 block and falls back to every
-    node when the best candidate is more than a bucket width away, so the
-    lowest node id still wins exact ties. One point is a batch of one:
-    ``locate_many`` and ``ContinuousValue.expansion`` answer every row of a
-    batch with the same array expressions. ``project`` scans every triangle
-    edge in one array expression.
+    Point queries go through the bucket index (``_BucketIndex``): point
+    location weighs only the triangles listed in the point's bucket and
+    takes, in triangle order, the first with the largest minimum barycentric
+    weight, which is the triangle a search of the whole mesh would pick. The
+    nearest-node search looks in the bucket's 3x3 block and falls back to
+    every node when the best candidate is more than a bucket width away, so
+    the lowest node id still wins exact ties. Both run on whole batches of
+    rows; ``locate``, ``covers`` and ``nearest_node`` are batches of one.
+    ``project`` scans every triangle edge in one array expression.
+    ``barycentric`` weighs one point against every triangle; goal insertion
+    uses it to find every triangle that holds the goal.
     """
 
     nodes: np.ndarray  # (n_nodes, 2)
@@ -160,9 +163,7 @@ class Mesh:
         used[self.triangles.ravel()] = True
         if not used.all():
             raise MeshError("mesh contains nodes that belong to no triangle")
-        for count in self.edge_triangles.values():
-            if len(count) > 2:
-                raise MeshError("non-conforming mesh: an edge is shared by >2 triangles")
+        _ = self.edge_neighbours  # raises MeshError on an edge of three triangles
 
     @property
     def n_nodes(self) -> int:
@@ -190,21 +191,6 @@ class Mesh:
         p = self.nodes[self.triangles]
         mats = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
         return np.linalg.inv(mats), p[:, 0]
-
-    @cached_property
-    def edge_triangles(self) -> dict[tuple[int, int], list[int]]:
-        edges: dict[tuple[int, int], list[int]] = {}
-        for e, (a, b, c) in enumerate(self.triangles):
-            for u, v in ((a, b), (b, c), (c, a)):
-                edges.setdefault((min(u, v), max(u, v)), []).append(e)
-        return edges
-
-    @cached_property
-    def boundary_nodes(self) -> np.ndarray:
-        ids = sorted(
-            {n for edge, tris in self.edge_triangles.items() if len(tris) == 1 for n in edge}
-        )
-        return np.asarray(ids, dtype=np.int64)
 
     @cached_property
     def _buckets(self) -> _BucketIndex:
@@ -388,10 +374,14 @@ class Mesh:
     @cached_property
     def edge_neighbours(self) -> np.ndarray:
         """Per triangle and local vertex l, the triangle across the edge
-        opposite l, or -1 on the hull; shape (n_tris, 3)."""
+        opposite l, or -1 on the hull; shape (n_tris, 3). MeshError when an
+        edge belongs to more than two triangles: among the sorted edge keys,
+        such an edge shows up as a key equal to the one two places on."""
         opposite = self.triangles[:, [[1, 2], [2, 0], [0, 1]]]
         key = np.sort(opposite, axis=2).reshape(-1, 2)
         order = np.lexsort((key[:, 1], key[:, 0]))
+        if (key[order[2:]] == key[order[:-2]]).all(axis=1).any():
+            raise MeshError("non-conforming mesh: an edge is shared by >2 triangles")
         shared = (key[order[1:]] == key[order[:-1]]).all(axis=1)
         a, b = order[:-1][shared], order[1:][shared]
         out = np.full(len(key), -1, dtype=np.int64)
@@ -407,17 +397,12 @@ def _ccw(nodes: np.ndarray, tri: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 def _full_grid_mesh(states: StateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    nodes = states.positions()
-    tris = []
-    for j in range(states.ny - 1):
-        for i in range(states.nx - 1):
-            sw = states.index(i, j)
-            se = states.index(i + 1, j)
-            ne = states.index(i + 1, j + 1)
-            nw = states.index(i, j + 1)
-            tris.append((sw, se, ne))
-            tris.append((sw, ne, nw))
-    return nodes, np.asarray(tris, dtype=np.int64), np.arange(states.n, dtype=np.int64)
+    """Every cell split along its SW-NE diagonal into (sw, se, ne) and
+    (sw, ne, nw), cells in state order."""
+    ids = np.arange(states.n, dtype=np.int64).reshape(states.ny, states.nx)
+    sw, se, ne, nw = ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]
+    tris = np.stack([sw, se, ne, sw, ne, nw], axis=-1).reshape(-1, 3)
+    return states.positions(), tris, ids.ravel()
 
 
 def _checkerboard_mesh(states: StateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -522,23 +507,6 @@ def build_mesh(states: StateSpace, k: int = 1) -> Mesh:
 class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-
-
-def element_matrices(
-    coords: np.ndarray, diffusion: np.ndarray, drift: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw P1 element blocks for one triangle: stiffness (grad . sigma grad),
-    mass, and advection (drift . grad against the basis). Exposed for tests."""
-    area = 0.5 * float(_cross_z(coords[1] - coords[0], coords[2] - coords[0]))
-    grads = np.empty((3, 2))
-    for local, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        edge = coords[k] - coords[j]
-        grads[local] = (-edge[1], edge[0])
-    grads /= 2.0 * area
-    stiffness = area * grads @ diffusion @ grads.T
-    mass = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    advection = np.tile(area / 3.0 * (grads @ drift), (3, 1))
-    return stiffness, mass, advection
 
 
 def assemble(mesh: Mesh, coeffs: PdeCoefficients) -> SparseSystem:
@@ -653,9 +621,9 @@ class ContinuousValue:
     ``Mesh.hessian_patches``. The fits of every node are one matvec of
     ``Mesh.hessian_operator`` with the coefficients (``node_hessians``).
 
-    ``evaluate``, ``gradient`` and ``hessian`` answer one point each;
-    ``expansion`` answers many at once, with the same numbers, and is what
-    policy improvement and the continuous planner use.
+    ``expansion`` answers all three queries for many points at once; policy
+    improvement and the continuous planner use it. ``evaluate``,
+    ``gradient`` and ``hessian`` are its batches of one.
     """
 
     mesh: Mesh
@@ -682,27 +650,14 @@ class ContinuousValue:
         return num / den[:, None]
 
     def evaluate(self, p: Point2 | np.ndarray) -> float:
-        e, lam = self.mesh.locate(p)
-        return float(lam @ self.coefficients[self.mesh.triangles[e]])
+        return float(self.expansion(p)[0][0])
 
     def evaluate_many(self, points: np.ndarray, clamp: bool = False) -> np.ndarray:
         tri_idx, lams = self.mesh.locate_many(points, clamp=clamp)
         return np.einsum("pl,pl->p", lams, self.coefficients[self.mesh.triangles[tri_idx]])
 
     def gradient(self, p: Point2 | np.ndarray) -> np.ndarray:
-        nearest = self.mesh.nearest_node(p)
-        if np.linalg.norm(self.mesh.nodes[nearest] - np.asarray(p, dtype=float)) < _NODE_TOL_KM:
-            return self.node_gradients[nearest].copy()
-        e, lam = self.mesh.locate(p)
-        on = np.nonzero(lam < _BARY_TOL)[0]
-        if len(on) == 0:
-            return self.element_gradients[e].copy()
-        # On an edge: area-weighted average over the triangles sharing it.
-        tri = self.mesh.triangles[e]
-        u, v = [int(tri[l]) for l in range(3) if l != on[0]]
-        elems = self.mesh.edge_triangles[(min(u, v), max(u, v))]
-        w = self.mesh.areas[elems]
-        return (self.element_gradients[elems] * w[:, None]).sum(axis=0) / w.sum()
+        return self.expansion(p)[1][0]
 
     @cached_property
     def node_hessians(self) -> np.ndarray:
@@ -716,24 +671,25 @@ class ContinuousValue:
         return out
 
     def hessian(self, p: Point2 | np.ndarray) -> np.ndarray:
-        if not self.mesh.covers(p):
-            raise DomainError(f"point {tuple(np.asarray(p))} outside mesh cover")
-        return self.node_hessians[self.mesh.nearest_node(p)].copy()
+        return self.expansion(p)[2][0]
 
     def expansion(
         self, points: np.ndarray, clamp: bool = False
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value (n,), gradient (n, 2) and Hessian (n, 2, 2) at each row of
-        ``points``: what ``evaluate``, ``gradient`` and ``hessian`` give one
-        point at a time, to the bit, from one batched point location and one
-        batched nearest-node search. Rows off the mesh cover raise
-        DomainError unless ``clamp`` moves them to their ``Mesh.project``.
+        ``points``, from one batched point location and one batched
+        nearest-node search. The value interpolates the containing triangle's
+        corners. The gradient is the nearest node's recovered gradient within
+        1e-9 km of a node, the area-weighted mean of the two triangles on an
+        edge, and the element gradient inside a triangle. The Hessian is the
+        nearest node's fit. Rows off the mesh cover raise DomainError unless
+        ``clamp`` moves them to their ``Mesh.project``.
         """
         mesh = self.mesh
         points, buckets, tri, lam = mesh._locate_rows(points, clamp)
         corners = self.coefficients[mesh.triangles[tri]]
-        # Stacked (1, k) @ (k, 1) products take the dot kernel that ``evaluate``
-        # and ``np.linalg.norm`` take, so the sums round alike.
+        # Stacked (1, k) @ (k, 1) products take the dot kernel of a 1-D ``@``
+        # and of ``np.linalg.norm``, so the sums round as one point's would.
         value = (lam[:, None, :] @ corners[:, :, None])[:, 0, 0]
 
         nearest = mesh._nearest_many(points, buckets)

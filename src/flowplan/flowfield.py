@@ -213,7 +213,7 @@ def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> F
 
     Expects header ``x_km,y_km,vx_kmh,vy_kmh`` and one record per lattice
     point; row order is free, points are keyed by coordinates with a 1e-6 km
-    tolerance. Missing, duplicate, or off-lattice records raise
+    tolerance. Missing, duplicate, off-lattice or non-finite records raise
     :class:`FieldFormatError`.
     """
     if isinstance(source, (str, Path)):
@@ -233,9 +233,12 @@ def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> F
         if len(row) != 4:
             raise FieldFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
         try:
-            records.append(tuple(float(cell) for cell in row))  # type: ignore[arg-type]
+            record = tuple(float(cell) for cell in row)
         except ValueError as exc:
             raise FieldFormatError(f"line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, record)):
+            raise FieldFormatError(f"line {lineno}: values must be finite, got {row}")
+        records.append(record)  # type: ignore[arg-type]
 
     xs = _cluster([r[0] for r in records])
     ys = _cluster([r[1] for r in records])

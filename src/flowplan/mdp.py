@@ -284,11 +284,6 @@ def build_model(
     return MdpModel(states, actions, dt_h, v_max, gamma, field.noise, field, succ, prob, rewards)
 
 
-def expected_reward(model: MdpModel, s: int, a: int) -> float:
-    """Transition-weighted one-step reward for (state, action)."""
-    return float(model.rewards[s, a])
-
-
 def _policy_matrix(model: MdpModel, policy: np.ndarray) -> sp.csr_matrix:
     n = model.n_states
     idx = np.arange(n)

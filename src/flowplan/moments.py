@@ -12,7 +12,7 @@ identical under both (signs square away).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -21,17 +21,12 @@ from .mdp import MdpModel
 Convention = Literal["displacement", "paper-literal"]
 
 
-@dataclass(frozen=True, eq=False)
-class DriftDiffusion:
+class DriftDiffusion(NamedTuple):
     """One-step displacement moments: drift (km) and non-central second
     moment (km^2) of one transition row, or of a stack of rows."""
 
     drift: np.ndarray  # shape (..., 2)
     diffusion: np.ndarray  # shape (..., 2, 2), symmetric PSD
-
-    def __post_init__(self) -> None:
-        if self.drift.shape[-1:] != (2,) or self.diffusion.shape != self.drift.shape + (2,):
-            raise ValueError("drift must hold 2-vectors and diffusion matching 2x2 matrices")
 
 
 @dataclass(eq=False)
@@ -85,7 +80,6 @@ def assemble_coefficients(
     ``node_states`` maps each node to its grid state; the node sitting on the
     goal state is recorded for the point constraint applied by the solver.
     """
-    _check_convention(convention)
     node_states = np.asarray(node_states)
     if node_states.ndim != 1 or len(node_states) == 0:
         raise ValueError("node_states must be a non-empty 1-D array of state ids")

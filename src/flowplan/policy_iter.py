@@ -19,6 +19,11 @@ from .mdp import MdpModel
 from .moments import Convention, assemble_coefficients, transition_moments
 
 _TIE_TOL = 1e-12  # scores this close to the best tie; same guard as classic PI
+# Score margin a challenger action must beat the incumbent by during the loop.
+# Near-tied states otherwise flip forever as the evaluated value jitters, so
+# the stopping rule would never trigger; the margin doubles for a state after
+# its second flip, which pins any remaining oscillators.
+_STICKINESS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -31,26 +36,18 @@ class ApiConfig:
         convention: moment sign convention fed to the PDE and improvement.
         init_policy: "goal-aimed" points every state at the goal; "uniform-n"
             starts from the first compass action everywhere.
-        stickiness: score margin a challenger action must beat the incumbent
-            by during the loop. Near-tied states otherwise flip forever as the
-            evaluated value jitters, so the stopping rule would never trigger;
-            the margin doubles for a state after its second flip, which pins
-            any remaining oscillators. Zero restores the bare argmax loop.
     """
 
     k: int = 1
     max_iterations: int = 50
     convention: Convention = "displacement"
     init_policy: str = "goal-aimed"
-    stickiness: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.init_policy not in ("goal-aimed", "uniform-n"):
             raise ValueError(f"unknown initial policy {self.init_policy!r}")
-        if self.stickiness < 0:
-            raise ValueError("stickiness must be non-negative")
 
 
 @dataclass(eq=False)
@@ -111,7 +108,6 @@ def best_action(scores: np.ndarray) -> np.ndarray:
 def improve_policy_continuous(
     model: MdpModel,
     value: fem.ContinuousValue,
-    states: np.ndarray | None = None,
     convention: Convention = "displacement",
     clamp: bool = False,
     incumbent: np.ndarray | None = None,
@@ -129,22 +125,15 @@ def improve_policy_continuous(
     incumbent action unless the best challenger clears the margin. All states
     and actions are scored in one pass over ``ContinuousValue.expansion``.
     """
-    states = np.arange(model.n_states) if states is None else np.asarray(states, dtype=np.int64)
-    policy = (
-        np.zeros(model.n_states, dtype=np.int64) if incumbent is None else incumbent.copy()
-    )
-    v, grad, hess = value.expansion(model.states.positions()[states], clamp=clamp)
+    states = np.arange(model.n_states)
+    v, grad, hess = value.expansion(model.states.positions(), clamp=clamp)
     scores = _state_scores(model, states, v, grad, hess, convention)
     best = best_action(scores)
     if incumbent is None:
-        policy[states] = best
-        return policy
-    held = policy[states]
-    margin = 0.0 if margins is None else margins[states]
-    rows = np.arange(len(states))
-    switch = (best != held) & (scores[rows, best] > scores[rows, held] + margin)
-    policy[states[switch]] = best[switch]
-    return policy
+        return best
+    margin = 0.0 if margins is None else margins
+    switch = (best != incumbent) & (scores[states, best] > scores[states, incumbent] + margin)
+    return np.where(switch, best, incumbent)
 
 
 def project_wall_tangential(coeffs, mesh: fem.Mesh, model: MdpModel) -> None:
@@ -161,17 +150,13 @@ def project_wall_tangential(coeffs, mesh: fem.Mesh, model: MdpModel) -> None:
     x_hi = st.origin.x + (st.nx - 1) * st.cell_km
     y_hi = st.origin.y + (st.ny - 1) * st.cell_km
     tol = 1e-9
-    for node in mesh.boundary_nodes:
-        x, y = mesh.nodes[node]
-        sig = coeffs.diffusion[node]
-        if abs(x - x_lo) < tol or abs(x - x_hi) < tol:
-            sig[0, 0] = 0.0
-            sig[0, 1] = 0.0
-            sig[1, 0] = 0.0
-        if abs(y - y_lo) < tol or abs(y - y_hi) < tol:
-            sig[1, 1] = 0.0
-            sig[0, 1] = 0.0
-            sig[1, 0] = 0.0
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    on_x = (np.abs(x - x_lo) < tol) | (np.abs(x - x_hi) < tol)
+    on_y = (np.abs(y - y_lo) < tol) | (np.abs(y - y_hi) < tol)
+    sig = coeffs.diffusion
+    sig[on_x, 0, 0] = 0.0
+    sig[on_y, 1, 1] = 0.0
+    sig[on_x | on_y, 0, 1] = sig[on_x | on_y, 1, 0] = 0.0
 
 
 def evaluate_policy_fem(
@@ -199,14 +184,9 @@ def approximate_policy_iteration(model: MdpModel, cfg: ApiConfig = ApiConfig()) 
     value: fem.ContinuousValue | None = None
     for it in range(1, cfg.max_iterations + 1):
         value, residual = evaluate_policy_fem(model, policy, mesh, cfg.convention)
-        margins = cfg.stickiness * np.exp2(np.clip(flips - 2, 0, 48))
+        margins = _STICKINESS * np.exp2(np.clip(flips - 2, 0, 48))
         improved = improve_policy_continuous(
-            model,
-            value,
-            convention=cfg.convention,
-            clamp=True,
-            incumbent=policy if cfg.stickiness > 0 else None,
-            margins=margins,
+            model, value, convention=cfg.convention, clamp=True, incumbent=policy, margins=margins
         )
         changes = int(np.sum(improved != policy))
         flips += improved != policy

@@ -1,6 +1,11 @@
+import json
+import math
+
 import pytest
 
+from flowplan import fem
 from flowplan.cli import main
+from flowplan.errors import NumericalError
 
 SMALL_GYRE = """\
 field.kind = gyre
@@ -103,3 +108,74 @@ def test_simulate_on_a_small_gyre_writes_stats_and_trajectories(tmp_path, capsys
         counts = line.split("ends ")[1]
         assert [part.split()[0] for part in counts.split(", ")] == ["goal", "collision", "budget"]
         assert sum(int(part.split()[1]) for part in counts.split(", ")) == 4
+
+
+def _rows(path):
+    lines = path.read_text().splitlines()
+    return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def test_solve_on_a_small_gyre_writes_every_artifact(tmp_path, capsys):
+    code, err = _run(tmp_path, SMALL_GYRE, capsys)
+    assert code == 0, err
+    out = tmp_path / "out"
+    # 6x6 states; the k = 1 mesh has a node per state and two triangles per
+    # cell; the raster is output.raster_n squared.
+    for name, header, rows in [
+        ("values_pi.csv", "state_id,i,j,x_km,y_km,value", 36),
+        ("policy_pi.csv", "state_id,action", 36),
+        ("policy_api.csv", "state_id,action", 36),
+        ("mesh_nodes.csv", "node_id,state_id,x_km,y_km", 36),
+        ("mesh_triangles.csv", "tri_id,n0,n1,n2", 50),
+        ("value_raster.csv", "x_km,y_km,value", 25),
+        ("coefficients.csv", "node_id,x_km,y_km,mu_x,mu_y,sxx,sxy,syy,source", 36),
+    ]:
+        got_header, got_rows = _rows(out / name)
+        assert got_header == header, name
+        assert len(got_rows) == rows, name
+        assert all(len(row) == len(header.split(",")) for row in got_rows), name
+    for name in ("policy_pi.csv", "policy_api.csv"):
+        assert {int(a) for _, a in _rows(out / name)[1]} <= set(range(8))
+    records = [json.loads(line) for line in (out / "diagnostics.jsonl").read_text().splitlines()]
+    assert [r["iteration"] for r in records] == list(range(1, len(records) + 1))
+    for record in records:
+        assert set(record) == {
+            "iteration", "policy_changes", "solve_residual", "value_min", "value_max"
+        }
+    assert records[-1]["policy_changes"] == 0  # converged
+
+
+def test_mse_writes_one_row_per_grid_size_and_k(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_GYRE + "mse.grid_sizes = 4, 6\n")
+    out = tmp_path / "out"
+    code = main(["mse", "--config", str(cfg), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    header, rows = _rows(out / "mse.csv")
+    assert header == "grid_n,k,mse,max_abs_value"
+    assert [(int(n), int(k)) for n, k, _, _ in rows] == [(4, 1), (4, 2), (6, 1), (6, 2)]
+    for _, _, err, max_abs in rows:
+        assert math.isfinite(float(err)) and float(err) >= 0.0
+        assert math.isfinite(float(max_abs)) and float(max_abs) > 0.0
+
+
+def test_numerical_failure_in_the_solve_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(system):
+        raise NumericalError("linear solve residual nan exceeds tolerance")
+
+    monkeypatch.setattr(fem, "solve", fail)
+    code, err = _run(tmp_path, SMALL_GYRE, capsys)
+    assert code == 3
+    assert "numerical failure" in err
+
+
+def test_non_finite_sim_step_is_a_config_error_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_GYRE + "sim.dt_h = nan\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error: sim.dt_h: must be finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists() or not any(out.iterdir())

@@ -103,6 +103,12 @@ def test_serialized_config_parses_back_to_itself(cfg):
         ("grid.nx", {"grid_nx": 21}),
         ("start.x_km", {"start_x_km": 40.5}),
         ("start.y_km", {"start_y_km": -0.5}),
+        ("sim.dt_h", {"sim_dt_h": float("nan")}),
+        ("sim.budget_h", {"sim_budget_h": float("inf")}),
+        ("noise.sigma_kmh", {"noise_sigma_kmh": float("nan")}),
+        ("vehicle.v_max_kmh", {"vehicle_v_max_kmh": float("inf")}),
+        ("field.strength_kmh", {"field_strength_kmh": float("-inf")}),
+        ("sweep.strengths", {"sweep_strengths": (0.5, float("nan"))}),
     ],
 )
 def test_each_validation_branch_names_its_key(key, change):

@@ -11,7 +11,6 @@ from flowplan.fem import (
     assemble,
     build_mesh,
     constrain_goal,
-    element_matrices,
     element_peclet,
     solve,
 )
@@ -44,6 +43,16 @@ def constant_coefficients(mesh, drift=(0.0, 0.0), diffusion=None, source=0.0, ga
     )
 
 
+def _edge_triangles(mesh):
+    """Reference edge map: every sorted node pair to the triangles that
+    have it as an edge, in triangle order."""
+    edges = {}
+    for e, (a, b, c) in enumerate(mesh.triangles.tolist()):
+        for u, v in ((a, b), (b, c), (c, a)):
+            edges.setdefault((min(u, v), max(u, v)), []).append(e)
+    return edges
+
+
 # ---------------------------------------------------------------- meshes
 
 
@@ -51,6 +60,20 @@ def test_full_mesh_counts_20x20():
     mesh = build_mesh(grid_states(20), k=1)
     assert mesh.n_nodes == 400
     assert len(mesh.triangles) == 2 * 19 * 19 == 722
+
+
+def test_full_mesh_triangles_in_cell_loop_order():
+    # Reference: cells row by row, each split into (sw, se, ne), (sw, ne, nw).
+    states = StateSpace.regular(5, 3, 2.0, (1, 1))
+    want = []
+    for j in range(states.ny - 1):
+        for i in range(states.nx - 1):
+            sw, se = states.index(i, j), states.index(i + 1, j)
+            ne, nw = states.index(i + 1, j + 1), states.index(i, j + 1)
+            want += [(sw, se, ne), (sw, ne, nw)]
+    mesh = build_mesh(states, k=1)
+    assert mesh.triangles.tolist() == [list(t) for t in want]
+    assert mesh.node_state.tolist() == list(range(states.n))
 
 
 def test_checkerboard_mesh_has_half_the_nodes():
@@ -68,8 +91,37 @@ def test_mesh_triangles_ccw_and_conforming():
     for k in (1, 2):
         mesh = build_mesh(grid_states(8), k=k)
         assert (mesh.areas > 1e-12).all()
-        for edge, tris in mesh.edge_triangles.items():
+        for edge, tris in _edge_triangles(mesh).items():
             assert len(tris) in (1, 2)
+        _check_edge_neighbours(mesh)
+
+
+def _check_edge_neighbours(mesh):
+    """``edge_neighbours`` pairs the triangles of every shared edge of the
+    reference edge map, and marks every other edge as a hull edge."""
+    for (u, v), tris in _edge_triangles(mesh).items():
+        for e in tris:
+            local = [l for l in range(3) if mesh.triangles[e, l] not in (u, v)][0]
+            other = [t for t in tris if t != e]
+            assert mesh.edge_neighbours[e, local] == (other[0] if other else -1)
+
+
+def test_mesh_rejects_an_edge_of_three_triangles():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])  # all counter-clockwise
+    with pytest.raises(MeshError, match="shared by >2 triangles"):
+        Mesh(nodes, tris, np.arange(5), goal_node=0)
+
+
+def test_mesh_rejects_a_clockwise_triangle():
+    with pytest.raises(MeshError, match="non-CCW"):
+        Mesh(UNIT_RIGHT, np.array([[0, 2, 1]]), np.arange(3), goal_node=0)
+
+
+def test_mesh_rejects_a_node_in_no_triangle():
+    nodes = np.vstack([UNIT_RIGHT, [[5.0, 5.0]]])
+    with pytest.raises(MeshError, match="belong to no triangle"):
+        Mesh(nodes, np.array([[0, 1, 2]]), np.arange(4), goal_node=0)
 
 
 def test_checkerboard_nodes_subset_of_full_and_goal_present():
@@ -89,8 +141,9 @@ def test_checkerboard_inserts_odd_parity_goal():
     mesh = build_mesh(states, k=2)
     assert mesh.n_nodes == 33  # 32 even states + inserted goal
     assert mesh.node_state[mesh.goal_node] == states.goal
-    for edge, tris in mesh.edge_triangles.items():
+    for edge, tris in _edge_triangles(mesh).items():
         assert len(tris) in (1, 2)
+    _check_edge_neighbours(mesh)
     # the inserted node evaluates like any other
     v = ContinuousValue(mesh, np.arange(mesh.n_nodes, dtype=float))
     p = states.position(states.goal)
@@ -263,10 +316,42 @@ def test_expansion_on_a_sparse_mesh():
     assert "off" in _check_expansion(mesh, pts, rng)
 
 
+def _reference_evaluate(value, p):
+    """One point's value: its triangle's barycentric interpolant."""
+    e, lam = value.mesh.locate(p)
+    return float(lam @ value.coefficients[value.mesh.triangles[e]])
+
+
+def _reference_gradient(value, p):
+    """One point's gradient: the nearest node's recovered gradient at a node,
+    the area-weighted mean over the triangles of an edge, else the element's."""
+    mesh = value.mesh
+    nearest = mesh.nearest_node(p)
+    if np.linalg.norm(mesh.nodes[nearest] - np.asarray(p, dtype=float)) < 1e-9:
+        return value.node_gradients[nearest].copy()
+    e, lam = mesh.locate(p)
+    on = np.nonzero(lam < 1e-9)[0]
+    if len(on) == 0:
+        return value.element_gradients[e].copy()
+    tri = mesh.triangles[e]
+    u, v = [int(tri[l]) for l in range(3) if l != on[0]]
+    elems = _edge_triangles(mesh)[(min(u, v), max(u, v))]
+    w = mesh.areas[elems]
+    return (value.element_gradients[elems] * w[:, None]).sum(axis=0) / w.sum()
+
+
+def _reference_hessian(value, p):
+    """One point's Hessian: the fit at the nearest node."""
+    if not value.mesh.covers(p):
+        raise DomainError("outside mesh cover")
+    return value.node_hessians[value.mesh.nearest_node(p)].copy()
+
+
 def _check_expansion(mesh, pts, rng):
-    """Every row of the batched expansion must be what evaluate, gradient
-    and hessian give at the row's point, or at its projection, to the bit;
-    returns the kinds of point met (node, edge, interior, off the cover)."""
+    """Every row of the batched expansion must be what the one-point
+    references give at the row's point, or at its projection, to the bit, and
+    so must the batches of one; returns the kinds of point met (node, edge,
+    interior, off the cover)."""
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     value = ContinuousValue(
         mesh, np.sin(0.4 * x) * np.cos(0.3 * y) + rng.normal(0.0, 0.01, mesh.n_nodes)
@@ -280,8 +365,10 @@ def _check_expansion(mesh, pts, rng):
             "off" if q is not p else "node" if (lam > 1 - 1e-9).any()
             else "edge" if (lam < 1e-9).any() else "interior"
         )
-        assert v == value.evaluate(q)
+        assert v == _reference_evaluate(value, q) == value.evaluate(q)
+        assert np.array_equal(g, _reference_gradient(value, q))
         assert np.array_equal(g, value.gradient(q))
+        assert np.array_equal(h, _reference_hessian(value, q))
         assert np.array_equal(h, value.hessian(q))
     with pytest.raises(DomainError):
         value.expansion(pts)
@@ -316,21 +403,29 @@ def test_node_hessians_are_the_patch_fits(k, goal):
 # ------------------------------------------------------- element integrals
 
 
+def _unit_right_block(drift, diffusion, gamma):
+    """The assembled matrix of the one-triangle mesh on UNIT_RIGHT: its only
+    element block, gamma * advection - gamma/2 * stiffness - (1-gamma) * mass."""
+    mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, 2]]), np.arange(3), goal_node=0)
+    coeffs = constant_coefficients(mesh, drift=drift, diffusion=diffusion, gamma=gamma)
+    return assemble(mesh, coeffs).matrix.toarray()
+
+
 def test_stiffness_block_on_unit_right_triangle():
-    stiff, _, _ = element_matrices(UNIT_RIGHT, np.eye(2), np.zeros(2))
+    stiff = -2.0 * _unit_right_block((0.0, 0.0), np.eye(2), gamma=1.0)
     want = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     np.testing.assert_allclose(stiff, want, atol=1e-14)
 
 
 def test_mass_block_on_unit_right_triangle():
-    _, mass, _ = element_matrices(UNIT_RIGHT, np.eye(2), np.zeros(2))
+    mass = -_unit_right_block((0.0, 0.0), np.eye(2), gamma=0.0)
     area = 0.5
     want = area / 12.0 * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
     np.testing.assert_allclose(mass, want, atol=1e-14)
 
 
 def test_advection_row_structure():
-    _, _, adv = element_matrices(UNIT_RIGHT, np.eye(2), np.array([1.0, 0.0]))
+    adv = _unit_right_block((1.0, 0.0), np.zeros((2, 2)), gamma=1.0)
     # rows identical; columns hold area/3 * mu . grad(phi_j)
     np.testing.assert_allclose(adv[0], adv[1], atol=0)
     np.testing.assert_allclose(adv[:, 0], -1.0 / 6.0, atol=1e-14)
@@ -500,7 +595,7 @@ def test_evaluation_continuous_across_shared_edges():
     mesh = build_mesh(grid_states(6), k=1)
     rng = np.random.default_rng(9)
     coeffs = rng.normal(size=mesh.n_nodes)
-    shared = [(e, tris) for e, tris in mesh.edge_triangles.items() if len(tris) == 2]
+    shared = [(e, tris) for e, tris in _edge_triangles(mesh).items() if len(tris) == 2]
     for _ in range(1000):
         (u, w), tris = shared[rng.integers(len(shared))]
         t = rng.uniform(0.05, 0.95)

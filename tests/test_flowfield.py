@@ -193,6 +193,15 @@ def test_load_duplicate_point_rejected():
         load_grid_field(_csv_lines(pts), NO_NOISE)
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("column", [0, 2, 3])
+def test_load_non_finite_record_rejected_with_its_line(bad, column):
+    pts = [[2.0 * i, 2.0 * j, 0.0, 0.0] for j in range(2) for i in range(2)]
+    pts[2][column] = bad
+    with pytest.raises(FieldFormatError, match=r"^line 4: "):
+        load_grid_field(_csv_lines(pts), NO_NOISE)
+
+
 def test_load_28x28_lattice_extent():
     # 28x28 at 2 km spacing spans a 54x54 km box
     pts = [(2.0 * i, 2.0 * j, 0.1, -0.1) for j in range(28) for i in range(28)]

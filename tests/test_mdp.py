@@ -12,7 +12,6 @@ from flowplan.mdp import (
     build_model,
     classic_policy_iteration,
     compass_actions,
-    expected_reward,
     policy_evaluation_exact,
     policy_improvement_discrete,
     value_iteration,
@@ -114,13 +113,13 @@ def test_goal_and_obstacles_absorb():
         for a in range(8):
             ids, probs = model.transition_row(s, a)
             assert list(ids) == [s] and probs[0] == 1.0
-            assert expected_reward(model, s, a) == 0.0
+            assert model.rewards[s, a] == 0.0
 
 
 def test_expected_reward_interior_is_step_cost(zero_field_model):
     model = zero_field_model
     s = model.states.index(0, 0)  # far from goal (2,2), no obstacles
-    assert expected_reward(model, s, 0) == pytest.approx(-0.1, abs=1e-12)
+    assert model.rewards[s, 0] == pytest.approx(-0.1, abs=1e-12)
 
 
 def test_expected_reward_near_obstacle_mixes_penalty():
@@ -131,7 +130,7 @@ def test_expected_reward_near_obstacle_mixes_penalty():
     a = COMPASS_ORDER.index("N")
     ids, probs = model.transition_row(s, a)
     p_obs = sum(p for k, p in zip(ids.tolist(), probs.tolist()) if states.obstacles[k])
-    assert expected_reward(model, s, a) == pytest.approx(-1.0 * p_obs - 0.1 * (1 - p_obs), abs=1e-12)
+    assert model.rewards[s, a] == pytest.approx(-1.0 * p_obs - 0.1 * (1 - p_obs), abs=1e-12)
 
 
 def test_evaluation_zero_rewards_gives_zero(zero_field_model):

@@ -4,6 +4,7 @@ import pytest
 from flowplan import fem
 from flowplan.errors import DomainError
 from flowplan.flowfield import GyreParams, NoiseParams, gyre_field
+from flowplan.moments import assemble_coefficients
 from flowplan.mdp import (
     COMPASS_ORDER,
     StateSpace,
@@ -17,6 +18,7 @@ from flowplan.policy_iter import (
     evaluate_policy_fem,
     improve_policy_continuous,
     initial_policy,
+    project_wall_tangential,
     value_mse,
     _state_scores,
 )
@@ -27,6 +29,46 @@ def gyre_api(gyre_benchmark):
     """Approximate PI runs on the benchmark config, both mesh factors."""
     model, _ = gyre_benchmark
     return {k: approximate_policy_iteration(model, ApiConfig(k=k)) for k in (1, 2)}
+
+
+def _hull_loop_wall_projection(coeffs, mesh, model):
+    """Reference: the projection node by node over the hull, the nodes of the
+    edges that belong to one triangle."""
+    edges = {}
+    for a, b, c in mesh.triangles.tolist():
+        for u, v in ((a, b), (b, c), (c, a)):
+            edges[(min(u, v), max(u, v))] = edges.get((min(u, v), max(u, v)), 0) + 1
+    st = model.states
+    x_lo, y_lo = st.origin
+    x_hi = st.origin.x + (st.nx - 1) * st.cell_km
+    y_hi = st.origin.y + (st.ny - 1) * st.cell_km
+    for node in sorted({n for edge, count in edges.items() if count == 1 for n in edge}):
+        x, y = mesh.nodes[node]
+        sig = coeffs.diffusion[node]
+        if abs(x - x_lo) < 1e-9 or abs(x - x_hi) < 1e-9:
+            sig[0, 0] = sig[0, 1] = sig[1, 0] = 0.0
+        if abs(y - y_lo) < 1e-9 or abs(y - y_hi) < 1e-9:
+            sig[1, 1] = sig[0, 1] = sig[1, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "n, k, goal",
+    [(7, 1, (3, 2)), (8, 2, (3, 3)), (8, 2, (3, 4)), (8, 2, (7, 0)), (8, 2, (0, 3))],
+)
+def test_wall_projection_matches_the_hull_node_loop(n, k, goal):
+    # Every wall node of the grid meshes lies on the hull, the inserted
+    # odd-parity goal included (inside, on a cut corner, on a wall).
+    field = gyre_field(GyreParams(0.5, 8.0), NoiseParams.isotropic(1.0), extent=(16.0, 16.0))
+    model = build_model(field, StateSpace.regular(n, n, 2.0, goal), 1.0, 3.0, 0.9)
+    mesh = fem.build_mesh(model.states, k)
+    policy = np.random.default_rng(n + k).integers(0, 8, size=model.n_states)
+    raw, got, want = (
+        assemble_coefficients(model, policy, mesh.node_state, mesh.goal_node) for _ in range(3)
+    )
+    project_wall_tangential(got, mesh, model)
+    _hull_loop_wall_projection(want, mesh, model)
+    assert np.array_equal(got.diffusion, want.diffusion)
+    assert not np.array_equal(got.diffusion, raw.diffusion)
 
 
 def test_initial_policy_aims_at_goal(zero_field_model):
