@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .flowfield import (
     FlowField,
@@ -284,8 +286,10 @@ def build_mdp(cfg: ExperimentConfig, field: FlowField | None = None, base_dir: s
     if not field.contains(Point2(cfg.start_x_km, cfg.start_y_km)):
         raise ConfigError("start: the start lies outside the field domain")
     states = build_states(cfg)
-    for s in range(states.n):
-        if not field.contains(states.position(s)):
-            i, j = states.coords(s)
-            raise ConfigError(f"grid: state ({i}, {j}) lies outside the field domain")
+    centres = states.positions()  # FlowField.contains at every centre, 1e-9 km tolerance too
+    lo, hi = np.subtract(field.origin, 1e-9), np.add(field.origin, field.extent) + 1e-9
+    outside = np.flatnonzero(~((lo <= centres) & (centres <= hi)).all(axis=1))
+    if len(outside):
+        i, j = states.coords(int(outside[0]))
+        raise ConfigError(f"grid: state ({i}, {j}) lies outside the field domain")
     return build_model(field, states, cfg.mdp_dt_h, cfg.vehicle_v_max_kmh, cfg.mdp_gamma)

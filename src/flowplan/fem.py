@@ -1,30 +1,34 @@
 """P1 triangular finite elements on structured state-grid meshes.
 
-Meshes are built directly on the MDP's state centers: the full grid split
-along SW-NE cell diagonals (k=1), or the even-parity checkerboard subset
-triangulated by the rotated lattice it induces (k=2, half the nodes). The
-drift-diffusion-reaction weak form is assembled with exact P1 mass and
-stiffness integrals and centroid quadrature for advection and source terms,
-the goal value is pinned to zero by symmetric elimination, and the solved
-nodal coefficients define a value function that is continuous over the whole
-mesh cover and evaluable (with recovered first and second derivatives)
-anywhere inside it. Point queries take constant time: a uniform bucket grid,
-its buckets as wide as the largest triangle, lists per bucket the triangles
-that may contain a point in it and the nodes of its 3x3 block of buckets, so
-locating a point, testing the cover and finding the nearest node weigh a
-handful of candidates and not the whole mesh, with the same result as a
-search of the whole mesh. Second derivatives come from a quadratic fit over a
-node patch with the symmetry of the state lattice: at interior nodes, the 3x3
-block of grid neighbours (k=1) or the (+-1, +-1), (+-2, 0) and (0, +-2)
-neighbours (k=2), as the eight-neighbour transition law reaches in every
-direction. The fits form one sparse recovery operator from nodal values to
-nodal Hessians (in the spirit of patch recovery, Zienkiewicz & Zhu 1992),
-with one pseudo-inverse per distinct patch shape. ``ContinuousValue.expansion``
-gives the value, gradient and Hessian at many points from one batched point
-location and one batched nearest-node search over padded bucket tables, and
-reads the cached element gradients, nodal gradients and nodal Hessians. It
-is the one implementation of these queries: ``evaluate``, ``gradient`` and
-``hessian`` send it a batch of one. Edge adjacency has one table too,
+Meshes are built directly on the MDP's state centers, by array expressions
+over lattice coordinates: the full grid split along SW-NE cell diagonals
+(k=1), or the even-parity checkerboard subset triangulated by the rotated
+lattice it induces (k=2, half the nodes). Either way the goal is a node: an
+odd-parity goal is added to the checkerboard by splitting the diamond it
+centres. The drift-diffusion-reaction weak form is assembled with exact P1
+mass and stiffness integrals and centroid quadrature for advection and
+source terms, the goal value is pinned to zero by symmetric elimination, and
+the solved nodal coefficients define a value function that is continuous
+over the whole mesh cover and evaluable (with recovered first and second
+derivatives) anywhere inside it. Point queries take constant time: a uniform
+bucket grid, its buckets as wide as the largest triangle, lists per bucket
+the triangles that may contain a point in it and the nodes of its 3x3 block
+of buckets, so locating a point, testing the cover and finding the nearest
+node weigh a handful of candidates and not the whole mesh, with the same
+result as a search of the whole mesh. Second derivatives come from a
+quadratic fit over a node patch with the symmetry of the state lattice: at
+interior nodes, the 3x3 block of grid neighbours (k=1) or the (+-1, +-1),
+(+-2, 0) and (0, +-2) neighbours (k=2), as the eight-neighbour transition
+law reaches in every direction. The patches are read off the sparse node
+adjacency and its square (the 1-ring and 2-ring), and the fits form one
+sparse recovery operator from nodal values to nodal Hessians (in the spirit
+of patch recovery, Zienkiewicz & Zhu 1992), with one pseudo-inverse per
+distinct patch shape. ``ContinuousValue.expansion`` gives the value,
+gradient and Hessian at many points from one batched point location and one
+batched nearest-node search over padded bucket tables, and reads the cached
+element gradients, nodal gradients and nodal Hessians. It is the one
+implementation of these queries: ``evaluate``, ``gradient`` and ``hessian``
+send it a batch of one. Edge adjacency has one table too,
 ``Mesh.edge_neighbours``, built from the sorted edge keys of every triangle.
 """
 
@@ -145,8 +149,6 @@ class Mesh:
     the lowest node id still wins exact ties. Both run on whole batches of
     rows; ``locate``, ``covers`` and ``nearest_node`` are batches of one.
     ``project`` scans every triangle edge in one array expression.
-    ``barycentric`` weighs one point against every triangle; goal insertion
-    uses it to find every triangle that holds the goal.
     """
 
     nodes: np.ndarray  # (n_nodes, 2)
@@ -209,12 +211,6 @@ class Mesh:
         q = np.asarray(p, dtype=float).reshape(1, 2)
         tri, lam = self._find_many(q, self._buckets.buckets(q))
         return None if tri[0] < 0 else (int(tri[0]), lam[0])
-
-    def barycentric(self, p: Point2 | np.ndarray) -> np.ndarray:
-        """Barycentric coordinates of one point in every triangle, (n_tris, 3)."""
-        inv, r0 = self._bary_frames
-        lam12 = np.einsum("eij,ej->ei", inv, np.asarray(p, dtype=float) - r0)
-        return np.column_stack([1.0 - lam12.sum(axis=1), lam12])
 
     def locate(self, p: Point2 | np.ndarray) -> tuple[int, np.ndarray]:
         """Containing triangle and barycentric weights; DomainError outside."""
@@ -323,36 +319,41 @@ class Mesh:
         (0, +-2) in grid steps. The size test looks at the 1-ring alone:
         widened first, an edge node's patch would be six nodes on two rows,
         too few to trigger the fallback and too flat to fit.
+
+        The 1-ring is a row of the sparse node adjacency ``ring`` and the
+        2-ring the same row of ``ring @ ring``. Patches whose offsets from
+        their node are equal to the bit share one pseudo-inverse, so the fits
+        take one pass per distinct patch shape.
         """
-        rings: list[set[int]] = [set() for _ in range(self.n_nodes)]
-        for tri in self.triangles.tolist():
-            for n in tri:
-                rings[n].update(tri)
-        patches: list[tuple[np.ndarray, np.ndarray | None]] = []
-        fits: dict[bytes, np.ndarray | None] = {}  # one fit per distinct patch shape
-        for n, ring in enumerate(rings):
-            ids = np.array(sorted(set().union(*(rings[m] for m in ring))), dtype=np.int64)
-            if len(ring) >= 6:
-                reach = np.linalg.norm(self.nodes[list(ring)] - self.nodes[n], axis=1).max()
-                dist = np.linalg.norm(self.nodes[ids] - self.nodes[n], axis=1)
-                ids = ids[dist <= reach + _NODE_TOL_KM]
-            d = self.nodes[ids] - self.nodes[n]
-            key = d.tobytes()
-            if key not in fits:
-                design = np.column_stack(
-                    [
-                        np.ones(len(ids)),
-                        d[:, 0],
-                        d[:, 1],
-                        d[:, 0] ** 2,
-                        d[:, 0] * d[:, 1],
-                        d[:, 1] ** 2,
-                    ]
-                )
-                full = len(ids) >= 6 and np.linalg.matrix_rank(design) == 6
-                fits[key] = np.linalg.pinv(design) if full else None
-            patches.append((ids, fits[key]))
-        return patches
+        n, tris = self.n_nodes, self.triangles
+        ring = sp.csr_matrix(  # nodes that share a triangle, the node included
+            (np.ones(tris.size * 3), (np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel())),
+            shape=(n, n),
+        )
+        ring2 = ring @ ring
+        ring2.sort_indices()
+        rows = np.repeat(np.arange(n), np.diff(ring2.indptr))
+        dist = np.linalg.norm(self.nodes[ring2.indices] - self.nodes[rows], axis=1)
+        in_ring = ring[rows, ring2.indices].A1 > 0
+        reach = np.maximum.reduceat(np.where(in_ring, dist, 0.0), ring2.indptr[:-1])
+        inside = (np.diff(ring.indptr) < 6)[rows] | (dist <= reach[rows] + _NODE_TOL_KM)
+        rows, ids = rows[inside], ring2.indices[inside].astype(np.int64)
+        # Each node's offsets to its patch, padded with NaN, are its key.
+        size = np.bincount(rows, minlength=n)
+        starts = np.concatenate([[0], np.cumsum(size)])
+        offsets = np.full((n, size.max(), 2), np.nan)
+        offsets[rows, np.arange(len(rows)) - starts[rows]] = self.nodes[ids] - self.nodes[rows]
+        keys = offsets.reshape(n, -1).view(np.dtype((np.void, offsets[0].nbytes)))[:, 0]
+        _, first, shape = np.unique(keys, return_index=True, return_inverse=True)
+        fits = np.empty(len(first), dtype=object)
+        for s, m in enumerate(first):
+            d = offsets[m, : size[m]]
+            design = np.column_stack(
+                [np.ones(len(d)), d[:, 0], d[:, 1], d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2]
+            )
+            full = len(d) >= 6 and np.linalg.matrix_rank(design) == 6
+            fits[s] = np.linalg.pinv(design) if full else None
+        return list(zip(np.split(ids, starts[1:-1]), fits[shape]))
 
     @cached_property
     def hessian_operator(self) -> sp.csr_matrix:
@@ -389,118 +390,77 @@ class Mesh:
         return out.reshape(-1, 3)
 
 
-def _ccw(nodes: np.ndarray, tri: tuple[int, int, int]) -> tuple[int, int, int]:
-    a, b, c = tri
-    if _cross_z(nodes[b] - nodes[a], nodes[c] - nodes[a]) < 0:
-        return a, c, b
-    return a, b, c
-
-
-def _full_grid_mesh(states: StateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _full_grid_mesh(states: StateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Every cell split along its SW-NE diagonal into (sw, se, ne) and
-    (sw, ne, nw), cells in state order."""
+    (sw, ne, nw), cells in state order; node n is state n."""
     ids = np.arange(states.n, dtype=np.int64).reshape(states.ny, states.nx)
     sw, se, ne, nw = ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]
     tris = np.stack([sw, se, ne, sw, ne, nw], axis=-1).reshape(-1, 3)
-    return states.positions(), tris, ids.ravel()
+    return states.positions(), tris, ids.ravel(), int(states.goal)
 
 
-def _checkerboard_mesh(states: StateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# The halves a diamond may keep, over its (W, S, E, N) corners: those of its
+# horizontal split, (W, E, N) and (W, S, E), and those of its vertical one,
+# (S, E, N) and (W, S, N). ``_SPLIT`` gives each half as (u, v, o): u and v,
+# in local order, on the diagonal through the diamond's centre, o off it.
+_HALVES = np.array([[0, 2, 3], [0, 1, 2], [1, 2, 3], [0, 1, 3]])
+_SPLIT = np.array([[0, 2, 3], [0, 2, 1], [1, 3, 2], [1, 3, 0]])
+
+
+def _checkerboard_mesh(states: StateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Even-parity states triangulated by the rotated lattice they induce.
 
-    Every odd-parity grid point is the center of a diamond whose corners are
-    even states; interior diamonds split along their horizontal diagonal and
-    boundary diamonds contribute their single in-grid half, so the cover is
-    the convex hull of the retained states.
+    Every odd-parity grid point is the centre of a diamond whose W, S, E and
+    N corners are even states, read from one padded table of node ids. A full
+    diamond splits along its horizontal diagonal; a boundary diamond keeps its
+    one in-grid half, and a corner diamond of two corners none, so the cover
+    is the convex hull of the even states. Triangles go in the state order of
+    the odd points.
+
+    An odd-parity goal is the last node. It halves its diamond's diagonal, so
+    each half (u, v, o) of that diamond gives way to (u, g, o) and (g, v, o);
+    on a cut corner of the board, the goal is hooked onto the hull edge
+    between its horizontal and vertical neighbours. These triangles come
+    last, each made counter-clockwise.
     """
-    if states.nx < 3 or states.ny < 3:
+    nx, ny = states.nx, states.ny
+    if nx < 3 or ny < 3:
         raise MeshError("checkerboard meshing needs a grid of at least 3x3 states")
-    kept = [s for s in range(states.n) if sum(states.coords(s)) % 2 == 0]
-    node_of = {s: k for k, s in enumerate(kept)}
-    nodes = states.positions()[kept]
+    j, i = np.divmod(np.arange(states.n), nx)
+    odd = (i + j) % 2 == 1
+    kept = np.flatnonzero(~odd)
+    ids = np.where(odd, -1, np.cumsum(~odd) - 1)  # state -> node, -1 for odd states
+    node = np.pad(ids.reshape(ny, nx), 1, constant_values=-1)  # [j + 1, i + 1], -1 off the grid
+    a, b = i[odd] + 1, j[odd] + 1
+    corners = np.stack([node[b, a - 1], node[b - 1, a], node[b, a + 1], node[b + 1, a]], axis=1)
+    halves = corners[:, _HALVES]
+    keep = (halves >= 0).all(axis=2)
+    keep[:, 2:] &= corners[:, [0, 2]] < 0  # the vertical split only where W or E is missing
+    if not odd[states.goal]:
+        return states.positions()[kept], halves[keep], kept, int(ids[states.goal])
 
-    def nid(i: int, j: int) -> int | None:
-        if 0 <= i < states.nx and 0 <= j < states.ny:
-            return node_of[states.index(i, j)]
-        return None
-
-    tris: list[tuple[int, int, int]] = []
-    for b in range(states.ny):
-        for a in range(states.nx):
-            if (a + b) % 2 == 0:
-                continue
-            w, s_, e, n_ = nid(a - 1, b), nid(a, b - 1), nid(a + 1, b), nid(a, b + 1)
-            corners = [c for c in (w, s_, e, n_) if c is not None]
-            if len(corners) == 4:
-                tris.append((w, e, n_))
-                tris.append((w, s_, e))
-            elif len(corners) == 3:
-                tris.append(_ccw(nodes, tuple(corners)))
-    return nodes, np.asarray(tris, dtype=np.int64), np.asarray(kept, dtype=np.int64)
-
-
-def _insert_goal_node(
-    states: StateSpace,
-    nodes: np.ndarray,
-    tris: np.ndarray,
-    node_state: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Conformingly add the goal state when checkerboard parity excluded it."""
-    g = np.asarray(states.position(states.goal))
-    gid = len(nodes)
-    nodes = np.vstack([nodes, g])
-    node_state = np.append(node_state, states.goal)
-
-    probe = Mesh(nodes[:-1], tris, node_state[:-1], goal_node=0)
-    lam_all = probe.barycentric(g)
-    containing = [e for e in range(len(tris)) if lam_all[e].min() >= -_BARY_TOL]
-    new_tris: list[tuple[int, int, int]] = []
-    if not containing:
-        # Cut corner of an even-sized board: hook the goal onto the hull edge
-        # between its horizontal and vertical even neighbors.
-        i, j = states.coords(states.goal)
-        hi = i - 1 if i == states.nx - 1 else i + 1
-        vj = j - 1 if j == states.ny - 1 else j + 1
-        h = int(np.nonzero(node_state == states.index(hi, j))[0][0])
-        v = int(np.nonzero(node_state == states.index(i, vj))[0][0])
-        keep = [tuple(t) for t in tris]
-        keep.append(_ccw(nodes, (h, v, gid)))
-        new_tris = keep
-    else:
-        keep = [tuple(t) for e, t in enumerate(tris) if e not in set(containing)]
-        for e in containing:
-            lam = lam_all[e]
-            tri = tris[e]
-            zero = [l for l in range(3) if lam[l] < _BARY_TOL]
-            if len(zero) == 1:
-                # Goal on an edge: split the triangle across it.
-                o = tri[zero[0]]
-                u, v = [tri[l] for l in range(3) if l != zero[0]]
-                keep.append(_ccw(nodes, (u, gid, o)))
-                keep.append(_ccw(nodes, (gid, v, o)))
-            else:
-                # Strictly interior: fan out to the three vertices.
-                a, b, c = tri
-                keep.extend([(a, b, gid), (b, c, gid), (c, a, gid)])
-        new_tris = keep
-    return nodes, np.asarray(new_tris, dtype=np.int64), node_state, gid
+    r = np.count_nonzero(odd[: states.goal])  # the goal's diamond
+    u, v, o = corners[r, _SPLIT[keep[r]]].T
+    keep[r] = False
+    g = np.full_like(u, len(kept))
+    split = np.stack([u, g, o, g, v, o], axis=1).reshape(-1, 3)
+    if not len(split):  # a cut corner: one of W, E and one of S, N is in the grid
+        split = np.array([[corners[r, [0, 2]].max(), corners[r, [1, 3]].max(), len(kept)]])
+    node_state = np.append(kept, states.goal)
+    nodes = states.positions()[node_state]
+    p = nodes[split]
+    cw = _cross_z(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) < 0
+    split[cw] = split[cw][:, [0, 2, 1]]
+    return nodes, np.concatenate([halves[keep], split]), node_state, len(kept)
 
 
 def build_mesh(states: StateSpace, k: int = 1) -> Mesh:
     """Triangulate the state grid (k=1) or its checkerboard subset (k=2)."""
     if k == 1:
-        nodes, tris, node_state = _full_grid_mesh(states)
-        goal_node = int(states.goal)
-    elif k == 2:
-        nodes, tris, node_state = _checkerboard_mesh(states)
-        hits = np.nonzero(node_state == states.goal)[0]
-        if len(hits) == 1:
-            goal_node = int(hits[0])
-        else:
-            nodes, tris, node_state, goal_node = _insert_goal_node(states, nodes, tris, node_state)
-    else:
-        raise MeshError(f"subsample factor k must be 1 or 2, got {k}")
-    return Mesh(nodes, tris, node_state, goal_node)
+        return Mesh(*_full_grid_mesh(states))
+    if k == 2:
+        return Mesh(*_checkerboard_mesh(states))
+    raise MeshError(f"subsample factor k must be 1 or 2, got {k}")
 
 
 @dataclass(eq=False)

@@ -107,9 +107,13 @@ class StateSpace:
         origin: Point2 | None = None,
         obstacle_cells: Sequence[tuple[int, int]] = (),
     ) -> "StateSpace":
-        """Grid whose cells tile [0, nx*cell] x [0, ny*cell] unless an origin is given."""
+        """Grid whose cells tile [0, nx*cell] x [0, ny*cell] unless an origin
+        is given; ValueError for a goal or obstacle cell outside the grid."""
         if origin is None:
             origin = Point2(cell_km / 2, cell_km / 2)
+        for i, j in (goal_ij, *obstacle_cells):
+            if not (0 <= i < nx and 0 <= j < ny):
+                raise ValueError(f"cell ({i}, {j}) lies outside the {nx}x{ny} grid")
         mask = np.zeros(nx * ny, dtype=bool)
         for i, j in obstacle_cells:
             mask[j * nx + i] = True

@@ -385,12 +385,12 @@ def run_experiment(
 
 
 def write_trajectories_csv(path, runs: list[Trajectory]) -> None:
+    """One row per sample, floats as repr, in the csv module's dialect (CRLF)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "t_h", "x_km", "y_km", "psi_rad"])
+        fh.write("trial,t_h,x_km,y_km,psi_rad\r\n")
         for trial, run in enumerate(runs):
-            for t, (x, y), psi in zip(run.times, run.points, run.headings):
-                writer.writerow([trial, repr(float(t)), repr(float(x)), repr(float(y)), repr(float(psi))])
+            rows = zip(run.times.tolist(), run.points.tolist(), run.headings.tolist())
+            fh.writelines(f"{trial},{t!r},{x!r},{y!r},{psi!r}\r\n" for t, (x, y), psi in rows)
 
 
 def write_stats_csv(path, rows: list[tuple[str, float, float, TrialStats]]) -> None:

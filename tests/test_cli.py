@@ -38,14 +38,15 @@ def test_solve_on_a_small_gyre_exits_zero(tmp_path, capsys):
 
 
 def test_csv_field_smaller_than_the_grid_is_a_config_error(tmp_path, capsys):
-    # The lattice spans [0, 6] km, but the state centres reach 11 km.
+    # The lattice spans [0, 6] km, but the state centres reach 11 km. In
+    # state order the first centre outside is (7, 1) km, state (3, 0).
     rows = ["x_km,y_km,vx_kmh,vy_kmh"]
     rows += [f"{x}.0,{y}.0,0.0,0.0" for y in range(7) for x in range(7)]
     (tmp_path / "field.csv").write_text("\n".join(rows) + "\n")
     text = SMALL_GYRE.replace("field.kind = gyre", "field.kind = csv\nfield.csv_path = field.csv")
     code, err = _run(tmp_path, text, capsys)
     assert code == 2
-    assert "config error" in err and "outside the field domain" in err
+    assert "config error" in err and "grid: state (3, 0) lies outside the field domain" in err
 
 
 @pytest.mark.parametrize("key", ["grid.origin_x_km", "grid.origin_y_km"])

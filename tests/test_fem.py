@@ -158,6 +158,80 @@ def test_checkerboard_covers_all_but_cut_corners():
     assert sorted(outside) == [states.index(7, 0), states.index(0, 7)]
 
 
+def _reference_checkerboard(states):
+    """The checkerboard mesh built point by point: a loop over the odd grid
+    points gives each diamond's triangles, then an odd-parity goal is found
+    by a barycentric search of every triangle and spliced in."""
+    kept = [s for s in range(states.n) if sum(states.coords(s)) % 2 == 0]
+    node_of = {s: k for k, s in enumerate(kept)}
+    nodes = states.positions()[kept]
+
+    def nid(i, j):
+        if 0 <= i < states.nx and 0 <= j < states.ny:
+            return node_of[states.index(i, j)]
+        return None
+
+    def ccw(nodes, tri):
+        a, b, c = tri
+        p = nodes[[a, b, c]]
+        cross = (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1]) - (p[1, 1] - p[0, 1]) * (p[2, 0] - p[0, 0])
+        return (a, c, b) if cross < 0 else (a, b, c)
+
+    tris = []
+    for b in range(states.ny):
+        for a in range(states.nx):
+            if (a + b) % 2 == 0:
+                continue
+            w, s_, e, n_ = nid(a - 1, b), nid(a, b - 1), nid(a + 1, b), nid(a, b + 1)
+            corners = [c for c in (w, s_, e, n_) if c is not None]
+            if len(corners) == 4:
+                tris.append((w, e, n_))
+                tris.append((w, s_, e))
+            elif len(corners) == 3:
+                tris.append(ccw(nodes, tuple(corners)))
+    node_state = np.asarray(kept, dtype=np.int64)
+    if states.goal in node_of:
+        return nodes, np.asarray(tris, dtype=np.int64), node_state, node_of[states.goal]
+
+    g = np.asarray(states.position(states.goal))
+    gid = len(nodes)
+    nodes = np.vstack([nodes, g])
+    node_state = np.append(node_state, states.goal)
+    probe = Mesh(nodes[:-1], np.asarray(tris), node_state[:-1], goal_node=0)
+    lam_all = _barycentric(probe, g)
+    containing = [e for e in range(len(tris)) if lam_all[e].min() >= -1e-9]
+    keep = [t for e, t in enumerate(tris) if e not in containing]
+    if not containing:
+        # Cut corner: hook the goal onto the hull edge between its
+        # horizontal and vertical neighbours.
+        i, j = states.coords(states.goal)
+        hi = i - 1 if i == states.nx - 1 else i + 1
+        vj = j - 1 if j == states.ny - 1 else j + 1
+        keep.append(ccw(nodes, (nid(hi, j), nid(i, vj), gid)))
+    for e in containing:
+        zero = [l for l in range(3) if lam_all[e][l] < 1e-9]
+        assert len(zero) == 1  # the goal halves an edge, never lies strictly inside
+        o = tris[e][zero[0]]
+        u, v = [tris[e][l] for l in range(3) if l != zero[0]]
+        keep.append(ccw(nodes, (u, gid, o)))
+        keep.append(ccw(nodes, (gid, v, o)))
+    return nodes, np.asarray(keep, dtype=np.int64), node_state, gid
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 3), (4, 4), (5, 7), (8, 8), (9, 6)])
+def test_checkerboard_mesh_matches_the_point_loop_reference(nx, ny):
+    # Every goal: even ones, odd ones inside the hull or on its edge, and
+    # odd ones on a cut corner of an even side. The cell and origin are not
+    # exact in binary, so an inserted goal's position must round alike too.
+    for goal in range(nx * ny):
+        states = StateSpace.regular(nx, ny, 0.7, (goal % nx, goal // nx), origin=Point2(0.3, -1.1))
+        mesh = build_mesh(states, k=2)
+        nodes, tris, node_state, goal_node = _reference_checkerboard(states)
+        for got, want in ((mesh.nodes, nodes), (mesh.triangles, tris), (mesh.node_state, node_state)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert mesh.goal_node == goal_node
+
+
 def test_mesh_rejects_bad_subsample_factor():
     with pytest.raises(MeshError):
         build_mesh(grid_states(8), k=3)
@@ -168,9 +242,16 @@ def test_mesh_rejects_bad_subsample_factor():
 # ------------------------------------------------- bucketed point queries
 
 
+def _barycentric(mesh, p):
+    """Barycentric coordinates of one point in every triangle, (n_tris, 3)."""
+    inv, r0 = mesh._bary_frames
+    lam12 = np.einsum("eij,ej->ei", inv, np.asarray(p, dtype=float) - r0)
+    return np.column_stack([1.0 - lam12.sum(axis=1), lam12])
+
+
 def _brute_locate(mesh, p):
     """Search of every triangle: the first with the largest minimum weight."""
-    lam = mesh.barycentric(p)
+    lam = _barycentric(mesh, p)
     mins = lam.min(axis=1)
     e = int(np.argmax(mins))
     return None if mins[e] < -1e-9 else (e, lam[e])
@@ -585,7 +666,7 @@ def test_partition_of_unity():
     lo, hi = mesh.nodes.min(), mesh.nodes.max()
     for _ in range(200):
         p = rng.uniform(lo, hi, size=2)
-        lam = mesh.barycentric(p)
+        lam = _barycentric(mesh, p)
         e = int(np.argmax(lam.min(axis=1)))
         assert lam[e].min() >= -1e-12
         assert lam[e].sum() == pytest.approx(1.0, abs=1e-12)
@@ -649,6 +730,53 @@ def test_hessian_recovers_quadratics_exactly():
     center = (7.0, 7.0)
     np.testing.assert_allclose(vxx.hessian(center), [[2.0, 0.0], [0.0, 0.0]], atol=1e-6)
     np.testing.assert_allclose(vxy.hessian(center), [[0.0, 1.0], [1.0, 0.0]], atol=1e-6)
+
+
+def _reference_hessian_patches(mesh):
+    """The patches built node by node from Python sets of ring members, with
+    one pseudo-inverse per distinct patch shape."""
+    rings = [set() for _ in range(mesh.n_nodes)]
+    for tri in mesh.triangles.tolist():
+        for n in tri:
+            rings[n].update(tri)
+    patches, fits = [], {}
+    for n, ring in enumerate(rings):
+        ids = np.array(sorted(set().union(*(rings[m] for m in ring))), dtype=np.int64)
+        if len(ring) >= 6:
+            reach = np.linalg.norm(mesh.nodes[list(ring)] - mesh.nodes[n], axis=1).max()
+            dist = np.linalg.norm(mesh.nodes[ids] - mesh.nodes[n], axis=1)
+            ids = ids[dist <= reach + 1e-9]
+        d = mesh.nodes[ids] - mesh.nodes[n]
+        key = d.tobytes()
+        if key not in fits:
+            design = np.column_stack(
+                [np.ones(len(ids)), d[:, 0], d[:, 1], d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2]
+            )
+            full = len(ids) >= 6 and np.linalg.matrix_rank(design) == 6
+            fits[key] = np.linalg.pinv(design) if full else None
+        patches.append((ids, fits[key]))
+    return patches
+
+
+@pytest.mark.parametrize(
+    "nx, ny, k, goal",
+    [
+        (8, 8, 1, (3, 2)),
+        (9, 6, 1, (8, 5)),
+        (8, 8, 2, (3, 3)),  # even goal
+        (8, 8, 2, (3, 4)),  # odd goal inside the hull
+        (9, 6, 2, (4, 0)),  # odd goal on the hull
+        (8, 8, 2, (7, 0)),  # odd goal on a cut corner
+    ],
+)
+def test_hessian_patches_match_the_set_loop_reference(nx, ny, k, goal):
+    mesh = build_mesh(StateSpace.regular(nx, ny, 0.7, goal, origin=Point2(0.3, -1.1)), k=k)
+    got, want = mesh.hessian_patches, _reference_hessian_patches(mesh)
+    assert len(got) == len(want) == mesh.n_nodes
+    for (ids, pinv), (ref_ids, ref_pinv) in zip(got, want):
+        assert ids.dtype == ref_ids.dtype and np.array_equal(ids, ref_ids)
+        assert (pinv is None) == (ref_pinv is None)
+        assert pinv is None or np.array_equal(pinv, ref_pinv)
 
 
 def test_hessian_patches_support_fit_everywhere_on_grid_mesh():

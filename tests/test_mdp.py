@@ -263,6 +263,17 @@ def test_state_space_validation():
         StateSpace.regular(3, 3, 2.0, (1, 1), obstacle_cells=[(1, 1)])
 
 
+@pytest.mark.parametrize(
+    "goal, obstacles",
+    [((4, 0), []), ((0, -1), []), ((0, 0), [(-1, 0)]), ((0, 0), [(4, 1)]), ((0, 0), [(1, 4)])],
+)
+def test_cells_outside_the_grid_are_rejected_not_wrapped(goal, obstacles):
+    # On a 4x4 grid a flat index would wrap (4, 0) onto (0, 1), (-1, 0) onto
+    # (3, 3) and (4, 1) onto (0, 2).
+    with pytest.raises(ValueError, match="outside the 4x4 grid"):
+        StateSpace.regular(4, 4, 2.0, goal, obstacle_cells=obstacles)
+
+
 def test_state_at_clamps_to_grid():
     states = StateSpace.regular(4, 4, 2.0, (3, 3))
     assert states.state_at(Point2(-5.0, -5.0)) == states.index(0, 0)
