@@ -308,7 +308,16 @@ class Mesh:
     @cached_property
     def hessian_patches(self) -> list[tuple[np.ndarray, np.ndarray | None]]:
         """Per node: patch node ids and the pseudo-inverse of the centered
-        quadratic design matrix (None when the patch cannot support the fit).
+        quadratic design matrix (None when the patch cannot support the fit);
+        the rows of ``_patch_table`` split by node."""
+        _, ids, place, shape, fits = self._patch_table
+        return list(zip(np.split(ids, np.flatnonzero(place == 0)[1:]), fits[shape]))
+
+    @cached_property
+    def _patch_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The Hessian patches as flat arrays ``(rows, ids, place, shape,
+        fits)``: entry e puts node ``ids[e]`` at ``place[e]`` in node
+        ``rows[e]``'s patch, and node n's fit is ``fits[shape[n]]``.
 
         The patch is the node's 2-ring when its 1-ring has fewer than six
         nodes, and otherwise every 2-ring node within the longest edge from
@@ -340,9 +349,9 @@ class Mesh:
         rows, ids = rows[inside], ring2.indices[inside].astype(np.int64)
         # Each node's offsets to its patch, padded with NaN, are its key.
         size = np.bincount(rows, minlength=n)
-        starts = np.concatenate([[0], np.cumsum(size)])
+        place = np.arange(len(rows)) - np.concatenate([[0], np.cumsum(size)])[rows]
         offsets = np.full((n, size.max(), 2), np.nan)
-        offsets[rows, np.arange(len(rows)) - starts[rows]] = self.nodes[ids] - self.nodes[rows]
+        offsets[rows, place] = self.nodes[ids] - self.nodes[rows]
         keys = offsets.reshape(n, -1).view(np.dtype((np.void, offsets[0].nbytes)))[:, 0]
         _, first, shape = np.unique(keys, return_index=True, return_inverse=True)
         fits = np.empty(len(first), dtype=object)
@@ -353,7 +362,7 @@ class Mesh:
             )
             full = len(d) >= 6 and np.linalg.matrix_rank(design) == 6
             fits[s] = np.linalg.pinv(design) if full else None
-        return list(zip(np.split(ids, starts[1:-1]), fits[shape]))
+        return rows, ids, place, shape, fits
 
     @cached_property
     def hessian_operator(self) -> sp.csr_matrix:
@@ -361,14 +370,16 @@ class Mesh:
         quadratic coefficients: row 3n + k of this (3 n_nodes, n_nodes)
         matrix gives node n's coefficient of x^2, xy, y^2 for k = 0, 1, 2
         (empty rows where the patch cannot support the fit)."""
-        rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-        for n, (ids, pinv) in enumerate(self.hessian_patches):
+        rows, ids, place, shape, fits = self._patch_table
+        coef = np.zeros((len(fits), 3, place.max() + 1))  # each shape's last three pinv rows
+        for s, pinv in enumerate(fits):
             if pinv is not None:
-                rows.append(np.repeat(3 * n + np.arange(3), len(ids)))
-                cols.append(np.tile(ids, 3))
-                vals.append(pinv[3:].ravel())
+                coef[s, :, : pinv.shape[1]] = pinv[3:]
+        fitted = np.array([pinv is not None for pinv in fits])[shape[rows]]
+        rows, ids, place = rows[fitted], ids[fitted], place[fitted]
+        vals = coef[shape[rows], :, place].T  # (3, entries)
         return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (vals.ravel(), ((3 * rows + np.arange(3)[:, None]).ravel(), np.tile(ids, 3))),
             shape=(3 * self.n_nodes, self.n_nodes),
         )
 

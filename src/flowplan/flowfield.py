@@ -208,6 +208,14 @@ def _cluster(values: list[float]) -> list[float]:
     return out
 
 
+def _nearest(lattice: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of the lattice coordinate nearest each value (sorted lattice of
+    two or more), the lower index on a tie as ``np.argmin`` gives."""
+    hi = np.clip(np.searchsorted(lattice, values), 1, len(lattice) - 1)
+    lo = hi - 1
+    return np.where(np.abs(lattice[lo] - values) <= np.abs(lattice[hi] - values), lo, hi)
+
+
 def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> FlowField:
     """Build a grid-sampled field from CSV records.
 
@@ -255,28 +263,18 @@ def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> F
     if not (np.allclose(dxs, cell, atol=_COORD_TOL_KM) and np.allclose(dys, cell, atol=_COORD_TOL_KM)):
         raise FieldFormatError("lattice spacing is not uniform and square")
 
-    vx = np.full((ny, nx), np.nan)
-    vy = np.full((ny, nx), np.nan)
-    xs_arr = np.asarray(xs)
-    ys_arr = np.asarray(ys)
-    for x, y, ux, uy in records:
-        i = int(np.argmin(np.abs(xs_arr - x)))
-        j = int(np.argmin(np.abs(ys_arr - y)))
-        if abs(xs_arr[i] - x) > _COORD_TOL_KM or abs(ys_arr[j] - y) > _COORD_TOL_KM:
-            raise FieldFormatError(f"record ({x}, {y}) does not sit on the lattice")
-        if not np.isnan(vx[j, i]):
-            raise FieldFormatError(f"duplicate record at ({x}, {y})")
-        vx[j, i] = ux
-        vy[j, i] = uy
-    if np.isnan(vx).any():
-        raise FieldFormatError("incomplete lattice: some points are missing")
-
-    samples = GridSamples(
-        origin=Point2(float(xs[0]), float(ys[0])),
-        cell_km=cell,
-        nx=nx,
-        ny=ny,
-        vx=vx,
-        vy=vy,
-    )
+    # Key each record to its nearest lattice point. Every coordinate lies
+    # within the tolerance of its own cluster, so only duplicates can clash;
+    # with the count check passed, no duplicate means no missing point.
+    table = np.array(records)
+    slot = _nearest(np.asarray(ys), table[:, 1]) * nx + _nearest(np.asarray(xs), table[:, 0])
+    repeat = np.ones(len(slot), dtype=bool)
+    repeat[np.unique(slot, return_index=True)[1]] = False
+    if repeat.any():
+        x, y = records[int(np.argmax(repeat))][:2]
+        raise FieldFormatError(f"duplicate record at ({x}, {y})")
+    velocity = np.empty((nx * ny, 2))
+    velocity[slot] = table[:, 2:]
+    vx, vy = velocity.T.reshape(2, ny, nx)
+    samples = GridSamples(Point2(float(xs[0]), float(ys[0])), cell, nx, ny, vx, vy)
     return grid_field(samples, noise)

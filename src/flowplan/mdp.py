@@ -54,10 +54,6 @@ COMPASS_VECTORS = {
 STEP_REWARD = -0.1
 OBSTACLE_REWARD = -1.0
 
-# 3x3 neighborhood offsets, self included.
-_OFFSETS = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1)]
-
-
 @dataclass(frozen=True)
 class Action:
     """A commanded (heading, speed) pair named by its compass direction."""
@@ -205,36 +201,6 @@ class MdpModel:
         return self.succ[a, s][keep], p[keep]
 
 
-def _axis_log_weights(deltas: np.ndarray, variance: float) -> np.ndarray:
-    """Unnormalized per-axis log weights; the zero-variance limit puts all
-    mass on the offsets nearest the mean."""
-    if variance <= 0.0:
-        d = np.abs(deltas)
-        return np.where(d <= d.min() + 1e-12, 0.0, -np.inf)
-    w = -(deltas**2) / (2.0 * variance)
-    return w - w.max()
-
-
-def _transition_weights(
-    dxs: np.ndarray, dys: np.ndarray, mean_dx: float, mean_dy: float, var_x: float, var_y: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized weights over the product candidate set (dxs x dys)."""
-    lwx = _axis_log_weights(dxs - mean_dx, var_x)
-    lwy = _axis_log_weights(dys - mean_dy, var_y)
-    w = np.exp(lwx[:, None] + lwy[None, :])
-    return w / w.sum(), w
-
-
-def _reward_kernel(states: StateSpace, s: int, succ: np.ndarray) -> np.ndarray:
-    """Per-successor reward: free step -0.1, obstacle entry -1, terminal 0."""
-    if states.is_terminal(s):
-        return np.zeros(len(succ))
-    r = np.full(len(succ), STEP_REWARD)
-    r[states.obstacles[succ]] = OBSTACLE_REWARD
-    r[succ == states.goal] = 0.0
-    return r
-
-
 def build_model(
     field: FlowField,
     states: StateSpace,
@@ -244,10 +210,16 @@ def build_model(
 ) -> MdpModel:
     """Construct transitions and expected rewards for all (state, action) pairs.
 
-    For a non-terminal state the weight of each in-grid neighborhood cell is
-    the product of independent per-axis Gaussian densities centered on the
-    drifted displacement (net velocity times dt) with variance sigma^2 * dt,
-    renormalized over the candidate set. Goal and obstacle states absorb.
+    For a non-terminal state the weight of each cell of the 3x3 stencil
+    (offsets -1, 0, 1 per axis) is the product of independent per-axis
+    Gaussian densities centered on the drifted displacement (net velocity
+    times dt) with variance sigma^2 * dt; the zero-variance limit puts all
+    mass on the offsets nearest the mean. An in-grid mask per axis gives the
+    stencil cells off the grid log-weight -inf before each axis is shifted by
+    its in-grid maximum, so they get weight zero, and each row is normalized
+    over its in-grid cells. A row lists its in-grid successors first, in
+    di-major stencil order, padded with the state itself at probability
+    zero. Goal and obstacle states absorb.
     """
     if dt_h <= 0:
         raise ValueError("dt must be positive")
@@ -255,36 +227,54 @@ def build_model(
         raise ValueError("gamma must lie in [0, 1)")
     actions = compass_actions(v_max)
     n = states.n
-    n_a = len(actions)
-    succ = np.empty((n_a, n, 9), dtype=np.int64)
-    prob = np.zeros((n_a, n, 9))
-    rewards = np.zeros((n, n_a))
-    var_x = field.noise.sigma_x**2 * dt_h
-    var_y = field.noise.sigma_y**2 * dt_h
-    cell = states.cell_km
+    ids = np.arange(n)
+    terminal = states.obstacles | (ids == states.goal)
+    step = np.array([-1, 0, 1])
+    # In-grid mask per axis and offset, shape (2, 3, n); an absorbing state
+    # keeps only itself.
+    ij = np.stack([ids % states.nx, ids // states.nx])[:, None, :] + step[:, None]
+    size = np.array([states.nx, states.ny])[:, None, None]
+    in_axis = (0 <= ij) & (ij < size) & (~terminal | (step == 0)[:, None])
 
-    for s in range(n):
-        i, j = states.coords(s)
-        pos = states.position(s)
-        if states.is_terminal(s):
-            succ[:, s, :] = s
-            prob[:, s, 0] = 1.0
-            continue
-        dis = np.array([di for di in (-1, 0, 1) if 0 <= i + di < states.nx])
-        djs = np.array([dj for dj in (-1, 0, 1) if 0 <= j + dj < states.ny])
-        cand = np.array([[states.index(i + di, j + dj) for dj in djs] for di in dis])
-        drift = field_velocity(field, pos)
-        for a, act in enumerate(actions):
-            ux, uy = COMPASS_VECTORS[act.compass]
-            mean_dx = (drift.vx + act.speed * ux) * dt_h
-            mean_dy = (drift.vy + act.speed * uy) * dt_h
-            w, _ = _transition_weights(dis * cell, djs * cell, mean_dx, mean_dy, var_x, var_y)
-            ids = cand.ravel()
-            probs = w.ravel()
-            succ[a, s, : len(ids)] = ids
-            succ[a, s, len(ids) :] = s
-            prob[a, s, : len(ids)] = probs
-            rewards[s, a] = float(probs @ _reward_kernel(states, s, ids))
+    drift = np.zeros((n, 2))
+    free = np.flatnonzero(~terminal)
+    centres = states.positions()[free].tolist()
+    drift[free] = np.array([field_velocity(field, Point2(x, y)) for x, y in centres]).reshape(-1, 2)
+    heading = v_max * np.array([COMPASS_VECTORS[c] for c in COMPASS_ORDER])
+    means = (drift.T[:, None, :] + heading.T[:, :, None]) * dt_h  # (2, 8, n)
+    # Per-axis log-weights of every (offset, action, state), shape (3, 8, n):
+    # with the offset leading, the in-grid max and min reduce whole slabs.
+    log_w = []
+    for in_grid, mean, sigma in zip(in_axis, means, (field.noise.sigma_x, field.noise.sigma_y)):
+        in_grid = in_grid[:, None, :]
+        deltas = (step * states.cell_km)[:, None, None] - mean
+        variance = sigma**2 * dt_h
+        if variance <= 0.0:
+            d = np.abs(deltas)
+            nearest = np.where(in_grid, d, np.inf).min(axis=0)
+            lw = np.where(in_grid & (d <= nearest + 1e-12), 0.0, -np.inf)
+        else:
+            w = -(deltas**2) / (2.0 * variance)
+            lw = np.where(in_grid, w - np.where(in_grid, w, -np.inf).max(axis=0), -np.inf)
+        log_w.append(np.moveaxis(lw, 0, -1))
+    weights = np.exp(log_w[0][..., :, None] + log_w[1][..., None, :]).reshape(len(actions), n, 9)
+
+    # Pack each row's in-grid cells to the front, keeping stencil order.
+    in_grid = (in_axis[0].T[:, :, None] & in_axis[1].T[:, None, :]).reshape(n, 9)
+    order = np.argsort(~in_grid, axis=1, kind="stable")
+    cells = ids[:, None] + (step[:, None] + states.nx * step).ravel()
+    succ = np.take_along_axis(np.where(in_grid, cells, ids[:, None]), order, axis=1)
+    weights = np.take_along_axis(weights, order[None], axis=2)
+    # Row sums add the in-grid cells as numpy sums them one row at a time:
+    # in order below eight terms, pairwise for the full nine.
+    total = np.where(in_grid.all(axis=1), weights.sum(axis=2), np.cumsum(weights, axis=2)[..., -1])
+    prob = weights / total[..., None]
+
+    reward = np.where(states.obstacles[succ], OBSTACLE_REWARD, STEP_REWARD)
+    reward[(succ == states.goal) | terminal[:, None]] = 0.0
+    rewards = prob.transpose(1, 0, 2)[..., None, :] @ reward[:, None, :, None]
+    rewards = np.ascontiguousarray(rewards[..., 0, 0])  # row-major (n, 8)
+    succ = np.tile(succ, (len(actions), 1, 1))
     return MdpModel(states, actions, dt_h, v_max, gamma, field.noise, field, succ, prob, rewards)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -777,6 +778,40 @@ def test_hessian_patches_match_the_set_loop_reference(nx, ny, k, goal):
         assert ids.dtype == ref_ids.dtype and np.array_equal(ids, ref_ids)
         assert (pinv is None) == (ref_pinv is None)
         assert pinv is None or np.array_equal(pinv, ref_pinv)
+
+
+def _reference_hessian_operator(mesh):
+    """The operator's COO arrays built node by node from the patch list."""
+    rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for n, (ids, pinv) in enumerate(mesh.hessian_patches):
+        if pinv is not None:
+            rows.append(np.repeat(3 * n + np.arange(3), len(ids)))
+            cols.append(np.tile(ids, 3))
+            vals.append(pinv[3:].ravel())
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(3 * mesh.n_nodes, mesh.n_nodes),
+    )
+
+
+@pytest.mark.parametrize(
+    "nx, ny, k, goal",
+    [
+        (8, 8, 1, (3, 2)),
+        (9, 6, 1, (8, 5)),
+        (2, 3, 1, (1, 1)),  # every patch too flat to fit: an empty operator
+        (8, 8, 2, (3, 4)),  # odd goal inside the hull
+        (9, 6, 2, (4, 0)),  # odd goal on the hull
+        (8, 8, 2, (7, 0)),  # odd goal on a cut corner
+    ],
+)
+def test_hessian_operator_matches_the_node_loop_reference(nx, ny, k, goal):
+    mesh = build_mesh(StateSpace.regular(nx, ny, 0.7, goal, origin=Point2(0.3, -1.1)), k=k)
+    got, want = mesh.hessian_operator, _reference_hessian_operator(mesh)
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_hessian_patches_support_fit_everywhere_on_grid_mesh():

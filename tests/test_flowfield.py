@@ -193,6 +193,26 @@ def test_load_duplicate_point_rejected():
         load_grid_field(_csv_lines(pts), NO_NOISE)
 
 
+def test_load_names_the_first_duplicate_in_file_order():
+    # Two slots are filled twice: (2, 2) by records 3 and 5 and (0, 4) by
+    # records 7 and 9, so (4, 0) and (4, 4) are missing but every lattice
+    # coordinate still occurs. Record 3 sits within the keying tolerance of
+    # (2, 2); the offending record is record 5, the slot's second one.
+    pts = [[2.0 * i, 2.0 * j, 0.0, 0.0] for j in range(3) for i in range(3)]
+    pts[2][:2] = [2.0000004, 2.0]
+    pts[8][:2] = [0.0, 4.0]
+    with pytest.raises(FieldFormatError, match=r"^duplicate record at \(2\.0, 2\.0\)$"):
+        load_grid_field(_csv_lines(pts), NO_NOISE)
+
+
+def test_load_keys_records_within_tolerance_to_their_node():
+    pts = [(2.0 * i, 2.0 * j, float(i), float(j)) for j in range(3) for i in range(4)]
+    jitter = [(x + 4e-7 * (k % 3 - 1), y - 3e-7 * (k % 2), vx, vy) for k, (x, y, vx, vy) in enumerate(pts)]
+    field = load_grid_field(_csv_lines(jitter[::-1]), NO_NOISE)
+    assert field.grid.vx.tolist() == [[0.0, 1.0, 2.0, 3.0]] * 3
+    assert field.grid.vy.tolist() == [[float(j)] * 4 for j in range(3)]
+
+
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
 @pytest.mark.parametrize("column", [0, 2, 3])
 def test_load_non_finite_record_rejected_with_its_line(bad, column):

@@ -4,14 +4,26 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from flowplan.flowfield import GyreParams, NoiseParams, Point2, field_velocity, gyre_field
+from flowplan.flowfield import (
+    GridSamples,
+    GyreParams,
+    NoiseParams,
+    Point2,
+    field_velocity,
+    grid_field,
+    gyre_field,
+)
 from flowplan.mdp import (
     COMPASS_ORDER,
+    COMPASS_VECTORS,
+    OBSTACLE_REWARD,
+    STEP_REWARD,
     StateSpace,
     action_values,
     build_model,
     classic_policy_iteration,
     compass_actions,
+    MdpModel,
     policy_evaluation_exact,
     policy_improvement_discrete,
     value_iteration,
@@ -307,3 +319,122 @@ def test_value_and_policy_csv_schema(tmp_path, zero_field_model):
     assert vpath.read_text().splitlines()[0] == "state_id,i,j,x_km,y_km,value"
     assert ppath.read_text().splitlines()[0] == "state_id,action"
     assert len(vpath.read_text().splitlines()) == model.n_states + 1
+
+
+def _reference_axis_log_weights(deltas, variance):
+    if variance <= 0.0:
+        d = np.abs(deltas)
+        return np.where(d <= d.min() + 1e-12, 0.0, -np.inf)
+    w = -(deltas**2) / (2.0 * variance)
+    return w - w.max()
+
+
+def _reference_transition_weights(dxs, dys, mean_dx, mean_dy, var_x, var_y):
+    lwx = _reference_axis_log_weights(dxs - mean_dx, var_x)
+    lwy = _reference_axis_log_weights(dys - mean_dy, var_y)
+    w = np.exp(lwx[:, None] + lwy[None, :])
+    return w / w.sum()
+
+
+def _reference_reward_kernel(states, s, succ):
+    if states.is_terminal(s):
+        return np.zeros(len(succ))
+    r = np.full(len(succ), STEP_REWARD)
+    r[states.obstacles[succ]] = OBSTACLE_REWARD
+    r[succ == states.goal] = 0.0
+    return r
+
+
+def _reference_build_model(field, states, dt_h, v_max, gamma):
+    """The state x action loop that built the model before the stencil
+    arrays: one 3x3 (or smaller, at the grid edge) weight table per row."""
+    actions = compass_actions(v_max)
+    n = states.n
+    n_a = len(actions)
+    succ = np.empty((n_a, n, 9), dtype=np.int64)
+    prob = np.zeros((n_a, n, 9))
+    rewards = np.zeros((n, n_a))
+    var_x = field.noise.sigma_x**2 * dt_h
+    var_y = field.noise.sigma_y**2 * dt_h
+    cell = states.cell_km
+    for s in range(n):
+        i, j = states.coords(s)
+        pos = states.position(s)
+        if states.is_terminal(s):
+            succ[:, s, :] = s
+            prob[:, s, 0] = 1.0
+            continue
+        dis = np.array([di for di in (-1, 0, 1) if 0 <= i + di < states.nx])
+        djs = np.array([dj for dj in (-1, 0, 1) if 0 <= j + dj < states.ny])
+        cand = np.array([[states.index(i + di, j + dj) for dj in djs] for di in dis])
+        drift = field_velocity(field, pos)
+        for a, act in enumerate(actions):
+            ux, uy = COMPASS_VECTORS[act.compass]
+            mean_dx = (drift.vx + act.speed * ux) * dt_h
+            mean_dy = (drift.vy + act.speed * uy) * dt_h
+            w = _reference_transition_weights(dis * cell, djs * cell, mean_dx, mean_dy, var_x, var_y)
+            ids = cand.ravel()
+            probs = w.ravel()
+            succ[a, s, : len(ids)] = ids
+            succ[a, s, len(ids) :] = s
+            prob[a, s, : len(ids)] = probs
+            rewards[s, a] = float(probs @ _reference_reward_kernel(states, s, ids))
+    return MdpModel(states, actions, dt_h, v_max, gamma, field.noise, field, succ, prob, rewards)
+
+
+def _paper_case(nx, ny, sigma, strength):
+    """The paper gyre over a 40 km square, goal at 0.85 n, one obstacle."""
+    cell = 40.0 / max(nx, ny)
+    field = gyre_field(GyreParams(strength, 20.0), NoiseParams(*sigma))
+    goal = (nx * 17 // 20, ny * 17 // 20)
+    states = StateSpace.regular(nx, ny, cell, goal, obstacle_cells=[(nx // 3, ny // 3)])
+    return field, states, 1.0
+
+
+def _csv_case():
+    """A bilinear field, dt != 1, an obstacle beside the goal."""
+    rng = np.random.default_rng(5)
+    samples = GridSamples(Point2(0.0, 0.0), 1.5, 9, 8, rng.normal(size=(8, 9)), rng.normal(size=(8, 9)))
+    field = grid_field(samples, NoiseParams(0.3, 0.8))
+    states = StateSpace.regular(9, 7, 1.4, (5, 4), Point2(0.5, 0.7), [(6, 4), (2, 2)])
+    return field, states, 0.7
+
+
+def _corner_case(goal):
+    field = gyre_field(GyreParams(1.0, 20.0), NoiseParams(0.5, 0.2))
+    states = StateSpace.regular(6, 5, 4.0, goal, obstacle_cells=[(1, 1), (4, 3)])
+    return field, states, 1.3
+
+
+def _near_tie_case():
+    """No noise or current; a diagonal action's mean lands 2e-16 km past half
+    a 2 km cell, so two offsets are nearest within the 1e-12 km tie rule."""
+    field = gyre_field(GyreParams(0.0, 20.0), NoiseParams(0.0, 0.0), extent=(10.0, 10.0))
+    return field, StateSpace.regular(5, 5, 2.0, (4, 4)), 0.47140452079103173
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param((_paper_case, (nx, ny, sigma, strength)), id=f"{nx}x{ny}-s{sigma}-A{strength}")
+        for nx, ny in [(1, 4), (4, 1), (2, 2), (3, 5), (7, 4), (20, 20), (80, 80)]
+        for sigma in [(1.0, 1.0), (0.0, 0.0), (0.0, 0.3), (0.3, 1.0)]
+        for strength in [0.0, 0.5, 2.0]
+    ]
+    + [
+        pytest.param((_csv_case, ()), id="csv"),
+        pytest.param((_corner_case, ((0, 0),)), id="goal-sw-corner"),
+        pytest.param((_corner_case, ((5, 4),)), id="goal-ne-corner"),
+        pytest.param((_near_tie_case, ()), id="near-tie"),
+    ],
+)
+def test_build_model_matches_the_state_loop_reference(case):
+    make, args = case
+    field, states, dt_h = make(*args)
+    got = build_model(field, states, dt_h, 3.0, GAMMA)
+    want = _reference_build_model(field, states, dt_h, 3.0, GAMMA)
+    assert got.succ.dtype == want.succ.dtype
+    assert np.array_equal(got.succ, want.succ)
+    assert np.array_equal(got.prob, want.prob)
+    assert np.array_equal(got.rewards, want.rewards)
+    assert all(a.flags.c_contiguous for a in (got.succ, got.prob, got.rewards))
