@@ -35,7 +35,7 @@ from .errors import (
     MeshError,
     NumericalError,
 )
-from .flowfield import Point2
+from .flowfield import Point2, write_table
 from .policy_iter import ApiConfig, approximate_policy_iteration, value_mse
 
 
@@ -146,6 +146,12 @@ def cmd_mse(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
         raise ConfigError(f"grid.nx: grid size {cfg.grid_nx} too small for mse (set mse.grid_sizes)")
     goal_x = cfg.grid_origin_x_km + cfg.goal_i * cfg.grid_cell_km
     goal_y = cfg.grid_origin_y_km + cfg.goal_j * cfg.grid_cell_km
+    for key, value, extent in (
+        ("goal.i", goal_x, cfg.field_width_km),
+        ("goal.j", goal_y, cfg.field_height_km),
+    ):
+        if not -1e-9 <= value <= extent + 1e-9:
+            raise ConfigError(f"{key}: the goal centre lies outside the field domain")
     records = []
     for n in sizes:
         cell = cfg.field_width_km / n
@@ -168,10 +174,7 @@ def cmd_mse(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
             err = value_mse(api_res.value, pi_res.values, model.states)
             records.append((int(n), k, err, max_abs))
             print(f"grid {n}x{n} k={k}: mse {err:.3e}, max |value| {max_abs:.3f}")
-    with open(out / "mse.csv", "w", newline="") as fh:
-        fh.write("grid_n,k,mse,max_abs_value\n")
-        for n, k, err, max_abs in records:
-            fh.write(f"{n},{k},{err!r},{max_abs!r}\n")
+    write_table(out / "mse.csv", ["grid_n", "k", "mse", "max_abs_value"], records)
     return 0
 
 

@@ -4,6 +4,11 @@ One config file drives every command. The format is line-oriented
 ``section.key = value`` with ``#`` comments; values are decimal numbers,
 bare strings, or comma-separated lists. Loading, serializing, and reloading
 a config yields an identical value, which keeps sweep runs reproducible.
+
+The schema is :class:`ExperimentConfig` itself: each field's key is its name
+with the first underscore read as a dot (``grid_origin_x_km`` is
+``grid.origin_x_km``), its annotation picks the parser, and the field order
+is the order of the serialization.
 """
 
 from __future__ import annotations
@@ -69,64 +74,23 @@ class ExperimentConfig:
     output_raster_n: int = 41
 
 
-# key -> (attribute, value kind); order fixes the canonical serialization.
-_KEYS: dict[str, tuple[str, str]] = {
-    "field.kind": ("field_kind", "str"),
-    "field.strength_kmh": ("field_strength_kmh", "float"),
-    "field.size_km": ("field_size_km", "float"),
-    "field.csv_path": ("field_csv_path", "str"),
-    "field.width_km": ("field_width_km", "float"),
-    "field.height_km": ("field_height_km", "float"),
-    "noise.sigma_kmh": ("noise_sigma_kmh", "float"),
-    "grid.nx": ("grid_nx", "int"),
-    "grid.ny": ("grid_ny", "int"),
-    "grid.cell_km": ("grid_cell_km", "float"),
-    "grid.origin_x_km": ("grid_origin_x_km", "float"),
-    "grid.origin_y_km": ("grid_origin_y_km", "float"),
-    "grid.obstacles": ("grid_obstacles", "int_list"),
-    "goal.i": ("goal_i", "int"),
-    "goal.j": ("goal_j", "int"),
-    "start.x_km": ("start_x_km", "float"),
-    "start.y_km": ("start_y_km", "float"),
-    "vehicle.v_max_kmh": ("vehicle_v_max_kmh", "float"),
-    "mdp.dt_h": ("mdp_dt_h", "float"),
-    "mdp.gamma": ("mdp_gamma", "float"),
-    "fem.k": ("fem_k", "int"),
-    "fem.moment_convention": ("fem_moment_convention", "str"),
-    "api.max_iterations": ("api_max_iterations", "int"),
-    "api.init_policy": ("api_init_policy", "str"),
-    "sim.trials": ("sim_trials", "int"),
-    "sim.budget_h": ("sim_budget_h", "float"),
-    "sim.dt_h": ("sim_dt_h", "float"),
-    "sim.goal_radius_km": ("sim_goal_radius_km", "float"),
-    "sim.noise_resample": ("sim_noise_resample", "str"),
-    "sim.noise_scaling": ("sim_noise_scaling", "str"),
-    "sim.seed": ("sim_seed", "int"),
-    "sweep.strengths": ("sweep_strengths", "float_list"),
-    "mse.grid_sizes": ("mse_grid_sizes", "int_list"),
-    "output.raster_n": ("output_raster_n", "int"),
+def _tuple_of(parse):
+    return lambda raw: tuple(parse(piece.strip()) for piece in raw.split(",") if piece.strip())
+
+
+# Field annotation -> parser of the value text.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _tuple_of(int),
+    "tuple[float, ...]": _tuple_of(float),
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
-
-
-def _parse_value(key: str, kind: str, raw: str, lineno: int):
-    raw = raw.strip()
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "str":
-            return raw
-        items = [piece.strip() for piece in raw.split(",") if piece.strip()]
-        if kind == "int_list":
-            return tuple(int(piece) for piece in items)
-        if kind == "float_list":
-            return tuple(float(piece) for piece in items)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
-    raise AssertionError(f"unknown kind {kind}")
+# key -> (attribute, annotation), in field order.
+_KEYS: dict[str, tuple[str, str]] = {
+    f.name.replace("_", ".", 1): (f.name, f.type) for f in fields(ExperimentConfig)
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -143,7 +107,10 @@ def parse_config(text: str) -> ExperimentConfig:
         attr, kind = _KEYS[key]
         if attr in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[attr] = _parse_value(key, kind, raw, lineno)
+        try:
+            values[attr] = _PARSERS[kind](raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
     cfg = ExperimentConfig(**values)
     validate_config(cfg)
     return cfg
@@ -158,15 +125,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ", ".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """The text of a value; ``str`` of a float is its shortest repr."""
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = [f"{_ATTR_TO_KEY[f.name]} = {_format_value(getattr(cfg, f.name))}" for f in fields(cfg)]
+    lines = [f"{key} = {_format_value(getattr(cfg, attr))}" for key, (attr, _) in _KEYS.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -183,7 +147,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         values = getattr(cfg, attr)
         if kind == "float":
             values = (values,)
-        if kind in ("float", "float_list") and not all(map(math.isfinite, values)):
+        if kind in ("float", "tuple[float, ...]") and not all(map(math.isfinite, values)):
             fail(key, "must be finite")
     if cfg.field_kind not in ("gyre", "csv"):
         fail("field.kind", f"must be 'gyre' or 'csv' (got {cfg.field_kind!r})")

@@ -34,7 +34,6 @@ send it a batch of one. Edge adjacency has one table too,
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,7 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DomainError, MeshError, NumericalError
-from .flowfield import Point2
+from .flowfield import Point2, write_table
 from .mdp import StateSpace
 from .moments import PdeCoefficients
 
@@ -687,18 +686,10 @@ class ContinuousValue:
 
 
 def write_mesh_csv(nodes_path, tris_path, mesh: Mesh) -> None:
-    with open(nodes_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "state_id", "x_km", "y_km"])
-        for n in range(mesh.n_nodes):
-            writer.writerow(
-                [n, int(mesh.node_state[n]), repr(float(mesh.nodes[n, 0])), repr(float(mesh.nodes[n, 1]))]
-            )
-    with open(tris_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tri_id", "n0", "n1", "n2"])
-        for e, (a, b, c) in enumerate(mesh.triangles):
-            writer.writerow([e, int(a), int(b), int(c)])
+    nodes = zip(range(mesh.n_nodes), mesh.node_state.tolist(), *mesh.nodes.T.tolist())
+    write_table(nodes_path, ["node_id", "state_id", "x_km", "y_km"], nodes)
+    tris = zip(range(len(mesh.triangles)), *mesh.triangles.T.tolist())
+    write_table(tris_path, ["tri_id", "n0", "n1", "n2"], tris)
 
 
 def write_raster_csv(
@@ -712,10 +703,6 @@ def write_raster_csv(
     x0, x1, y0, y1 = bounds
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
-    grid = np.array([(x, y) for y in ys for x in xs])
+    grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
     vals = value.evaluate_many(grid, clamp=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_km", "y_km", "value"])
-        for (x, y), v in zip(grid, vals):
-            writer.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
+    write_table(path, ["x_km", "y_km", "value"], zip(*grid.T.tolist(), vals.tolist()))

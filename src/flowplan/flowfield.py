@@ -1,19 +1,25 @@
-"""Planar disturbance velocity fields with additive Gaussian noise.
+"""Planar disturbance velocity fields with additive Gaussian noise, and
+flowplan's CSV tables.
 
 Two field variants share one interface: an analytic wind-driven gyre and a
 grid of sampled velocities with bilinear interpolation (the stand-in for
 externally produced current estimates). Noise is white in space and time:
 each query draws fresh, independent per-axis Gaussian perturbations.
+
+This module owns the CSV format on both sides: :func:`load_grid_field`
+reads a sampled field, and :func:`write_table` writes every table the
+commands emit.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -278,3 +284,17 @@ def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> F
     vx, vy = velocity.T.reshape(2, ny, nx)
     samples = GridSamples(Point2(float(xs[0]), float(ys[0])), cell, nx, ny, vx, vy)
     return grid_field(samples, noise)
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table: the header, then each row of ``rows`` as it comes.
+
+    Cells are written as ``str`` gives them (a float's shortest repr), comma
+    separated and CRLF terminated, as the csv module's default dialect would
+    write them; they are never quoted, so no cell may hold a comma, a quote
+    or a line break.
+    """
+    line = ",".join(["{}"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(itertools.starmap(line.format, rows))

@@ -11,7 +11,6 @@ that the finite-element approximation is benchmarked against.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import IterationLimitError, NumericalError
-from .flowfield import FlowField, NoiseParams, Point2, field_velocity
+from .flowfield import FlowField, NoiseParams, Point2, field_velocity, write_table
 
 COMPASS_ORDER = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 
@@ -362,18 +361,10 @@ def value_iteration(
 
 
 def write_value_csv(path, states: StateSpace, values: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state_id", "i", "j", "x_km", "y_km", "value"])
-        for s in range(states.n):
-            i, j = states.coords(s)
-            x, y = states.position(s)
-            writer.writerow([s, i, j, repr(x), repr(y), repr(float(values[s]))])
+    ids = np.arange(states.n)
+    columns = [ids, ids % states.nx, ids // states.nx, *states.positions().T, np.asarray(values)]
+    write_table(path, ["state_id", "i", "j", "x_km", "y_km", "value"], zip(*(c.tolist() for c in columns)))
 
 
 def write_policy_csv(path, policy: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state_id", "action"])
-        for s, a in enumerate(policy):
-            writer.writerow([s, int(a)])
+    write_table(path, ["state_id", "action"], enumerate(np.asarray(policy).tolist()))

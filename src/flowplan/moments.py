@@ -16,6 +16,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
+from .flowfield import write_table
 from .mdp import MdpModel
 
 Convention = Literal["displacement", "paper-literal"]
@@ -93,22 +94,7 @@ def assemble_coefficients(
 
 def write_coefficients_csv(path, node_positions: np.ndarray, coeffs: PdeCoefficients) -> None:
     """Debug dump of the nodal coefficient fields."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "x_km", "y_km", "mu_x", "mu_y", "sxx", "sxy", "syy", "source"])
-        for k in range(len(node_positions)):
-            writer.writerow(
-                [
-                    k,
-                    repr(float(node_positions[k, 0])),
-                    repr(float(node_positions[k, 1])),
-                    repr(float(coeffs.drift[k, 0])),
-                    repr(float(coeffs.drift[k, 1])),
-                    repr(float(coeffs.diffusion[k, 0, 0])),
-                    repr(float(coeffs.diffusion[k, 0, 1])),
-                    repr(float(coeffs.diffusion[k, 1, 1])),
-                    repr(float(coeffs.source[k])),
-                ]
-            )
+    sigma = coeffs.diffusion.reshape(-1, 4)[:, [0, 1, 3]]  # sxx, sxy, syy
+    table = np.column_stack([node_positions, coeffs.drift, sigma, coeffs.source])
+    header = ["node_id", "x_km", "y_km", "mu_x", "mu_y", "sxx", "sxy", "syy", "source"]
+    write_table(path, header, zip(range(len(table)), *table.T.tolist()))

@@ -20,15 +20,15 @@ may as well.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import fem
-from .flowfield import FlowField, Point2, field_velocity, sample_noise
+from .flowfield import FlowField, Point2, field_velocity, sample_noise, write_table
 from .mdp import Action, MdpModel, StateSpace
 from .moments import Convention
 from .policy_iter import _state_scores, best_action
@@ -385,40 +385,17 @@ def run_experiment(
 
 
 def write_trajectories_csv(path, runs: list[Trajectory]) -> None:
-    """One row per sample, floats as repr, in the csv module's dialect (CRLF)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("trial,t_h,x_km,y_km,psi_rad\r\n")
-        for trial, run in enumerate(runs):
-            rows = zip(run.times.tolist(), run.points.tolist(), run.headings.tolist())
-            fh.writelines(f"{trial},{t!r},{x!r},{y!r},{psi!r}\r\n" for t, (x, y), psi in rows)
+    """One row per sample, streamed one trial at a time."""
+    rows = itertools.chain.from_iterable(
+        zip(itertools.repeat(trial), run.times.tolist(), *run.points.T.tolist(), run.headings.tolist())
+        for trial, run in enumerate(runs)
+    )
+    write_table(path, ["trial", "t_h", "x_km", "y_km", "psi_rad"], rows)
 
 
 def write_stats_csv(path, rows: list[tuple[str, float, float, TrialStats]]) -> None:
-    """Rows are (planner, current strength, noise sigma, stats)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "planner",
-                "A",
-                "sigma",
-                "mean_time_h",
-                "std_time_h",
-                "mean_len_km",
-                "std_len_km",
-                "reached",
-            ]
-        )
-        for planner, strength, sigma, st in rows:
-            writer.writerow(
-                [
-                    planner,
-                    repr(float(strength)),
-                    repr(float(sigma)),
-                    repr(st.mean_time_h),
-                    repr(st.std_time_h),
-                    repr(st.mean_length_km),
-                    repr(st.std_length_km),
-                    st.reached,
-                ]
-            )
+    """Rows are (planner, current strength, noise sigma, stats); the stats
+    columns are the TrialStats fields up to ``reached``."""
+    header = ["planner", "A", "sigma", "mean_time_h", "std_time_h", "mean_len_km", "std_len_km", "reached"]
+    cells = ((planner, float(a), float(sigma), *astuple(st)[:5]) for planner, a, sigma, st in rows)
+    write_table(path, header, cells)

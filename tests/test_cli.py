@@ -87,6 +87,19 @@ def test_mse_on_a_grid_under_4x4_is_a_config_error_before_any_solve(tmp_path, ca
     assert not (tmp_path / "out" / "mse.csv").exists()
 
 
+@pytest.mark.parametrize("axis, key", [("x", "goal.i"), ("y", "goal.j")])
+def test_mse_with_the_goal_outside_the_field_is_a_config_error(tmp_path, capsys, axis, key):
+    # The grid starts 30 km before the field, so goal cell 0 lies outside it;
+    # mse would map it to cell -4 of its 4x4 grid.
+    text = SMALL_GYRE.replace(f"grid.origin_{axis}_km = 1.0", f"grid.origin_{axis}_km = -30.0")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.replace(f"{key} = 4", f"{key} = 0") + "mse.grid_sizes = 4\n")
+    code = main(["mse", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "mse.csv").exists()
+
+
 def test_simulate_on_a_small_gyre_writes_stats_and_trajectories(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_GYRE + "sim.trials = 4\nsim.budget_h = 6.0\n")
@@ -154,6 +167,7 @@ def test_mse_writes_one_row_per_grid_size_and_k(tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
     header, rows = _rows(out / "mse.csv")
     assert header == "grid_n,k,mse,max_abs_value"
+    assert (out / "mse.csv").read_bytes().count(b"\r\n") == 5  # CRLF, like every table
     assert [(int(n), int(k)) for n, k, _, _ in rows] == [(4, 1), (4, 2), (6, 1), (6, 2)]
     for _, _, err, max_abs in rows:
         assert math.isfinite(float(err)) and float(err) >= 0.0

@@ -1,10 +1,12 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowplan.config import (
+    _KEYS,
+    _PARSERS,
     ExperimentConfig,
     parse_config,
     serialize_config,
@@ -130,3 +132,28 @@ def test_each_validation_branch_names_its_key(key, change):
 def test_malformed_lines_are_config_errors(text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
+
+
+# The public key names, in serialization order. A renamed field shows up
+# here as a changed key.
+CONFIG_KEYS = [
+    "field.kind", "field.strength_kmh", "field.size_km", "field.csv_path", "field.width_km",
+    "field.height_km", "noise.sigma_kmh", "grid.nx", "grid.ny", "grid.cell_km", "grid.origin_x_km",
+    "grid.origin_y_km", "grid.obstacles", "goal.i", "goal.j", "start.x_km", "start.y_km",
+    "vehicle.v_max_kmh", "mdp.dt_h", "mdp.gamma", "fem.k", "fem.moment_convention",
+    "api.max_iterations", "api.init_policy", "sim.trials", "sim.budget_h", "sim.dt_h",
+    "sim.goal_radius_km", "sim.noise_resample", "sim.noise_scaling", "sim.seed",
+    "sweep.strengths", "mse.grid_sizes", "output.raster_n",
+]  # fmt: skip
+
+
+def test_config_keys_are_the_field_names_with_a_dot():
+    assert list(_KEYS) == CONFIG_KEYS
+    assert [attr for attr, _ in _KEYS.values()] == [f.name for f in fields(ExperimentConfig)]
+    assert [line.split(" = ")[0] for line in serialize_config(ExperimentConfig()).splitlines()] == CONFIG_KEYS
+
+
+def test_every_field_annotation_has_a_parser():
+    # A field of any other type (a bool, say) must fail here, not at parse time.
+    assert {f.type for f in fields(ExperimentConfig)} <= set(_PARSERS)
+    assert set(_PARSERS) == {"int", "float", "str", "tuple[int, ...]", "tuple[float, ...]"}
