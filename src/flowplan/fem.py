@@ -8,22 +8,24 @@ odd-parity goal is added to the checkerboard by splitting the diamond it
 centres. The drift-diffusion-reaction weak form is assembled with exact P1
 mass and stiffness integrals and centroid quadrature for advection and
 source terms, the goal value is pinned to zero by symmetric elimination, and
-the solved nodal coefficients define a value function that is continuous
-over the whole mesh cover and evaluable (with recovered first and second
-derivatives) anywhere inside it. Point queries take constant time: a uniform
-bucket grid, its buckets as wide as the largest triangle, lists per bucket
-the triangles that may contain a point in it and the nodes of its 3x3 block
-of buckets, so locating a point, testing the cover and finding the nearest
-node weigh a handful of candidates and not the whole mesh, with the same
-result as a search of the whole mesh. Second derivatives come from a
-quadratic fit over a node patch with the symmetry of the state lattice: at
-interior nodes, the 3x3 block of grid neighbours (k=1) or the (+-1, +-1),
-(+-2, 0) and (0, +-2) neighbours (k=2), as the eight-neighbour transition
-law reaches in every direction. The patches are read off the sparse node
-adjacency and its square (the 1-ring and 2-ring), and the fits form one
-sparse recovery operator from nodal values to nodal Hessians (in the spirit
-of patch recovery, Zienkiewicz & Zhu 1992), with one pseudo-inverse per
-distinct patch shape. ``ContinuousValue.expansion`` gives the value,
+the system is solved by banded LU: node ids follow the state lattice row by
+row, so the band is about one grid row wide. The solved nodal coefficients
+define a value function that is continuous over the whole mesh cover and
+evaluable (with recovered first and second derivatives) anywhere inside it.
+Point queries take constant time: a uniform bucket grid, its buckets as wide
+as the largest triangle, lists per bucket the triangles that may contain a
+point in it and the nodes of its 3x3 block of buckets, so locating a point,
+testing the cover and finding the nearest node weigh a handful of candidates
+and not the whole mesh, with the same result as a search of the whole mesh.
+Second derivatives come from a quadratic fit over a node patch with the
+symmetry of the state lattice: at interior nodes, the 3x3 block of grid
+neighbours (k=1) or the (+-1, +-1), (+-2, 0) and (0, +-2) neighbours (k=2),
+as the eight-neighbour transition law reaches in every direction. The
+patches are read off the sparse node adjacency and its square (the 1-ring
+and 2-ring), and the fits form one sparse recovery operator from nodal
+values to nodal Hessians (in the spirit of patch recovery, Zienkiewicz & Zhu
+1992), with one pseudo-inverse per distinct patch shape, computed in one
+stack per patch size. ``ContinuousValue.expansion`` gives the value,
 gradient and Hessian at many points from one batched point location and one
 batched nearest-node search over padded bucket tables, and reads the cached
 element gradients, nodal gradients and nodal Hessians. It is the one
@@ -39,11 +41,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import DomainError, MeshError, NumericalError
 from .flowfield import Point2, write_table
-from .mdp import StateSpace
+from .mdp import StateSpace, _solve_banded
 from .moments import PdeCoefficients
 
 _BARY_TOL = 1e-9  # dimensionless barycentric containment tolerance
@@ -330,8 +331,10 @@ class Mesh:
 
         The 1-ring is a row of the sparse node adjacency ``ring`` and the
         2-ring the same row of ``ring @ ring``. Patches whose offsets from
-        their node are equal to the bit share one pseudo-inverse, so the fits
-        take one pass per distinct patch shape.
+        their node are equal to the bit share one pseudo-inverse, and the
+        shapes of one patch size are fitted together: one stacked rank test
+        and one stacked pseudo-inverse, which LAPACK computes matrix by matrix
+        exactly as it would one shape alone.
         """
         n, tris = self.n_nodes, self.triangles
         ring = sp.csr_matrix(  # nodes that share a triangle, the node included
@@ -353,14 +356,14 @@ class Mesh:
         offsets[rows, place] = self.nodes[ids] - self.nodes[rows]
         keys = offsets.reshape(n, -1).view(np.dtype((np.void, offsets[0].nbytes)))[:, 0]
         _, first, shape = np.unique(keys, return_index=True, return_inverse=True)
-        fits = np.empty(len(first), dtype=object)
-        for s, m in enumerate(first):
-            d = offsets[m, : size[m]]
-            design = np.column_stack(
-                [np.ones(len(d)), d[:, 0], d[:, 1], d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2]
-            )
-            full = len(d) >= 6 and np.linalg.matrix_rank(design) == 6
-            fits[s] = np.linalg.pinv(design) if full else None
+        fits = np.full(len(first), None, dtype=object)
+        for p in np.unique(size[first]):
+            group = np.flatnonzero(size[first] == p)
+            x, y = np.moveaxis(offsets[first[group], :p], -1, 0)
+            design = np.stack([np.ones_like(x), x, y, x**2, x * y, y**2], axis=-1)
+            full = np.linalg.matrix_rank(design) == 6  # never with under six nodes
+            for s, fit in zip(group[full], np.linalg.pinv(design[full])):
+                fits[s] = fit
         return rows, ids, place, shape, fits
 
     @cached_property
@@ -552,8 +555,14 @@ def constrain_goal(system: SparseSystem, goal_node: int) -> SparseSystem:
 
 
 def solve(system: SparseSystem) -> np.ndarray:
-    """Direct sparse solve with a relative residual gate of 1e-8."""
-    coeffs = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    """Direct banded LU solve with a relative residual gate of 1e-8.
+
+    Node ids follow the state lattice row by row, so every element couples
+    nodes at most one grid row apart (half-bandwidth nx + 1 for k=1, about
+    nx for k=2) and the band stays narrow. The one exception, an odd-parity
+    goal numbered last on the k=2 mesh, loses its couplings to the goal
+    constraint. A singular system raises NumericalError."""
+    coeffs = _solve_banded(system.matrix, system.rhs)
     residual = np.max(np.abs(system.matrix @ coeffs - system.rhs))
     denom = max(1.0, float(np.max(np.abs(system.rhs))))
     if not residual / denom < 1e-8:

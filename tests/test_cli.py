@@ -184,6 +184,22 @@ def test_numerical_failure_in_the_solve_exits_3(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+def test_a_singular_fem_system_in_the_real_solve_exits_3(tmp_path, capsys, monkeypatch):
+    # The goal pin is lost: the goal row of the constrained system is all
+    # zero, and the solve meets a zero pivot.
+    pin = fem.constrain_goal
+
+    def lose_pin(system, goal_node):
+        pinned = pin(system, goal_node)
+        pinned.matrix.data[pinned.matrix.indptr[goal_node] : pinned.matrix.indptr[goal_node + 1]] = 0.0
+        return pinned
+
+    monkeypatch.setattr(fem, "constrain_goal", lose_pin)
+    code, err = _run(tmp_path, SMALL_GYRE, capsys)
+    assert code == 3
+    assert "numerical failure: singular system" in err
+
+
 def test_non_finite_sim_step_is_a_config_error_before_any_output(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_GYRE + "sim.dt_h = nan\n")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowplan.errors import DomainError, MeshError
+from flowplan.errors import DomainError, MeshError, NumericalError
 from flowplan.fem import (
     ContinuousValue,
     Mesh,
@@ -15,9 +16,10 @@ from flowplan.fem import (
     element_peclet,
     solve,
 )
-from flowplan.flowfield import Point2
-from flowplan.mdp import StateSpace
-from flowplan.moments import PdeCoefficients
+from flowplan.flowfield import GyreParams, NoiseParams, Point2, gyre_field
+from flowplan.mdp import StateSpace, build_model
+from flowplan.moments import PdeCoefficients, assemble_coefficients
+from flowplan.policy_iter import project_wall_tangential
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -589,6 +591,61 @@ def test_goal_coefficient_is_zero_after_solve():
     system = constrain_goal(assemble(mesh, coeffs), mesh.goal_node)
     a = solve(system)
     assert a[mesh.goal_node] == 0.0
+
+
+def _policy_system(nx, ny, k, goal):
+    """The constrained FEM system of a seeded random policy on a gyre, with
+    one obstacle, as approximate policy iteration builds it."""
+    states = StateSpace.regular(nx, ny, 2.0, goal, obstacle_cells=[(1, ny - 2)])
+    field = gyre_field(GyreParams(0.5, 10.0), NoiseParams(0.4, 0.7), extent=(2.0 * nx, 2.0 * ny))
+    model = build_model(field, states, 1.0, 3.0, 0.95)
+    mesh = build_mesh(states, k)
+    policy = np.random.default_rng(nx * ny + k).integers(0, 8, size=states.n)
+    coeffs = assemble_coefficients(model, policy, mesh.node_state, mesh.goal_node)
+    project_wall_tangential(coeffs, mesh, model)
+    return constrain_goal(assemble(mesh, coeffs), mesh.goal_node)
+
+
+@pytest.mark.parametrize(
+    "nx, ny, k, goal",
+    [
+        (8, 8, 1, (3, 2)),
+        (9, 6, 1, (8, 5)),
+        (8, 8, 2, (3, 3)),  # even goal
+        (8, 8, 2, (3, 4)),  # odd goal inside the hull
+        (9, 6, 2, (4, 0)),  # odd goal on the hull
+        (8, 8, 2, (7, 0)),  # odd goal on a cut corner
+    ],
+)
+def test_solve_agrees_with_the_general_sparse_solve(nx, ny, k, goal):
+    system = _policy_system(nx, ny, k, goal)
+    # Node ids follow the lattice, and the goal pin clears the couplings of
+    # an odd goal numbered last, so every coupling stays within a grid row.
+    a = system.matrix.tocoo()
+    assert np.abs(a.row.astype(np.int64) - a.col).max() <= nx + 1
+    want = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    got = solve(system)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_solve_of_a_singular_system_is_a_numerical_error():
+    # A goal row left all zero, as if the pin were lost.
+    system = _policy_system(8, 8, 2, (3, 4))
+    g = system.matrix.shape[0] - 1  # the odd goal is the last node
+    system.matrix.data[system.matrix.indptr[g] : system.matrix.indptr[g + 1]] = 0.0
+    with pytest.raises(NumericalError, match="zero pivot"):
+        solve(system)
+
+
+@pytest.mark.parametrize("where", ["rhs", "matrix"])
+def test_solve_of_non_finite_input_is_a_numerical_error(where):
+    system = _policy_system(8, 8, 1, (3, 2))
+    if where == "rhs":
+        system.rhs[5] = np.nan
+    else:
+        system.matrix.data[7] = np.nan
+    with pytest.raises(NumericalError):
+        solve(system)
 
 
 def _manufactured_l2_error(n, gamma=0.95):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.stats import norm
 
+from flowplan.errors import NumericalError
 from flowplan.flowfield import (
     GridSamples,
     GyreParams,
@@ -24,6 +27,8 @@ from flowplan.mdp import (
     classic_policy_iteration,
     compass_actions,
     MdpModel,
+    _policy_matrix,
+    _solve_banded,
     policy_evaluation_exact,
     policy_improvement_discrete,
     value_iteration,
@@ -438,3 +443,115 @@ def test_build_model_matches_the_state_loop_reference(case):
     assert np.array_equal(got.prob, want.prob)
     assert np.array_equal(got.rewards, want.rewards)
     assert all(a.flags.c_contiguous for a in (got.succ, got.prob, got.rewards))
+
+
+# ------------------------------------------------------------ banded solve
+
+
+def _spsolve_reference(matrix, rhs):
+    """SuperLU's general sparse solve, the solver the banded LU replaced."""
+    return spla.spsolve(sp.csc_matrix(matrix), rhs)
+
+
+def _bandwidths(matrix):
+    a = matrix.tocoo()
+    offset = a.row.astype(np.int64) - a.col
+    return int(offset.max(initial=0)), -int(offset.min(initial=0))
+
+
+def _assert_agrees(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+_SOLVE_CASES = [
+    pytest.param((_paper_case, (nx, ny, sigma, 0.5)), id=f"{nx}x{ny}-s{sigma}")
+    for nx, ny in [(1, 4), (4, 1), (3, 5), (7, 4), (20, 20)]
+    for sigma in [(1.0, 1.0), (0.0, 0.0), (0.0, 0.3)]
+] + [
+    pytest.param((_csv_case, ()), id="csv"),
+    pytest.param((_corner_case, ((0, 0),)), id="goal-sw-corner"),
+    pytest.param((_near_tie_case, ()), id="near-tie"),
+]
+
+
+@pytest.mark.parametrize("case", _SOLVE_CASES)
+def test_exact_evaluation_agrees_with_the_general_sparse_solve(case):
+    # Every case has absorbing rows (the goal and an obstacle), and the
+    # sigma = 0 cases have deterministic rows.
+    make, args = case
+    field, states, dt_h = make(*args)
+    model = build_model(field, states, dt_h, 3.0, GAMMA)
+    rng = np.random.default_rng(states.n)
+    idx = np.arange(states.n)
+    for policy in (np.zeros(states.n, dtype=np.int64), rng.integers(0, 8, size=states.n)):
+        system = sp.eye(states.n, format="csr") - GAMMA * _policy_matrix(model, policy)
+        # The 3x3 stencil keeps every coupling within one grid row.
+        assert max(_bandwidths(system)) <= states.nx + 1
+        want = _spsolve_reference(system, model.rewards[idx, policy])
+        _assert_agrees(policy_evaluation_exact(model, policy), want)
+
+
+@pytest.mark.parametrize("case", _SOLVE_CASES)
+def test_policy_iteration_stops_at_an_optimal_policy(case):
+    make, args = case
+    field, states, dt_h = make(*args)
+    model = build_model(field, states, dt_h, 3.0, GAMMA)
+    res = classic_policy_iteration(model)
+    q = action_values(model, res.values)
+    assert (q.max(axis=1) - q[np.arange(states.n), res.policy]).max() <= 1e-12
+    np.testing.assert_allclose(res.values, value_iteration(model, tol=1e-13), rtol=0, atol=1e-9)
+
+
+def test_banded_solve_of_a_permuted_system_with_a_full_band():
+    field, states, dt_h = _paper_case(7, 6, (0.3, 1.0), 0.5)
+    model = build_model(field, states, dt_h, 3.0, GAMMA)
+    policy = np.random.default_rng(2).integers(0, 8, size=states.n)
+    system = sp.eye(states.n, format="csr") - GAMMA * _policy_matrix(model, policy)
+    rhs = model.rewards[np.arange(states.n), policy]
+    # States 0 and 1 are neighbours; numbered first and last, they widen the
+    # band to the whole matrix.
+    n = states.n
+    perm = np.concatenate([[0], np.random.default_rng(3).permutation(np.arange(2, n)), [1]])
+    permuted = system[perm][:, perm].tocsr()
+    assert _bandwidths(permuted) == (n - 1, n - 1)
+    got = _solve_banded(permuted, rhs[perm])
+    _assert_agrees(got, _spsolve_reference(permuted, rhs[perm]))
+    _assert_agrees(got, _spsolve_reference(system, rhs)[perm])
+
+
+def test_banded_solve_adds_duplicate_entries():
+    # The padded transition rows repeat the state itself at probability zero;
+    # stored as they are, next to the identity, the diagonal of each row
+    # appears several times and every copy must count.
+    field, states, dt_h = _csv_case()
+    model = build_model(field, states, dt_h, 3.0, GAMMA)
+    policy = np.random.default_rng(4).integers(0, 8, size=states.n)
+    n, idx = states.n, np.arange(states.n)
+    cols = np.column_stack([idx, model.succ[policy, idx]])
+    data = np.column_stack([np.ones(n), -GAMMA * model.prob[policy, idx]])
+    duplicated = sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, 10 * n + 1, 10)), shape=(n, n))
+    assert not duplicated.has_canonical_format
+    rhs = model.rewards[idx, policy]
+    want = np.linalg.solve(duplicated.toarray(), rhs)  # toarray adds duplicates
+    _assert_agrees(_solve_banded(duplicated, rhs), want)
+    _assert_agrees(policy_evaluation_exact(model, policy), want)
+
+
+def test_exact_evaluation_of_a_singular_system_is_a_numerical_error(zero_field_model):
+    # With gamma = 1 the goal's absorbing row of I - P is all zero.
+    model = zero_field_model
+    model.gamma = 1.0
+    with pytest.raises(NumericalError, match="zero pivot"):
+        policy_evaluation_exact(model, np.zeros(model.n_states, dtype=np.int64))
+
+
+@pytest.mark.parametrize("table", ["rewards", "prob"])
+def test_exact_evaluation_of_non_finite_input_is_a_numerical_error(zero_field_model, table):
+    model = zero_field_model
+    s = model.states.index(0, 0)
+    if table == "rewards":
+        model.rewards[s, :] = np.nan
+    else:
+        model.prob[0, s, 0] = np.nan
+    with pytest.raises(NumericalError):
+        policy_evaluation_exact(model, np.zeros(model.n_states, dtype=np.int64))

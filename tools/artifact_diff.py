@@ -10,10 +10,20 @@ commands on them at seeds 7 and 11, plus ``flowplan mse`` on a small gyre.
 Every output file, each command's stdout and its exit status are compared
 byte for byte. The differing files are listed (marked when they differ only
 in line endings), and the exit status is 1 if any file differs, else 0.
+
+For a differing CSV table or JSON-lines file the listing also says how it
+differs, cell by cell: the number of differing cells, the largest absolute
+gap between numeric cells, and, one per indented line, every differing cell
+that is not a float on both sides (integer cells such as policy actions,
+trial ids and reached counts, and text cells such as planner names). So
+round-off in a float column reads apart from a changed decision.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+import math
 import os
 import subprocess
 import sys
@@ -74,6 +84,59 @@ def run_tree(src: Path, cases: list[tuple[str, list[str]]], out: Path) -> None:
         (dest / "exit_status.txt").write_text(f"{proc.returncode}\n")
 
 
+def _cells(path: Path) -> dict[tuple[str, str], str | int | float]:
+    """Every cell of a CSV table or JSON-lines file, keyed by (row label,
+    column). A CSV row is labelled by its line number and first cell, a JSON
+    line by its line number; CSV cells stay strings, JSON cells keep their
+    JSON type."""
+    cells = {}
+    with open(path, newline="") as fh:
+        if path.suffix == ".csv":
+            header, *rows = csv.reader(fh)
+            for line, row in enumerate(rows, start=2):
+                for name, cell in zip(header, row):
+                    cells[(f"line {line} {header[0]}={row[0]}", name)] = cell
+        else:
+            for line, text in enumerate(fh, start=1):
+                for name, value in json.loads(text).items():
+                    cells[(f"line {line}", name)] = value
+    return cells
+
+
+def _kind(cell: str | int | float) -> str:
+    """"int", "float" or "text"; a CSV cell by its spelling, and a JSON list
+    or object as text."""
+    if isinstance(cell, (int, float)):
+        return type(cell).__name__
+    for kind, parse in (("int", int), ("float", float)):
+        try:
+            parse(cell)
+            return kind
+        except (TypeError, ValueError):
+            pass
+    return "text"
+
+
+def cell_report(a: Path, b: Path) -> list[str]:
+    """How two CSV or JSON-lines files differ: a summary line, then one
+    indented line per differing cell that is not a float on both sides. A
+    NaN against a number counts as an infinite gap."""
+    base, change = _cells(a), _cells(b)
+    keys = list(dict.fromkeys([*base, *change]))
+    gap, exact = 0.0, []
+    differ = [k for k in keys if base.get(k) != change.get(k)]
+    for key in differ:
+        old, new = base.get(key), change.get(key)
+        kinds = {_kind(old), _kind(new)} if old is not None and new is not None else {"text"}
+        if kinds <= {"int", "float"}:
+            g = abs(float(old) - float(new))
+            gap = max(gap, math.inf if math.isnan(g) else g)
+        if kinds != {"float"}:
+            exact.append(f"    {key[0]} {key[1]}: {old} -> {new}")
+    summary = f"  {len(differ)} of {len(keys)} cells differ, largest numeric gap {gap:.3g}"
+    return [summary, *exact]
+
+
 def differing(base: Path, change: Path) -> list[str]:
     files = sorted({p.relative_to(root) for root in (base, change) for p in root.rglob("*") if p.is_file()})
     report = []
@@ -84,6 +147,8 @@ def differing(base: Path, change: Path) -> list[str]:
         elif (data_a := a.read_bytes()) != (data_b := b.read_bytes()):
             same_lines = data_a.replace(b"\r\n", b"\n") == data_b.replace(b"\r\n", b"\n")
             report.append(f"{rel}: differs" + (" in line endings only" if same_lines else ""))
+            if not same_lines and rel.suffix in (".csv", ".jsonl"):
+                report.extend(cell_report(a, b))
     return report
 
 
@@ -103,7 +168,8 @@ def main(argv: list[str]) -> int:
         run_tree(ROOT / "src", cases, tmp_path / "out-change")
         report = differing(tmp_path / "out-base", tmp_path / "out-change")
         n_files = sum(1 for p in (tmp_path / "out-change").rglob("*") if p.is_file())
-    print("\n".join([*report, f"{len(report)} of {n_files} files differ"]))
+    n_differ = sum(1 for line in report if not line.startswith(" "))
+    print("\n".join([*report, f"{n_differ} of {n_files} files differ"]))
     return 1 if report else 0
 
 
