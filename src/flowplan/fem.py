@@ -1,22 +1,24 @@
 """P1 triangular finite elements on structured state-grid meshes.
 
-Meshes are built directly on the MDP's state centers, by array expressions
-over lattice coordinates: the full grid split along SW-NE cell diagonals
-(k=1), or the even-parity checkerboard subset triangulated by the rotated
-lattice it induces (k=2, half the nodes). Either way the goal is a node: an
-odd-parity goal is added to the checkerboard by splitting the diamond it
-centres. The drift-diffusion-reaction weak form is assembled with exact P1
-mass and stiffness integrals and centroid quadrature for advection and
-source terms, the goal value is pinned to zero by symmetric elimination, and
-the system is solved by banded LU: node ids follow the state lattice row by
-row, so the band is about one grid row wide. The solved nodal coefficients
-define a value function that is continuous over the whole mesh cover and
-evaluable (with recovered first and second derivatives) anywhere inside it.
-Point queries take constant time: a uniform bucket grid, its buckets as wide
-as the largest triangle, lists per bucket the triangles that may contain a
-point in it and the nodes of its 3x3 block of buckets, so locating a point,
-testing the cover and finding the nearest node weigh a handful of candidates
-and not the whole mesh, with the same result as a search of the whole mesh.
+A ``Mesh`` triangulates the MDP's state lattice and carries it: its nodes are
+state centres, built by array expressions over lattice coordinates from the
+full grid split along SW-NE cell diagonals (k=1), or from the even-parity
+checkerboard subset triangulated by the rotated lattice it induces (k=2, half
+the nodes). Either way the goal is a node: an odd-parity goal is added to the
+checkerboard by splitting the diamond it centres. The drift-diffusion-
+reaction weak form is assembled with exact P1 mass and stiffness integrals and
+centroid quadrature for advection and source terms, the goal value is pinned
+to zero by symmetric elimination, and the system is solved by banded LU: node
+ids follow the state lattice row by row, so the band is about one grid row
+wide. The solved nodal coefficients define a value function that is
+continuous over the whole mesh cover and evaluable (with recovered first and
+second derivatives) anywhere inside it.
+Point queries are lattice arithmetic on batches of rows: the lattice point
+nearest a point lists the few triangles that may contain it and, in its 3x3
+block, the nodes that may be nearest to it, as every lattice point is a node
+(k=1) or next to one (k=2) and an odd-parity goal is a state too. Both give
+the answer a search of the whole mesh gives. Rows off the cover are
+projected in one batch onto the hull edges.
 Second derivatives come from a quadratic fit over a node patch with the
 symmetry of the state lattice: at interior nodes, the 3x3 block of grid
 neighbours (k=1) or the (+-1, +-1), (+-2, 0) and (0, +-2) neighbours (k=2),
@@ -26,11 +28,12 @@ and 2-ring), and the fits form one sparse recovery operator from nodal
 values to nodal Hessians (in the spirit of patch recovery, Zienkiewicz & Zhu
 1992), with one pseudo-inverse per distinct patch shape, computed in one
 stack per patch size. ``ContinuousValue.expansion`` gives the value,
-gradient and Hessian at many points from one batched point location and one
-batched nearest-node search over padded bucket tables, and reads the cached
-element gradients, nodal gradients and nodal Hessians. It is the one
-implementation of these queries: ``evaluate``, ``gradient`` and ``hessian``
-send it a batch of one. Edge adjacency has one table too,
+gradient and Hessian at many points from one ``Mesh.locate_rows`` (point
+location, projection and nearest node), and reads the cached element
+gradients, nodal gradients and nodal Hessians; ``expansion_at`` does the same
+at rows located before, such as the state centres (``Mesh.centres``). It is
+the one implementation of these queries: ``evaluate``, ``gradient`` and
+``hessian`` send it a batch of one. Edge adjacency has one table too,
 ``Mesh.edge_neighbours``, built from the sorted edge keys of every triangle.
 """
 
@@ -50,7 +53,6 @@ from .moments import PdeCoefficients
 _BARY_TOL = 1e-9  # dimensionless barycentric containment tolerance
 _NODE_TOL_KM = 1e-9
 _MIN_AREA_KM2 = 1e-12
-_BUCKET_PAD_KM = 1e-6  # triangle boxes are padded so near-boundary points find them
 _BATCH_ROWS = 512  # rows per batched point location (about 0.3 MB per temporary)
 
 
@@ -59,109 +61,63 @@ def _cross_z(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _pad(lists: list[np.ndarray]) -> np.ndarray:
-    """The lists as the rows of one table, padded with id 0. A pad never
-    changes an answer: an item missing from a bucket's list neither contains
-    a point of the bucket nor lies within a bucket width of it, and an item
+def _lattice_table(first: np.ndarray, last: np.ndarray, nx: int, n: int) -> np.ndarray:
+    """Per lattice point j * nx + i of an n-point lattice, the ascending ids of
+    the items whose inclusive (i, j) box ``first[item]``..``last[item]`` holds
+    it, as the rows of one table padded with id 0. A pad never changes an
+    answer: an item missing from a row neither contains a point that rounds
+    to the row's lattice point nor is the node nearest to one, and an item
     listed twice loses to its first listing."""
-    table = np.zeros((len(lists), max(1, max(map(len, lists)))), dtype=np.int64)
-    for row, ids in zip(table, lists):
-        row[: len(ids)] = ids
+    span = (last - first).max(axis=0) + 1
+    point = first[:, None] + np.indices(span).reshape(2, -1).T  # (item, offset, (i, j))
+    ok = (point <= last[:, None]).all(axis=-1)
+    item = np.nonzero(ok)[0]  # ascending
+    key = (point[..., 1] * nx + point[..., 0])[ok]
+    order = np.argsort(key, kind="stable")
+    count = np.bincount(key, minlength=n)
+    table = np.zeros((n, count.max()), dtype=np.int64)
+    table[key[order], np.arange(len(key)) - np.repeat(np.cumsum(count) - count, count)] = item[order]
     return table
-
-
-class _BucketIndex:
-    """Uniform grid of square buckets over the nodes' bounding box.
-
-    The bucket width is the largest side of any triangle's bounding box.
-    Each bucket lists every triangle whose bounding box, padded by
-    ``_BUCKET_PAD_KM``, meets it, so a triangle that contains a point (within
-    the barycentric tolerance) is listed in that point's bucket. Each bucket
-    also lists the nodes of its 3x3 block of buckets, which holds every node
-    within one bucket width of any point in the bucket. Points off the grid
-    use the nearest bucket, which keeps both guarantees. Each kind of list is
-    kept as one padded table (``_pad``) with a row per bucket, so a query
-    gathers the candidates of many points at once.
-    """
-
-    def __init__(self, nodes: np.ndarray, triangles: np.ndarray):
-        corners = nodes[triangles]
-        lo, hi = corners.min(axis=1), corners.max(axis=1)
-        self.width = float((hi - lo).max())
-        self.origin = nodes.min(axis=0)
-        top = np.floor((nodes.max(axis=0) - self.origin) / self.width)
-        self.shape = (int(top[0]) + 1, int(top[1]) + 1)
-        self._last = top  # the last bucket's (column, row)
-        self._stride = np.array([1, self.shape[0]])  # (column, row) -> flat id
-        self.triangle_table = _pad(
-            self._by_bucket(self._cells(lo - _BUCKET_PAD_KM), self._cells(hi + _BUCKET_PAD_KM))
-        )
-        cell = self._cells(nodes)
-        self.node_table = _pad(
-            self._by_bucket(
-                np.maximum(cell - 1, 0), np.minimum(cell + 1, np.subtract(self.shape, 1))
-            )
-        )
-
-    def _by_bucket(self, first: np.ndarray, last: np.ndarray) -> list[np.ndarray]:
-        """Per bucket, the ascending ids of the items whose inclusive bucket
-        range ``first[item]``..``last[item]`` (column, row) holds it."""
-        nbx, nby = self.shape
-        span = (last - first).max(axis=0) + 1
-        buckets, items = [], []
-        for dy in range(span[1]):
-            for dx in range(span[0]):
-                ix, iy = first[:, 0] + dx, first[:, 1] + dy
-                ok = (ix <= last[:, 0]) & (iy <= last[:, 1])
-                buckets.append((iy * nbx + ix)[ok])
-                items.append(np.nonzero(ok)[0])
-        bucket_of, item = np.concatenate(buckets), np.concatenate(items)
-        ends = np.cumsum(np.bincount(bucket_of, minlength=nbx * nby))[:-1]
-        return np.split(item[np.lexsort((item, bucket_of))], ends)
-
-    def _cells(self, points: np.ndarray) -> np.ndarray:
-        """Bucket (column, row) of each point, clamped onto the grid."""
-        cells = np.floor((points - self.origin) / self.width)
-        return np.minimum(np.maximum(cells, 0), self._last).astype(np.int64)
-
-    def buckets(self, points: np.ndarray) -> np.ndarray:
-        """Flat id of the bucket that holds (or, off the grid, is nearest)
-        each row of points."""
-        return self._cells(points) @ self._stride
 
 
 @dataclass(eq=False)
 class Mesh:
-    """Conforming triangulation whose vertices are grid states.
+    """Conforming triangulation of a state lattice whose nodes are states.
 
     Triangles are counter-clockwise node-id triples; ``node_state`` maps each
-    node back to its state id and ``goal_node`` marks the node pinned by the
-    solver. Geometry caches (areas, basis gradients, edge adjacency, the
-    bucket index) are built lazily and shared by every value function on the
-    mesh; the edge table is built at once, as it also checks conformity.
+    node to its state and ``goal_node`` marks the node pinned by the solver.
+    Geometry caches (node positions, areas, basis gradients, edge adjacency,
+    the query tables) are built lazily and shared by every value function on
+    the mesh; the edge table is built at once, as it also checks conformity.
 
-    Point queries go through the bucket index (``_BucketIndex``): point
-    location weighs only the triangles listed in the point's bucket and
-    takes, in triangle order, the first with the largest minimum barycentric
-    weight, which is the triangle a search of the whole mesh would pick. The
-    nearest-node search looks in the bucket's 3x3 block and falls back to
-    every node when the best candidate is more than a bucket width away, so
-    the lowest node id still wins exact ties. Both run on whole batches of
-    rows; ``locate``, ``covers`` and ``nearest_node`` are batches of one.
-    ``project`` scans every triangle edge in one array expression.
+    Point queries are lattice arithmetic on batches of rows; ``locate``,
+    ``covers``, ``nearest_node`` and ``project`` are batches of one. Both
+    searches start from the lattice point nearest the query point, clamped
+    onto the grid. Point location weighs the triangles whose integer lattice
+    box holds that lattice point (a triangle that contains the point within
+    the barycentric tolerance does), and takes the first, in triangle order,
+    with the largest minimum barycentric weight: the pick of a search of the
+    whole mesh. The nearest-node search weighs the nodes of the 3x3 block of
+    lattice points around it in id order, so the lowest id wins exact ties.
+    It relies on every lattice point being a node (k=1) or next to one (k=2),
+    an odd goal being a state: a node outside the block then has a strictly
+    closer node two lattice steps (or, for the odd goal, one step) nearer.
+    Rows off the cover are projected in one batch onto the hull edges
+    (``edge_neighbours`` < 0), where the closest point of the cover lies;
+    the first closest in triangle-edge order is taken.
     """
 
-    nodes: np.ndarray  # (n_nodes, 2)
+    states: StateSpace
     triangles: np.ndarray  # (n_tris, 3), CCW
     node_state: np.ndarray  # (n_nodes,)
     goal_node: int
 
     def __post_init__(self) -> None:
-        if len(self.nodes) == 0 or len(self.triangles) == 0:
+        if len(self.node_state) == 0 or len(self.triangles) == 0:
             raise MeshError("mesh has no nodes or no triangles")
         if self.areas.min() <= _MIN_AREA_KM2:
             raise MeshError("mesh contains a degenerate (non-CCW or zero-area) triangle")
-        used = np.zeros(len(self.nodes), dtype=bool)
+        used = np.zeros(self.n_nodes, dtype=bool)
         used[self.triangles.ravel()] = True
         if not used.all():
             raise MeshError("mesh contains nodes that belong to no triangle")
@@ -169,7 +125,12 @@ class Mesh:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_state)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """Node positions, shape (n_nodes, 2): the centres of their states."""
+        return self.states.positions()[self.node_state]
 
     @cached_property
     def areas(self) -> np.ndarray:
@@ -195,21 +156,46 @@ class Mesh:
         return np.linalg.inv(mats), p[:, 0]
 
     @cached_property
-    def _buckets(self) -> _BucketIndex:
-        return _BucketIndex(self.nodes, self.triangles)
+    def _frame(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        """Lattice origin, cell, last (i, j) and the map of (i, j) to j * nx + i."""
+        st = self.states
+        return np.array(st.origin), st.cell_km, np.array([st.nx - 1.0, st.ny - 1.0]), np.array([1, st.nx])
+
+    def _lattice_points(self, points: np.ndarray) -> np.ndarray:
+        """The lattice point j * nx + i nearest each row, clamped onto the grid:
+        ``StateSpace.state_at`` of the rows, from cached arrays."""
+        origin, cell, last, flat = self._frame
+        ij = np.minimum(np.maximum(np.floor((points - origin) / cell + 0.5), 0.0), last)
+        return ij.astype(np.int64).dot(flat)
 
     @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every triangle edge (a, b), (b, c), (c, a), in triangle order:
-        start points, edge vectors and squared lengths."""
-        start = self.nodes[self.triangles.ravel()]
-        vec = self.nodes[self.triangles[:, [1, 2, 0]].ravel()] - start
+    def _point_triangles(self) -> np.ndarray:
+        """Per lattice point, the triangles whose integer lattice box holds
+        it: all that can contain a point that rounds to it."""
+        st = self.states
+        ij = np.stack([self.node_state % st.nx, self.node_state // st.nx], axis=-1)[self.triangles]
+        return _lattice_table(ij.min(axis=1), ij.max(axis=1), st.nx, st.n)
+
+    @cached_property
+    def _block_nodes(self) -> np.ndarray:
+        """Per lattice point, the nodes of the 3x3 block of points around it."""
+        st = self.states
+        ij = np.stack([self.node_state % st.nx, self.node_state // st.nx], axis=-1)
+        last = np.minimum(ij + 1, (st.nx - 1, st.ny - 1))
+        return _lattice_table(np.maximum(ij - 1, 0), last, st.nx, st.n)
+
+    @cached_property
+    def _hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The hull edges among the triangle edges (a, b), (b, c), (c, a), in
+        triangle-edge order: start points, edge vectors, squared lengths."""
+        on_hull = (self.edge_neighbours[:, [2, 0, 1]] < 0).ravel()  # the edges opposite c, a, b
+        start = self.nodes[self.triangles.ravel()[on_hull]]
+        vec = self.nodes[self.triangles[:, [1, 2, 0]].ravel()[on_hull]] - start
         return start, vec, np.einsum("ed,ed->e", vec, vec)
 
     def _find(self, p: Point2 | np.ndarray) -> tuple[int, np.ndarray] | None:
         """Containing triangle and weights, or None off the cover."""
-        q = np.asarray(p, dtype=float).reshape(1, 2)
-        tri, lam = self._find_many(q, self._buckets.buckets(q))
+        tri, lam = self._find_many(np.asarray(p, dtype=float).reshape(1, 2))
         return None if tri[0] < 0 else (int(tri[0]), lam[0])
 
     def locate(self, p: Point2 | np.ndarray) -> tuple[int, np.ndarray]:
@@ -219,19 +205,10 @@ class Mesh:
             raise DomainError(f"point {tuple(np.asarray(p))} outside mesh cover")
         return found
 
-    def _find_many(
-        self, points: np.ndarray, buckets: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``_find`` of every row at once, given each row's bucket: containing
-        triangle (-1 off the cover) and barycentric weights. Rows go in
-        batches of ``_BATCH_ROWS``, which bounds the temporaries."""
-        if len(points) > _BATCH_ROWS:
-            parts = [
-                self._find_many(points[r : r + _BATCH_ROWS], buckets[r : r + _BATCH_ROWS])
-                for r in range(0, len(points), _BATCH_ROWS)
-            ]
-            return np.concatenate([t for t, _ in parts]), np.concatenate([w for _, w in parts])
-        tris = self._buckets.triangle_table[buckets]
+    def _find_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_find`` of every row at once: containing triangle (-1 off the
+        cover) and barycentric weights."""
+        tris = self._point_triangles[self._lattice_points(points)]
         inv, r0 = self._bary_frames
         lam12 = np.einsum("pcij,pcj->pci", inv[tris], points[:, None, :] - r0[tris])
         lam = np.concatenate([1.0 - lam12.sum(axis=-1, keepdims=True), lam12], axis=-1)
@@ -239,71 +216,75 @@ class Mesh:
         rows, k = np.arange(len(points)), mins.argmax(axis=1)
         return np.where(mins[rows, k] >= -_BARY_TOL, tris[rows, k], -1), lam[rows, k]
 
-    def _locate_rows(
-        self, points: np.ndarray, clamp: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The located points (rows off the cover replaced by their
-        projection when ``clamp``), their buckets, their triangles and their
-        raw barycentric weights."""
+    def _nearest_many(self, points: np.ndarray) -> np.ndarray:
+        """``nearest_node`` of every row at once."""
+        ids = self._block_nodes[self._lattice_points(points)]
+        d = self.nodes[ids] - points[:, None, :]
+        k = np.einsum("pmd,pmd->pm", d, d).argmin(axis=1)
+        return ids[np.arange(len(points)), k]
+
+    def _project_many(self, points: np.ndarray) -> np.ndarray:
+        """Closest hull-edge point of every row; the first closest in
+        triangle-edge order."""
+        start, vec, length2 = self._hull
+        t = np.clip(np.einsum("ped,ed->pe", points[:, None, :] - start, vec) / length2, 0.0, 1.0)
+        cand = start + t[..., None] * vec
+        d = points[:, None, :] - cand
+        return cand[np.arange(len(points)), np.einsum("ped,ped->pe", d, d).argmin(axis=1)]
+
+    def locate_rows(self, points: np.ndarray, clamp: bool = False) -> tuple[np.ndarray, ...]:
+        """Each row's point, containing triangle, raw barycentric weights and
+        nearest node. Rows off the cover raise DomainError unless ``clamp``
+        moves them to their closest point of the cover. Rows go in batches of
+        ``_BATCH_ROWS``, which bounds the temporaries."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
-        buckets = self._buckets.buckets(points)
-        tri_idx, lams = self._find_many(points, buckets)
-        off = np.nonzero(tri_idx < 0)[0]
+        if len(points) > _BATCH_ROWS:
+            parts = [
+                self.locate_rows(points[r : r + _BATCH_ROWS], clamp)
+                for r in range(0, len(points), _BATCH_ROWS)
+            ]
+            return tuple(map(np.concatenate, zip(*parts)))
+        tri, lam = self._find_many(points)
+        off = np.flatnonzero(tri < 0)
         if len(off):
             if not clamp:
                 raise DomainError("a query point lies outside the mesh cover")
             points = points.copy()
-            for r in off:
-                points[r] = self.project(Point2(*points[r]))
-            buckets[off] = self._buckets.buckets(points[off])
-            tri_idx[off], lams[off] = self._find_many(points[off], buckets[off])
-            if (tri_idx[off] < 0).any():
+            points[off] = self._project_many(points[off])
+            tri[off], lam[off] = self._find_many(points[off])
+            if (tri[off] < 0).any():
                 raise DomainError("a projected point lies outside the mesh cover")
-        return points, buckets, tri_idx, lams
+        return points, tri, lam, self._nearest_many(points)
+
+    @cached_property
+    def centres(self) -> tuple[np.ndarray, ...]:
+        """``locate_rows`` of the state centres, clamped (the cut corners of
+        an even-sided k=2 board lie off the cover), located once; read-only."""
+        rows = self.locate_rows(self.states.positions(), clamp=True)
+        for a in rows:
+            a.setflags(write=False)
+        return rows
 
     def locate_many(
         self, points: np.ndarray, clamp: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """Point location of each row; optionally projects uncovered points."""
-        _, _, tri_idx, lams = self._locate_rows(points, clamp)
-        return tri_idx, np.clip(lams, 0.0, 1.0)
+        _, tri, lam, _ = self.locate_rows(points, clamp)
+        return tri, np.clip(lam, 0.0, 1.0)
 
     def covers(self, p: Point2 | np.ndarray) -> bool:
         return self._find(p) is not None
 
     def nearest_node(self, p: Point2 | np.ndarray) -> int:
         """Closest node; the lowest node id wins exact ties."""
-        q = np.asarray(p, dtype=float).reshape(1, 2)
-        return int(self._nearest_many(q, self._buckets.buckets(q))[0])
-
-    def _nearest_many(self, points: np.ndarray, buckets: np.ndarray) -> np.ndarray:
-        """``nearest_node`` of every row at once, given each row's bucket."""
-        ids = self._buckets.node_table[buckets]
-        d = self.nodes[ids] - points[:, None, :]
-        d2 = np.einsum("pmd,pmd->pm", d, d)
-        rows, k = np.arange(len(points)), d2.argmin(axis=1)
-        nearest = ids[rows, k]
-        # The block holds every node within one bucket width of a point; the
-        # factor keeps that true under the rounding of the bucket arithmetic.
-        # Beyond it, every node is searched.
-        far = np.nonzero(d2[rows, k] > (self._buckets.width * (1.0 - 1e-9)) ** 2)[0]
-        if len(far):
-            d = self.nodes[None, :, :] - points[far, None, :]
-            nearest[far] = np.einsum("pnd,pnd->pn", d, d).argmin(axis=1)
-        return nearest
+        return int(self._nearest_many(np.asarray(p, dtype=float).reshape(1, 2))[0])
 
     def project(self, p: Point2) -> Point2:
-        """Closest point of the mesh cover (used for queries off the hull);
-        the first closest edge point in triangle-edge order."""
+        """Closest point of the mesh cover (used for queries off the hull)."""
         if self.covers(p):
             return p
-        start, vec, length2 = self._edges
-        q = np.asarray(p, dtype=float)
-        t = np.clip(np.einsum("ed,ed->e", q - start, vec) / length2, 0.0, 1.0)
-        cand = start + t[:, None] * vec
-        d = q - cand
-        best = cand[int(np.argmin(np.einsum("ed,ed->e", d, d)))]
-        return Point2(float(best[0]), float(best[1]))
+        q = self._project_many(np.asarray(p, dtype=float).reshape(1, 2))[0]
+        return Point2(float(q[0]), float(q[1]))
 
     @cached_property
     def hessian_patches(self) -> list[tuple[np.ndarray, np.ndarray | None]]:
@@ -403,13 +384,13 @@ class Mesh:
         return out.reshape(-1, 3)
 
 
-def _full_grid_mesh(states: StateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _full_grid_mesh(states: StateSpace) -> tuple[np.ndarray, np.ndarray, int]:
     """Every cell split along its SW-NE diagonal into (sw, se, ne) and
     (sw, ne, nw), cells in state order; node n is state n."""
     ids = np.arange(states.n, dtype=np.int64).reshape(states.ny, states.nx)
     sw, se, ne, nw = ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]
     tris = np.stack([sw, se, ne, sw, ne, nw], axis=-1).reshape(-1, 3)
-    return states.positions(), tris, ids.ravel(), int(states.goal)
+    return tris, ids.ravel(), int(states.goal)
 
 
 # The halves a diamond may keep, over its (W, S, E, N) corners: those of its
@@ -420,7 +401,7 @@ _HALVES = np.array([[0, 2, 3], [0, 1, 2], [1, 2, 3], [0, 1, 3]])
 _SPLIT = np.array([[0, 2, 3], [0, 2, 1], [1, 3, 2], [1, 3, 0]])
 
 
-def _checkerboard_mesh(states: StateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _checkerboard_mesh(states: StateSpace) -> tuple[np.ndarray, np.ndarray, int]:
     """Even-parity states triangulated by the rotated lattice they induce.
 
     Every odd-parity grid point is the centre of a diamond whose W, S, E and
@@ -450,7 +431,7 @@ def _checkerboard_mesh(states: StateSpace) -> tuple[np.ndarray, np.ndarray, np.n
     keep = (halves >= 0).all(axis=2)
     keep[:, 2:] &= corners[:, [0, 2]] < 0  # the vertical split only where W or E is missing
     if not odd[states.goal]:
-        return states.positions()[kept], halves[keep], kept, int(ids[states.goal])
+        return halves[keep], kept, int(ids[states.goal])
 
     r = np.count_nonzero(odd[: states.goal])  # the goal's diamond
     u, v, o = corners[r, _SPLIT[keep[r]]].T
@@ -460,19 +441,18 @@ def _checkerboard_mesh(states: StateSpace) -> tuple[np.ndarray, np.ndarray, np.n
     if not len(split):  # a cut corner: one of W, E and one of S, N is in the grid
         split = np.array([[corners[r, [0, 2]].max(), corners[r, [1, 3]].max(), len(kept)]])
     node_state = np.append(kept, states.goal)
-    nodes = states.positions()[node_state]
-    p = nodes[split]
+    p = states.positions()[node_state][split]
     cw = _cross_z(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) < 0
     split[cw] = split[cw][:, [0, 2, 1]]
-    return nodes, np.concatenate([halves[keep], split]), node_state, len(kept)
+    return np.concatenate([halves[keep], split]), node_state, len(kept)
 
 
 def build_mesh(states: StateSpace, k: int = 1) -> Mesh:
     """Triangulate the state grid (k=1) or its checkerboard subset (k=2)."""
     if k == 1:
-        return Mesh(*_full_grid_mesh(states))
+        return Mesh(states, *_full_grid_mesh(states))
     if k == 2:
-        return Mesh(*_checkerboard_mesh(states))
+        return Mesh(states, *_checkerboard_mesh(states))
     raise MeshError(f"subsample factor k must be 1 or 2, got {k}")
 
 
@@ -600,9 +580,11 @@ class ContinuousValue:
     ``Mesh.hessian_patches``. The fits of every node are one matvec of
     ``Mesh.hessian_operator`` with the coefficients (``node_hessians``).
 
-    ``expansion`` answers all three queries for many points at once; policy
-    improvement and the continuous planner use it. ``evaluate``,
-    ``gradient`` and ``hessian`` are its batches of one.
+    ``expansion`` answers all three queries for many points at once: one
+    ``Mesh.locate_rows``, then ``expansion_at`` the located rows. The
+    continuous planner uses it; policy improvement calls ``expansion_at`` on
+    the state centres, located once per mesh (``Mesh.centres``).
+    ``evaluate``, ``gradient`` and ``hessian`` are its batches of one.
     """
 
     mesh: Mesh
@@ -655,23 +637,26 @@ class ContinuousValue:
     def expansion(
         self, points: np.ndarray, clamp: bool = False
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Value (n,), gradient (n, 2) and Hessian (n, 2, 2) at each row of
-        ``points``, from one batched point location and one batched
-        nearest-node search. The value interpolates the containing triangle's
-        corners. The gradient is the nearest node's recovered gradient within
-        1e-9 km of a node, the area-weighted mean of the two triangles on an
-        edge, and the element gradient inside a triangle. The Hessian is the
-        nearest node's fit. Rows off the mesh cover raise DomainError unless
-        ``clamp`` moves them to their ``Mesh.project``.
+        """``expansion_at`` the rows of ``points``, located by one batched
+        ``Mesh.locate_rows``. Rows off the mesh cover raise DomainError unless
+        ``clamp`` moves them to their closest point of the cover."""
+        return self.expansion_at(self.mesh.locate_rows(points, clamp))
+
+    def expansion_at(self, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Value (n,), gradient (n, 2) and Hessian (n, 2, 2) at rows located
+        by ``Mesh.locate_rows``.
+        The value interpolates the containing triangle's corners. The
+        gradient is the nearest node's recovered gradient within 1e-9 km of a
+        node, the area-weighted mean of the two triangles on an edge, and the
+        element gradient inside a triangle. The Hessian is the nearest node's
+        fit.
         """
         mesh = self.mesh
-        points, buckets, tri, lam = mesh._locate_rows(points, clamp)
+        points, tri, lam, nearest = rows
         corners = self.coefficients[mesh.triangles[tri]]
         # Stacked (1, k) @ (k, 1) products take the dot kernel of a 1-D ``@``
         # and of ``np.linalg.norm``, so the sums round as one point's would.
         value = (lam[:, None, :] @ corners[:, :, None])[:, 0, 0]
-
-        nearest = mesh._nearest_many(points, buckets)
         d = (mesh.nodes[nearest] - points)[:, None, :]
         at_node = np.sqrt(d @ d.swapaxes(1, 2))[:, 0, 0] < _NODE_TOL_KM
         grad = np.where(

@@ -123,10 +123,17 @@ def improve_policy_continuous(
     lowest action index, as in the discrete improvement step. With
     ``incumbent``/``margins`` set (the loop's hysteresis), a state keeps its
     incumbent action unless the best challenger clears the margin. All states
-    and actions are scored in one pass over ``ContinuousValue.expansion``.
+    and actions are scored in one pass over ``ContinuousValue.expansion_at``;
+    on a mesh of the model's own states, a clamped call reads the centres the
+    mesh located once (``Mesh.centres``), so the loop does not relocate them.
     """
     states = np.arange(model.n_states)
-    v, grad, hess = value.expansion(model.states.positions(), clamp=clamp)
+    mesh = value.mesh
+    if clamp and mesh.states is model.states:
+        rows = mesh.centres
+    else:
+        rows = mesh.locate_rows(model.states.positions(), clamp)
+    v, grad, hess = value.expansion_at(rows)
     scores = _state_scores(model, states, v, grad, hess, convention)
     best = best_action(scores)
     if incumbent is None:
@@ -143,16 +150,14 @@ def project_wall_tangential(coeffs, mesh: fem.Mesh, model: MdpModel) -> None:
     grid's walls, but their raw second moments do not encode that; projecting
     the moment onto the wall-tangential direction makes the natural zero-flux
     side condition hold identically and removes the boundary layer it would
-    otherwise induce in the evaluated value. Mutates ``coeffs`` in place.
+    otherwise induce in the evaluated value. A node is on a wall when its
+    state's lattice column or row is the grid's first or last. Mutates
+    ``coeffs`` in place.
     """
-    st = model.states
-    x_lo, y_lo = st.origin
-    x_hi = st.origin.x + (st.nx - 1) * st.cell_km
-    y_hi = st.origin.y + (st.ny - 1) * st.cell_km
-    tol = 1e-9
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    on_x = (np.abs(x - x_lo) < tol) | (np.abs(x - x_hi) < tol)
-    on_y = (np.abs(y - y_lo) < tol) | (np.abs(y - y_hi) < tol)
+    nx, ny = model.states.nx, model.states.ny
+    i, j = mesh.node_state % nx, mesh.node_state // nx
+    on_x = (i == 0) | (i == nx - 1)
+    on_y = (j == 0) | (j == ny - 1)
     sig = coeffs.diffusion
     sig[on_x, 0, 0] = 0.0
     sig[on_y, 1, 1] = 0.0
@@ -175,7 +180,9 @@ def evaluate_policy_fem(
 
 
 def approximate_policy_iteration(model: MdpModel, cfg: ApiConfig = ApiConfig()) -> ApiResult:
-    """Alternate FEM evaluation and pointwise improvement on all grid states."""
+    """Alternate FEM evaluation and pointwise improvement on all grid states.
+    The mesh never changes, so the state centres are located on it once, in
+    the first improvement (``Mesh.centres``)."""
     mesh = fem.build_mesh(model.states, cfg.k)
     policy = initial_policy(model, cfg.init_policy)
     change_counts: list[int] = []

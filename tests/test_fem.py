@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,6 +24,21 @@ from flowplan.moments import PdeCoefficients, assemble_coefficients
 from flowplan.policy_iter import project_wall_tangential
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+# The csv-wall-k2 benchmark grid: (nx, ny, cell, origin), goal (18, 17).
+CSV_WALL_CELL = 40.0 / 24.0
+CSV_WALL = (24, 24, CSV_WALL_CELL, Point2(CSV_WALL_CELL / 2, CSV_WALL_CELL / 2))
+
+
+def unit_grid(n):
+    """n x n states of 1 km cells from the origin: UNIT_RIGHT is states 0, 1
+    and n."""
+    return StateSpace.regular(n, n, 1.0, (0, 0), origin=Point2(0.0, 0.0))
+
+
+def lattice_mesh(states, nodes, tris, node_state):
+    """A hand-built mesh on ``states``, whose nodes sit at ``nodes``."""
+    assert np.array_equal(states.positions()[node_state], nodes)
+    return Mesh(states, np.asarray(tris), np.asarray(node_state), goal_node=0)
 
 
 def grid_states(n, cell=2.0, goal=(0, 0)):
@@ -46,9 +63,10 @@ def constant_coefficients(mesh, drift=(0.0, 0.0), diffusion=None, source=0.0, ga
     )
 
 
+@functools.lru_cache(maxsize=4)
 def _edge_triangles(mesh):
     """Reference edge map: every sorted node pair to the triangles that
-    have it as an edge, in triangle order."""
+    have it as an edge, in triangle order (built once per mesh)."""
     edges = {}
     for e, (a, b, c) in enumerate(mesh.triangles.tolist()):
         for u, v in ((a, b), (b, c), (c, a)):
@@ -110,21 +128,23 @@ def _check_edge_neighbours(mesh):
 
 
 def test_mesh_rejects_an_edge_of_three_triangles():
+    # States of a 3x7 grid of 0.5 km cells from (0, -1).
+    states = StateSpace.regular(3, 7, 0.5, (0, 0), origin=Point2(0.0, -1.0))
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])  # all counter-clockwise
     with pytest.raises(MeshError, match="shared by >2 triangles"):
-        Mesh(nodes, tris, np.arange(5), goal_node=0)
+        lattice_mesh(states, nodes, tris, [6, 8, 13, 1, 19])
 
 
 def test_mesh_rejects_a_clockwise_triangle():
     with pytest.raises(MeshError, match="non-CCW"):
-        Mesh(UNIT_RIGHT, np.array([[0, 2, 1]]), np.arange(3), goal_node=0)
+        lattice_mesh(unit_grid(2), UNIT_RIGHT, [[0, 2, 1]], [0, 1, 2])
 
 
 def test_mesh_rejects_a_node_in_no_triangle():
     nodes = np.vstack([UNIT_RIGHT, [[5.0, 5.0]]])
     with pytest.raises(MeshError, match="belong to no triangle"):
-        Mesh(nodes, np.array([[0, 1, 2]]), np.arange(4), goal_node=0)
+        lattice_mesh(unit_grid(6), nodes, [[0, 1, 2]], [0, 1, 6, 35])
 
 
 def test_checkerboard_nodes_subset_of_full_and_goal_present():
@@ -200,7 +220,7 @@ def _reference_checkerboard(states):
     gid = len(nodes)
     nodes = np.vstack([nodes, g])
     node_state = np.append(node_state, states.goal)
-    probe = Mesh(nodes[:-1], np.asarray(tris), node_state[:-1], goal_node=0)
+    probe = lattice_mesh(states, nodes[:-1], tris, node_state[:-1])
     lam_all = _barycentric(probe, g)
     containing = [e for e in range(len(tris)) if lam_all[e].min() >= -1e-9]
     keep = [t for e, t in enumerate(tris) if e not in containing]
@@ -281,6 +301,45 @@ def _edge_loop_project(mesh, p):
     return best
 
 
+def _all_edge_project(mesh, p):
+    """Closest point of the cover to a point off it, by one scan of every
+    triangle edge: the first closest edge point in triangle-edge order."""
+    start = mesh.nodes[mesh.triangles.ravel()]
+    vec = mesh.nodes[mesh.triangles[:, [1, 2, 0]].ravel()] - start
+    q = np.asarray(p, dtype=float)
+    t = np.clip(np.einsum("ed,ed->e", q - start, vec) / np.einsum("ed,ed->e", vec, vec), 0.0, 1.0)
+    cand = start + t[:, None] * vec
+    d = q - cand
+    return cand[int(np.argmin(np.einsum("ed,ed->e", d, d)))]
+
+
+def _raster(bounds, n):
+    x0, x1, y0, y1 = bounds
+    return np.stack(np.meshgrid(np.linspace(x0, x1, n), np.linspace(y0, y1, n)), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "states, k, points",
+    [
+        # The value raster of the paper gyre (20x20, k=1) and of csv-wall-k2.
+        (StateSpace.regular(20, 20, 2.0, (17, 17)), 1, _raster((0.0, 40.0, 0.0, 40.0), 41)),
+        (StateSpace.regular(*CSV_WALL[:3], (18, 17), CSV_WALL[3]), 2, _raster((0.0, 40.0, 0.0, 40.0), 11)),
+        # The cut-corner centres of even-sided k=2 boards, with even and odd goals.
+        (StateSpace.regular(20, 20, 2.0, (17, 17)), 2, None),
+        (StateSpace.regular(8, 8, 2.0, (3, 4)), 2, None),
+        (StateSpace.regular(*CSV_WALL[:3], (18, 17), CSV_WALL[3]), 2, None),
+    ],
+)
+def test_hull_projection_matches_the_all_edge_scan_bit_for_bit(states, k, points):
+    mesh = build_mesh(states, k)
+    points = states.positions() if points is None else points
+    off = np.array([not mesh.covers(p) for p in points])
+    assert off.any()
+    want = np.array([_all_edge_project(mesh, p) for p in points[off]])
+    assert np.array_equal(mesh._project_many(points[off]), want)
+    assert np.array_equal(mesh.locate_rows(points, clamp=True)[0][off], want)
+
+
 def _query_points(mesh, states, rng):
     lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
     pts = [rng.uniform(lo - 3.0, hi + 3.0, size=(300, 2))]  # some off the hull
@@ -293,40 +352,48 @@ def _query_points(mesh, states, rng):
     return np.concatenate(pts)
 
 
+# The geometries of the brute-force query checks: square grids of 2 km cells
+# at the default origin, the csv-wall-k2 grid (40/24 km cells, an odd goal
+# inside the hull) and two non-square grids from offset origins. The ids of
+# the first cases are the (n, k, goal) ids these tests had before.
+QUERY_GEOMETRIES = {
+    "csv-wall-k2": (*CSV_WALL, 2, (18, 17)),
+    "9x5-k2-odd-goal-on-hull": (9, 5, 0.3, Point2(-1.1, 0.35), 2, (8, 1)),
+    "5x11-k1": (5, 11, 0.7, Point2(0.3, -1.1), 1, (2, 7)),
+}
+
+
+def _square(n, k, goal, id):
+    return pytest.param(n, n, 2.0, None, k, goal, id=id)
+
+
+def _geometry_params(*square):
+    return [*square, *(pytest.param(*g, id=name) for name, g in QUERY_GEOMETRIES.items())]
+
+
 @pytest.mark.parametrize(
-    "n, k, goal",
-    [
-        (7, 1, (3, 2)),
-        (8, 2, (3, 3)),  # even goal: a lattice node
-        (8, 2, (3, 4)),  # odd goal inside the hull: inserted
-        (8, 2, (7, 0)),  # odd goal on a cut corner: hooked onto the hull
-    ],
+    "nx, ny, cell, origin, k, goal",
+    _geometry_params(
+        _square(7, 1, (3, 2), "7-1-goal0"),
+        _square(8, 2, (3, 3), "8-2-goal1"),  # even goal: a lattice node
+        _square(8, 2, (3, 4), "8-2-goal2"),  # odd goal inside the hull: inserted
+        _square(8, 2, (7, 0), "8-2-goal3"),  # odd goal on a cut corner: hooked onto the hull
+    ),
 )
-def test_bucketed_queries_match_brute_force(n, k, goal):
-    states = grid_states(n, goal=goal)
+def test_bucketed_queries_match_brute_force(nx, ny, cell, origin, k, goal):
+    # The buckets are the lattice points: each lists the triangles whose
+    # lattice box holds it and the nodes of its 3x3 block.
+    states = StateSpace.regular(nx, ny, cell, goal, origin=origin)
     mesh = build_mesh(states, k=k)
-    rng = np.random.default_rng(n * 10 + goal[1])
+    rng = np.random.default_rng(nx * 10 + goal[1])
     assert _check_queries(mesh, _query_points(mesh, states, rng)) > 40
-
-
-def test_bucketed_queries_on_a_sparse_mesh():
-    # A 10 km triangle and a tiny one 31 km east of it: between them, a
-    # bucket's 3x3 block holds no node or only a node farther than one
-    # bucket width, while a closer node lies outside the block.
-    nodes = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [41.0, 0.0], [41.1, 0.0], [41.0, 0.1]])
-    mesh = Mesh(nodes, np.array([[0, 1, 2], [3, 4, 5]]), np.arange(6), goal_node=0)
-    pts = np.random.default_rng(4).uniform(-20.0, 60.0, size=(300, 2))
-    pts = np.concatenate([pts, nodes, [[5.0, 1.0], [41.01, 0.01], [29.0, 0.0]]])
-    assert mesh.nearest_node(Point2(29.0, 0.0)) == 3
-    assert _check_queries(mesh, pts) > 250
 
 
 def _check_queries(mesh, points):
     """Checks every query at every point, one at a time and batched, against
     brute force; returns the number of points off the cover."""
-    buckets = mesh._buckets.buckets(points)
-    tri_idx, lams = mesh._find_many(points, buckets)
-    nearest = mesh._nearest_many(points, buckets)
+    tri_idx, lams = mesh._find_many(points)
+    nearest = mesh._nearest_many(points)
     for p, e, lam, n in zip(points, tri_idx, lams, nearest):
         found = _brute_locate(mesh, p)
         assert e == (-1 if found is None else found[0])
@@ -375,29 +442,19 @@ def test_locate_many_matches_single_point_queries():
 
 
 @pytest.mark.parametrize(
-    "n, k, goal",
-    [
-        (7, 1, (3, 2)),
-        (8, 2, (3, 4)),  # odd goal inside the hull: inserted
-        (8, 2, (7, 0)),  # odd goal on a cut corner: hooked onto the hull
-    ],
+    "nx, ny, cell, origin, k, goal",
+    _geometry_params(
+        _square(7, 1, (3, 2), "7-1-goal0"),
+        _square(8, 2, (3, 4), "8-2-goal1"),  # odd goal inside the hull: inserted
+        _square(8, 2, (7, 0), "8-2-goal2"),  # odd goal on a cut corner: hooked onto the hull
+    ),
 )
-def test_expansion_matches_scalar_queries_exactly(n, k, goal):
-    states = grid_states(n, goal=goal)
+def test_expansion_matches_scalar_queries_exactly(nx, ny, cell, origin, k, goal):
+    states = StateSpace.regular(nx, ny, cell, goal, origin=origin)
     mesh = build_mesh(states, k=k)
-    rng = np.random.default_rng(10 * n + goal[1])
+    rng = np.random.default_rng(10 * nx + goal[1])
     kinds = _check_expansion(mesh, _query_points(mesh, states, rng), rng)
     assert kinds == {"off", "node", "edge", "interior"}
-
-
-def test_expansion_on_a_sparse_mesh():
-    # Empty buckets and nearest nodes outside the bucket's block (see
-    # test_bucketed_queries_on_a_sparse_mesh) in the batched queries.
-    nodes = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [41.0, 0.0], [41.1, 0.0], [41.0, 0.1]])
-    mesh = Mesh(nodes, np.array([[0, 1, 2], [3, 4, 5]]), np.arange(6), goal_node=0)
-    rng = np.random.default_rng(5)
-    pts = np.concatenate([rng.uniform(-20.0, 60.0, size=(300, 2)), nodes, [[29.0, 0.0]]])
-    assert "off" in _check_expansion(mesh, pts, rng)
 
 
 def _reference_evaluate(value, p):
@@ -490,7 +547,7 @@ def test_node_hessians_are_the_patch_fits(k, goal):
 def _unit_right_block(drift, diffusion, gamma):
     """The assembled matrix of the one-triangle mesh on UNIT_RIGHT: its only
     element block, gamma * advection - gamma/2 * stiffness - (1-gamma) * mass."""
-    mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, 2]]), np.arange(3), goal_node=0)
+    mesh = lattice_mesh(unit_grid(2), UNIT_RIGHT, [[0, 1, 2]], [0, 1, 2])
     coeffs = constant_coefficients(mesh, drift=drift, diffusion=diffusion, gamma=gamma)
     return assemble(mesh, coeffs).matrix.toarray()
 

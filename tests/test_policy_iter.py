@@ -177,6 +177,19 @@ def test_batched_improvement_matches_per_state_reference(gyre_benchmark, k):
     assert 0 < np.sum(held != policy) < np.sum(plain != policy)  # margins hold some
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_api_scores_the_centres_it_located_once(gyre_benchmark, gyre_api, k):
+    # The loop keeps the located state centres on its mesh; on k=2 two of
+    # them lie off the cover and are projected.
+    model, _ = gyre_benchmark
+    value = gyre_api[k].value
+    assert "centres" in vars(value.mesh)
+    got = value.expansion_at(value.mesh.centres)
+    want = value.expansion(model.states.positions(), clamp=True)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 def test_improvement_outside_mesh_raises(gyre_benchmark):
     model, _ = gyre_benchmark
     small = StateSpace.regular(4, 4, 2.0, (3, 3), origin=model.states.origin)
