@@ -22,6 +22,7 @@ from .flowfield import (
     NoiseParams,
     Point2,
     Velocity2,
+    field_velocities,
     field_velocity,
     grid_field,
     gyre_field,

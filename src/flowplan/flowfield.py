@@ -14,10 +14,10 @@ commands emit.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -26,6 +26,8 @@ import numpy as np
 from .errors import DomainError, FieldFormatError
 
 _COORD_TOL_KM = 1e-6
+# How far outside its rectangle a point may lie and still be in the domain.
+_DOMAIN_TOL_KM = 1e-9
 
 
 class Point2(NamedTuple):
@@ -93,6 +95,11 @@ class GridSamples:
             if arr.shape != (self.ny, self.nx):
                 raise ValueError(f"{name} must have shape (ny, nx) = ({self.ny}, {self.nx})")
 
+    @cached_property
+    def _nested(self) -> tuple[list[list[float]], list[list[float]]]:
+        """``vx`` and ``vy`` as nested lists of rows, for per-row lookups."""
+        return self.vx.tolist(), self.vy.tolist()
+
 
 @dataclass(frozen=True, eq=False)
 class FlowField:
@@ -114,7 +121,7 @@ class FlowField:
         if self.extent[0] <= 0 or self.extent[1] <= 0:
             raise ValueError("domain extent must be positive")
 
-    def contains(self, p: Point2, tol: float = 1e-9) -> bool:
+    def contains(self, p: Point2, tol: float = _DOMAIN_TOL_KM) -> bool:
         return (
             self.origin.x - tol <= p[0] <= self.origin.x + self.extent[0] + tol
             and self.origin.y - tol <= p[1] <= self.origin.y + self.extent[1] + tol
@@ -155,46 +162,72 @@ def gyre_velocity(p: Point2, params: GyreParams) -> Velocity2:
     return Velocity2(-a * math.sin(kx) * math.cos(ky), a * math.cos(kx) * math.sin(ky))
 
 
-def _bilinear(samples: GridSamples, p: Point2) -> Velocity2:
-    u = (p[0] - samples.origin.x) / samples.cell_km
-    v = (p[1] - samples.origin.y) / samples.cell_km
-    i = min(max(int(math.floor(u)), 0), samples.nx - 2)
-    j = min(max(int(math.floor(v)), 0), samples.ny - 2)
-    fx = u - i
-    fy = v - j
-    w00 = (1.0 - fx) * (1.0 - fy)
-    w10 = fx * (1.0 - fy)
-    w01 = (1.0 - fx) * fy
-    w11 = fx * fy
-    vx = (
-        w00 * samples.vx[j, i]
-        + w10 * samples.vx[j, i + 1]
-        + w01 * samples.vx[j + 1, i]
-        + w11 * samples.vx[j + 1, i + 1]
-    )
-    vy = (
-        w00 * samples.vy[j, i]
-        + w10 * samples.vy[j, i + 1]
-        + w01 * samples.vy[j + 1, i]
-        + w11 * samples.vy[j + 1, i + 1]
-    )
-    return Velocity2(float(vx), float(vy))
+def field_velocities(field: FlowField, points: np.ndarray | Sequence[Point2]) -> np.ndarray:
+    """Noise-free velocity at each row of ``points``, as an (n, 2) array;
+    raises DomainError, naming the first row outside the domain.
+
+    Row by row in Python floats: the gyre's ``math`` sine and cosine may
+    round differently from numpy's, and on the few dozen rows of a simulator
+    step a numpy gather costs more than the loop.
+    """
+    rows = np.asarray(points, dtype=float).reshape(-1, 2).tolist()
+    (x0, y0), (width, height) = field.origin, field.extent
+    x_lo, x_hi = x0 - _DOMAIN_TOL_KM, x0 + width + _DOMAIN_TOL_KM
+    y_lo, y_hi = y0 - _DOMAIN_TOL_KM, y0 + height + _DOMAIN_TOL_KM
+    inside = [x_lo <= x <= x_hi and y_lo <= y <= y_hi for x, y in rows]
+    if not all(inside):
+        raise DomainError(f"point {tuple(rows[inside.index(False)])} outside field domain")
+    if field.gyre is not None:
+        a = math.pi * field.gyre.strength_kmh
+        size = field.gyre.size_km
+        sin, cos, pi = math.sin, math.cos, math.pi
+        flat: list[float] = []
+        for x, y in rows:
+            kx = pi * x / size
+            ky = pi * y / size
+            flat += (-a * sin(kx) * cos(ky), a * cos(kx) * sin(ky))
+    else:
+        assert field.grid is not None
+        flat = _bilinear_rows(field.grid, rows)
+    return np.array(flat, dtype=float).reshape(-1, 2)
+
+
+def _bilinear_rows(samples: GridSamples, rows: list[list[float]]) -> list[float]:
+    """Bilinear interpolation of the samples at each (x, y) row, with the
+    lattice cell clamped to the grid; the (vx, vy) pairs in one flat list."""
+    vx, vy = samples._nested
+    x0, y0, cell = samples.origin.x, samples.origin.y, samples.cell_km
+    i_max, j_max = samples.nx - 2, samples.ny - 2
+    flat: list[float] = []
+    for x, y in rows:
+        u = (x - x0) / cell
+        v = (y - y0) / cell
+        i = min(max(math.floor(u), 0), i_max)
+        j = min(max(math.floor(v), 0), j_max)
+        fx = u - i
+        fy = v - j
+        w00 = (1.0 - fx) * (1.0 - fy)
+        w10 = fx * (1.0 - fy)
+        w01 = (1.0 - fx) * fy
+        w11 = fx * fy
+        row0, row1 = vx[j], vx[j + 1]
+        bx = w00 * row0[i] + w10 * row0[i + 1] + w01 * row1[i] + w11 * row1[i + 1]
+        row0, row1 = vy[j], vy[j + 1]
+        by = w00 * row0[i] + w10 * row0[i + 1] + w01 * row1[i] + w11 * row1[i + 1]
+        flat += (bx, by)
+    return flat
 
 
 def field_velocity(field: FlowField, p: Point2) -> Velocity2:
-    """Noise-free velocity at ``p``; raises DomainError outside the domain."""
-    if not field.contains(p):
-        raise DomainError(f"point {tuple(p)} outside field domain")
-    if field.gyre is not None:
-        return gyre_velocity(p, field.gyre)
-    assert field.grid is not None
-    return _bilinear(field.grid, p)
+    """Noise-free velocity at ``p``: :func:`field_velocities` on one row."""
+    return Velocity2(*field_velocities(field, [p])[0].tolist())
 
 
 def sample_noise(noise: NoiseParams, rng: np.random.Generator, scale: float = 1.0) -> tuple[float, float]:
     """Independent per-axis Gaussian velocity noise, x drawn before y, each
-    draw multiplied by ``scale``. Two scalar draws: one draw of both axes
-    gives the same numbers but costs several times as long."""
+    draw multiplied by ``scale``. A block ``rng.normal(0.0, (sigma_x,
+    sigma_y), size=(m, 2))`` draws the same numbers as ``m`` calls, in the
+    same order; the simulator draws its per-step noise that way."""
     return scale * rng.normal(0.0, noise.sigma_x), scale * rng.normal(0.0, noise.sigma_y)
 
 
@@ -222,6 +255,20 @@ def _nearest(lattice: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(np.abs(lattice[lo] - values) <= np.abs(lattice[hi] - values), lo, hi)
 
 
+def _raise_first_bad_record(body: list[list[str]]) -> None:
+    """Raise the FieldFormatError of the first bad record; ``body`` holds the
+    records after the header line."""
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != 4:
+            raise FieldFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
+        try:
+            record = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise FieldFormatError(f"line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, record)):
+            raise FieldFormatError(f"line {lineno}: values must be finite, got {row}")
+
+
 def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> FlowField:
     """Build a grid-sampled field from CSV records.
 
@@ -232,37 +279,33 @@ def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> F
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
-            return load_grid_field(list(fh), noise)
+            return load_grid_field(fh, noise)
 
-    reader = csv.reader(io.StringIO("".join(line for line in source)))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = [row for row in csv.reader(source) if "".join(row).strip()]
     if not rows:
         raise FieldFormatError("empty input")
     header = [cell.strip() for cell in rows[0]]
     if header != ["x_km", "y_km", "vx_kmh", "vy_kmh"]:
         raise FieldFormatError(f"unexpected header {header}")
 
-    records: list[tuple[float, float, float, float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise FieldFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
+    # Parse the whole table at once; only when a check fails, look for the
+    # first bad line to name it.
+    body = rows[1:]
+    table = None
+    if set(map(len, body)) <= {4}:
         try:
-            record = tuple(float(cell) for cell in row)
-        except ValueError as exc:
-            raise FieldFormatError(f"line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, record)):
-            raise FieldFormatError(f"line {lineno}: values must be finite, got {row}")
-        records.append(record)  # type: ignore[arg-type]
-
-    xs = _cluster([r[0] for r in records])
-    ys = _cluster([r[1] for r in records])
+            table = np.fromiter(map(float, itertools.chain.from_iterable(body)), dtype=float).reshape(-1, 4)
+        except ValueError:
+            pass
+    if table is None or not np.isfinite(table).all():
+        _raise_first_bad_record(body)
+    xs = _cluster(table[:, 0].tolist())
+    ys = _cluster(table[:, 1].tolist())
     nx, ny = len(xs), len(ys)
     if nx < 2 or ny < 2:
         raise FieldFormatError(f"lattice must be at least 2x2, got {nx}x{ny}")
-    if nx * ny != len(records):
-        raise FieldFormatError(
-            f"expected {nx}x{ny} = {nx * ny} lattice records, got {len(records)}"
-        )
+    if nx * ny != len(table):
+        raise FieldFormatError(f"expected {nx}x{ny} = {nx * ny} lattice records, got {len(table)}")
     dxs = np.diff(xs)
     dys = np.diff(ys)
     cell = float(dxs[0])
@@ -272,12 +315,11 @@ def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> F
     # Key each record to its nearest lattice point. Every coordinate lies
     # within the tolerance of its own cluster, so only duplicates can clash;
     # with the count check passed, no duplicate means no missing point.
-    table = np.array(records)
     slot = _nearest(np.asarray(ys), table[:, 1]) * nx + _nearest(np.asarray(xs), table[:, 0])
     repeat = np.ones(len(slot), dtype=bool)
     repeat[np.unique(slot, return_index=True)[1]] = False
     if repeat.any():
-        x, y = records[int(np.argmax(repeat))][:2]
+        x, y = table[int(np.argmax(repeat)), :2].tolist()
         raise FieldFormatError(f"duplicate record at ({x}, {y})")
     velocity = np.empty((nx * ny, 2))
     velocity[slot] = table[:, 2:]

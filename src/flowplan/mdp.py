@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv
 
 from .errors import IterationLimitError, NumericalError
-from .flowfield import FlowField, NoiseParams, Point2, field_velocity, write_table
+from .flowfield import FlowField, NoiseParams, Point2, field_velocities, write_table
 
 COMPASS_ORDER = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 
@@ -237,8 +237,7 @@ def build_model(
 
     drift = np.zeros((n, 2))
     free = np.flatnonzero(~terminal)
-    centres = states.positions()[free].tolist()
-    drift[free] = np.array([field_velocity(field, Point2(x, y)) for x, y in centres]).reshape(-1, 2)
+    drift[free] = field_velocities(field, states.positions()[free])
     heading = v_max * np.array([COMPASS_VECTORS[c] for c in COMPASS_ORDER])
     means = (drift.T[:, None, :] + heading.T[:, :, None]) * dt_h  # (2, 8, n)
     # Per-axis log-weights of every (offset, action, state), shape (3, 8, n):

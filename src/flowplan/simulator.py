@@ -5,17 +5,19 @@ freshly sampled disturbed current plus the commanded (heading, speed) pair.
 All trials of one planner advance in lockstep as the rows of a (trials, 2)
 array: each step moves every live trial, and the trials that need a new
 command get it from one batched planner call. Every trial draws its noise
-from its own generator, so its path does not depend on the other trials.
+from its own generator, in one block of per-step draws for a fixed number of
+steps at a time, so its path does not depend on the other trials.
 Three planner kinds are supported: a discrete grid policy that is re-queried
 on cell change or every action interval, a continuous planner that re-scores
 the compass actions against a finite-element value function every step, and
 a goal-oriented baseline that always heads straight for the goal at full
 speed. Trials stop on entering the goal radius, on hitting an obstacle cell
 (counted as a failure), or when the time budget runs out; each trajectory
-records which. Headings, motion and goal distances use ``math``, not
-numpy, row by row: ``np.arctan2`` and ``np.hypot`` round differently from
-``math.atan2`` and ``math.dist`` on some arguments, and numpy's sin and cos
-may as well.
+records which. The field velocity, the headings and the goal distances use
+``math``, not numpy, row by row: ``np.arctan2`` and ``np.hypot`` round
+differently from ``math.atan2`` and ``math.dist`` on some arguments, and
+numpy's sin and cos may as well. The Euler update itself is array arithmetic,
+which rounds as the scalar update does.
 """
 
 from __future__ import annotations
@@ -28,12 +30,17 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import fem
-from .flowfield import FlowField, Point2, field_velocity, sample_noise, write_table
+from .flowfield import FlowField, Point2, field_velocities, sample_noise, write_table
 from .mdp import Action, MdpModel, StateSpace
 from .moments import Convention
 from .policy_iter import _state_scores, best_action
 
 END_REASONS = ("goal", "collision", "budget")
+
+# Steps of per-step noise drawn at once per trial: one block call costs about
+# a tenth of the scalar draws it replaces per pair, and the block size bounds
+# the buffer on long budgets.
+_NOISE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -41,8 +48,9 @@ class SimOptions:
     """Integration and trial-accounting settings.
 
     ``noise_resample`` draws disturbance noise every step ("step") or once
-    per trial ("trial"); ``noise_scaling`` optionally multiplies the drawn
-    noise by sqrt(dt) for Brownian-style sensitivity runs ("sqrt-dt").
+    per trial ("trial"); ``noise_scaling`` optionally multiplies the
+    per-step noise by sqrt(dt) for Brownian-style sensitivity runs
+    ("sqrt-dt"). The once-per-trial draw is never scaled.
     """
 
     dt_h: float = 0.1
@@ -186,33 +194,19 @@ def step(
     points: np.ndarray,
     command: tuple[np.ndarray, np.ndarray],
     dt_h: float,
-    rngs: Sequence[np.random.Generator],
-    disturbance: np.ndarray | None = None,
-    noise_scaling: str = "plain",
+    noise: np.ndarray,
 ) -> np.ndarray:
     """One Euler step of the net motion of each row of ``points``, clamped to
     the domain; DomainError when a row lies outside it.
 
-    ``command`` holds the rows' heading and speed arrays, and ``rngs`` one
-    generator per row, from which that row's noise is drawn. A fixed
-    ``disturbance`` (rows of (vx, vy)) replaces fresh noise sampling for
-    per-trial noise mode; it is added to the noise-free current.
+    ``command`` holds the rows' heading and speed arrays, and ``noise`` the
+    rows' (wx, wy) disturbance, added to the noise-free current.
     """
     heading, speed = command
-    if disturbance is None:
-        scale = math.sqrt(dt_h) if noise_scaling == "sqrt-dt" else 1.0
-        noise = [sample_noise(field.noise, rng, scale) for rng in rngs]
-    else:
-        noise = disturbance.tolist()
-    # Row by row in Python floats: on a few dozen rows this is faster than
-    # numpy, and the velocity and the noise are per-row calls anyway.
-    moved = []
-    for (x, y), (wx, wy), h, v in zip(points.tolist(), noise, heading.tolist(), speed.tolist()):
-        base = field_velocity(field, (x, y))
-        moved.append(
-            (x + (base.vx + wx + v * math.cos(h)) * dt_h, y + (base.vy + wy + v * math.sin(h)) * dt_h)
-        )
-    return field.clamp(np.array(moved).reshape(-1, 2))
+    hs = heading.tolist()
+    course = np.array([[math.cos(h) for h in hs], [math.sin(h) for h in hs]]).T
+    moved = points + (field_velocities(field, points) + noise + speed[:, None] * course) * dt_h
+    return field.clamp(moved)
 
 
 @dataclass(eq=False)
@@ -255,13 +249,19 @@ def simulate_trials(
     ``requery_dt_h`` elapses, whichever comes first; other planners every
     step. A trial that ends without reaching the goal reports the full
     budget as its time cost. Trial ``r`` draws its noise from ``rngs[r]``
-    alone, so it follows the same path alone as in any batch.
+    alone, so it follows the same path alone as in any batch. Per-step noise
+    is drawn a block of steps ahead, so a generator may end up advanced past
+    its trial's last step.
     """
     n = len(rngs)
     p = np.tile(np.asarray(start, dtype=float), (n, 1))
-    trial_noise = None
+    n_steps = int(opts.budget_h / opts.dt_h + 1e-9)  # stay within the budget
     if opts.noise_resample == "trial":
-        trial_noise = np.array([sample_noise(field.noise, rng) for rng in rngs])
+        noise = np.array([sample_noise(field.noise, rng) for rng in rngs]).reshape(n, 2)
+    else:
+        sigma = (field.noise.sigma_x, field.noise.sigma_y)
+        scale = math.sqrt(opts.dt_h) if opts.noise_scaling == "sqrt-dt" else 1.0
+        blocks = np.empty((n, min(_NOISE_BLOCK, n_steps), 2))
     heading, speed = map(np.array, planner.command(p))  # copies: the loop writes into them
     points, headings = [p.copy()], [heading.copy()]
     reason = np.full(n, "budget", dtype=object)
@@ -270,20 +270,20 @@ def simulate_trials(
     cell = states.state_at(p) if states is not None else None
     since_query = np.zeros(n)
     live = np.flatnonzero(reason == "budget")
-    n_steps = int(opts.budget_h / opts.dt_h + 1e-9)  # stay within the budget
 
     for k in range(1, n_steps + 1):
         if not live.size:
             break
-        moved = step(
-            field,
-            p[live],
-            (heading[live], speed[live]),
-            opts.dt_h,
-            [rngs[r] for r in live.tolist()],
-            disturbance=None if trial_noise is None else trial_noise[live],
-            noise_scaling=opts.noise_scaling,
-        )
+        if opts.noise_resample == "trial":
+            row_noise = noise[live]
+        else:
+            at = (k - 1) % _NOISE_BLOCK
+            if at == 0:
+                m = min(_NOISE_BLOCK, n_steps - k + 1)
+                for r in live.tolist():
+                    blocks[r, :m] = scale * rngs[r].normal(0.0, sigma, size=(m, 2))
+            row_noise = blocks[live, at]
+        moved = step(field, p[live], (heading[live], speed[live]), opts.dt_h, row_noise)
         p[live] = moved
         since_query[live] += opts.dt_h
         end[live] = k

@@ -11,6 +11,8 @@ from flowplan.flowfield import (
     GyreParams,
     NoiseParams,
     Point2,
+    Velocity2,
+    field_velocities,
     field_velocity,
     grid_field,
     gyre_field,
@@ -123,6 +125,86 @@ def test_bilinear_reproduces_affine_fields(a, b, c, x, y):
     assert got.vy == pytest.approx(-want, abs=1e-9)
 
 
+def _reference_bilinear(samples, p):
+    """The one-point bilinear lookup that the row kernel replaced."""
+    u = (p[0] - samples.origin.x) / samples.cell_km
+    v = (p[1] - samples.origin.y) / samples.cell_km
+    i = min(max(int(math.floor(u)), 0), samples.nx - 2)
+    j = min(max(int(math.floor(v)), 0), samples.ny - 2)
+    fx = u - i
+    fy = v - j
+    w00 = (1.0 - fx) * (1.0 - fy)
+    w10 = fx * (1.0 - fy)
+    w01 = (1.0 - fx) * fy
+    w11 = fx * fy
+    vx = (
+        w00 * samples.vx[j, i]
+        + w10 * samples.vx[j, i + 1]
+        + w01 * samples.vx[j + 1, i]
+        + w11 * samples.vx[j + 1, i + 1]
+    )
+    vy = (
+        w00 * samples.vy[j, i]
+        + w10 * samples.vy[j, i + 1]
+        + w01 * samples.vy[j + 1, i]
+        + w11 * samples.vy[j + 1, i + 1]
+    )
+    return Velocity2(float(vx), float(vy))
+
+
+def _reference_field_velocity(field, p):
+    """The one-point velocity query that the row kernel replaced."""
+    if not field.contains(p):
+        raise DomainError(f"point {tuple(p)} outside field domain")
+    if field.gyre is not None:
+        return gyre_velocity(p, field.gyre)
+    return _reference_bilinear(field.grid, p)
+
+
+def _kernel_fields():
+    rng = np.random.default_rng(5)
+    samples = GridSamples(Point2(0.5, -1.25), 40.0 / 24.0, 7, 5, rng.normal(size=(5, 7)), rng.normal(size=(5, 7)))
+    return {
+        "gyre": gyre_field(GyreParams(0.5, 20.0), NO_NOISE, extent=(40.0, 30.0), origin=Point2(-3.0, 2.5)),
+        "grid": grid_field(samples, NO_NOISE),
+    }
+
+
+@pytest.mark.parametrize("kind", ["gyre", "grid"])
+def test_field_velocities_equal_the_one_point_reference(kind):
+    field = _kernel_fields()[kind]
+    (x0, y0), (w, h) = field.origin, field.extent
+    cell = field.grid.cell_km if field.grid is not None else 2.5
+    rng = np.random.default_rng(17)
+    lines_x = x0 + cell * np.arange(int(w / cell) + 1)
+    lines_y = y0 + cell * np.arange(int(h / cell) + 1)
+    rows = np.vstack(
+        [
+            np.column_stack([rng.uniform(x0, x0 + w, 60), rng.uniform(y0, y0 + h, 60)]),
+            np.column_stack([lines_x, rng.uniform(y0, y0 + h, len(lines_x))]),  # on cell edges
+            np.column_stack([rng.uniform(x0, x0 + w, len(lines_y)), lines_y]),
+            [[x0, y0], [x0 + w, y0 + h], [x0, y0 + h / 3], [x0 + w / 2, y0 + h]],  # on the domain edge
+            [[x0 - 5e-10, y0 + 1.0], [x0 + w + 9e-10, y0 + h + 9e-10], [x0 + 1.0, y0 - 1e-9]],  # within tolerance
+        ]
+    )
+    got = field_velocities(field, rows)
+    assert got.shape == (len(rows), 2)
+    want = np.array([_reference_field_velocity(field, Point2(x, y)) for x, y in rows.tolist()])
+    assert np.array_equal(got, want)
+    assert [field_velocity(field, Point2(x, y)) for x, y in rows.tolist()] == [tuple(v) for v in want.tolist()]
+    assert field_velocities(field, np.empty((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.parametrize("kind", ["gyre", "grid"])
+def test_field_velocities_name_the_first_row_outside(kind):
+    field = _kernel_fields()[kind]
+    (x0, y0), (w, h) = field.origin, field.extent
+    rows = [[x0 + 1.0, y0 + 1.0], [x0 + w + 2e-9, y0 + 1.0], [x0 + 1.0, y0 - 3.0]]
+    with pytest.raises(DomainError) as err:
+        field_velocities(field, rows)
+    assert str(err.value) == f"point {(x0 + w + 2e-9, y0 + 1.0)} outside field domain"
+
+
 def test_out_of_domain_rejected():
     field = gyre_field(GyreParams(0.5, 20.0), NO_NOISE)
     with pytest.raises(DomainError):
@@ -220,6 +302,33 @@ def test_load_non_finite_record_rejected_with_its_line(bad, column):
     pts[2][column] = bad
     with pytest.raises(FieldFormatError, match=r"^line 4: "):
         load_grid_field(_csv_lines(pts), NO_NOISE)
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({3: "0.0,2.0,0.0\n", 5: "abc,4.0,0.0,0.0\n"}, "line 4: expected 4 fields, got 3"),
+        ({2: "abc,0.0,0.0,0.0\n", 4: "2.0,2.0,0.0,0.0,0.0\n"}, "line 3: could not convert string to float: 'abc'"),
+        ({2: "inf,0.0,0.0,0.0\n", 5: "2.0\n"}, r"line 3: values must be finite, got \['inf', '0.0', '0.0', '0.0'\]"),
+        # Eight cells on the two lines, as on two good ones.
+        ({3: "0.0,2.0,0.0\n", 6: "2.0,4.0,0.0,0.0,0.0\n"}, "line 4: expected 4 fields, got 3"),
+    ],
+    ids=["short-before-unparsable", "unparsable-before-long", "non-finite-before-short", "short-and-long"],
+)
+def test_load_names_the_first_bad_line_whatever_its_fault(faults, message):
+    lines = _csv_lines([(2.0 * i, 2.0 * j, 0.0, 0.0) for j in range(3) for i in range(3)])
+    for index, text in faults.items():
+        lines[index] = text
+    with pytest.raises(FieldFormatError, match=f"^{message}$"):
+        load_grid_field(lines, NO_NOISE)
+
+
+def test_load_skips_blank_and_whitespace_lines():
+    lines = _csv_lines([(2.0 * i, 2.0 * j, float(i), float(j)) for j in range(2) for i in range(2)])
+    lines[2:2] = ["\n", " , ,\t\n", "\r\n"]
+    field = load_grid_field(lines + ["  \n"], NO_NOISE)
+    assert field.grid.vx.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+    assert field.grid.vy.tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
 
 def test_load_28x28_lattice_extent():

@@ -10,6 +10,7 @@ from flowplan.mdp import StateSpace, build_model, classic_policy_iteration
 from flowplan.policy_iter import ApiConfig, _state_scores, approximate_policy_iteration, best_action
 from flowplan.simulator import (
     END_REASONS,
+    _NOISE_BLOCK,
     ContinuousPlanner,
     DiscretePlanner,
     GoalOrientedPlanner,
@@ -211,6 +212,9 @@ def test_lockstep_trials_equal_the_one_trial_reference(solved, opts):
         # rows leave the lockstep batch while others go on.
         assert {run.end_reason for name in runs for run in runs[name]} == set(END_REASONS)
         assert len({len(run) for run in runs["goal-oriented"] if run.end_reason == "collision"}) > 1
+        # Some trials outlast one block of per-step noise, so a second,
+        # shorter block is drawn mid-trial.
+        assert max(len(run) for name in runs for run in runs[name]) > _NOISE_BLOCK + 1
 
 
 @pytest.mark.parametrize("offset", [(-0.3, 0.4), (1.0, 0.0)], ids=["inside", "on-the-radius"])
@@ -279,6 +283,5 @@ def test_step_rejects_a_row_outside_the_field(gyre):
     field, _ = gyre
     points = np.array([[5.0, 5.0], [5.0, -0.5]])
     command = (np.zeros(2), np.full(2, 3.0))
-    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
     with pytest.raises(DomainError):
-        step(field, points, command, 0.1, rngs)
+        step(field, points, command, 0.1, np.zeros((2, 2)))

@@ -6,7 +6,8 @@ where BASE is any revision ``git archive`` accepts (``HEAD~1``, a SHA, ...).
 BASE is extracted with ``git archive`` into a temporary directory. The
 inputs of the three benchmark workloads are written once, by this tree's
 ``perfbench/workloads.write_inputs``, and both trees run every workload's
-commands on them at seeds 7 and 11, plus ``flowplan mse`` on a small gyre.
+commands on them at seeds 7 and 11, plus ``flowplan mse`` on a small gyre
+and ``flowplan simulate`` on it with per-trial and with sqrt(dt)-scaled noise.
 Every output file, each command's stdout and its exit status are compared
 byte for byte. The differing files are listed (marked when they differ only
 in line endings), and the exit status is 1 if any file differs, else 0.
@@ -52,6 +53,11 @@ goal.j = 4
 output.raster_n = 5
 mse.grid_sizes = 4, 6
 """
+# ``flowplan simulate`` on the small gyre, once in each noise mode that the
+# workloads leave at its default. With a 1 km/h vehicle most trials outlast
+# one of the simulator's blocks of per-step noise, and some the 12 h budget.
+NOISE_MODES = {"trial-noise": "sim.noise_resample = trial\n", "sqrt-dt-noise": "sim.noise_scaling = sqrt-dt\n"}
+SMALL_GYRE_SIM = "vehicle.v_max_kmh = 1.0\nsim.trials = 6\nsim.budget_h = 12.0\n"
 
 
 def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
@@ -67,6 +73,11 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE)
     cases.append(("mse-small-gyre", ["mse", "--config", str(cfg)]))
+    for name, mode in NOISE_MODES.items():
+        cfg = inputs / f"simulate-small-gyre-{name}" / "run.cfg"
+        cfg.parent.mkdir()
+        cfg.write_text(SMALL_GYRE + SMALL_GYRE_SIM + mode)
+        cases.append((f"simulate-small-gyre-{name}", ["simulate", "--config", str(cfg), "--seed", str(SEEDS[0])]))
     return cases
 
 
