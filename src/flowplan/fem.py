@@ -7,7 +7,8 @@ checkerboard subset triangulated by the rotated lattice it induces (k=2, half
 the nodes). Either way the goal is a node: an odd-parity goal is added to the
 checkerboard by splitting the diamond it centres. The drift-diffusion-
 reaction weak form is assembled with exact P1 mass and stiffness integrals and
-centroid quadrature for advection and source terms, the goal value is pinned
+centroid quadrature for advection and source terms (the sparsity pattern
+and its summation order are built once per mesh), the goal value is pinned
 to zero by symmetric elimination, and the system is solved by banded LU: node
 ids follow the state lattice row by row, so the band is about one grid row
 wide. The solved nodal coefficients define a value function that is
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,6 +82,22 @@ def _lattice_table(first: np.ndarray, last: np.ndarray, nx: int, n: int) -> np.n
     return table
 
 
+class AssemblyTable(NamedTuple):
+    """What assembly and nodal gradient recovery need of a mesh alone, built
+    once per mesh (``Mesh.assembly_table``); every array is read-only."""
+
+    corners: np.ndarray  # (3 * n_tris,) every triangle's corner 0, then 1, then 2
+    # Element blocks are flat: entry 3i + j of row e is block entry (i, j).
+    mass: np.ndarray  # (n_tris, 9) P1 mass blocks (1 + I) * area / 12
+    area_grad: np.ndarray  # (2, n_tris, 9) area * g_id at (i, j), for d = 0, 1
+    grad: np.ndarray  # (2, n_tris, 9) g_jc at (i, j), for c = 0, 1
+    order: np.ndarray  # element-block entry ids in summation order
+    slot: np.ndarray  # CSR data position of each entry of ``order`` (ascending)
+    indices: np.ndarray  # summed CSR column indices
+    indptr: np.ndarray  # summed CSR row pointers
+    node_area: np.ndarray  # per node, the summed area of its triangles
+
+
 @dataclass(eq=False)
 class Mesh:
     """Conforming triangulation of a state lattice whose nodes are states.
@@ -87,8 +105,8 @@ class Mesh:
     Triangles are counter-clockwise node-id triples; ``node_state`` maps each
     node to its state and ``goal_node`` marks the node pinned by the solver.
     Geometry caches (node positions, areas, basis gradients, edge adjacency,
-    the query tables) are built lazily and shared by every value function on
-    the mesh; the edge table is built at once, as it also checks conformity.
+    the query tables, the assembly table) are built lazily and shared by
+    every value function on the mesh; the edge table is built at once, as it also checks conformity.
 
     Point queries are lattice arithmetic on batches of rows; ``locate``,
     ``covers``, ``nearest_node`` and ``project`` are batches of one. Both
@@ -237,10 +255,14 @@ class Mesh:
         nearest node. Rows off the cover raise DomainError unless ``clamp``
         moves them to their closest point of the cover. Rows go in batches of
         ``_BATCH_ROWS``, which bounds the temporaries."""
+        return self._locate(points, clamp, nearest=True)
+
+    def _locate(self, points: np.ndarray, clamp: bool, nearest: bool) -> tuple[np.ndarray, ...]:
+        """``locate_rows``, whose nearest nodes are left out unless ``nearest``."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         if len(points) > _BATCH_ROWS:
             parts = [
-                self.locate_rows(points[r : r + _BATCH_ROWS], clamp)
+                self._locate(points[r : r + _BATCH_ROWS], clamp, nearest)
                 for r in range(0, len(points), _BATCH_ROWS)
             ]
             return tuple(map(np.concatenate, zip(*parts)))
@@ -254,7 +276,7 @@ class Mesh:
             tri[off], lam[off] = self._find_many(points[off])
             if (tri[off] < 0).any():
                 raise DomainError("a projected point lies outside the mesh cover")
-        return points, tri, lam, self._nearest_many(points)
+        return (points, tri, lam, self._nearest_many(points)) if nearest else (points, tri, lam)
 
     @cached_property
     def centres(self) -> tuple[np.ndarray, ...]:
@@ -269,7 +291,7 @@ class Mesh:
         self, points: np.ndarray, clamp: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """Point location of each row; optionally projects uncovered points."""
-        _, tri, lam, _ = self.locate_rows(points, clamp)
+        _, tri, lam = self._locate(points, clamp, nearest=False)
         return tri, np.clip(lam, 0.0, 1.0)
 
     def covers(self, p: Point2 | np.ndarray) -> bool:
@@ -365,6 +387,50 @@ class Mesh:
             (vals.ravel(), ((3 * rows + np.arange(3)[:, None]).ravel(), np.tile(ids, 3))),
             shape=(3 * self.n_nodes, self.n_nodes),
         )
+
+    @cached_property
+    def assembly_table(self) -> AssemblyTable:
+        """The policy-independent part of ``assemble``, built on first use.
+
+        Entry 9e + 3i + j of the element blocks couples rows ``triangles[e,
+        i]`` and columns ``triangles[e, j]``. Their summed CSR pattern, and
+        the order in which they are summed into it, are read off scipy's own
+        canonicalisation: an unsummed CSR whose data are the entry ids, rows
+        filled in entry order as ``coo_matrix.tocsr`` fills them, put through
+        ``sort_indices``. That sort is not stable on rows of more than 16
+        entries (an interior k=1 node has 18), so summing in entry order
+        would change some entries in their last bit.
+        """
+        tris, n = self.triangles, self.n_nodes
+        rows = np.repeat(tris, 3, axis=1).ravel()
+        cols = np.tile(tris, (1, 3)).ravel()
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        ids = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr), shape=(n, n))
+        ids.sort_indices()
+        order = ids.data.astype(np.int64)
+        row = rows[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (row[1:] != row[:-1]) | (ids.indices[1:] != ids.indices[:-1])
+        slot = np.cumsum(new) - 1
+        counts = np.bincount(row[new], minlength=n)
+        corners = tris.T.ravel()
+        i, j = np.divmod(np.arange(9), 3)
+        grads = self.basis_gradients
+        table = AssemblyTable(
+            corners=corners,
+            mass=(np.ones((3, 3)) + np.eye(3)).ravel() * (self.areas / 12.0)[:, None],
+            area_grad=np.ascontiguousarray((self.areas[:, None, None] * grads)[:, i].transpose(2, 0, 1)),
+            grad=np.ascontiguousarray(grads[:, j].transpose(2, 0, 1)),
+            order=order,
+            slot=slot,
+            indices=ids.indices[new],
+            indptr=np.concatenate([[0], np.cumsum(counts)]).astype(ids.indptr.dtype),
+            node_area=np.bincount(corners, weights=np.tile(self.areas, 3), minlength=n),
+        )
+        for a in table:
+            a.setflags(write=False)
+        return table
 
     @cached_property
     def edge_neighbours(self) -> np.ndarray:
@@ -473,33 +539,47 @@ def assemble(mesh: Mesh, coeffs: PdeCoefficients) -> SparseSystem:
     wherever the second-moment field is constant. The zero-flux side
     condition is natural, so no boundary term appears; the goal constraint
     is applied separately.
+
+    Everything that depends on the mesh alone comes from
+    ``Mesh.assembly_table``, built once per mesh: the mass blocks, the
+    summed CSR pattern and the order in which the element-block entries are
+    summed into it. That order is the one ``coo_matrix.tocsr`` sums in, so
+    the matrix is the one it would build, to the bit, and a policy costs
+    only element arithmetic and one ``np.bincount``. The vertex averages
+    and stiffness products are written out in the order ``mean`` and
+    ``einsum`` sum them, to the same end.
     """
     if len(coeffs.source) != mesh.n_nodes:
         raise ValueError("coefficient arrays must have one entry per mesh node")
+    table = mesh.assembly_table
+    t0, t1, t2 = table.corners.reshape(3, -1)
     gamma = coeffs.gamma
-    tris = mesh.triangles
     area = mesh.areas
     grads = mesh.basis_gradients
-    sig_v = coeffs.diffusion[tris]
-    sig_e = sig_v.mean(axis=1)
+    sig_v = coeffs.diffusion[mesh.triangles]
+    sig_e = ((sig_v[:, 0] + sig_v[:, 1]) + sig_v[:, 2]) / 3.0
     div_sig = np.einsum("eic,eicd->ed", grads, sig_v)
-    mu_eff = coeffs.drift[tris].mean(axis=1) - 0.5 * div_sig
-    src_e = coeffs.source[tris].mean(axis=1)
+    mu = coeffs.drift
+    mu_eff = ((mu[t0] + mu[t1]) + mu[t2]) / 3.0 - 0.5 * div_sig
+    src = coeffs.source
+    src_e = ((src[t0] + src[t1]) + src[t2]) / 3.0
 
-    stiff = np.einsum("e,eid,edc,ejc->eij", area, grads, sig_e, grads)
-    mass = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area / 12.0)[:, None, None]
-    adv_row = np.einsum("ejd,ed->ej", grads, mu_eff) * (area / 3.0)[:, None]
-    adv = np.repeat(adv_row[:, None, :], 3, axis=1)
+    # Flat element blocks; stiffness is the sum over d and c of
+    # ((area * g_id) * sig_dc) * g_jc, d outer.
+    stiff = None
+    for d in range(2):
+        for c in range(2):
+            term = (table.area_grad[d] * sig_e[:, d, c, None]) * table.grad[c]
+            stiff = term if stiff is None else stiff + term
+    adv = np.tile(np.einsum("ejd,ed->ej", grads, mu_eff) * (area / 3.0)[:, None], 3)
 
-    local = gamma * adv - 0.5 * gamma * stiff - (1.0 - gamma) * mass
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    matrix = sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-    ).tocsr()
+    local = gamma * adv - 0.5 * gamma * stiff - (1.0 - gamma) * table.mass
+    n = mesh.n_nodes
+    data = np.bincount(table.slot, weights=local.ravel()[table.order], minlength=len(table.indices))
+    matrix = sp.csr_matrix((data, table.indices.copy(), table.indptr.copy()), shape=(n, n))
+    matrix.has_canonical_format = True
 
-    rhs = np.zeros(mesh.n_nodes)
-    np.add.at(rhs, tris.ravel(), np.repeat(-src_e * area / 3.0, 3))
+    rhs = np.bincount(mesh.triangles.ravel(), weights=np.repeat(-src_e * area / 3.0, 3), minlength=n)
     return SparseSystem(matrix, rhs)
 
 
@@ -602,13 +682,15 @@ class ContinuousValue:
 
     @cached_property
     def node_gradients(self) -> np.ndarray:
-        num = np.zeros((self.mesh.n_nodes, 2))
-        den = np.zeros(self.mesh.n_nodes)
+        """Area-weighted mean of the element gradients around each node,
+        summed over corners 0, 1 and 2 in turn."""
+        table = self.mesh.assembly_table
         weighted = self.element_gradients * self.mesh.areas[:, None]
-        for local in range(3):
-            np.add.at(num, self.mesh.triangles[:, local], weighted)
-            np.add.at(den, self.mesh.triangles[:, local], self.mesh.areas)
-        return num / den[:, None]
+        num = np.stack(
+            [np.bincount(table.corners, weights=np.tile(w, 3), minlength=self.mesh.n_nodes) for w in weighted.T],
+            axis=-1,
+        )
+        return num / table.node_area[:, None]
 
     def evaluate(self, p: Point2 | np.ndarray) -> float:
         return float(self.expansion(p)[0][0])

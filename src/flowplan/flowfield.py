@@ -255,10 +255,11 @@ def _nearest(lattice: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(np.abs(lattice[lo] - values) <= np.abs(lattice[hi] - values), lo, hi)
 
 
-def _raise_first_bad_record(body: list[list[str]]) -> None:
-    """Raise the FieldFormatError of the first bad record; ``body`` holds the
-    records after the header line."""
-    for lineno, row in enumerate(body, start=2):
+def _raise_first_bad_record(records: list[tuple[int, list[str]]]) -> None:
+    """Raise the FieldFormatError of the first bad record; ``records`` holds
+    the non-blank records after the header, each with its physical line
+    number."""
+    for lineno, row in records:
         if len(row) != 4:
             raise FieldFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
         try:
@@ -281,16 +282,17 @@ def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> F
         with open(source, newline="") as fh:
             return load_grid_field(fh, noise)
 
-    rows = [row for row in csv.reader(source) if "".join(row).strip()]
-    if not rows:
+    reader = csv.reader(source)
+    records = [(reader.line_num, row) for row in reader if "".join(row).strip()]
+    if not records:
         raise FieldFormatError("empty input")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in records[0][1]]
     if header != ["x_km", "y_km", "vx_kmh", "vy_kmh"]:
         raise FieldFormatError(f"unexpected header {header}")
 
     # Parse the whole table at once; only when a check fails, look for the
     # first bad line to name it.
-    body = rows[1:]
+    body = [row for _, row in records[1:]]
     table = None
     if set(map(len, body)) <= {4}:
         try:
@@ -298,7 +300,7 @@ def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> F
         except ValueError:
             pass
     if table is None or not np.isfinite(table).all():
-        _raise_first_bad_record(body)
+        _raise_first_bad_record(records[1:])
     xs = _cluster(table[:, 0].tolist())
     ys = _cluster(table[:, 1].tolist())
     nx, ny = len(xs), len(ys)

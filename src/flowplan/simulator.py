@@ -385,11 +385,35 @@ def run_experiment(
 
 
 def write_trajectories_csv(path, runs: list[Trajectory]) -> None:
-    """One row per sample, streamed one trial at a time."""
-    rows = itertools.chain.from_iterable(
-        zip(itertools.repeat(trial), run.times.tolist(), *run.points.T.tolist(), run.headings.tolist())
-        for trial, run in enumerate(runs)
-    )
+    """One row per sample, streamed one trial at a time.
+
+    Repeated cells are formatted once. A simulated trial's times are the
+    first samples of the longest trial's (``arange(k) * dt``), so they are
+    formatted once per file; a run whose times differ from that prefix in any
+    bit gets its own. A trial's heading strings are memoised when its
+    headings repeat, as the compass planners' eight values do, except at
+    zero: 0.0 and -0.0 are one key but print apart.
+    """
+    longest = max(runs, key=len).times if runs else np.empty(0)
+    times = list(map(str, longest.tolist()))
+    names: dict[float, str] = {}
+
+    def trial_rows(trial: int, run: Trajectory):
+        n = len(run)
+        same = run.times.dtype == longest.dtype and run.times.tobytes() == longest[:n].tobytes()
+        headings = run.headings.tolist()
+        distinct = set(headings)
+        if 2 * len(distinct) <= n:
+            names.update((h, str(h)) for h in distinct.difference(names))
+            headings = [names[h] if h else str(h) for h in headings]
+        return zip(
+            itertools.repeat(trial),
+            times[:n] if same else list(map(str, run.times.tolist())),
+            *run.points.T.tolist(),
+            headings,
+        )
+
+    rows = itertools.chain.from_iterable(itertools.starmap(trial_rows, enumerate(runs)))
     write_table(path, ["trial", "t_h", "x_km", "y_km", "psi_rad"], rows)
 
 

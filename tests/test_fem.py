@@ -441,6 +441,16 @@ def test_locate_many_matches_single_point_queries():
         mesh.locate_many(pts)
 
 
+def test_locate_many_is_locate_rows_without_the_nearest_node():
+    # A clamped raster of more rows than one batch, some off the cut corners.
+    mesh = build_mesh(grid_states(8, goal=(3, 4)), k=2)
+    pts = _raster((-1.0, 17.0, -1.0, 17.0), 41)
+    tri_idx, lams = mesh.locate_many(pts, clamp=True)
+    _, tri_ref, lam_ref, _ = mesh.locate_rows(pts, clamp=True)
+    assert np.array_equal(tri_idx, tri_ref)
+    assert np.array_equal(lams, np.clip(lam_ref, 0.0, 1.0))
+
+
 @pytest.mark.parametrize(
     "nx, ny, cell, origin, k, goal",
     _geometry_params(
@@ -593,6 +603,118 @@ def test_matrix_symmetric_without_drift():
     asym = (system.matrix - system.matrix.T).toarray()
     scale = np.abs(system.matrix.toarray()).max()
     assert np.abs(asym).max() < 1e-10 * scale
+
+
+def _reference_assemble(mesh, coeffs):
+    """Assembly as it was before the per-mesh table: element blocks by
+    ``mean`` and ``einsum``, summed by ``coo_matrix.tocsr``, the load vector
+    by ``np.add.at``."""
+    gamma = coeffs.gamma
+    tris = mesh.triangles
+    area = mesh.areas
+    grads = mesh.basis_gradients
+    sig_v = coeffs.diffusion[tris]
+    sig_e = sig_v.mean(axis=1)
+    div_sig = np.einsum("eic,eicd->ed", grads, sig_v)
+    mu_eff = coeffs.drift[tris].mean(axis=1) - 0.5 * div_sig
+    src_e = coeffs.source[tris].mean(axis=1)
+    stiff = np.einsum("e,eid,edc,ejc->eij", area, grads, sig_e, grads)
+    mass = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area / 12.0)[:, None, None]
+    adv_row = np.einsum("ejd,ed->ej", grads, mu_eff) * (area / 3.0)[:, None]
+    adv = np.repeat(adv_row[:, None, :], 3, axis=1)
+    local = gamma * adv - 0.5 * gamma * stiff - (1.0 - gamma) * mass
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    matrix = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    rhs = np.zeros(mesh.n_nodes)
+    np.add.at(rhs, tris.ravel(), np.repeat(-src_e * area / 3.0, 3))
+    return SparseSystem(matrix, rhs)
+
+
+def _reference_node_gradients(value):
+    """Nodal gradients by ``np.add.at``, one corner of every triangle at a time."""
+    mesh = value.mesh
+    num = np.zeros((mesh.n_nodes, 2))
+    den = np.zeros(mesh.n_nodes)
+    weighted = value.element_gradients * mesh.areas[:, None]
+    for local in range(3):
+        np.add.at(num, mesh.triangles[:, local], weighted)
+        np.add.at(den, mesh.triangles[:, local], mesh.areas)
+    return num / den[:, None]
+
+
+def _assert_same_system(got, want):
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got.matrix, attr), getattr(want.matrix, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    assert got.matrix.has_canonical_format
+    assert np.array_equal(got.rhs, want.rhs)
+
+
+def _random_coefficients(mesh, rng):
+    n = mesh.n_nodes
+    a = rng.standard_normal((n, 2, 2))
+    return PdeCoefficients(
+        drift=rng.standard_normal((n, 2)),
+        diffusion=a @ a.swapaxes(1, 2),
+        source=rng.standard_normal(n),
+        gamma=0.95,
+        goal_node=mesh.goal_node,
+    )
+
+
+def test_assemble_of_the_unit_right_triangle_matches_the_coo_reference_bit_for_bit():
+    mesh = lattice_mesh(unit_grid(2), UNIT_RIGHT, [[0, 1, 2]], [0, 1, 2])
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        coeffs = _random_coefficients(mesh, rng)
+        _assert_same_system(assemble(mesh, coeffs), _reference_assemble(mesh, coeffs))
+        value = ContinuousValue(mesh, rng.standard_normal(3))
+        assert np.array_equal(value.node_gradients, _reference_node_gradients(value))
+
+
+# Geometries of the assembly reference checks: (nx, ny, cell, origin, k, goal,
+# obstacle cells). The boards have 2 km cells; the paper grid and the
+# csv-wall-k2 grid with its 12-cell wall are the benchmark meshes.
+ASSEMBLY_GEOMETRIES = {
+    "8-k1": (8, 8, 2.0, None, 1, (3, 2), [(1, 6)]),
+    "8-k2-even-goal": (8, 8, 2.0, None, 2, (3, 3), [(1, 6)]),
+    "8-k2-odd-goal-inside": (8, 8, 2.0, None, 2, (3, 4), [(1, 6)]),
+    "8-k2-odd-goal-on-cut-corner": (8, 8, 2.0, None, 2, (7, 0), [(1, 6)]),
+    "paper-k1": (20, 20, 2.0, Point2(1.0, 1.0), 1, (17, 17), []),
+    "csv-wall-k2": (*CSV_WALL, 2, (18, 17), [(12, j) for j in range(6, 18)]),
+}
+
+
+@pytest.mark.parametrize("convention", ["displacement", "paper-literal"])
+@pytest.mark.parametrize("geometry", ASSEMBLY_GEOMETRIES.values(), ids=ASSEMBLY_GEOMETRIES.keys())
+def test_assemble_matches_the_coo_reference_bit_for_bit(geometry, convention):
+    # Interior k=1 rows hold 18 unsummed entries, past the 16 up to which
+    # scipy's per-row sort keeps equal columns in entry order.
+    nx, ny, cell, origin, k, goal, obstacles = geometry
+    states = StateSpace.regular(nx, ny, cell, goal, origin=origin, obstacle_cells=obstacles)
+    field = gyre_field(GyreParams(0.5, cell * nx / 2), NoiseParams(0.4, 0.7), extent=(cell * (nx + 1), cell * (ny + 1)))
+    model = build_model(field, states, 1.0, 3.0, 0.95)
+    mesh = build_mesh(states, k)
+    rng = np.random.default_rng(nx + k + len(convention))
+    for _ in range(3):
+        policy = rng.integers(0, 8, size=states.n)
+        coeffs = assemble_coefficients(model, policy, mesh.node_state, mesh.goal_node, convention)
+        project_wall_tangential(coeffs, mesh, model)
+        system = assemble(mesh, coeffs)
+        _assert_same_system(system, _reference_assemble(mesh, coeffs))
+        value = ContinuousValue(mesh, solve(constrain_goal(system, mesh.goal_node)))
+        assert np.array_equal(value.node_gradients, _reference_node_gradients(value))
+
+
+def test_writing_into_an_assembled_matrix_leaves_the_next_assembly_unchanged():
+    mesh = build_mesh(grid_states(6, goal=(2, 3)), k=1)
+    coeffs = constant_coefficients(mesh, drift=(0.3, -0.2), source=1.0)
+    first = assemble(mesh, coeffs)
+    first.matrix.data[:] = 7.0
+    first.matrix.indices[:] = 0
+    first.rhs[:] = 7.0
+    _assert_same_system(assemble(mesh, coeffs), _reference_assemble(mesh, coeffs))
 
 
 # --------------------------------------------------------- solve pipeline

@@ -323,6 +323,12 @@ def test_load_names_the_first_bad_line_whatever_its_fault(faults, message):
         load_grid_field(lines, NO_NOISE)
 
 
+def test_load_names_the_physical_line_after_blank_lines():
+    lines = ["x_km,y_km,vx_kmh,vy_kmh\n", "\n", "\n", "0,0,0,0\n", "2,0,abc,0\n"]
+    with pytest.raises(FieldFormatError, match="^line 5: could not convert string to float: 'abc'$"):
+        load_grid_field(lines, NO_NOISE)
+
+
 def test_load_skips_blank_and_whitespace_lines():
     lines = _csv_lines([(2.0 * i, 2.0 * j, float(i), float(j)) for j in range(2) for i in range(2)])
     lines[2:2] = ["\n", " , ,\t\n", "\r\n"]

@@ -197,6 +197,30 @@ def test_trajectory_and_stats_tables_match_the_old_writers(tmp_path):
     runs = [run(7, 0), run(0, 1), run(12, 4), run(1, 9)]
     _same_bytes(tmp_path, _reference_trajectories_csv, write_trajectories_csv, runs)
     _same_bytes(tmp_path, _reference_trajectories_csv, write_trajectories_csv, [])
+
+
+def test_trajectory_table_of_simulated_trials_matches_the_old_writer(tmp_path):
+    # Times that are a prefix of one arange(k) * dt and repeated headings
+    # take the preformatted cells. A zero heading of either sign, a run
+    # whose first time is -0.0, and distinct headings do not.
+    compass = [0.0, -0.0, np.pi / 4, -np.pi / 2, np.pi / 4, float("nan"), np.pi / 4]
+
+    def run(n, headings, times=None):
+        times = np.arange(n) * 0.1 if times is None else times
+        points = np.column_stack([_edge(n, n), _edge(n, n + 1)])
+        return Trajectory(times, points, np.resize(headings, n), "goal", 1.0, 1.0)
+
+    signed_zero_start = np.arange(9) * 0.1
+    signed_zero_start[0] = -0.0
+    runs = [
+        run(5, compass),
+        run(12, compass[::-1]),
+        run(0, compass),
+        run(9, compass, signed_zero_start),
+        run(8, _edge(8, 3)),
+        run(12, [-0.0, 0.0]),
+    ]
+    _same_bytes(tmp_path, _reference_trajectories_csv, write_trajectories_csv, runs)
     rows = [
         (name, strength, sigma, TrialStats(*_edge(4, shift).tolist(), reached, 2**62))
         for shift, (name, strength, sigma, reached) in enumerate(

@@ -6,8 +6,10 @@ where BASE is any revision ``git archive`` accepts (``HEAD~1``, a SHA, ...).
 BASE is extracted with ``git archive`` into a temporary directory. The
 inputs of the three benchmark workloads are written once, by this tree's
 ``perfbench/workloads.write_inputs``, and both trees run every workload's
-commands on them at seeds 7 and 11, plus ``flowplan mse`` on a small gyre
-and ``flowplan simulate`` on it with per-trial and with sqrt(dt)-scaled noise.
+commands on them at seeds 7 and 11, plus ``flowplan mse`` on a small gyre,
+``flowplan simulate`` on it with per-trial and with sqrt(dt)-scaled noise, and
+``flowplan solve`` on it with a k=2 mesh, the paper-literal moment convention
+and one obstacle.
 Every output file, each command's stdout and its exit status are compared
 byte for byte. The differing files are listed (marked when they differ only
 in line endings), and the exit status is 1 if any file differs, else 0.
@@ -58,6 +60,10 @@ mse.grid_sizes = 4, 6
 # one of the simulator's blocks of per-step noise, and some the 12 h budget.
 NOISE_MODES = {"trial-noise": "sim.noise_resample = trial\n", "sqrt-dt-noise": "sim.noise_scaling = sqrt-dt\n"}
 SMALL_GYRE_SIM = "vehicle.v_max_kmh = 1.0\nsim.trials = 6\nsim.budget_h = 12.0\n"
+# ``flowplan solve`` on the small gyre through the assembly settings that the
+# workloads leave out: a k=2 mesh with an even goal, paper-literal moments and
+# an obstacle on a mesh node.
+SMALL_GYRE_K2 = "fem.k = 2\nfem.moment_convention = paper-literal\ngrid.obstacles = 1, 3\n"
 
 
 def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
@@ -78,6 +84,10 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
         cfg.parent.mkdir()
         cfg.write_text(SMALL_GYRE + SMALL_GYRE_SIM + mode)
         cases.append((f"simulate-small-gyre-{name}", ["simulate", "--config", str(cfg), "--seed", str(SEEDS[0])]))
+    cfg = inputs / "solve-small-gyre-k2-paper-literal" / "run.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text(SMALL_GYRE + SMALL_GYRE_K2)
+    cases.append(("solve-small-gyre-k2-paper-literal", ["solve", "--config", str(cfg)]))
     return cases
 
 
