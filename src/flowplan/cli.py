@@ -26,6 +26,7 @@ from .config import (
     build_mdp,
     build_states,
     load_config,
+    strength_tag,
 )
 from .errors import (
     ConfigError,
@@ -127,8 +128,8 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
         )
         for name in planners:
             rows.append((name, float(strength), cfg.noise_sigma_kmh, stats[name]))
-            tag = f"{name}_A{strength:g}".replace(".", "p")
-            simulator.write_trajectories_csv(out / f"trajectories_{tag}.csv", trajectories[name])
+            path = out / f"trajectories_{name}_{strength_tag(strength)}.csv"
+            simulator.write_trajectories_csv(path, trajectories[name])
             st = stats[name]
             ends = Counter(run.end_reason for run in trajectories[name])
             print(

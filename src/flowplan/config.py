@@ -139,6 +139,12 @@ def obstacle_cells(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     return [(pairs[k], pairs[k + 1]) for k in range(0, len(pairs), 2)]
 
 
+def strength_tag(strength: float) -> str:
+    """The file-name tag of a current strength in a sweep: ``A`` and its
+    ``:g`` text, with the decimal point spelled ``p``."""
+    return f"A{strength:g}".replace(".", "p")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     def fail(key: str, message: str):
         raise ConfigError(f"{key}: {message}")
@@ -203,6 +209,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for n in cfg.mse_grid_sizes:
         if n < MSE_MIN_GRID:
             fail("mse.grid_sizes", f"grid size {n} too small")
+    tagged: dict[str, float] = {}
+    for strength in cfg.sweep_strengths:  # each strength writes files named by its tag
+        tag = strength_tag(strength)
+        if tag in tagged:
+            fail("sweep.strengths", f"{tagged[tag]!r} and {strength!r} share the file tag {tag}")
+        tagged[tag] = strength
     # Grid must sit inside the field domain so every state center is queryable.
     max_x = cfg.grid_origin_x_km + (cfg.grid_nx - 1) * cfg.grid_cell_km
     max_y = cfg.grid_origin_y_km + (cfg.grid_ny - 1) * cfg.grid_cell_km

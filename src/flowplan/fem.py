@@ -223,10 +223,15 @@ class Mesh:
             raise DomainError(f"point {tuple(np.asarray(p))} outside mesh cover")
         return found
 
-    def _find_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _find_many(
+        self, points: np.ndarray, lattice: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """``_find`` of every row at once: containing triangle (-1 off the
-        cover) and barycentric weights."""
-        tris = self._point_triangles[self._lattice_points(points)]
+        cover) and barycentric weights. ``lattice`` holds the rows'
+        ``_lattice_points`` when the caller has them."""
+        if lattice is None:
+            lattice = self._lattice_points(points)
+        tris = self._point_triangles[lattice]
         inv, r0 = self._bary_frames
         lam12 = np.einsum("pcij,pcj->pci", inv[tris], points[:, None, :] - r0[tris])
         lam = np.concatenate([1.0 - lam12.sum(axis=-1, keepdims=True), lam12], axis=-1)
@@ -234,9 +239,11 @@ class Mesh:
         rows, k = np.arange(len(points)), mins.argmax(axis=1)
         return np.where(mins[rows, k] >= -_BARY_TOL, tris[rows, k], -1), lam[rows, k]
 
-    def _nearest_many(self, points: np.ndarray) -> np.ndarray:
-        """``nearest_node`` of every row at once."""
-        ids = self._block_nodes[self._lattice_points(points)]
+    def _nearest_many(self, points: np.ndarray, lattice: np.ndarray | None = None) -> np.ndarray:
+        """``nearest_node`` of every row at once; ``lattice`` as in ``_find_many``."""
+        if lattice is None:
+            lattice = self._lattice_points(points)
+        ids = self._block_nodes[lattice]
         d = self.nodes[ids] - points[:, None, :]
         k = np.einsum("pmd,pmd->pm", d, d).argmin(axis=1)
         return ids[np.arange(len(points)), k]
@@ -250,33 +257,43 @@ class Mesh:
         d = points[:, None, :] - cand
         return cand[np.arange(len(points)), np.einsum("ped,ped->pe", d, d).argmin(axis=1)]
 
-    def locate_rows(self, points: np.ndarray, clamp: bool = False) -> tuple[np.ndarray, ...]:
+    def locate_rows(
+        self, points: np.ndarray, clamp: bool = False, cells: np.ndarray | None = None
+    ) -> tuple[np.ndarray, ...]:
         """Each row's point, containing triangle, raw barycentric weights and
         nearest node. Rows off the cover raise DomainError unless ``clamp``
-        moves them to their closest point of the cover. Rows go in batches of
-        ``_BATCH_ROWS``, which bounds the temporaries."""
-        return self._locate(points, clamp, nearest=True)
+        moves them to their closest point of the cover. ``cells``, when
+        given, are the rows' ``StateSpace.state_at`` in this mesh's states,
+        which saves computing them. Rows go in batches of ``_BATCH_ROWS``,
+        which bounds the temporaries."""
+        return self._locate(points, clamp, nearest=True, cells=cells)
 
-    def _locate(self, points: np.ndarray, clamp: bool, nearest: bool) -> tuple[np.ndarray, ...]:
-        """``locate_rows``, whose nearest nodes are left out unless ``nearest``."""
+    def _locate(
+        self, points: np.ndarray, clamp: bool, nearest: bool, cells: np.ndarray | None = None
+    ) -> tuple[np.ndarray, ...]:
+        """``locate_rows``, whose nearest nodes are left out unless ``nearest``.
+        Each row's lattice point serves both searches; a row projected onto
+        the cover is given the lattice point of its new position."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         if len(points) > _BATCH_ROWS:
-            parts = [
-                self._locate(points[r : r + _BATCH_ROWS], clamp, nearest)
-                for r in range(0, len(points), _BATCH_ROWS)
-            ]
+            parts = []
+            for r in range(0, len(points), _BATCH_ROWS):
+                rows = slice(r, r + _BATCH_ROWS)
+                parts.append(self._locate(points[rows], clamp, nearest, None if cells is None else cells[rows]))
             return tuple(map(np.concatenate, zip(*parts)))
-        tri, lam = self._find_many(points)
+        lattice = self._lattice_points(points) if cells is None else cells
+        tri, lam = self._find_many(points, lattice)
         off = np.flatnonzero(tri < 0)
         if len(off):
             if not clamp:
                 raise DomainError("a query point lies outside the mesh cover")
-            points = points.copy()
+            points, lattice = points.copy(), lattice.copy()
             points[off] = self._project_many(points[off])
-            tri[off], lam[off] = self._find_many(points[off])
+            lattice[off] = self._lattice_points(points[off])
+            tri[off], lam[off] = self._find_many(points[off], lattice[off])
             if (tri[off] < 0).any():
                 raise DomainError("a projected point lies outside the mesh cover")
-        return (points, tri, lam, self._nearest_many(points)) if nearest else (points, tri, lam)
+        return (points, tri, lam, self._nearest_many(points, lattice)) if nearest else (points, tri, lam)
 
     @cached_property
     def centres(self) -> tuple[np.ndarray, ...]:
@@ -717,12 +734,13 @@ class ContinuousValue:
         return self.expansion(p)[2][0]
 
     def expansion(
-        self, points: np.ndarray, clamp: bool = False
+        self, points: np.ndarray, clamp: bool = False, cells: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``expansion_at`` the rows of ``points``, located by one batched
-        ``Mesh.locate_rows``. Rows off the mesh cover raise DomainError unless
-        ``clamp`` moves them to their closest point of the cover."""
-        return self.expansion_at(self.mesh.locate_rows(points, clamp))
+        ``Mesh.locate_rows``, which takes the rows' ``cells`` when given. Rows
+        off the mesh cover raise DomainError unless ``clamp`` moves them to
+        their closest point of the cover."""
+        return self.expansion_at(self.mesh.locate_rows(points, clamp, cells))
 
     def expansion_at(self, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value (n,), gradient (n, 2) and Hessian (n, 2, 2) at rows located

@@ -2,11 +2,16 @@
 
 The vehicle integrates forward-Euler at a fine step: net velocity is the
 freshly sampled disturbed current plus the commanded (heading, speed) pair.
-All trials of one planner advance in lockstep as the rows of a (trials, 2)
-array: each step moves every live trial, and the trials that need a new
-command get it from one batched planner call. Every trial draws its noise
-from its own generator, in one block of per-step draws for a fixed number of
-steps at a time, so its path does not depend on the other trials.
+All trials of all planners advance in lockstep as the rows of one
+(planners x trials, 2) array, planner-major: each step moves every live row,
+checks goal entry and locates the containing cell once for all of them, and
+each planner gets one batched command call for its own rows that need one.
+Trial ``t`` has one generator, shared by every planner's copy of the trial:
+the same seed gives each planner the same draws, so one stream serves them
+all. Per-step noise is drawn in blocks of a fixed number of steps, once per
+trial while any planner's copy of it is live, so a path does not depend on
+the other trials or planners. Positions and headings are recorded in blocks
+of the same number of steps.
 Three planner kinds are supported: a discrete grid policy that is re-queried
 on cell change or every action interval, a continuous planner that re-scores
 the compass actions against a finite-element value function every step, and
@@ -39,7 +44,8 @@ END_REASONS = ("goal", "collision", "budget")
 
 # Steps of per-step noise drawn at once per trial: one block call costs about
 # a tenth of the scalar draws it replaces per pair, and the block size bounds
-# the buffer on long budgets.
+# the buffer on long budgets. The history is recorded in blocks of as many
+# steps.
 _NOISE_BLOCK = 64
 
 
@@ -102,9 +108,9 @@ class GoalOrientedPlanner:
         self.goal = goal
         self.v_max = v_max
 
-    def command(self, p: Point2 | np.ndarray):
+    def command(self, p: Point2 | np.ndarray, cells: np.ndarray | None = None):
         """Heading and speed at one point, or heading and speed arrays at
-        rows of points."""
+        rows of points; ``cells`` is ignored."""
         return goal_oriented_action(p, self.goal, self.v_max)
 
 
@@ -124,9 +130,9 @@ class _CompassPlanner:
         """Action index for each row of points outside the goal cell."""
         raise NotImplementedError
 
-    def _command(self, p: Point2 | np.ndarray):
+    def _command(self, p: Point2 | np.ndarray, cells: np.ndarray | None):
         rows, single = _as_rows(p)
-        s = self.states.state_at(rows)
+        s = self.states.state_at(rows) if cells is None else cells
         act = np.zeros(len(rows), dtype=np.int64)
         away = s != self.states.goal
         if away.any():
@@ -151,10 +157,11 @@ class DiscretePlanner(_CompassPlanner):
     def _choose(self, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
         return self.policy[s]
 
-    def command(self, p: Point2 | np.ndarray):
+    def command(self, p: Point2 | np.ndarray, cells: np.ndarray | None = None):
         """Heading and speed at one point, or heading and speed arrays at
-        rows of points."""
-        return self._command(p)
+        rows of points; ``cells``, the rows' ``states.state_at`` when the
+        caller has them, saves locating them again."""
+        return self._command(p, cells)
 
 
 class ContinuousPlanner(_CompassPlanner):
@@ -163,7 +170,8 @@ class ContinuousPlanner(_CompassPlanner):
     Uses the model's per-state transition moments at the containing cell but
     the value, gradient, and recovered curvature at the vehicle's actual
     position (projected onto the mesh cover when just outside it). Rows of
-    points are scored in one pass over ``ContinuousValue.expansion``.
+    points are scored in one pass over ``ContinuousValue.expansion``, which
+    reuses their cells when the mesh is built on the model's states.
     """
 
     requery_every_step = True
@@ -180,13 +188,15 @@ class ContinuousPlanner(_CompassPlanner):
         self.convention = convention
 
     def _choose(self, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-        v, grad, hess = self.value.expansion(rows, clamp=True)
+        cells = s if self.value.mesh.states is self.model.states else None
+        v, grad, hess = self.value.expansion(rows, clamp=True, cells=cells)
         return best_action(_state_scores(self.model, s, v, grad, hess, self.convention))
 
-    def command(self, p: Point2 | np.ndarray):
+    def command(self, p: Point2 | np.ndarray, cells: np.ndarray | None = None):
         """Heading and speed at one point, or heading and speed arrays at
-        rows of points."""
-        return self._command(p)
+        rows of points; ``cells``, the rows' ``states.state_at`` when the
+        caller has them, saves locating them again."""
+        return self._command(p, cells)
 
 
 def step(
@@ -232,66 +242,94 @@ def _in_goal(points: np.ndarray, goal: Point2, radius_km: float) -> np.ndarray:
 
 def simulate_trials(
     field: FlowField,
-    planner,
+    planners: Sequence,
     start: Point2,
     goal: Point2,
     opts: SimOptions,
     rngs: Sequence[np.random.Generator],
     states: StateSpace | None = None,
     requery_dt_h: float = 1.0,
-) -> list[Trajectory]:
-    """Run one trial per generator in ``rngs``, all in lockstep, each until
-    goal entry, obstacle hit, or budget exhaustion.
+) -> list[list[Trajectory]]:
+    """Run every planner on one trial per generator in ``rngs``, all in one
+    lockstep batch, each until goal entry, obstacle hit, or budget
+    exhaustion; one list of trajectories per planner, in trial order.
 
-    Each step moves the live trials as rows of one array, then sends the
-    rows that need a new command to the planner in one call. Discrete
+    The rows of the batch are planner-major, with the trials in order. Each
+    step moves every live row in one :func:`step`, then checks goal entry
+    and locates the containing cells of all of them at once. Each planner
+    then gets the rows of its own that need a new command, in trial order, in
+    one call, with their cells when it plans on ``states``. Discrete
     planners are re-queried when the containing cell changes or
     ``requery_dt_h`` elapses, whichever comes first; other planners every
     step. A trial that ends without reaching the goal reports the full
-    budget as its time cost. Trial ``r`` draws its noise from ``rngs[r]``
-    alone, so it follows the same path alone as in any batch. Per-step noise
-    is drawn a block of steps ahead, so a generator may end up advanced past
-    its trial's last step.
+    budget as its time cost.
+
+    Every planner's trial ``r`` draws its noise from ``rngs[r]`` alone: the
+    per-trial noise once, and the per-step noise a block of steps at a time,
+    drawn while any planner's copy of the trial is live. A planner's copy is
+    live at a block boundary only if it was at every earlier one, so it meets
+    the same draws as on a fresh generator of its own, and a path is the same
+    alone as in any batch. A generator may end up advanced past its trial's
+    last step. Positions and headings are recorded a block of steps at a
+    time, and each trajectory is cut from the blocks at the end.
     """
-    n = len(rngs)
+    n_trials = len(rngs)
+    n = len(planners) * n_trials
+    trial = np.tile(np.arange(n_trials), len(planners))  # the trial of each row
+    bounds = np.arange(1, len(planners)) * n_trials  # each later planner's first row
+    every_step = np.repeat([bool(pl.requery_every_step) for pl in planners], n_trials)
+    on_states = [states is not None and getattr(pl, "states", None) is states for pl in planners]
     p = np.tile(np.asarray(start, dtype=float), (n, 1))
     n_steps = int(opts.budget_h / opts.dt_h + 1e-9)  # stay within the budget
     if opts.noise_resample == "trial":
-        noise = np.array([sample_noise(field.noise, rng) for rng in rngs]).reshape(n, 2)
+        noise = np.array([sample_noise(field.noise, rng) for rng in rngs]).reshape(n_trials, 2)
     else:
         sigma = (field.noise.sigma_x, field.noise.sigma_y)
         scale = math.sqrt(opts.dt_h) if opts.noise_scaling == "sqrt-dt" else 1.0
-        blocks = np.empty((n, min(_NOISE_BLOCK, n_steps), 2))
-    heading, speed = map(np.array, planner.command(p))  # copies: the loop writes into them
-    points, headings = [p.copy()], [heading.copy()]
-    reason = np.full(n, "budget", dtype=object)
-    end = np.zeros(n, dtype=np.int64)  # step of each trial's last sample
-    reason[_in_goal(p, goal, opts.goal_radius_km)] = "goal"
+        blocks = np.empty((n_trials, min(_NOISE_BLOCK, n_steps), 2))
     cell = states.state_at(p) if states is not None else None
+    heading, speed = np.empty(n), np.empty(n)
+
+    def command(ask: np.ndarray) -> None:
+        """New commands for the rows ``ask``, ascending: one call per planner."""
+        for j, rows in enumerate(np.split(ask, np.searchsorted(ask, bounds))):
+            if rows.size:
+                cells = cell[rows] if on_states[j] else None
+                heading[rows], speed[rows] = planners[j].command(p[rows], cells)
+
+    command(np.arange(n))
+    history_p, history_h = [], []  # blocks of _NOISE_BLOCK samples: points, headings
+    reason = np.full(n, "budget", dtype=object)
+    end = np.zeros(n, dtype=np.int64)  # step of each row's last sample
+    reason[_in_goal(p, goal, opts.goal_radius_km)] = "goal"
     since_query = np.zeros(n)
     live = np.flatnonzero(reason == "budget")
 
-    for k in range(1, n_steps + 1):
-        if not live.size:
+    for k in range(n_steps + 1):
+        at = k % _NOISE_BLOCK
+        if at == 0:
+            history_p.append(np.empty((_NOISE_BLOCK, n, 2)))
+            history_h.append(np.empty((_NOISE_BLOCK, n)))
+        history_p[-1][at], history_h[-1][at] = p, heading
+        if k == n_steps or not live.size:
             break
         if opts.noise_resample == "trial":
-            row_noise = noise[live]
+            row_noise = noise[trial[live]]
         else:
-            at = (k - 1) % _NOISE_BLOCK
             if at == 0:
-                m = min(_NOISE_BLOCK, n_steps - k + 1)
-                for r in live.tolist():
-                    blocks[r, :m] = scale * rngs[r].normal(0.0, sigma, size=(m, 2))
-            row_noise = blocks[live, at]
+                m = min(_NOISE_BLOCK, n_steps - k)
+                for t in np.unique(trial[live]).tolist():
+                    blocks[t, :m] = scale * rngs[t].normal(0.0, sigma, size=(m, 2))
+            row_noise = blocks[trial[live], at]
         moved = step(field, p[live], (heading[live], speed[live]), opts.dt_h, row_noise)
         p[live] = moved
         since_query[live] += opts.dt_h
-        end[live] = k
+        end[live] = k + 1
         arrived = _in_goal(moved, goal, opts.goal_radius_km)
         if arrived.any():
             reason[live[arrived]] = "goal"
             live, moved = live[~arrived], moved[~arrived]
-        requery = (since_query[live] >= requery_dt_h - 1e-12) | planner.requery_every_step
+        requery = (since_query[live] >= requery_dt_h - 1e-12) | every_step[live]
         if states is not None:
             s = states.state_at(moved)
             crashed = states.obstacles[s]  # a collision ends the trial as a failure
@@ -302,22 +340,21 @@ def simulate_trials(
             cell[live] = s
         ask = live[requery]
         if ask.size:
-            heading[ask], speed[ask] = planner.command(p[ask])
+            command(ask)
             since_query[ask] = 0.0
-        points.append(p.copy())
-        headings.append(heading.copy())
 
-    all_points, all_headings = np.stack(points), np.stack(headings)
     runs = []
     for r in range(n):
         last = int(end[r])
-        pts = all_points[: last + 1, r].copy()
+        used = last // _NOISE_BLOCK + 1
+        pts = np.concatenate([block[:, r] for block in history_p[:used]])[: last + 1]
         seg = np.diff(pts, axis=0)
         length = float(np.sqrt((seg**2).sum(axis=1)).sum())
         time_cost = last * opts.dt_h if reason[r] == "goal" else opts.budget_h
         times = np.arange(last + 1) * opts.dt_h
-        runs.append(Trajectory(times, pts, all_headings[: last + 1, r].copy(), reason[r], time_cost, length))
-    return runs
+        headings = np.concatenate([block[:, r] for block in history_h[:used]])[: last + 1]
+        runs.append(Trajectory(times, pts, headings, reason[r], time_cost, length))
+    return [runs[j * n_trials : (j + 1) * n_trials] for j in range(len(planners))]
 
 
 def simulate_trial(
@@ -330,8 +367,8 @@ def simulate_trial(
     states: StateSpace | None = None,
     requery_dt_h: float = 1.0,
 ) -> Trajectory:
-    """One trial: :func:`simulate_trials` with a batch of one generator."""
-    return simulate_trials(field, planner, start, goal, opts, [rng], states, requery_dt_h)[0]
+    """One trial of one planner: :func:`simulate_trials` with a batch of one."""
+    return simulate_trials(field, [planner], start, goal, opts, [rng], states, requery_dt_h)[0][0]
 
 
 @dataclass(frozen=True)
@@ -367,15 +404,17 @@ def run_experiment(
 ) -> tuple[dict[str, TrialStats], dict[str, list[Trajectory]]]:
     """Paired trials per planner with streams derived from (seed, trial).
 
-    The trials of one planner step in lockstep (see :func:`simulate_trials`);
-    trial ``t`` draws from ``SeedSequence([master_seed, t])`` for every
-    planner, so the planners meet the same noise.
+    Every planner's trials step in one lockstep batch (see
+    :func:`simulate_trials`). Trial ``t`` has one generator, seeded by
+    ``SeedSequence([master_seed, t])`` and shared by every planner, so the
+    planners meet the same noise, and each trajectory is the one that
+    planner's trial would follow alone.
     """
     stats: dict[str, TrialStats] = {}
     trajectories: dict[str, list[Trajectory]] = {}
-    for name, planner in planners.items():
-        rngs = [np.random.default_rng(np.random.SeedSequence([master_seed, t])) for t in range(trials)]
-        runs = simulate_trials(field, planner, start, goal, opts, rngs, states, requery_dt_h)
+    rngs = [np.random.default_rng(np.random.SeedSequence([master_seed, t])) for t in range(trials)]
+    batch = simulate_trials(field, list(planners.values()), start, goal, opts, rngs, states, requery_dt_h)
+    for name, runs in zip(planners, batch):
         done = [r for r in runs if r.reached]
         mean_t, std_t = _stats([r.time_cost for r in done])
         mean_l, std_l = _stats([r.length for r in done])

@@ -124,6 +124,21 @@ def test_simulate_on_a_small_gyre_writes_stats_and_trajectories(tmp_path, capsys
         assert sum(int(part.split()[1]) for part in counts.split(", ")) == 4
 
 
+@pytest.mark.parametrize("strengths", ["0.5, 0.5000001", "0.25, 0.5, 0.25"], ids=["same-tag", "repeated"])
+def test_sweep_strengths_sharing_a_file_tag_are_a_config_error_before_any_solve(tmp_path, capsys, strengths):
+    # Both strengths would write trajectories_<planner>_A0p5.csv (or A0p25),
+    # the second run overwriting the first.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_GYRE + f"sweep.strengths = {strengths}\nsim.trials = 1\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error: sweep.strengths:" in captured.err and "share the file tag" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]

@@ -10,6 +10,7 @@ from flowplan.config import (
     ExperimentConfig,
     parse_config,
     serialize_config,
+    strength_tag,
     validate_config,
 )
 from flowplan.errors import ConfigError
@@ -61,7 +62,7 @@ def valid_configs(draw) -> ExperimentConfig:
         sim_noise_resample=draw(st.sampled_from(["step", "trial"])),
         sim_noise_scaling=draw(st.sampled_from(["plain", "sqrt-dt"])),
         sim_seed=draw(st.integers(-(2**63), 2**63 - 1)),
-        sweep_strengths=tuple(draw(st.lists(finite, max_size=4))),
+        sweep_strengths=tuple(draw(st.lists(finite, max_size=4, unique_by=strength_tag))),
         mse_grid_sizes=tuple(draw(st.lists(st.integers(4, 200), max_size=4))),
         output_raster_n=draw(st.integers(2, 400)),
     )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from flowplan.errors import DomainError, MeshError, NumericalError
 from flowplan.fem import (
+    _BATCH_ROWS,
     ContinuousValue,
     Mesh,
     SparseSystem,
@@ -449,6 +450,40 @@ def test_locate_many_is_locate_rows_without_the_nearest_node():
     _, tri_ref, lam_ref, _ = mesh.locate_rows(pts, clamp=True)
     assert np.array_equal(tri_idx, tri_ref)
     assert np.array_equal(lams, np.clip(lam_ref, 0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "nx, ny, cell, origin, k, goal",
+    _geometry_params(
+        _square(20, 1, (17, 17), "20-1-paper"),
+        _square(10, 2, (7, 7), "10-2-cut-corners"),
+        _square(8, 2, (7, 0), "8-2-goal-on-a-cut-corner"),
+    ),
+)
+def test_locate_with_the_rows_cells_matches_the_self_computed_path_bit_for_bit(nx, ny, cell, origin, k, goal):
+    # The continuous planner passes the cells it already holds; a row that is
+    # projected onto the cover must be located from its new position's cell.
+    states = StateSpace.regular(nx, ny, cell, goal, origin=origin)
+    mesh = build_mesh(states, k=k)
+    points = _query_points(mesh, states, np.random.default_rng(7 * nx + k))
+    assert len(points) > _BATCH_ROWS
+    off = mesh._find_many(points)[0] < 0
+    assert off.any()
+    projected = points.copy()
+    projected[off] = mesh._project_many(points[off])
+    want = (projected, *mesh._find_many(projected), mesh._nearest_many(projected))
+    cells = states.state_at(points)
+    for located in (
+        mesh.locate_rows(points, clamp=True),
+        mesh.locate_rows(points, clamp=True, cells=cells),
+        mesh._locate(points, True, False, cells=cells),
+    ):
+        for a, b in zip(want, located):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(cells, states.state_at(points))  # left as passed
+    if (mesh._find_many(states.positions())[0] < 0).any():
+        # A board with cut corners: projection moves some rows into other cells.
+        assert (states.state_at(projected[off]) != cells[off]).any()
 
 
 @pytest.mark.parametrize(

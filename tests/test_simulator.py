@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -215,6 +216,66 @@ def test_lockstep_trials_equal_the_one_trial_reference(solved, opts):
         # Some trials outlast one block of per-step noise, so a second,
         # shorter block is drawn mid-trial.
         assert max(len(run) for name in runs for run in runs[name]) > _NOISE_BLOCK + 1
+
+
+def _assert_reference_runs(runs, planners, field, states, start, goal, opts, seed):
+    """Every planner's trial ``t`` is the one-trial reference on a fresh
+    generator seeded by ``(seed, t)``."""
+    for name, planner in planners.items():
+        for trial, run in enumerate(runs[name]):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+            times, points, headings, reason, time_cost, length = _reference_trial(
+                field, planner, start, goal, opts, rng, states
+            )
+            assert np.array_equal(run.times, times), (name, trial)
+            assert np.array_equal(run.points, points), (name, trial)
+            assert np.array_equal(run.headings, headings), (name, trial)
+            assert (run.end_reason, run.time_cost, run.length) == (reason, time_cost, length), (name, trial)
+
+
+def test_a_trial_drawn_past_a_noise_block_by_one_planner_only_equals_the_reference(solved):
+    # The fast planner's copy of a trial ends before the second block of
+    # per-step noise is due; another planner's copy runs past it, so the
+    # trial's shared generator draws that block for it alone. The fast
+    # planner comes first: the block is owed to the trial, not to the rows of
+    # the first planner.
+    field, states, _, planners = solved
+    goal = states.position(states.goal)
+    start = Point2(1.0, 1.0)
+    opts = SimOptions(budget_h=12.0)
+    assert opts.budget_h / opts.dt_h > _NOISE_BLOCK + 1
+    ordered = {"fast": planners["goal-oriented"], "slow": GoalOrientedPlanner(goal, 1.5), **planners}
+    _, runs = run_experiment(field, ordered, start, goal, opts, 6, 9, states)
+    longest = [max(len(runs[name][trial]) for name in ordered) for trial in range(6)]
+    assert any(
+        len(fast) <= _NOISE_BLOCK and longest[trial] > _NOISE_BLOCK + 1 for trial, fast in enumerate(runs["fast"])
+    )
+    _assert_reference_runs(runs, ordered, field, states, start, goal, opts, 9)
+
+
+def test_the_order_of_the_planners_changes_no_trajectory(solved):
+    field, states, _, planners = solved
+    goal = states.position(states.goal)
+    start, opts = Point2(1.0, 1.0), SimOptions(budget_h=8.0)
+    _, runs = run_experiment(field, planners, start, goal, opts, 5, 4, states)
+    for order in itertools.permutations(planners):
+        _, again = run_experiment(field, {n: planners[n] for n in order}, start, goal, opts, 5, 4, states)
+        assert list(again) == list(order)
+        for name in planners:
+            for a, b in zip(runs[name], again[name], strict=True):
+                for field_name in ("times", "points", "headings"):
+                    assert np.array_equal(getattr(a, field_name), getattr(b, field_name))
+                assert (a.end_reason, a.time_cost, a.length) == (b.end_reason, b.time_cost, b.length)
+
+
+@pytest.mark.parametrize("noise", ["step", "trial"])
+def test_an_experiment_of_one_trial_equals_the_reference(solved, noise):
+    field, states, _, planners = solved
+    goal = states.position(states.goal)
+    start, opts = Point2(1.0, 1.0), SimOptions(budget_h=8.0, noise_resample=noise)
+    stats, runs = run_experiment(field, planners, start, goal, opts, 1, 21, states)
+    assert all(len(runs[name]) == 1 and stats[name].trials == 1 for name in planners)
+    _assert_reference_runs(runs, planners, field, states, start, goal, opts, 21)
 
 
 @pytest.mark.parametrize("offset", [(-0.3, 0.4), (1.0, 0.0)], ids=["inside", "on-the-radius"])

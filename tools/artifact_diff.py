@@ -7,9 +7,9 @@ BASE is extracted with ``git archive`` into a temporary directory. The
 inputs of the three benchmark workloads are written once, by this tree's
 ``perfbench/workloads.write_inputs``, and both trees run every workload's
 commands on them at seeds 7 and 11, plus ``flowplan mse`` on a small gyre,
-``flowplan simulate`` on it with per-trial and with sqrt(dt)-scaled noise, and
-``flowplan solve`` on it with a k=2 mesh, the paper-literal moment convention
-and one obstacle.
+``flowplan simulate`` on it with per-trial and with sqrt(dt)-scaled noise and
+over a sweep of two strengths with one obstacle, and ``flowplan solve`` on it
+with a k=2 mesh, the paper-literal moment convention and one obstacle.
 Every output file, each command's stdout and its exit status are compared
 byte for byte. The differing files are listed (marked when they differ only
 in line endings), and the exit status is 1 if any file differs, else 0.
@@ -64,6 +64,15 @@ SMALL_GYRE_SIM = "vehicle.v_max_kmh = 1.0\nsim.trials = 6\nsim.budget_h = 12.0\n
 # workloads leave out: a k=2 mesh with an even goal, paper-literal moments and
 # an obstacle on a mesh node.
 SMALL_GYRE_K2 = "fem.k = 2\nfem.moment_convention = paper-literal\ngrid.obstacles = 1, 3\n"
+# ``flowplan simulate`` on the small gyre over a sweep of two strengths, with
+# the obstacle: the sweep loop, and a slow vehicle in strong noise, so that at
+# seed 7 trials end by goal, collision and budget, and one planner's copy of a
+# trial ends within the first block of per-step noise while another's draws
+# further blocks from the generator they share.
+SMALL_GYRE_SWEEP = (
+    "sweep.strengths = 0.25, 0.5\nsim.trials = 2\ngrid.obstacles = 1, 3\n"
+    "vehicle.v_max_kmh = 1.0\nnoise.sigma_kmh = 2.0\n"
+)
 
 
 def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
@@ -88,6 +97,10 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE + SMALL_GYRE_K2)
     cases.append(("solve-small-gyre-k2-paper-literal", ["solve", "--config", str(cfg)]))
+    cfg = inputs / "simulate-small-gyre-sweep" / "run.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text(SMALL_GYRE + SMALL_GYRE_SWEEP)
+    cases.append(("simulate-small-gyre-sweep", ["simulate", "--config", str(cfg), "--seed", str(SEEDS[0])]))
     return cases
 
 
