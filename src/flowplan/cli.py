@@ -164,8 +164,8 @@ def cmd_mse(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
             grid_origin_x_km=cell / 2,
             grid_origin_y_km=cell / 2,
             grid_obstacles=(),
-            goal_i=min(int(round((goal_x - cell / 2) / cell)), int(n) - 1),
-            goal_j=min(int(round((goal_y - cell / 2) / cell)), int(n) - 1),
+            goal_i=min(max(int(round((goal_x - cell / 2) / cell)), 0), int(n) - 1),
+            goal_j=min(max(int(round((goal_y - cell / 2) / cell)), 0), int(n) - 1),
         )
         model = build_mdp(cfg_n, base_dir=base_dir)
         pi_res = mdp.classic_policy_iteration(model)

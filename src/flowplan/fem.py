@@ -14,12 +14,12 @@ ids follow the state lattice row by row, so the band is about one grid row
 wide. The solved nodal coefficients define a value function that is
 continuous over the whole mesh cover and evaluable (with recovered first and
 second derivatives) anywhere inside it.
-Point queries are lattice arithmetic on batches of rows: the lattice point
-nearest a point lists the few triangles that may contain it and, in its 3x3
-block, the nodes that may be nearest to it, as every lattice point is a node
-(k=1) or next to one (k=2) and an odd-parity goal is a state too. Both give
-the answer a search of the whole mesh gives. Rows off the cover are
-projected in one batch onto the hull edges.
+Point queries are lattice arithmetic on batches of rows: a point's state
+(``StateSpace.state_at``) lists the few triangles that may contain it and,
+in its 3x3 block, the nodes that may be nearest to it, as every lattice
+point is a node (k=1) or next to one (k=2) and an odd-parity goal is a
+state too. Both give the answer a search of the whole mesh gives. Rows off
+the cover are projected in one batch onto the hull edges.
 Second derivatives come from a quadratic fit over a node patch with the
 symmetry of the state lattice: at interior nodes, the 3x3 block of grid
 neighbours (k=1) or the (+-1, +-1), (+-2, 0) and (0, +-2) neighbours (k=2),
@@ -110,19 +110,19 @@ class Mesh:
 
     Point queries are lattice arithmetic on batches of rows; ``locate``,
     ``covers``, ``nearest_node`` and ``project`` are batches of one. Both
-    searches start from the lattice point nearest the query point, clamped
-    onto the grid. Point location weighs the triangles whose integer lattice
-    box holds that lattice point (a triangle that contains the point within
-    the barycentric tolerance does), and takes the first, in triangle order,
-    with the largest minimum barycentric weight: the pick of a search of the
-    whole mesh. The nearest-node search weighs the nodes of the 3x3 block of
-    lattice points around it in id order, so the lowest id wins exact ties.
-    It relies on every lattice point being a node (k=1) or next to one (k=2),
-    an odd goal being a state: a node outside the block then has a strictly
-    closer node two lattice steps (or, for the odd goal, one step) nearer.
-    Rows off the cover are projected in one batch onto the hull edges
-    (``edge_neighbours`` < 0), where the closest point of the cover lies;
-    the first closest in triangle-edge order is taken.
+    searches start from the query point's state, ``states.state_at``: the
+    lattice point nearest it, clamped onto the grid. Point location weighs the
+    triangles whose integer lattice box holds that lattice point (a triangle
+    that contains the point within the barycentric tolerance does), and takes
+    the first, in triangle order, with the largest minimum barycentric weight:
+    the pick of a search of the whole mesh. The nearest-node search weighs the
+    nodes of the 3x3 block of lattice points around it in id order, so the
+    lowest id wins exact ties. It relies on every lattice point being a node
+    (k=1) or next to one (k=2), an odd goal being a state: a node outside the
+    block then has a strictly closer node two lattice steps (or, for the odd
+    goal, one step) nearer. Rows off the cover are projected in one batch onto
+    the hull edges (``edge_neighbours`` < 0), where the closest point of the
+    cover lies; the first closest in triangle-edge order is taken.
     """
 
     states: StateSpace
@@ -174,19 +174,6 @@ class Mesh:
         return np.linalg.inv(mats), p[:, 0]
 
     @cached_property
-    def _frame(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-        """Lattice origin, cell, last (i, j) and the map of (i, j) to j * nx + i."""
-        st = self.states
-        return np.array(st.origin), st.cell_km, np.array([st.nx - 1.0, st.ny - 1.0]), np.array([1, st.nx])
-
-    def _lattice_points(self, points: np.ndarray) -> np.ndarray:
-        """The lattice point j * nx + i nearest each row, clamped onto the grid:
-        ``StateSpace.state_at`` of the rows, from cached arrays."""
-        origin, cell, last, flat = self._frame
-        ij = np.minimum(np.maximum(np.floor((points - origin) / cell + 0.5), 0.0), last)
-        return ij.astype(np.int64).dot(flat)
-
-    @cached_property
     def _point_triangles(self) -> np.ndarray:
         """Per lattice point, the triangles whose integer lattice box holds
         it: all that can contain a point that rounds to it."""
@@ -228,9 +215,9 @@ class Mesh:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``_find`` of every row at once: containing triangle (-1 off the
         cover) and barycentric weights. ``lattice`` holds the rows'
-        ``_lattice_points`` when the caller has them."""
+        ``StateSpace.state_at`` when the caller has them."""
         if lattice is None:
-            lattice = self._lattice_points(points)
+            lattice = self.states.state_at(points)
         tris = self._point_triangles[lattice]
         inv, r0 = self._bary_frames
         lam12 = np.einsum("pcij,pcj->pci", inv[tris], points[:, None, :] - r0[tris])
@@ -242,7 +229,7 @@ class Mesh:
     def _nearest_many(self, points: np.ndarray, lattice: np.ndarray | None = None) -> np.ndarray:
         """``nearest_node`` of every row at once; ``lattice`` as in ``_find_many``."""
         if lattice is None:
-            lattice = self._lattice_points(points)
+            lattice = self.states.state_at(points)
         ids = self._block_nodes[lattice]
         d = self.nodes[ids] - points[:, None, :]
         k = np.einsum("pmd,pmd->pm", d, d).argmin(axis=1)
@@ -263,9 +250,8 @@ class Mesh:
         """Each row's point, containing triangle, raw barycentric weights and
         nearest node. Rows off the cover raise DomainError unless ``clamp``
         moves them to their closest point of the cover. ``cells``, when
-        given, are the rows' ``StateSpace.state_at`` in this mesh's states,
-        which saves computing them. Rows go in batches of ``_BATCH_ROWS``,
-        which bounds the temporaries."""
+        given, are the rows' ``states.state_at``, which saves computing them.
+        Rows go in batches of ``_BATCH_ROWS``, which bounds the temporaries."""
         return self._locate(points, clamp, nearest=True, cells=cells)
 
     def _locate(
@@ -281,7 +267,7 @@ class Mesh:
                 rows = slice(r, r + _BATCH_ROWS)
                 parts.append(self._locate(points[rows], clamp, nearest, None if cells is None else cells[rows]))
             return tuple(map(np.concatenate, zip(*parts)))
-        lattice = self._lattice_points(points) if cells is None else cells
+        lattice = self.states.state_at(points) if cells is None else cells
         tri, lam = self._find_many(points, lattice)
         off = np.flatnonzero(tri < 0)
         if len(off):
@@ -289,7 +275,7 @@ class Mesh:
                 raise DomainError("a query point lies outside the mesh cover")
             points, lattice = points.copy(), lattice.copy()
             points[off] = self._project_many(points[off])
-            lattice[off] = self._lattice_points(points[off])
+            lattice[off] = self.states.state_at(points[off])
             tri[off], lam[off] = self._find_many(points[off], lattice[off])
             if (tri[off] < 0).any():
                 raise DomainError("a projected point lies outside the mesh cover")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
+from .errors import DomainError
 from .mdp import MdpModel
 from .moments import Convention, assemble_coefficients, transition_moments
 
@@ -109,7 +110,6 @@ def improve_policy_continuous(
     model: MdpModel,
     value: fem.ContinuousValue,
     convention: Convention = "displacement",
-    clamp: bool = False,
     incumbent: np.ndarray | None = None,
     margins: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -117,23 +117,19 @@ def improve_policy_continuous(
 
     Scores each action by expected reward plus the drift and diffusion terms
     of the local expansion of the value (the action-independent reaction term
-    is kept for fidelity; it cannot change the argmax). State centers outside
-    the mesh cover raise DomainError unless ``clamp`` projects them onto it.
-    Scores within 1e-12 of the best count as tied, and ties resolve to the
-    lowest action index, as in the discrete improvement step. With
-    ``incumbent``/``margins`` set (the loop's hysteresis), a state keeps its
-    incumbent action unless the best challenger clears the margin. All states
-    and actions are scored in one pass over ``ContinuousValue.expansion_at``;
-    on a mesh of the model's own states, a clamped call reads the centres the
-    mesh located once (``Mesh.centres``), so the loop does not relocate them.
+    is kept for fidelity; it cannot change the argmax). Scores within 1e-12
+    of the best count as tied, and ties resolve to the lowest action index,
+    as in the discrete improvement step. With ``incumbent``/``margins`` set
+    (the loop's hysteresis), a state keeps its incumbent action unless the
+    best challenger clears the margin. All states and actions are scored in
+    one pass of ``ContinuousValue.expansion_at`` over the centres the mesh
+    located once (``Mesh.centres``), so the loop does not relocate them. A
+    value whose mesh is not built on ``model.states`` raises DomainError.
     """
+    if value.mesh.states is not model.states:
+        raise DomainError("the value's mesh is not built on the model's states")
     states = np.arange(model.n_states)
-    mesh = value.mesh
-    if clamp and mesh.states is model.states:
-        rows = mesh.centres
-    else:
-        rows = mesh.locate_rows(model.states.positions(), clamp)
-    v, grad, hess = value.expansion_at(rows)
+    v, grad, hess = value.expansion_at(value.mesh.centres)
     scores = _state_scores(model, states, v, grad, hess, convention)
     best = best_action(scores)
     if incumbent is None:
@@ -193,7 +189,7 @@ def approximate_policy_iteration(model: MdpModel, cfg: ApiConfig = ApiConfig()) 
         value, residual = evaluate_policy_fem(model, policy, mesh, cfg.convention)
         margins = _STICKINESS * np.exp2(np.clip(flips - 2, 0, 48))
         improved = improve_policy_continuous(
-            model, value, convention=cfg.convention, clamp=True, incumbent=policy, margins=margins
+            model, value, convention=cfg.convention, incumbent=policy, margins=margins
         )
         changes = int(np.sum(improved != policy))
         flips += improved != policy

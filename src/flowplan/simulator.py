@@ -5,7 +5,8 @@ freshly sampled disturbed current plus the commanded (heading, speed) pair.
 All trials of all planners advance in lockstep as the rows of one
 (planners x trials, 2) array, planner-major: each step moves every live row,
 checks goal entry and locates the containing cell once for all of them, and
-each planner gets one batched command call for its own rows that need one.
+each planner gets one batched command call for its own rows that need one,
+with their cells.
 Trial ``t`` has one generator, shared by every planner's copy of the trial:
 the same seed gives each planner the same draws, so one stream serves them
 all. Per-step noise is drawn in blocks of a fixed number of steps, once per
@@ -74,29 +75,15 @@ class SimOptions:
             raise ValueError(f"unknown noise_scaling {self.noise_scaling!r}")
 
 
-def _as_rows(p: Point2 | np.ndarray) -> tuple[np.ndarray, bool]:
-    """``p`` as an (n, 2) array of points, and whether it was one point."""
-    rows = np.asarray(p, dtype=float)
-    return rows.reshape(-1, 2), rows.ndim == 1
-
-
-def _commands(heading: np.ndarray, speed: np.ndarray, single: bool):
-    return (float(heading[0]), float(speed[0])) if single else (heading, speed)
-
-
-def goal_oriented_action(p: Point2 | np.ndarray, goal: Point2, v_max: float):
-    """Head straight at the goal at full speed; zero command at the goal.
-
-    ``p`` is one point, giving one (heading, speed) pair, or an (n, 2) array
-    of points, giving a heading array and a speed array.
-    """
-    rows, single = _as_rows(p)
+def goal_oriented_action(points: np.ndarray, goal: Point2, v_max: float):
+    """Heading and speed arrays that head each row of ``points`` straight at
+    the goal at full speed; zero command at the goal."""
     cmds = [
         (0.0, 0.0) if dx == 0.0 and dy == 0.0 else (math.atan2(dy, dx), v_max)
-        for dx, dy in (np.asarray(goal, dtype=float) - rows).tolist()
+        for dx, dy in (np.asarray(goal, dtype=float) - points).tolist()
     ]
     heading, speed = np.array(cmds, dtype=float).reshape(-1, 2).T
-    return _commands(heading, speed, single)
+    return heading, speed
 
 
 class GoalOrientedPlanner:
@@ -108,10 +95,9 @@ class GoalOrientedPlanner:
         self.goal = goal
         self.v_max = v_max
 
-    def command(self, p: Point2 | np.ndarray, cells: np.ndarray | None = None):
-        """Heading and speed at one point, or heading and speed arrays at
-        rows of points; ``cells`` is ignored."""
-        return goal_oriented_action(p, self.goal, self.v_max)
+    def command(self, points: np.ndarray, cells: np.ndarray):
+        """Heading and speed arrays at rows of points; ``cells`` is ignored."""
+        return goal_oriented_action(points, self.goal, self.v_max)
 
 
 class _CompassPlanner:
@@ -130,19 +116,17 @@ class _CompassPlanner:
         """Action index for each row of points outside the goal cell."""
         raise NotImplementedError
 
-    def _command(self, p: Point2 | np.ndarray, cells: np.ndarray | None):
-        rows, single = _as_rows(p)
-        s = self.states.state_at(rows) if cells is None else cells
-        act = np.zeros(len(rows), dtype=np.int64)
-        away = s != self.states.goal
+    def _command(self, points: np.ndarray, cells: np.ndarray):
+        act = np.zeros(len(points), dtype=np.int64)
+        away = cells != self.states.goal
         if away.any():
-            act[away] = self._choose(rows[away], s[away])
+            act[away] = self._choose(points[away], cells[away])
         heading, speed = self._headings[act], self._speeds[act]
         if not away.all():
             home = ~away
             goal = self.states.position(self.states.goal)
-            heading[home], speed[home] = goal_oriented_action(rows[home], goal, self.actions[0].speed)
-        return _commands(heading, speed, single)
+            heading[home], speed[home] = goal_oriented_action(points[home], goal, self.actions[0].speed)
+        return heading, speed
 
 
 class DiscretePlanner(_CompassPlanner):
@@ -157,11 +141,9 @@ class DiscretePlanner(_CompassPlanner):
     def _choose(self, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
         return self.policy[s]
 
-    def command(self, p: Point2 | np.ndarray, cells: np.ndarray | None = None):
-        """Heading and speed at one point, or heading and speed arrays at
-        rows of points; ``cells``, the rows' ``states.state_at`` when the
-        caller has them, saves locating them again."""
-        return self._command(p, cells)
+    def command(self, points: np.ndarray, cells: np.ndarray):
+        """Heading and speed arrays at rows of points and their cells."""
+        return self._command(points, cells)
 
 
 class ContinuousPlanner(_CompassPlanner):
@@ -170,8 +152,8 @@ class ContinuousPlanner(_CompassPlanner):
     Uses the model's per-state transition moments at the containing cell but
     the value, gradient, and recovered curvature at the vehicle's actual
     position (projected onto the mesh cover when just outside it). Rows of
-    points are scored in one pass over ``ContinuousValue.expansion``, which
-    reuses their cells when the mesh is built on the model's states.
+    points are scored in one pass over ``ContinuousValue.expansion``. The
+    value's mesh must be built on the model's states; ValueError otherwise.
     """
 
     requery_every_step = True
@@ -182,21 +164,20 @@ class ContinuousPlanner(_CompassPlanner):
         value: fem.ContinuousValue,
         convention: Convention = "displacement",
     ):
+        if value.mesh.states is not model.states:
+            raise ValueError("the value's mesh is not built on the model's states")
         super().__init__(model.states, model.actions)
         self.model = model
         self.value = value
         self.convention = convention
 
     def _choose(self, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-        cells = s if self.value.mesh.states is self.model.states else None
-        v, grad, hess = self.value.expansion(rows, clamp=True, cells=cells)
+        v, grad, hess = self.value.expansion(rows, clamp=True, cells=s)
         return best_action(_state_scores(self.model, s, v, grad, hess, self.convention))
 
-    def command(self, p: Point2 | np.ndarray, cells: np.ndarray | None = None):
-        """Heading and speed at one point, or heading and speed arrays at
-        rows of points; ``cells``, the rows' ``states.state_at`` when the
-        caller has them, saves locating them again."""
-        return self._command(p, cells)
+    def command(self, points: np.ndarray, cells: np.ndarray):
+        """Heading and speed arrays at rows of points and their cells."""
+        return self._command(points, cells)
 
 
 def step(
@@ -247,7 +228,7 @@ def simulate_trials(
     goal: Point2,
     opts: SimOptions,
     rngs: Sequence[np.random.Generator],
-    states: StateSpace | None = None,
+    states: StateSpace,
     requery_dt_h: float = 1.0,
 ) -> list[list[Trajectory]]:
     """Run every planner on one trial per generator in ``rngs``, all in one
@@ -255,13 +236,13 @@ def simulate_trials(
     exhaustion; one list of trajectories per planner, in trial order.
 
     The rows of the batch are planner-major, with the trials in order. Each
-    step moves every live row in one :func:`step`, then checks goal entry
-    and locates the containing cells of all of them at once. Each planner
-    then gets the rows of its own that need a new command, in trial order, in
-    one call, with their cells when it plans on ``states``. Discrete
-    planners are re-queried when the containing cell changes or
-    ``requery_dt_h`` elapses, whichever comes first; other planners every
-    step. A trial that ends without reaching the goal reports the full
+    step moves every live row in one :func:`step`, then checks goal entry and
+    locates the containing cells of all of them at once. Each planner then
+    gets the rows of its own that need a new command, in trial order, in one
+    call, with their cells. A planner whose ``states`` is not ``states`` is a
+    ValueError. Discrete planners are re-queried when the containing cell
+    changes or ``requery_dt_h`` elapses, whichever comes first; other planners
+    every step. A trial that ends without reaching the goal reports the full
     budget as its time cost.
 
     Every planner's trial ``r`` draws its noise from ``rngs[r]`` alone: the
@@ -273,12 +254,13 @@ def simulate_trials(
     last step. Positions and headings are recorded a block of steps at a
     time, and each trajectory is cut from the blocks at the end.
     """
+    if any(getattr(pl, "states", states) is not states for pl in planners):
+        raise ValueError("a grid planner plans on another StateSpace than the simulator's")
     n_trials = len(rngs)
     n = len(planners) * n_trials
     trial = np.tile(np.arange(n_trials), len(planners))  # the trial of each row
     bounds = np.arange(1, len(planners)) * n_trials  # each later planner's first row
     every_step = np.repeat([bool(pl.requery_every_step) for pl in planners], n_trials)
-    on_states = [states is not None and getattr(pl, "states", None) is states for pl in planners]
     p = np.tile(np.asarray(start, dtype=float), (n, 1))
     n_steps = int(opts.budget_h / opts.dt_h + 1e-9)  # stay within the budget
     if opts.noise_resample == "trial":
@@ -287,15 +269,14 @@ def simulate_trials(
         sigma = (field.noise.sigma_x, field.noise.sigma_y)
         scale = math.sqrt(opts.dt_h) if opts.noise_scaling == "sqrt-dt" else 1.0
         blocks = np.empty((n_trials, min(_NOISE_BLOCK, n_steps), 2))
-    cell = states.state_at(p) if states is not None else None
+    cell = states.state_at(p)
     heading, speed = np.empty(n), np.empty(n)
 
     def command(ask: np.ndarray) -> None:
         """New commands for the rows ``ask``, ascending: one call per planner."""
         for j, rows in enumerate(np.split(ask, np.searchsorted(ask, bounds))):
             if rows.size:
-                cells = cell[rows] if on_states[j] else None
-                heading[rows], speed[rows] = planners[j].command(p[rows], cells)
+                heading[rows], speed[rows] = planners[j].command(p[rows], cell[rows])
 
     command(np.arange(n))
     history_p, history_h = [], []  # blocks of _NOISE_BLOCK samples: points, headings
@@ -330,14 +311,13 @@ def simulate_trials(
             reason[live[arrived]] = "goal"
             live, moved = live[~arrived], moved[~arrived]
         requery = (since_query[live] >= requery_dt_h - 1e-12) | every_step[live]
-        if states is not None:
-            s = states.state_at(moved)
-            crashed = states.obstacles[s]  # a collision ends the trial as a failure
-            if crashed.any():
-                reason[live[crashed]] = "collision"
-                live, s, requery = live[~crashed], s[~crashed], requery[~crashed]
-            requery |= s != cell[live]
-            cell[live] = s
+        s = states.state_at(moved)
+        crashed = states.obstacles[s]  # a collision ends the trial as a failure
+        if crashed.any():
+            reason[live[crashed]] = "collision"
+            live, s, requery = live[~crashed], s[~crashed], requery[~crashed]
+        requery |= s != cell[live]
+        cell[live] = s
         ask = live[requery]
         if ask.size:
             command(ask)
@@ -364,7 +344,7 @@ def simulate_trial(
     goal: Point2,
     opts: SimOptions,
     rng: np.random.Generator,
-    states: StateSpace | None = None,
+    states: StateSpace,
     requery_dt_h: float = 1.0,
 ) -> Trajectory:
     """One trial of one planner: :func:`simulate_trials` with a batch of one."""
@@ -399,7 +379,7 @@ def run_experiment(
     opts: SimOptions,
     trials: int,
     master_seed: int,
-    states: StateSpace | None = None,
+    states: StateSpace,
     requery_dt_h: float = 1.0,
 ) -> tuple[dict[str, TrialStats], dict[str, list[Trajectory]]]:
     """Paired trials per planner with streams derived from (seed, trial).

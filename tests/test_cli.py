@@ -100,6 +100,23 @@ def test_mse_with_the_goal_outside_the_field_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "out" / "mse.csv").exists()
 
 
+@pytest.mark.parametrize("axis, key", [("x", "goal.i"), ("y", "goal.j")])
+def test_mse_with_the_goal_just_below_the_field_maps_it_to_the_first_cell(tmp_path, capsys, axis, key):
+    # The goal centre lies 5e-10 km below the field, inside the 1e-9 km that
+    # mse accepts. Rounded, it falls on cell -1 of the 4x4 grid; mse must
+    # clamp it to cell 0, where a goal on the field's edge falls.
+    tables = {}
+    for origin in ("-5e-10", "0.0"):
+        text = SMALL_GYRE.replace(f"grid.origin_{axis}_km = 1.0", f"grid.origin_{axis}_km = {origin}")
+        cfg = tmp_path / f"run{origin}.cfg"
+        cfg.write_text(text.replace(f"{key} = 4", f"{key} = 0") + "mse.grid_sizes = 4\n")
+        out = tmp_path / f"out{origin}"
+        code = main(["mse", "--config", str(cfg), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        tables[origin] = (out / "mse.csv").read_bytes()
+    assert tables["-5e-10"] == tables["0.0"]
+
+
 def test_simulate_on_a_small_gyre_writes_stats_and_trajectories(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_GYRE + "sim.trials = 4\nsim.budget_h = 6.0\n")

@@ -169,9 +169,9 @@ def test_batched_improvement_matches_per_state_reference(gyre_benchmark, k):
         "displacement",
     )
     assert np.array_equal(batched, np.array(rows))
-    assert np.array_equal(improve_policy_continuous(model, value, clamp=True), plain)
+    assert np.array_equal(improve_policy_continuous(model, value), plain)
     got = improve_policy_continuous(
-        model, value, clamp=True, incumbent=policy, margins=margins
+        model, value, incumbent=policy, margins=margins
     )
     assert np.array_equal(got, held)
     assert 0 < np.sum(held != policy) < np.sum(plain != policy)  # margins hold some
@@ -197,6 +197,18 @@ def test_improvement_outside_mesh_raises(gyre_benchmark):
     v = fem.ContinuousValue(mesh, np.zeros(mesh.n_nodes))
     with pytest.raises(DomainError):
         improve_policy_continuous(model, v)  # most state centers lie outside
+
+
+def test_improvement_on_a_mesh_of_an_equal_but_distinct_state_space_raises(gyre_benchmark):
+    # The state centres are read off the mesh, located once on its own
+    # states, so the mesh must be built on the model's very StateSpace.
+    model, _ = gyre_benchmark
+    st = model.states
+    twin = StateSpace(st.origin, st.cell_km, st.nx, st.ny, st.obstacles.copy(), st.goal)
+    mesh = fem.build_mesh(twin, 1)
+    v = fem.ContinuousValue(mesh, np.zeros(mesh.n_nodes))
+    with pytest.raises(DomainError):
+        improve_policy_continuous(model, v)
 
 
 def test_improvement_on_exact_table_matches_discrete(gyre_benchmark):
@@ -248,7 +260,7 @@ def test_api_value_pinned_at_goal_every_iteration(gyre_benchmark):
     for _ in range(3):
         v, _ = evaluate_policy_fem(model, policy, mesh)
         assert abs(v.evaluate(goal_pos)) < 1e-9
-        policy = improve_policy_continuous(model, v, clamp=True)
+        policy = improve_policy_continuous(model, v)
 
 
 def test_api_diagnostics_recorded(gyre_api):

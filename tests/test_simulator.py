@@ -29,9 +29,16 @@ def gyre():
     return field, states
 
 
-def _trial(field, planner, start, goal, opts, seed, trial, states=None):
+def _trial(field, planner, start, goal, opts, seed, trial, states):
     rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
     return simulate_trial(field, planner, start, goal, opts, rng, states)
+
+
+def _command(planner, p, states):
+    """One planner command at one point, as a batch of one row."""
+    rows = np.array([p], dtype=float)
+    heading, speed = planner.command(rows, states.state_at(rows))
+    return float(heading[0]), float(speed[0])
 
 
 def test_same_seed_and_trial_give_identical_trajectories(gyre):
@@ -57,7 +64,7 @@ def test_trial_stops_on_entering_the_goal_radius(gyre):
     field, states = gyre
     goal = states.position(states.goal)
     opts = SimOptions(goal_radius_km=1.0, budget_h=30.0)
-    run = _trial(field, GoalOrientedPlanner(goal, 3.0), Point2(1.0, 1.0), goal, opts, 5, 0)
+    run = _trial(field, GoalOrientedPlanner(goal, 3.0), Point2(1.0, 1.0), goal, opts, 5, 0, states)
     assert run.reached
     dist = np.hypot(*(run.points - np.asarray(goal)).T)
     assert dist[-1] <= 1.0
@@ -70,7 +77,7 @@ def test_start_inside_the_goal_radius_ends_at_once(gyre):
     field, states = gyre
     goal = states.position(states.goal)
     start = Point2(goal.x + 0.5, goal.y)
-    run = _trial(field, GoalOrientedPlanner(goal, 3.0), start, goal, SimOptions(), 5, 0)
+    run = _trial(field, GoalOrientedPlanner(goal, 3.0), start, goal, SimOptions(), 5, 0, states)
     assert run.reached and run.time_cost == 0.0 and len(run) == 1
 
 
@@ -78,7 +85,7 @@ def test_unreached_goal_costs_the_whole_budget(gyre):
     field, states = gyre
     goal = states.position(states.goal)
     opts = SimOptions(budget_h=2.0)  # 6 km at most from the start, 17 km away
-    run = _trial(field, GoalOrientedPlanner(goal, 3.0), Point2(1.0, 1.0), goal, opts, 5, 0)
+    run = _trial(field, GoalOrientedPlanner(goal, 3.0), Point2(1.0, 1.0), goal, opts, 5, 0, states)
     assert not run.reached
     assert run.time_cost == opts.budget_h
     assert run.times[-1] == pytest.approx(opts.budget_h)
@@ -97,9 +104,30 @@ def test_continuous_planner_takes_lowest_action_on_exact_ties():
     headings = {a.compass: a.heading for a in model.actions}
     for sign, compass in ((1.0, "NE"), (-1.0, "SW")):
         planner = ContinuousPlanner(model, fem.ContinuousValue(mesh, sign * mesh.nodes[:, 0]))
-        heading, speed = planner.command(p)
+        heading, speed = _command(planner, p, states)
         assert heading == headings[compass]
         assert speed == 3.0
+
+
+def test_a_grid_planner_on_an_equal_but_distinct_state_space_is_a_value_error(gyre):
+    # The simulator hands each grid planner the cells of its own lattice, so
+    # the planner must plan on that very StateSpace, not on a copy of it.
+    field, states = gyre
+    twin = StateSpace.regular(10, 10, 2.0, (7, 7))
+    assert twin is not states and np.array_equal(twin.positions(), states.positions())
+    model = build_model(field, twin, 1.0, 3.0, 0.95)
+    planners = {"twin": DiscretePlanner(np.zeros(twin.n, dtype=np.int64), twin, model.actions)}
+    goal = states.position(states.goal)
+    with pytest.raises(ValueError, match="StateSpace"):
+        run_experiment(field, planners, Point2(1.0, 1.0), goal, SimOptions(budget_h=1.0), 2, 3, states)
+
+
+def test_a_continuous_planner_on_a_mesh_of_another_state_space_is_a_value_error(gyre):
+    field, states = gyre
+    model = build_model(field, states, 1.0, 3.0, 0.95)
+    mesh = fem.build_mesh(StateSpace.regular(10, 10, 2.0, (7, 7)), 1)
+    with pytest.raises(ValueError, match="model's states"):
+        ContinuousPlanner(model, fem.ContinuousValue(mesh, np.zeros(mesh.n_nodes)))
 
 
 def _reference_trial(field, planner, start, goal, opts, rng, states, requery_dt_h=1.0):
@@ -110,7 +138,7 @@ def _reference_trial(field, planner, start, goal, opts, rng, states, requery_dt_
     trial_noise = None
     if opts.noise_resample == "trial":
         trial_noise = (rng.normal(0.0, field.noise.sigma_x), rng.normal(0.0, field.noise.sigma_y))
-    heading, speed = planner.command(p)
+    heading, speed = _command(planner, p, states)
     times, pts, headings = [0.0], [tuple(p)], [heading]
     reason = "goal" if math.dist(p, goal) <= opts.goal_radius_km else "budget"
     time_cost = 0.0
@@ -152,7 +180,7 @@ def _reference_trial(field, planner, start, goal, opts, rng, states, requery_dt_
             else:
                 cell_changed = False
             if planner.requery_every_step or cell_changed or since_query >= requery_dt_h - 1e-12:
-                heading, speed = planner.command(p)
+                heading, speed = _command(planner, p, states)
                 since_query = 0.0
             headings[-1] = heading
     if reason != "goal":
@@ -331,13 +359,13 @@ def test_row_commands_equal_one_point_commands(solved):
     assert not all(planners["api"].value.mesh.covers(Point2(*q)) for q in rows)
     assert (states.state_at(rows) == states.goal).sum() >= 7
     for name, planner in planners.items():
-        heading, speed = planner.command(rows)
+        heading, speed = planner.command(rows, states.state_at(rows))
         for q, h, v in zip(rows, heading, speed):
             p = Point2(*q)
-            assert planner.command(p) == (h, v) == _reference_command(planner, p), (name, q)
+            assert (h, v) == _reference_command(planner, p), (name, q)
     # At the goal point itself every planner stops.
     for planner in planners.values():
-        assert planner.command(Point2(*goal)) == (0.0, 0.0)
+        assert _command(planner, goal, states) == (0.0, 0.0)
 
 
 def test_step_rejects_a_row_outside_the_field(gyre):

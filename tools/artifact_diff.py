@@ -7,7 +7,8 @@ BASE is extracted with ``git archive`` into a temporary directory. The
 inputs of the three benchmark workloads are written once, by this tree's
 ``perfbench/workloads.write_inputs``, and both trees run every workload's
 commands on them at seeds 7 and 11, plus ``flowplan mse`` on a small gyre,
-``flowplan simulate`` on it with per-trial and with sqrt(dt)-scaled noise and
+once more with its goal centre on the domain's lower edge, ``flowplan
+simulate`` on it with per-trial and with sqrt(dt)-scaled noise and
 over a sweep of two strengths with one obstacle, and ``flowplan solve`` on it
 with a k=2 mesh, the paper-literal moment convention and one obstacle.
 Every output file, each command's stdout and its exit status are compared
@@ -55,6 +56,12 @@ goal.j = 4
 output.raster_n = 5
 mse.grid_sizes = 4, 6
 """
+# ``flowplan mse`` on the small gyre with the goal centre 5e-10 km below the
+# domain's lower x edge, inside the tolerance that mse accepts: every mse grid
+# must put the goal in its first column.
+SMALL_GYRE_EDGE_GOAL = SMALL_GYRE.replace("grid.origin_x_km = 1.0", "grid.origin_x_km = -5e-10").replace(
+    "goal.i = 4", "goal.i = 0"
+)
 # ``flowplan simulate`` on the small gyre, once in each noise mode that the
 # workloads leave at its default. With a 1 km/h vehicle most trials outlast
 # one of the simulator's blocks of per-step noise, and some the 12 h budget.
@@ -88,6 +95,10 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE)
     cases.append(("mse-small-gyre", ["mse", "--config", str(cfg)]))
+    cfg = inputs / "mse-small-gyre-goal-on-edge" / "run.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text(SMALL_GYRE_EDGE_GOAL)
+    cases.append(("mse-small-gyre-goal-on-edge", ["mse", "--config", str(cfg)]))
     for name, mode in NOISE_MODES.items():
         cfg = inputs / f"simulate-small-gyre-{name}" / "run.cfg"
         cfg.parent.mkdir()
