@@ -14,14 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv
 
 from .errors import IterationLimitError, NumericalError
 from .flowfield import FlowField, NoiseParams, Point2, field_velocities, write_table
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 COMPASS_ORDER = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 
@@ -154,8 +156,10 @@ class MdpModel:
     """Grid MDP with per-action padded transition tables.
 
     ``succ``/``prob`` have shape (n_actions, n_states, 9); rows are padded with
-    the state itself at probability zero so they stay fixed-width. ``rewards``
-    holds the transition-weighted expected reward per (state, action).
+    the state itself at probability zero so they stay fixed-width. Exact
+    policy evaluation leaves entries of probability zero out of its band
+    matrix, so the padding never reaches one. ``rewards`` holds the
+    transition-weighted expected reward per (state, action).
     ``moment_table`` holds the displacement moments of every row, built on
     first use.
     """
@@ -276,34 +280,27 @@ def build_model(
     return MdpModel(states, actions, dt_h, v_max, gamma, field.noise, field, succ, prob, rewards)
 
 
-def _policy_matrix(model: MdpModel, policy: np.ndarray) -> sp.csr_matrix:
-    n = model.n_states
-    idx = np.arange(n)
-    cols = model.succ[policy, idx].ravel()
-    data = model.prob[policy, idx].ravel()
-    rows = np.repeat(idx, model.succ.shape[2])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+def _band_solve(row: np.ndarray, col: np.ndarray, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A @ x = rhs`` for the matrix A given by (row, col, data)
+    triplets, by banded LU with partial pivoting (LAPACK ``gbsv``; Anderson
+    et al., LAPACK Users' Guide, 1999).
 
-
-def _solve_banded(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` by banded LU with partial pivoting (LAPACK
-    ``gbsv``; Anderson et al., LAPACK Users' Guide, 1999).
-
-    The lower and upper bandwidths l and u are read off the stored entries,
-    whose values are scattered, duplicates added, straight into the
-    (2l + u + 1, n) band array that ``gbsv`` factors in place. With the
+    The lower and upper bandwidths l and u are read off the triplets, so
+    every triplet counts towards them, one carrying a zero included: callers
+    pass only the entries that belong in the band. The values are scattered
+    straight into the (2l + u + 1, n) band array that ``gbsv`` factors in
+    place; a duplicate (row, col) adds its value in the order given. With the
     lattice numbering of states and mesh nodes every coupling stays within
     about one grid row of the diagonal, so the band is narrow and the LU
     costs O(n l (l + u)). Non-finite input is not checked here; it reaches
     the caller's residual gate. A zero pivot raises NumericalError.
     """
-    a = matrix.tocoo()
-    n = a.shape[0]
-    offset = a.row.astype(np.int64) - a.col  # positive below the diagonal
+    n = rhs.shape[0]
+    offset = row.astype(np.int64) - col  # positive below the diagonal
     lower, upper = int(offset.max(initial=0)), -int(offset.min(initial=0))
     rows = 2 * lower + upper + 1  # the top l rows are room for the LU's fill
     band = np.bincount(
-        (lower + upper + offset) * n + a.col, weights=a.data, minlength=rows * n
+        (lower + upper + offset) * n + col, weights=data, minlength=rows * n
     ).reshape(rows, n)
     *_, x, info = dgbsv(lower, upper, band, rhs, overwrite_ab=True)
     if info > 0:
@@ -311,17 +308,42 @@ def _solve_banded(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _solve_banded(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve the sparse system ``matrix @ x = rhs`` by ``_band_solve`` over
+    its stored entries: duplicates are added, and a stored zero reaches the
+    band and counts towards its width."""
+    a = matrix.tocoo()
+    return _band_solve(a.row, a.col, a.data, rhs)
+
+
 def policy_evaluation_exact(model: MdpModel, policy: np.ndarray) -> np.ndarray:
     """Solve the linear fixed-point system (I - gamma P_pi) v = r_pi of a
     fixed policy directly, by banded LU: a state's successors lie in its 3x3
-    stencil, so the half-bandwidth is nx + 1. A residual above 1e-9 raises
-    NumericalError."""
-    n = model.n_states
-    p_pi = _policy_matrix(model, policy)
-    r_pi = model.rewards[np.arange(n), policy]
-    system = sp.eye(n, format="csr") - model.gamma * p_pi
-    values = _solve_banded(system, r_pi)
-    residual = np.max(np.abs(system @ values - r_pi))
+    stencil, so the half-bandwidth is at most nx + 1.
+
+    The band is filled straight from the policy's padded transition rows:
+    the identity first, then -gamma p for every successor whose gamma p is
+    not exactly 0, so a diagonal entry is 1 - gamma p_ss rounded once, as
+    in the sparse matrix I - gamma P_pi with its zeros pruned. Entries of
+    gamma p = 0 stay out: the padding, and with zero noise the in-grid cells
+    of probability 0. They add nothing to the matrix, but counted towards
+    the bandwidths they would widen the band that the LU works over (on the
+    noise-free 20x20 paper gyre with every state heading NE, l is 0 without
+    them and nx + 1 with them). Left out, the band and the LU are those of
+    the pruned sparse matrix, whose round-off decides exact Q ties in
+    ``classic_policy_iteration``. A residual max |v - gamma P_pi v - r_pi|
+    above 1e-9 raises NumericalError.
+    """
+    idx = np.arange(model.n_states)
+    succ = model.succ[policy, idx]
+    coupling = model.gamma * model.prob[policy, idx]
+    r_pi = model.rewards[idx, policy]
+    keep = coupling != 0.0
+    row = np.concatenate([idx, np.repeat(idx, keep.sum(axis=1))])
+    col = np.concatenate([idx, succ[keep]])
+    data = np.concatenate([np.ones(model.n_states), -coupling[keep]])
+    values = _band_solve(row, col, data, r_pi)
+    residual = np.max(np.abs(values - (coupling * values[succ]).sum(axis=1) - r_pi))
     if not residual < 1e-9:
         raise NumericalError(f"policy evaluation residual {residual:.3e} exceeds 1e-9")
     return values
@@ -349,7 +371,6 @@ class PiResult:
 def classic_policy_iteration(
     model: MdpModel,
     max_iterations: int = 500,
-    init: np.ndarray | None = None,
     record_history: bool = False,
 ) -> PiResult:
     """Alternate exact evaluation and greedy improvement to a fixed policy.
@@ -359,7 +380,7 @@ def classic_policy_iteration(
     (e.g. equivalent diagonal paths in deterministic models) flip forever on
     round-off-level differences and the stopping rule never fires.
     """
-    policy = np.zeros(model.n_states, dtype=np.int64) if init is None else init.copy()
+    policy = np.zeros(model.n_states, dtype=np.int64)
     history: list[np.ndarray] = []
     for it in range(1, max_iterations + 1):
         values = policy_evaluation_exact(model, policy)

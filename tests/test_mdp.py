@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.stats import norm
 
+from flowplan import mdp
 from flowplan.errors import NumericalError
 from flowplan.flowfield import (
     GridSamples,
@@ -27,7 +28,6 @@ from flowplan.mdp import (
     classic_policy_iteration,
     compass_actions,
     MdpModel,
-    _policy_matrix,
     _solve_banded,
     policy_evaluation_exact,
     policy_improvement_discrete,
@@ -448,6 +448,17 @@ def test_build_model_matches_the_state_loop_reference(case):
 # ------------------------------------------------------------ banded solve
 
 
+def _policy_matrix(model, policy):
+    """P_pi as a CSR matrix of the padded transition rows, duplicates added:
+    the reference for the band that policy_evaluation_exact fills directly."""
+    n = model.n_states
+    idx = np.arange(n)
+    cols = model.succ[policy, idx].ravel()
+    data = model.prob[policy, idx].ravel()
+    rows = np.repeat(idx, model.succ.shape[2])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
 def _spsolve_reference(matrix, rhs):
     """SuperLU's general sparse solve, the solver the banded LU replaced."""
     return spla.spsolve(sp.csc_matrix(matrix), rhs)
@@ -489,6 +500,33 @@ def test_exact_evaluation_agrees_with_the_general_sparse_solve(case):
         assert max(_bandwidths(system)) <= states.nx + 1
         want = _spsolve_reference(system, model.rewards[idx, policy])
         _assert_agrees(policy_evaluation_exact(model, policy), want)
+
+
+@pytest.mark.parametrize("case", _SOLVE_CASES)
+def test_exact_evaluation_is_bit_identical_to_the_sparse_construction(case, monkeypatch):
+    # Exact Q ties in policy iteration break by the solver's round-off, so
+    # the band filled from the transition rows must give the very values of
+    # the sparse I - gamma P_pi (its zeros pruned) through _solve_banded:
+    # for the zero policy, a random one and every policy PI evaluates.
+    make, args = case
+    field, states, dt_h = make(*args)
+    model = build_model(field, states, dt_h, 3.0, GAMMA)
+    evaluate = mdp.policy_evaluation_exact
+    visited = []
+
+    def recording(model, policy):
+        visited.append(policy.copy())
+        return evaluate(model, policy)
+
+    monkeypatch.setattr(mdp, "policy_evaluation_exact", recording)
+    classic_policy_iteration(model)
+    assert visited
+    rng = np.random.default_rng(states.n)
+    idx = np.arange(states.n)
+    for policy in (np.zeros(states.n, dtype=np.int64), rng.integers(0, 8, size=states.n), *visited):
+        system = sp.eye(states.n, format="csr") - GAMMA * _policy_matrix(model, policy)
+        want = _solve_banded(system, model.rewards[idx, policy])
+        assert np.array_equal(evaluate(model, policy).view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("case", _SOLVE_CASES)

@@ -10,7 +10,8 @@ commands on them at seeds 7 and 11, plus ``flowplan mse`` on a small gyre,
 once more with its goal centre on the domain's lower edge, ``flowplan
 simulate`` on it with per-trial and with sqrt(dt)-scaled noise and
 over a sweep of two strengths with one obstacle, and ``flowplan solve`` on it
-with a k=2 mesh, the paper-literal moment convention and one obstacle.
+with a k=2 mesh, the paper-literal moment convention and one obstacle, and
+once more without noise.
 Every output file, each command's stdout and its exit status are compared
 byte for byte. The differing files are listed (marked when they differ only
 in line endings), and the exit status is 1 if any file differs, else 0.
@@ -71,6 +72,11 @@ SMALL_GYRE_SIM = "vehicle.v_max_kmh = 1.0\nsim.trials = 6\nsim.budget_h = 12.0\n
 # workloads leave out: a k=2 mesh with an even goal, paper-literal moments and
 # an obstacle on a mesh node.
 SMALL_GYRE_K2 = "fem.k = 2\nfem.moment_convention = paper-literal\ngrid.obstacles = 1, 3\n"
+# ``flowplan solve`` on the small gyre without noise: each transition row puts
+# its mass on the stencil cells nearest its mean, so the other in-grid cells
+# carry probability exactly 0, and exact policy evaluation must leave in-grid
+# entries out of its band matrix.
+SMALL_GYRE_NOISE_FREE = "noise.sigma_kmh = 0.0\n"
 # ``flowplan simulate`` on the small gyre over a sweep of two strengths, with
 # the obstacle: the sweep loop, and a slow vehicle in strong noise, so that at
 # seed 7 trials end by goal, collision and budget, and one planner's copy of a
@@ -108,6 +114,10 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE + SMALL_GYRE_K2)
     cases.append(("solve-small-gyre-k2-paper-literal", ["solve", "--config", str(cfg)]))
+    cfg = inputs / "solve-small-gyre-noise-free" / "run.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text(SMALL_GYRE + SMALL_GYRE_NOISE_FREE)
+    cases.append(("solve-small-gyre-noise-free", ["solve", "--config", str(cfg)]))
     cfg = inputs / "simulate-small-gyre-sweep" / "run.cfg"
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE + SMALL_GYRE_SWEEP)
