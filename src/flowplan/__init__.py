@@ -26,9 +26,7 @@ from .flowfield import (
     field_velocity,
     grid_field,
     gyre_field,
-    gyre_velocity,
     load_grid_field,
-    sample_disturbance,
     sample_noise,
 )
 from .mdp import (
@@ -39,8 +37,6 @@ from .mdp import (
     classic_policy_iteration,
     compass_actions,
     policy_evaluation_exact,
-    policy_improvement_discrete,
-    value_iteration,
 )
 from .moments import DriftDiffusion, PdeCoefficients, assemble_coefficients, transition_moments
 from .fem import ContinuousValue, Mesh, SparseSystem, assemble, build_mesh, constrain_goal, solve

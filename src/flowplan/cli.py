@@ -37,16 +37,11 @@ from .errors import (
     NumericalError,
 )
 from .flowfield import Point2, write_table
-from .policy_iter import ApiConfig, approximate_policy_iteration, value_mse
+from .policy_iter import ApiConfig, approximate_policy_iteration, policy_coefficients, value_mse
 
 
 def _api_config(cfg: ExperimentConfig, k: int | None = None) -> ApiConfig:
-    return ApiConfig(
-        k=cfg.fem_k if k is None else k,
-        max_iterations=cfg.api_max_iterations,
-        convention=cfg.fem_moment_convention,  # type: ignore[arg-type]
-        init_policy=cfg.api_init_policy,
-    )
+    return ApiConfig(k=cfg.fem_k if k is None else k, max_iterations=cfg.api_max_iterations)
 
 
 def _solve_both(cfg: ExperimentConfig, base_dir: Path):
@@ -72,9 +67,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
         field.origin.y + field.extent[1],
     )
     fem.write_raster_csv(out / "value_raster.csv", api_res.value, bounds, cfg.output_raster_n)
-    coeffs = moments.assemble_coefficients(
-        model, api_res.policy, mesh.node_state, mesh.goal_node, cfg.fem_moment_convention
-    )
+    coeffs = policy_coefficients(model, api_res.policy, mesh)
     moments.write_coefficients_csv(out / "coefficients.csv", mesh.nodes, coeffs)
     with open(out / "diagnostics.jsonl", "w") as fh:
         for record in api_res.diagnostics:
@@ -92,9 +85,7 @@ def _planners(cfg: ExperimentConfig, model, pi_res, api_res):
     goal = model.states.position(model.states.goal)
     return {
         "classic-pi": simulator.DiscretePlanner(pi_res.policy, model.states, model.actions),
-        f"api-k{cfg.fem_k}": simulator.ContinuousPlanner(
-            model, api_res.value, cfg.fem_moment_convention
-        ),
+        f"api-k{cfg.fem_k}": simulator.ContinuousPlanner(model, api_res.value),
         "goal-oriented": simulator.GoalOrientedPlanner(goal, cfg.vehicle_v_max_kmh),
     }
 

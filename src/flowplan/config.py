@@ -59,9 +59,7 @@ class ExperimentConfig:
     mdp_dt_h: float = 1.0
     mdp_gamma: float = 0.95
     fem_k: int = 1
-    fem_moment_convention: str = "displacement"
     api_max_iterations: int = 50
-    api_init_policy: str = "goal-aimed"
     sim_trials: int = 10
     sim_budget_h: float = 30.0
     sim_dt_h: float = 0.1
@@ -188,12 +186,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         fail("fem.k", f"must be 1 or 2 (got {cfg.fem_k})")
     if cfg.fem_k == 2 and (cfg.grid_nx < 3 or cfg.grid_ny < 3):
         fail("fem.k", "k = 2 needs a grid of at least 3x3 states")
-    if cfg.fem_moment_convention not in ("displacement", "paper-literal"):
-        fail("fem.moment_convention", f"unknown convention {cfg.fem_moment_convention!r}")
     if cfg.api_max_iterations < 1:
         fail("api.max_iterations", "must be at least 1")
-    if cfg.api_init_policy not in ("goal-aimed", "uniform-n"):
-        fail("api.init_policy", f"unknown initial policy {cfg.api_init_policy!r}")
     if cfg.sim_trials < 1:
         fail("sim.trials", "must be at least 1")
     if cfg.sim_budget_h <= 0 or cfg.sim_dt_h <= 0:

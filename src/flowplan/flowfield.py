@@ -150,18 +150,6 @@ def grid_field(samples: GridSamples, noise: NoiseParams) -> FlowField:
     return FlowField(noise=noise, origin=samples.origin, extent=extent, grid=samples)
 
 
-def gyre_velocity(p: Point2, params: GyreParams) -> Velocity2:
-    """Deterministic gyre current at a point.
-
-    The field is divergence-free; speed peaks at pi * strength on the
-    circulation-cell midlines and vanishes at cell corners.
-    """
-    a = math.pi * params.strength_kmh
-    kx = math.pi * p[0] / params.size_km
-    ky = math.pi * p[1] / params.size_km
-    return Velocity2(-a * math.sin(kx) * math.cos(ky), a * math.cos(kx) * math.sin(ky))
-
-
 def field_velocities(field: FlowField, points: np.ndarray | Sequence[Point2]) -> np.ndarray:
     """Noise-free velocity at each row of ``points``, as an (n, 2) array;
     raises DomainError, naming the first row outside the domain.
@@ -229,13 +217,6 @@ def sample_noise(noise: NoiseParams, rng: np.random.Generator, scale: float = 1.
     sigma_y), size=(m, 2))`` draws the same numbers as ``m`` calls, in the
     same order; the simulator draws its per-step noise that way."""
     return scale * rng.normal(0.0, noise.sigma_x), scale * rng.normal(0.0, noise.sigma_y)
-
-
-def sample_disturbance(field: FlowField, p: Point2, rng: np.random.Generator) -> Velocity2:
-    """Field velocity plus independent per-axis Gaussian noise."""
-    base = field_velocity(field, p)
-    wx, wy = sample_noise(field.noise, rng)
-    return Velocity2(base.vx + wx, base.vy + wy)
 
 
 def _cluster(values: list[float]) -> list[float]:

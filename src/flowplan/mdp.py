@@ -5,14 +5,14 @@ command (heading, max speed) pairs. One action runs for ``dt`` hours, after
 which the position is re-identified with a grid cell: the transition law
 places Gaussian weight on the 8-connected neighborhood plus the cell itself,
 centered on the drifted mean position, and renormalizes. Classic policy
-iteration and value iteration on this model serve as the exact reference
-that the finite-element approximation is benchmarked against.
+iteration on this model serves as the exact reference that the
+finite-element approximation is benchmarked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -147,9 +147,6 @@ class StateSpace:
         s = ij[..., 1] * self.nx + ij[..., 0]
         return int(s) if s.ndim == 0 else s
 
-    def is_terminal(self, s: int) -> bool:
-        return s == self.goal or bool(self.obstacles[s])
-
 
 @dataclass(eq=False)
 class MdpModel:
@@ -196,12 +193,6 @@ class MdpModel:
         drift.setflags(write=False)
         second.setflags(write=False)
         return drift, second
-
-    def transition_row(self, s: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """Successor ids and probabilities with zero-padding removed."""
-        p = self.prob[a, s]
-        keep = p > 0.0
-        return self.succ[a, s][keep], p[keep]
 
 
 def build_model(
@@ -355,24 +346,14 @@ def action_values(model: MdpModel, values: np.ndarray) -> np.ndarray:
     return model.rewards + model.gamma * expected.T
 
 
-def policy_improvement_discrete(model: MdpModel, values: np.ndarray) -> np.ndarray:
-    """Greedy policy; ties resolve to the lowest action index."""
-    return np.argmax(action_values(model, values), axis=1)
-
-
 @dataclass(eq=False)
 class PiResult:
     policy: np.ndarray
     values: np.ndarray
     iterations: int
-    value_history: list[np.ndarray] = field(default_factory=list)
 
 
-def classic_policy_iteration(
-    model: MdpModel,
-    max_iterations: int = 500,
-    record_history: bool = False,
-) -> PiResult:
+def classic_policy_iteration(model: MdpModel, max_iterations: int = 500) -> PiResult:
     """Alternate exact evaluation and greedy improvement to a fixed policy.
 
     The loop keeps a state's incumbent action unless a challenger improves
@@ -381,32 +362,16 @@ def classic_policy_iteration(
     round-off-level differences and the stopping rule never fires.
     """
     policy = np.zeros(model.n_states, dtype=np.int64)
-    history: list[np.ndarray] = []
     for it in range(1, max_iterations + 1):
         values = policy_evaluation_exact(model, policy)
-        if record_history:
-            history.append(values)
         q = action_values(model, values)
         best = np.argmax(q, axis=1)
         idx = np.arange(model.n_states)
         improved = np.where(q[idx, best] > q[idx, policy] + 1e-12, best, policy)
         if np.array_equal(improved, policy):
-            return PiResult(policy, values, it, history)
+            return PiResult(policy, values, it)
         policy = improved
     raise IterationLimitError(f"policy iteration did not converge in {max_iterations} iterations")
-
-
-def value_iteration(
-    model: MdpModel, tol: float = 1e-12, max_iterations: int = 500_000
-) -> np.ndarray:
-    """Bellman-optimality fixed point by successive sweeps (test oracle)."""
-    values = np.zeros(model.n_states)
-    for _ in range(max_iterations):
-        updated = action_values(model, values).max(axis=1)
-        if np.max(np.abs(updated - values)) < tol:
-            return updated
-        values = updated
-    raise IterationLimitError(f"value iteration did not converge in {max_iterations} sweeps")
 
 
 def write_value_csv(path, states: StateSpace, values: np.ndarray) -> None:

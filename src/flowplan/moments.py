@@ -2,24 +2,26 @@
 
 Expanding the one-step value recursion to second order around a state turns
 it into a drift-diffusion-reaction equation whose coefficients are the
-moments of the one-step displacement under the transition law. The default
-``displacement`` convention uses E[s' - s] as the drift, which transports
-value along the expected motion; ``paper-literal`` negates the drift to
-match the expansion written with (s - s') differences. The second moment is
-identical under both (signs square away).
+moments of the one-step displacement under the transition law. The drift is
+E[s' - s], the locally consistent choice (Kushner & Dupuis, Numerical Methods
+for Stochastic Control Problems in Continuous Time, 2001): it transports
+value along the expected motion. The paper's expansion, written with
+(s - s') differences, negates the drift (the second moment is unchanged) and
+so transports value against the motion. With that sign the API policy's
+regret against classic PI measured 1.17 mean / 1.99 max on the 20x20 paper
+gyre and 1.21 / 2.00 on a 24x24 CSV field with a wall (k=2), where -2.0 =
+-0.1 / (1 - 0.95) is the value of never reaching the goal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .flowfield import write_table
 from .mdp import MdpModel
-
-Convention = Literal["displacement", "paper-literal"]
 
 
 class DriftDiffusion(NamedTuple):
@@ -41,32 +43,21 @@ class PdeCoefficients:
     goal_node: int
 
 
-def _check_convention(convention: str) -> None:
-    if convention not in ("displacement", "paper-literal"):
-        raise ValueError(f"unknown moment convention {convention!r}")
-
-
 def transition_moments(
     model: MdpModel,
     s: int | np.ndarray,
     a: int | np.ndarray | slice,
-    convention: Convention = "displacement",
 ) -> DriftDiffusion:
     """Displacement moments of a transition row, read from the model's table.
 
     drift_i = sum_s' T(s,a;s') (s'_i - s_i) and
-    diffusion_ij = sum_s' T(s,a;s') (s'_i - s_i)(s'_j - s_j); the
-    paper-literal convention flips the drift sign. ``s`` and ``a`` index the
-    table as numpy indices do: ``a=slice(None)`` gives every action's row of
-    state ``s``, stacked in action order. Integer and slice indices give
+    diffusion_ij = sum_s' T(s,a;s') (s'_i - s_i)(s'_j - s_j). ``s`` and ``a``
+    index the table as numpy indices do: ``a=slice(None)`` gives every
+    action's row of state ``s``, stacked in action order. Integer and slice indices give
     read-only views of the table; index arrays give copies.
     """
-    _check_convention(convention)
     drift, diffusion = model.moment_table
-    drift, diffusion = drift[a, s], diffusion[a, s]
-    if convention == "paper-literal":
-        drift = -drift
-    return DriftDiffusion(drift, diffusion)
+    return DriftDiffusion(drift[a, s], diffusion[a, s])
 
 
 def assemble_coefficients(
@@ -74,7 +65,6 @@ def assemble_coefficients(
     policy: np.ndarray,
     node_states: np.ndarray,
     goal_node: int,
-    convention: Convention = "displacement",
 ) -> PdeCoefficients:
     """Sample drift, diffusion, and reward source at mesh nodes.
 
@@ -87,7 +77,7 @@ def assemble_coefficients(
     if node_states.min() < 0 or node_states.max() >= model.n_states:
         raise ValueError("node maps to a state id outside the model")
     actions = np.asarray(policy)[node_states]
-    m = transition_moments(model, node_states, actions, convention)
+    m = transition_moments(model, node_states, actions)
     source = model.rewards[node_states, actions]
     return PdeCoefficients(m.drift, m.diffusion, source, model.gamma, goal_node)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import fem
 from .errors import DomainError
 from .mdp import MdpModel
-from .moments import Convention, assemble_coefficients, transition_moments
+from .moments import PdeCoefficients, assemble_coefficients, transition_moments
 
 _TIE_TOL = 1e-12  # scores this close to the best tie; same guard as classic PI
 # Score margin a challenger action must beat the incumbent by during the loop.
@@ -34,21 +34,14 @@ class ApiConfig:
     Args:
         k: mesh subsample factor (1 keeps all states, 2 the checkerboard half).
         max_iterations: evaluation/improvement cycles before flagging.
-        convention: moment sign convention fed to the PDE and improvement.
-        init_policy: "goal-aimed" points every state at the goal; "uniform-n"
-            starts from the first compass action everywhere.
     """
 
     k: int = 1
     max_iterations: int = 50
-    convention: Convention = "displacement"
-    init_policy: str = "goal-aimed"
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.init_policy not in ("goal-aimed", "uniform-n"):
-            raise ValueError(f"unknown initial policy {self.init_policy!r}")
 
 
 @dataclass(eq=False)
@@ -61,10 +54,8 @@ class ApiResult:
     diagnostics: list[dict] = field(default_factory=list)
 
 
-def initial_policy(model: MdpModel, kind: str = "goal-aimed") -> np.ndarray:
-    """Either uniform first-action or headings aimed most directly at the goal."""
-    if kind == "uniform-n":
-        return np.zeros(model.n_states, dtype=np.int64)
+def initial_policy(model: MdpModel) -> np.ndarray:
+    """The heading aimed most directly at the goal, at every state."""
     positions = model.states.positions()
     goal = positions[model.states.goal]
     delta = goal - positions
@@ -82,7 +73,6 @@ def _state_scores(
     value_at: float | np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
-    convention: Convention,
 ) -> np.ndarray:
     """Every action's score at state ``s``: expected reward plus the drift and
     curvature terms of the local expansion of the value, less the reaction
@@ -90,7 +80,7 @@ def _state_scores(
     per state) it scores each state in its own row, shape (n, n_actions),
     with the arithmetic of the one-state case."""
     gamma = model.gamma
-    m = transition_moments(model, s, slice(None), convention)
+    m = transition_moments(model, s, slice(None))
     drift = m.drift.swapaxes(0, -2)  # (..., n_a, 2)
     diffusion = m.diffusion.swapaxes(0, -3)  # (..., n_a, 2, 2)
     drift_term = (drift @ np.asarray(grad)[..., None])[..., 0]
@@ -109,7 +99,6 @@ def best_action(scores: np.ndarray) -> np.ndarray:
 def improve_policy_continuous(
     model: MdpModel,
     value: fem.ContinuousValue,
-    convention: Convention = "displacement",
     incumbent: np.ndarray | None = None,
     margins: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -130,7 +119,7 @@ def improve_policy_continuous(
         raise DomainError("the value's mesh is not built on the model's states")
     states = np.arange(model.n_states)
     v, grad, hess = value.expansion_at(value.mesh.centres)
-    scores = _state_scores(model, states, v, grad, hess, convention)
+    scores = _state_scores(model, states, v, grad, hess)
     best = best_action(scores)
     if incumbent is None:
         return best
@@ -160,15 +149,19 @@ def project_wall_tangential(coeffs, mesh: fem.Mesh, model: MdpModel) -> None:
     sig[on_x | on_y, 0, 1] = sig[on_x | on_y, 1, 0] = 0.0
 
 
+def policy_coefficients(model: MdpModel, policy: np.ndarray, mesh: fem.Mesh) -> PdeCoefficients:
+    """The nodal coefficients that the evaluation of ``policy`` on ``mesh``
+    solves with: the moments of its transition rows, wall-projected."""
+    coeffs = assemble_coefficients(model, policy, mesh.node_state, mesh.goal_node)
+    project_wall_tangential(coeffs, mesh, model)
+    return coeffs
+
+
 def evaluate_policy_fem(
-    model: MdpModel,
-    policy: np.ndarray,
-    mesh: fem.Mesh,
-    convention: Convention = "displacement",
+    model: MdpModel, policy: np.ndarray, mesh: fem.Mesh
 ) -> tuple[fem.ContinuousValue, float]:
     """One finite-element policy evaluation; returns the value and residual."""
-    coeffs = assemble_coefficients(model, policy, mesh.node_state, mesh.goal_node, convention)
-    project_wall_tangential(coeffs, mesh, model)
+    coeffs = policy_coefficients(model, policy, mesh)
     system = fem.constrain_goal(fem.assemble(mesh, coeffs), mesh.goal_node)
     nodal = fem.solve(system)
     residual = float(np.max(np.abs(system.matrix @ nodal - system.rhs)))
@@ -180,17 +173,15 @@ def approximate_policy_iteration(model: MdpModel, cfg: ApiConfig = ApiConfig()) 
     The mesh never changes, so the state centres are located on it once, in
     the first improvement (``Mesh.centres``)."""
     mesh = fem.build_mesh(model.states, cfg.k)
-    policy = initial_policy(model, cfg.init_policy)
+    policy = initial_policy(model)
     change_counts: list[int] = []
     diagnostics: list[dict] = []
     flips = np.zeros(model.n_states, dtype=np.int64)
     value: fem.ContinuousValue | None = None
     for it in range(1, cfg.max_iterations + 1):
-        value, residual = evaluate_policy_fem(model, policy, mesh, cfg.convention)
+        value, residual = evaluate_policy_fem(model, policy, mesh)
         margins = _STICKINESS * np.exp2(np.clip(flips - 2, 0, 48))
-        improved = improve_policy_continuous(
-            model, value, convention=cfg.convention, incumbent=policy, margins=margins
-        )
+        improved = improve_policy_continuous(model, value, incumbent=policy, margins=margins)
         changes = int(np.sum(improved != policy))
         flips += improved != policy
         change_counts.append(changes)

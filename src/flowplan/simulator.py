@@ -38,7 +38,6 @@ import numpy as np
 from . import fem
 from .flowfield import FlowField, Point2, field_velocities, sample_noise, write_table
 from .mdp import Action, MdpModel, StateSpace
-from .moments import Convention
 from .policy_iter import _state_scores, best_action
 
 END_REASONS = ("goal", "collision", "budget")
@@ -158,22 +157,16 @@ class ContinuousPlanner(_CompassPlanner):
 
     requery_every_step = True
 
-    def __init__(
-        self,
-        model: MdpModel,
-        value: fem.ContinuousValue,
-        convention: Convention = "displacement",
-    ):
+    def __init__(self, model: MdpModel, value: fem.ContinuousValue):
         if value.mesh.states is not model.states:
             raise ValueError("the value's mesh is not built on the model's states")
         super().__init__(model.states, model.actions)
         self.model = model
         self.value = value
-        self.convention = convention
 
     def _choose(self, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
         v, grad, hess = self.value.expansion(rows, clamp=True, cells=s)
-        return best_action(_state_scores(self.model, s, v, grad, hess, self.convention))
+        return best_action(_state_scores(self.model, s, v, grad, hess))
 
     def command(self, points: np.ndarray, cells: np.ndarray):
         """Heading and speed arrays at rows of points and their cells."""

@@ -1,8 +1,41 @@
 import numpy as np
 import pytest
 
+from flowplan.errors import IterationLimitError
 from flowplan.flowfield import GyreParams, NoiseParams, Point2, gyre_field
-from flowplan.mdp import StateSpace, build_model, classic_policy_iteration
+from flowplan.mdp import StateSpace, action_values, build_model, classic_policy_iteration
+
+# Reference helpers shared by the tests (import them with ``from conftest
+# import ...``). The program itself never needs them.
+
+
+def transition_row(model, s, a):
+    """Successor ids and probabilities of one transition row, with the
+    zero-probability padding removed."""
+    p = model.prob[a, s]
+    keep = p > 0.0
+    return model.succ[a, s][keep], p[keep]
+
+
+def is_terminal(states, s):
+    """Whether state ``s`` absorbs: the goal or an obstacle."""
+    return s == states.goal or bool(states.obstacles[s])
+
+
+def policy_improvement_discrete(model, values):
+    """Greedy policy on the action values; ties resolve to the lowest action."""
+    return np.argmax(action_values(model, values), axis=1)
+
+
+def value_iteration(model, tol=1e-12, max_iterations=500_000):
+    """Bellman-optimality fixed point by successive sweeps."""
+    values = np.zeros(model.n_states)
+    for _ in range(max_iterations):
+        updated = action_values(model, values).max(axis=1)
+        if np.max(np.abs(updated - values)) < tol:
+            return updated
+        values = updated
+    raise IterationLimitError(f"value iteration did not converge in {max_iterations} sweeps")
 
 
 @pytest.fixture(scope="session")

@@ -56,6 +56,13 @@ def test_gyre_grid_origin_below_the_domain_is_a_config_error(tmp_path, capsys, k
     assert "config error" in err and "outside the field domain" in err
 
 
+@pytest.mark.parametrize("line", ["fem.moment_convention = displacement", "api.init_policy = goal-aimed"])
+def test_a_removed_key_is_a_config_error_that_names_it(tmp_path, capsys, line):
+    code, err = _run(tmp_path, SMALL_GYRE + line + "\n", capsys)
+    assert code == 2
+    assert "config error" in err and f"unknown key '{line.split(' = ')[0]}'" in err
+
+
 def test_k2_on_a_grid_under_3x3_is_a_config_error(tmp_path, capsys):
     text = SMALL_GYRE.replace("grid.nx = 6", "grid.nx = 2").replace("goal.i = 4", "goal.i = 1")
     code, err = _run(tmp_path, text + "fem.k = 2\n", capsys)
@@ -189,6 +196,26 @@ def test_solve_on_a_small_gyre_writes_every_artifact(tmp_path, capsys):
             "iteration", "policy_changes", "solve_residual", "value_min", "value_max"
         }
     assert records[-1]["policy_changes"] == 0  # converged
+
+
+def test_coefficients_csv_holds_the_coefficients_of_the_final_evaluation(tmp_path, capsys, monkeypatch):
+    # The dump must show the wall-projected diffusion that the last FEM
+    # solve used, not the raw moments.
+    assembled = []
+    assemble = fem.assemble
+
+    def recording(mesh, coeffs):
+        assembled.append(coeffs)
+        return assemble(mesh, coeffs)
+
+    monkeypatch.setattr(fem, "assemble", recording)
+    code, err = _run(tmp_path, SMALL_GYRE, capsys)
+    assert code == 0, err
+    header, rows = _rows(tmp_path / "out" / "coefficients.csv")
+    cols = [header.split(",").index(name) for name in ("sxx", "sxy", "syy")]
+    dumped = [[float(row[c]) for c in cols] for row in rows]
+    final = assembled[-1].diffusion.reshape(-1, 4)[:, [0, 1, 3]]
+    assert dumped == final.tolist()
 
 
 def test_mse_writes_one_row_per_grid_size_and_k(tmp_path, capsys):

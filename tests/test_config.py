@@ -52,9 +52,7 @@ def valid_configs(draw) -> ExperimentConfig:
         mdp_dt_h=draw(positive),
         mdp_gamma=draw(st.floats(0.0, 0.999)),
         fem_k=draw(st.sampled_from([1, 2])),
-        fem_moment_convention=draw(st.sampled_from(["displacement", "paper-literal"])),
         api_max_iterations=draw(st.integers(1, 500)),
-        api_init_policy=draw(st.sampled_from(["goal-aimed", "uniform-n"])),
         sim_trials=draw(st.integers(1, 1000)),
         sim_budget_h=draw(positive),
         sim_dt_h=draw(positive),
@@ -93,9 +91,9 @@ def test_serialized_config_parses_back_to_itself(cfg):
         ("mdp.gamma", {"mdp_gamma": 1.0}),
         ("fem.k", {"fem_k": 3}),
         ("fem.k", {"fem_k": 2, "grid_nx": 2, "goal_i": 1}),
-        ("fem.moment_convention", {"fem_moment_convention": "central"}),
+        ("fem.k", {"fem_k": 2, "grid_ny": 2, "goal_j": 1}),
         ("api.max_iterations", {"api_max_iterations": 0}),
-        ("api.init_policy", {"api_init_policy": "random"}),
+        ("sim.budget_h", {"sim_budget_h": 0.0}),
         ("sim.trials", {"sim_trials": 0}),
         ("sim.budget_h", {"sim_dt_h": 0.0}),
         ("sim.goal_radius_km", {"sim_goal_radius_km": 0.0}),
@@ -141,10 +139,9 @@ CONFIG_KEYS = [
     "field.kind", "field.strength_kmh", "field.size_km", "field.csv_path", "field.width_km",
     "field.height_km", "noise.sigma_kmh", "grid.nx", "grid.ny", "grid.cell_km", "grid.origin_x_km",
     "grid.origin_y_km", "grid.obstacles", "goal.i", "goal.j", "start.x_km", "start.y_km",
-    "vehicle.v_max_kmh", "mdp.dt_h", "mdp.gamma", "fem.k", "fem.moment_convention",
-    "api.max_iterations", "api.init_policy", "sim.trials", "sim.budget_h", "sim.dt_h",
-    "sim.goal_radius_km", "sim.noise_resample", "sim.noise_scaling", "sim.seed",
-    "sweep.strengths", "mse.grid_sizes", "output.raster_n",
+    "vehicle.v_max_kmh", "mdp.dt_h", "mdp.gamma", "fem.k", "api.max_iterations", "sim.trials",
+    "sim.budget_h", "sim.dt_h", "sim.goal_radius_km", "sim.noise_resample", "sim.noise_scaling",
+    "sim.seed", "sweep.strengths", "mse.grid_sizes", "output.raster_n",
 ]  # fmt: skip
 
 

@@ -721,21 +721,26 @@ ASSEMBLY_GEOMETRIES = {
 }
 
 
-@pytest.mark.parametrize("convention", ["displacement", "paper-literal"])
+@pytest.mark.parametrize("coefficients", ["displacement", "random"])
 @pytest.mark.parametrize("geometry", ASSEMBLY_GEOMETRIES.values(), ids=ASSEMBLY_GEOMETRIES.keys())
-def test_assemble_matches_the_coo_reference_bit_for_bit(geometry, convention):
+def test_assemble_matches_the_coo_reference_bit_for_bit(geometry, coefficients):
     # Interior k=1 rows hold 18 unsummed entries, past the 16 up to which
-    # scipy's per-row sort keeps equal columns in entry order.
+    # scipy's per-row sort keeps equal columns in entry order. The
+    # coefficients are either the wall-projected displacement moments of
+    # random policies or random fields of either drift sign.
     nx, ny, cell, origin, k, goal, obstacles = geometry
     states = StateSpace.regular(nx, ny, cell, goal, origin=origin, obstacle_cells=obstacles)
     field = gyre_field(GyreParams(0.5, cell * nx / 2), NoiseParams(0.4, 0.7), extent=(cell * (nx + 1), cell * (ny + 1)))
     model = build_model(field, states, 1.0, 3.0, 0.95)
     mesh = build_mesh(states, k)
-    rng = np.random.default_rng(nx + k + len(convention))
+    rng = np.random.default_rng(nx + k + len(coefficients))
     for _ in range(3):
-        policy = rng.integers(0, 8, size=states.n)
-        coeffs = assemble_coefficients(model, policy, mesh.node_state, mesh.goal_node, convention)
-        project_wall_tangential(coeffs, mesh, model)
+        if coefficients == "random":
+            coeffs = _random_coefficients(mesh, rng)
+        else:
+            policy = rng.integers(0, 8, size=states.n)
+            coeffs = assemble_coefficients(model, policy, mesh.node_state, mesh.goal_node)
+            project_wall_tangential(coeffs, mesh, model)
         system = assemble(mesh, coeffs)
         _assert_same_system(system, _reference_assemble(mesh, coeffs))
         value = ContinuousValue(mesh, solve(constrain_goal(system, mesh.goal_node)))

@@ -16,12 +16,29 @@ from flowplan.flowfield import (
     field_velocity,
     grid_field,
     gyre_field,
-    gyre_velocity,
     load_grid_field,
-    sample_disturbance,
+    sample_noise,
 )
 
 NO_NOISE = NoiseParams.isotropic(0.0)
+
+
+def gyre_velocity(p, params):
+    """Reference gyre current at one point: the analytic formula that
+    ``field_velocities`` evaluates row by row. It is divergence-free; its
+    speed peaks at pi * strength on the circulation-cell midlines and
+    vanishes at cell corners."""
+    a = math.pi * params.strength_kmh
+    kx = math.pi * p[0] / params.size_km
+    ky = math.pi * p[1] / params.size_km
+    return Velocity2(-a * math.sin(kx) * math.cos(ky), a * math.cos(kx) * math.sin(ky))
+
+
+def sample_disturbance(field, p, rng):
+    """Field velocity plus independent per-axis Gaussian noise."""
+    base = field_velocity(field, p)
+    wx, wy = sample_noise(field.noise, rng)
+    return Velocity2(base.vx + wx, base.vy + wy)
 
 
 def test_gyre_zero_at_origin():

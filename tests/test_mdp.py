@@ -30,9 +30,9 @@ from flowplan.mdp import (
     MdpModel,
     _solve_banded,
     policy_evaluation_exact,
-    policy_improvement_discrete,
-    value_iteration,
 )
+
+from conftest import is_terminal, policy_improvement_discrete, transition_row, value_iteration
 
 GAMMA = 0.95
 
@@ -83,7 +83,7 @@ def test_zero_noise_limit_lands_on_east_neighbor():
     model = build_model(field, states, dt_h=2.0 / 3.0, v_max=3.0, gamma=GAMMA)
     s = states.index(2, 2)
     a = COMPASS_ORDER.index("E")
-    ids, probs = model.transition_row(s, a)
+    ids, probs = transition_row(model, s, a)
     assert list(ids) == [states.index(3, 2)]
     assert probs[0] == 1.0
 
@@ -93,7 +93,7 @@ def test_gaussian_symmetry_about_drift_axis(zero_field_model):
     states = model.states
     s = states.index(2, 1)
     a = COMPASS_ORDER.index("N")
-    ids, probs = model.transition_row(s, a)
+    ids, probs = transition_row(model, s, a)
     row = dict(zip(ids.tolist(), probs.tolist()))
     ne = row[states.index(3, 2)]
     nw = row[states.index(1, 2)]
@@ -105,10 +105,10 @@ def test_transition_row_matches_density_oracle(gyre_benchmark):
     rng = np.random.default_rng(3)
     for s in rng.integers(0, model.n_states, size=12):
         s = int(s)
-        if model.states.is_terminal(s):
+        if is_terminal(model.states, s):
             continue
         for a in range(model.n_actions):
-            ids, probs = model.transition_row(s, a)
+            ids, probs = transition_row(model, s, a)
             want = oracle_row(model, s, a)
             assert set(ids.tolist()) == set(want)
             for k, p in zip(ids.tolist(), probs.tolist()):
@@ -128,7 +128,7 @@ def test_goal_and_obstacles_absorb():
     model = build_model(field, states, 1.0, 3.0, GAMMA)
     for s in [states.goal, states.index(0, 0), states.index(4, 1)]:
         for a in range(8):
-            ids, probs = model.transition_row(s, a)
+            ids, probs = transition_row(model, s, a)
             assert list(ids) == [s] and probs[0] == 1.0
             assert model.rewards[s, a] == 0.0
 
@@ -145,7 +145,7 @@ def test_expected_reward_near_obstacle_mixes_penalty():
     model = build_model(field, states, 1.0, 3.0, GAMMA)
     s = states.index(2, 2)
     a = COMPASS_ORDER.index("N")
-    ids, probs = model.transition_row(s, a)
+    ids, probs = transition_row(model, s, a)
     p_obs = sum(p for k, p in zip(ids.tolist(), probs.tolist()) if states.obstacles[k])
     assert model.rewards[s, a] == pytest.approx(-1.0 * p_obs - 0.1 * (1 - p_obs), abs=1e-12)
 
@@ -254,11 +254,19 @@ def test_policy_iteration_matches_value_iteration_5x5():
     assert np.abs(res.values - vi).max() < 1e-8
 
 
-def test_policy_iteration_monotone_and_bounded(gyre_benchmark):
+def test_policy_iteration_monotone_and_bounded(gyre_benchmark, monkeypatch):
     model, exact = gyre_benchmark
-    res = classic_policy_iteration(model, record_history=True)
-    assert res.iterations <= 500
-    for prev, curr in zip(res.value_history, res.value_history[1:]):
+    evaluate = mdp.policy_evaluation_exact
+    history = []
+
+    def recording(model, policy):
+        history.append(evaluate(model, policy))
+        return history[-1]
+
+    monkeypatch.setattr(mdp, "policy_evaluation_exact", recording)
+    res = classic_policy_iteration(model)
+    assert res.iterations <= 500 and len(history) == res.iterations
+    for prev, curr in zip(history, history[1:]):
         assert (curr >= prev - 1e-9).all()
     assert res.values[model.states.goal] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(res.values, exact.values, atol=1e-12)
@@ -342,7 +350,7 @@ def _reference_transition_weights(dxs, dys, mean_dx, mean_dy, var_x, var_y):
 
 
 def _reference_reward_kernel(states, s, succ):
-    if states.is_terminal(s):
+    if is_terminal(states, s):
         return np.zeros(len(succ))
     r = np.full(len(succ), STEP_REWARD)
     r[states.obstacles[succ]] = OBSTACLE_REWARD
@@ -365,7 +373,7 @@ def _reference_build_model(field, states, dt_h, v_max, gamma):
     for s in range(n):
         i, j = states.coords(s)
         pos = states.position(s)
-        if states.is_terminal(s):
+        if is_terminal(states, s):
             succ[:, s, :] = s
             prob[:, s, 0] = 1.0
             continue

@@ -7,6 +7,8 @@ from flowplan.flowfield import GyreParams, NoiseParams, gyre_field
 from flowplan.mdp import COMPASS_ORDER, StateSpace, build_model
 from flowplan.moments import assemble_coefficients, transition_moments
 
+from conftest import is_terminal, transition_row
+
 
 def _chain_model(cell=2.0, sigma=0.0):
     field = gyre_field(GyreParams(0.0, 20.0), NoiseParams.isotropic(sigma), extent=(6 * cell, cell))
@@ -36,23 +38,13 @@ def test_moments_match_direct_row_summation(gyre_benchmark):
     for s in rng.integers(0, model.n_states, size=10):
         s = int(s)
         for a in range(model.n_actions):
-            ids, probs = model.transition_row(s, a)
+            ids, probs = transition_row(model, s, a)
             disp = positions[ids] - positions[s]
             mu = sum(p * d for p, d in zip(probs, disp))
             sig = sum(p * np.outer(d, d) for p, d in zip(probs, disp))
             m = transition_moments(model, s, a)
             np.testing.assert_allclose(m.drift, mu, atol=1e-14)
             np.testing.assert_allclose(m.diffusion, sig, atol=1e-14)
-
-
-def test_paper_literal_negates_drift_only(gyre_benchmark):
-    model, _ = gyre_benchmark
-    for s in (0, 57, 201):
-        for a in range(8):
-            d = transition_moments(model, s, a, "displacement")
-            p = transition_moments(model, s, a, "paper-literal")
-            np.testing.assert_allclose(p.drift, -d.drift, atol=0)
-            np.testing.assert_allclose(p.diffusion, d.diffusion, atol=0)
 
 
 def test_central_second_moment_is_psd(gyre_benchmark):
@@ -77,7 +69,7 @@ def test_moments_scale_with_cell_size():
     s_small = small.states.index(2, 0)
     s_big = big.states.index(2, 0)
     np.testing.assert_allclose(
-        small.transition_row(s_small, a)[1], big.transition_row(s_big, a)[1], atol=1e-12
+        transition_row(small, s_small, a)[1], transition_row(big, s_big, a)[1], atol=1e-12
     )
     m_small = transition_moments(small, s_small, a)
     m_big = transition_moments(big, s_big, a)
@@ -93,7 +85,7 @@ def test_coefficients_uniform_for_translation_invariant_model(zero_field_model):
     interior = [
         s
         for s in range(model.n_states)
-        if not model.states.is_terminal(s)
+        if not is_terminal(model.states, s)
         and 0 < model.states.coords(s)[0] < model.states.nx - 1
         and 0 < model.states.coords(s)[1] < model.states.ny - 1
     ]

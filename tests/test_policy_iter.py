@@ -5,12 +5,7 @@ from flowplan import fem
 from flowplan.errors import DomainError
 from flowplan.flowfield import GyreParams, NoiseParams, gyre_field
 from flowplan.moments import assemble_coefficients
-from flowplan.mdp import (
-    COMPASS_ORDER,
-    StateSpace,
-    build_model,
-    policy_improvement_discrete,
-)
+from flowplan.mdp import COMPASS_ORDER, StateSpace, build_model
 from flowplan.policy_iter import (
     ApiConfig,
     approximate_policy_iteration,
@@ -22,6 +17,8 @@ from flowplan.policy_iter import (
     value_mse,
     _state_scores,
 )
+
+from conftest import policy_improvement_discrete
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +129,7 @@ def test_reaction_term_is_action_independent(gyre_benchmark):
     dropped = np.empty(model.n_states, dtype=np.int64)
     for s in range(model.n_states):
         p = model.states.position(s)
-        scores = _state_scores(model, s, 0.0, v.gradient(p), v.hessian(p), "displacement")
+        scores = _state_scores(model, s, 0.0, v.gradient(p), v.hessian(p))
         dropped[s] = int(np.argmax(scores))
     assert np.array_equal(with_term, dropped)
 
@@ -153,21 +150,14 @@ def test_batched_improvement_matches_per_state_reference(gyre_benchmark, k):
         p = model.states.position(s)
         if not mesh.covers(p):
             p = mesh.project(p)
-        scores = _state_scores(
-            model, s, value.evaluate(p), value.gradient(p), value.hessian(p), "displacement"
-        )
+        scores = _state_scores(model, s, value.evaluate(p), value.gradient(p), value.hessian(p))
         rows.append(scores)
         best = int(best_action(scores))
         plain[s] = best
         if best != held[s] and scores[best] > scores[held[s]] + margins[s]:
             held[s] = best
     states = np.arange(model.n_states)
-    batched = _state_scores(
-        model,
-        states,
-        *value.expansion(model.states.positions(), clamp=True),
-        "displacement",
-    )
+    batched = _state_scores(model, states, *value.expansion(model.states.positions(), clamp=True))
     assert np.array_equal(batched, np.array(rows))
     assert np.array_equal(improve_policy_continuous(model, value), plain)
     got = improve_policy_continuous(
@@ -297,14 +287,3 @@ def test_value_mse_rmse_within_paper_band(gyre_benchmark, gyre_api):
     model, exact = gyre_benchmark
     mse = value_mse(gyre_api[1].value, exact.values, model.states)
     assert np.sqrt(mse) <= np.abs(exact.values).max() / 50.0
-
-
-def test_moment_conventions_differ_in_value(gyre_benchmark):
-    # the paper-literal drift transports value the wrong way; record both
-    model, exact = gyre_benchmark
-    mesh = fem.build_mesh(model.states, 1)
-    disp, _ = evaluate_policy_fem(model, exact.policy, mesh, "displacement")
-    lit, _ = evaluate_policy_fem(model, exact.policy, mesh, "paper-literal")
-    err_disp = np.sqrt(value_mse(disp, exact.values, model.states))
-    err_lit = np.sqrt(value_mse(lit, exact.values, model.states))
-    assert err_disp < err_lit

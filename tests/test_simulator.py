@@ -339,7 +339,7 @@ def _reference_command(planner, p):
         act = planner.actions[int(planner.policy[s])]
     else:
         v, grad, hess = planner.value.expansion(np.array([p]), clamp=True)
-        scores = _state_scores(planner.model, s, v[0], grad[0], hess[0], planner.convention)
+        scores = _state_scores(planner.model, s, v[0], grad[0], hess[0])
         act = planner.actions[best_action(scores)]
     return act.heading, act.speed
 

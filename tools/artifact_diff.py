@@ -10,8 +10,7 @@ commands on them at seeds 7 and 11, plus ``flowplan mse`` on a small gyre,
 once more with its goal centre on the domain's lower edge, ``flowplan
 simulate`` on it with per-trial and with sqrt(dt)-scaled noise and
 over a sweep of two strengths with one obstacle, and ``flowplan solve`` on it
-with a k=2 mesh, the paper-literal moment convention and one obstacle, and
-once more without noise.
+with a k=2 mesh, an even goal and one obstacle, and once more without noise.
 Every output file, each command's stdout and its exit status are compared
 byte for byte. The differing files are listed (marked when they differ only
 in line endings), and the exit status is 1 if any file differs, else 0.
@@ -69,9 +68,9 @@ SMALL_GYRE_EDGE_GOAL = SMALL_GYRE.replace("grid.origin_x_km = 1.0", "grid.origin
 NOISE_MODES = {"trial-noise": "sim.noise_resample = trial\n", "sqrt-dt-noise": "sim.noise_scaling = sqrt-dt\n"}
 SMALL_GYRE_SIM = "vehicle.v_max_kmh = 1.0\nsim.trials = 6\nsim.budget_h = 12.0\n"
 # ``flowplan solve`` on the small gyre through the assembly settings that the
-# workloads leave out: a k=2 mesh with an even goal, paper-literal moments and
-# an obstacle on a mesh node.
-SMALL_GYRE_K2 = "fem.k = 2\nfem.moment_convention = paper-literal\ngrid.obstacles = 1, 3\n"
+# workloads leave out: a k=2 mesh with an even goal and an obstacle on a mesh
+# node.
+SMALL_GYRE_K2 = "fem.k = 2\ngrid.obstacles = 1, 3\n"
 # ``flowplan solve`` on the small gyre without noise: each transition row puts
 # its mass on the stencil cells nearest its mean, so the other in-grid cells
 # carry probability exactly 0, and exact policy evaluation must leave in-grid
@@ -110,10 +109,10 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
         cfg.parent.mkdir()
         cfg.write_text(SMALL_GYRE + SMALL_GYRE_SIM + mode)
         cases.append((f"simulate-small-gyre-{name}", ["simulate", "--config", str(cfg), "--seed", str(SEEDS[0])]))
-    cfg = inputs / "solve-small-gyre-k2-paper-literal" / "run.cfg"
+    cfg = inputs / "solve-small-gyre-k2-obstacle" / "run.cfg"
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE + SMALL_GYRE_K2)
-    cases.append(("solve-small-gyre-k2-paper-literal", ["solve", "--config", str(cfg)]))
+    cases.append(("solve-small-gyre-k2-obstacle", ["solve", "--config", str(cfg)]))
     cfg = inputs / "solve-small-gyre-noise-free" / "run.cfg"
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE + SMALL_GYRE_NOISE_FREE)
