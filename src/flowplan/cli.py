@@ -147,6 +147,8 @@ def cmd_mse(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
     records = []
     for n in sizes:
         cell = cfg.field_width_km / n
+        lattice = mdp.StateSpace.regular(int(n), int(n), cell, (0, 0))
+        goal_i, goal_j = lattice.coords(lattice.state_at((goal_x, goal_y)))
         cfg_n = replace(
             cfg,
             grid_nx=int(n),
@@ -155,8 +157,8 @@ def cmd_mse(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
             grid_origin_x_km=cell / 2,
             grid_origin_y_km=cell / 2,
             grid_obstacles=(),
-            goal_i=min(max(int(round((goal_x - cell / 2) / cell)), 0), int(n) - 1),
-            goal_j=min(max(int(round((goal_y - cell / 2) / cell)), 0), int(n) - 1),
+            goal_i=goal_i,
+            goal_j=goal_j,
         )
         model = build_mdp(cfg_n, base_dir=base_dir)
         pi_res = mdp.classic_policy_iteration(model)

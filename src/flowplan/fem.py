@@ -8,12 +8,13 @@ the nodes). Either way the goal is a node: an odd-parity goal is added to the
 checkerboard by splitting the diamond it centres. The drift-diffusion-
 reaction weak form is assembled with exact P1 mass and stiffness integrals and
 centroid quadrature for advection and source terms (the sparsity pattern
-and its summation order are built once per mesh), the goal value is pinned
-to zero by symmetric elimination, and the system is solved by banded LU: node
-ids follow the state lattice row by row, so the band is about one grid row
-wide. The solved nodal coefficients define a value function that is
-continuous over the whole mesh cover and evaluable (with recovered first and
-second derivatives) anywhere inside it.
+and its summation order are built once per mesh) into summed (row, col,
+data) entries, a ``SparseSystem``. The goal value is pinned to zero by
+symmetric elimination, and the entries go to ``mdp._band_solve``, the banded
+LU of exact policy iteration too: node ids follow the state lattice row by
+row, so the band is about one grid row wide. The solved nodal coefficients
+define a value function that is continuous over the whole mesh cover and
+evaluable (with recovered first and second derivatives) anywhere inside it.
 Point queries are lattice arithmetic on batches of rows: a point's state
 (``StateSpace.state_at``) lists the few triangles that may contain it and,
 in its 3x3 block, the nodes that may be nearest to it, as every lattice
@@ -49,7 +50,7 @@ import scipy.sparse as sp
 
 from .errors import DomainError, MeshError, NumericalError
 from .flowfield import Point2, write_table
-from .mdp import StateSpace, _solve_banded
+from .mdp import StateSpace, _band_solve
 from .moments import PdeCoefficients
 
 _BARY_TOL = 1e-9  # dimensionless barycentric containment tolerance
@@ -84,7 +85,8 @@ def _lattice_table(first: np.ndarray, last: np.ndarray, nx: int, n: int) -> np.n
 
 class AssemblyTable(NamedTuple):
     """What assembly and nodal gradient recovery need of a mesh alone, built
-    once per mesh (``Mesh.assembly_table``); every array is read-only."""
+    once per mesh (``Mesh.assembly_table``); every array is read-only.
+    ``assemble`` passes the summed entries' ``row`` and ``col`` on as they are."""
 
     corners: np.ndarray  # (3 * n_tris,) every triangle's corner 0, then 1, then 2
     # Element blocks are flat: entry 3i + j of row e is block entry (i, j).
@@ -92,9 +94,9 @@ class AssemblyTable(NamedTuple):
     area_grad: np.ndarray  # (2, n_tris, 9) area * g_id at (i, j), for d = 0, 1
     grad: np.ndarray  # (2, n_tris, 9) g_jc at (i, j), for c = 0, 1
     order: np.ndarray  # element-block entry ids in summation order
-    slot: np.ndarray  # CSR data position of each entry of ``order`` (ascending)
-    indices: np.ndarray  # summed CSR column indices
-    indptr: np.ndarray  # summed CSR row pointers
+    slot: np.ndarray  # summed entry of each entry of ``order`` (ascending)
+    row: np.ndarray  # per summed entry, its row: ascending, then by column
+    col: np.ndarray  # per summed entry, its column
     node_area: np.ndarray  # per node, the summed area of its triangles
 
 
@@ -415,8 +417,6 @@ class Mesh:
         row = rows[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = (row[1:] != row[:-1]) | (ids.indices[1:] != ids.indices[:-1])
-        slot = np.cumsum(new) - 1
-        counts = np.bincount(row[new], minlength=n)
         corners = tris.T.ravel()
         i, j = np.divmod(np.arange(9), 3)
         grads = self.basis_gradients
@@ -426,9 +426,9 @@ class Mesh:
             area_grad=np.ascontiguousarray((self.areas[:, None, None] * grads)[:, i].transpose(2, 0, 1)),
             grad=np.ascontiguousarray(grads[:, j].transpose(2, 0, 1)),
             order=order,
-            slot=slot,
-            indices=ids.indices[new],
-            indptr=np.concatenate([[0], np.cumsum(counts)]).astype(ids.indptr.dtype),
+            slot=np.cumsum(new) - 1,
+            row=row[new],
+            col=ids.indices[new],
             node_area=np.bincount(corners, weights=np.tile(self.areas, 3), minlength=n),
         )
         for a in table:
@@ -527,8 +527,19 @@ def build_mesh(states: StateSpace, k: int = 1) -> Mesh:
 
 @dataclass(eq=False)
 class SparseSystem:
-    matrix: sp.csr_matrix
+    """A x = rhs with A as summed (row, col, data) entries, the one format of
+    both linear solvers: ``solve`` passes them to ``mdp._band_solve``, as
+    ``mdp.policy_evaluation_exact`` passes its own. ``assemble`` gives them in
+    canonical CSR order, and ``constrain_goal`` appends the goal's entry."""
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
     rhs: np.ndarray
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """A @ x - rhs, each row summed from zero in entry order, as a CSR matvec sums it."""
+        return np.bincount(self.row, weights=self.data * x[self.col], minlength=len(self.rhs)) - self.rhs
 
 
 def assemble(mesh: Mesh, coeffs: PdeCoefficients) -> SparseSystem:
@@ -545,12 +556,13 @@ def assemble(mesh: Mesh, coeffs: PdeCoefficients) -> SparseSystem:
 
     Everything that depends on the mesh alone comes from
     ``Mesh.assembly_table``, built once per mesh: the mass blocks, the
-    summed CSR pattern and the order in which the element-block entries are
-    summed into it. That order is the one ``coo_matrix.tocsr`` sums in, so
-    the matrix is the one it would build, to the bit, and a policy costs
-    only element arithmetic and one ``np.bincount``. The vertex averages
-    and stiffness products are written out in the order ``mean`` and
-    ``einsum`` sum them, to the same end.
+    summed entries' rows and columns (shared, read-only) and the order in
+    which the element-block entries are summed into them. That order is the
+    one ``coo_matrix.tocsr`` sums in, so the entries are those of the CSR
+    matrix it would build, to the bit, and a policy costs only element
+    arithmetic and one ``np.bincount``. The vertex averages and stiffness
+    products are written out in the order ``mean`` and ``einsum`` sum them,
+    to the same end.
     """
     if len(coeffs.source) != mesh.n_nodes:
         raise ValueError("coefficient arrays must have one entry per mesh node")
@@ -577,56 +589,39 @@ def assemble(mesh: Mesh, coeffs: PdeCoefficients) -> SparseSystem:
     adv = np.tile(np.einsum("ejd,ed->ej", grads, mu_eff) * (area / 3.0)[:, None], 3)
 
     local = gamma * adv - 0.5 * gamma * stiff - (1.0 - gamma) * table.mass
-    n = mesh.n_nodes
-    data = np.bincount(table.slot, weights=local.ravel()[table.order], minlength=len(table.indices))
-    matrix = sp.csr_matrix((data, table.indices.copy(), table.indptr.copy()), shape=(n, n))
-    matrix.has_canonical_format = True
-
-    rhs = np.bincount(mesh.triangles.ravel(), weights=np.repeat(-src_e * area / 3.0, 3), minlength=n)
-    return SparseSystem(matrix, rhs)
+    data = np.bincount(table.slot, weights=local.ravel()[table.order], minlength=len(table.row))
+    rhs = np.bincount(mesh.triangles.ravel(), weights=np.repeat(-src_e * area / 3.0, 3), minlength=mesh.n_nodes)
+    return SparseSystem(table.row, table.col, data, rhs)
 
 
 def constrain_goal(system: SparseSystem, goal_node: int) -> SparseSystem:
     """Pin the goal value to zero by symmetric elimination.
 
     The constrained value is zero, so no contribution moves to the right-hand
-    side; the goal row and column are cleared and replaced by an identity row.
-    The stored entries of the goal row and column are dropped, not zeroed, and
-    every other stored entry keeps its place in the canonical CSR arrays.
+    side; the entries of the goal row and column are dropped, not zeroed, and
+    one identity entry (goal, goal, 1) is appended. Every other entry keeps
+    its order.
     """
-    n = system.matrix.shape[0]
-    if not 0 <= goal_node < n:
+    if not 0 <= goal_node < len(system.rhs):
         raise ValueError("goal node out of range")
-    a = system.matrix.tocsr()
-    a.sum_duplicates()
-    row = np.repeat(np.arange(n), np.diff(a.indptr))
-    keep = (row != goal_node) & (a.indices != goal_node)
-    at = np.searchsorted(row[keep], goal_node)  # the goal row is empty now
-    counts = np.bincount(row[keep], minlength=n)
-    counts[goal_node] = 1
-    matrix = sp.csr_matrix(
-        (
-            np.insert(a.data[keep], at, 1.0),
-            np.insert(a.indices[keep], at, goal_node),
-            np.concatenate([[0], np.cumsum(counts)]),
-        ),
-        shape=(n, n),
-    )
+    keep = (system.row != goal_node) & (system.col != goal_node)
+    arrays, pins = (system.row, system.col, system.data), (goal_node, goal_node, 1.0)
+    entries = [np.append(a[keep], pin) for a, pin in zip(arrays, pins)]
     rhs = system.rhs.copy()
     rhs[goal_node] = 0.0
-    return SparseSystem(matrix, rhs)
+    return SparseSystem(*entries, rhs)
 
 
 def solve(system: SparseSystem) -> np.ndarray:
-    """Direct banded LU solve with a relative residual gate of 1e-8.
+    """Banded LU solve, ``mdp._band_solve``, with a relative residual gate of 1e-8.
 
     Node ids follow the state lattice row by row, so every element couples
     nodes at most one grid row apart (half-bandwidth nx + 1 for k=1, about
     nx for k=2) and the band stays narrow. The one exception, an odd-parity
     goal numbered last on the k=2 mesh, loses its couplings to the goal
     constraint. A singular system raises NumericalError."""
-    coeffs = _solve_banded(system.matrix, system.rhs)
-    residual = np.max(np.abs(system.matrix @ coeffs - system.rhs))
+    coeffs = _band_solve(system.row, system.col, system.data, system.rhs)
+    residual = np.max(np.abs(system.residual(coeffs)))
     denom = max(1.0, float(np.max(np.abs(system.rhs))))
     if not residual / denom < 1e-8:
         raise NumericalError(f"linear solve residual {residual:.3e} exceeds tolerance")

@@ -14,16 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .errors import IterationLimitError, NumericalError
 from .flowfield import FlowField, NoiseParams, Point2, field_velocities, write_table
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 COMPASS_ORDER = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 
@@ -274,7 +271,10 @@ def build_model(
 def _band_solve(row: np.ndarray, col: np.ndarray, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``A @ x = rhs`` for the matrix A given by (row, col, data)
     triplets, by banded LU with partial pivoting (LAPACK ``gbsv``; Anderson
-    et al., LAPACK Users' Guide, 1999).
+    et al., LAPACK Users' Guide, 1999). Triplets are the one linear-system
+    format of the package, and this is its one solver: exact policy
+    evaluation (``policy_evaluation_exact``) and the FEM evaluation
+    (``fem.solve`` of a ``fem.SparseSystem``) both call it.
 
     The lower and upper bandwidths l and u are read off the triplets, so
     every triplet counts towards them, one carrying a zero included: callers
@@ -297,14 +297,6 @@ def _band_solve(row: np.ndarray, col: np.ndarray, data: np.ndarray, rhs: np.ndar
     if info > 0:
         raise NumericalError(f"singular system: zero pivot in column {info} of the banded LU")
     return x
-
-
-def _solve_banded(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve the sparse system ``matrix @ x = rhs`` by ``_band_solve`` over
-    its stored entries: duplicates are added, and a stored zero reaches the
-    band and counts towards its width."""
-    a = matrix.tocoo()
-    return _band_solve(a.row, a.col, a.data, rhs)
 
 
 def policy_evaluation_exact(model: MdpModel, policy: np.ndarray) -> np.ndarray:

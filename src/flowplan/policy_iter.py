@@ -164,20 +164,19 @@ def evaluate_policy_fem(
     coeffs = policy_coefficients(model, policy, mesh)
     system = fem.constrain_goal(fem.assemble(mesh, coeffs), mesh.goal_node)
     nodal = fem.solve(system)
-    residual = float(np.max(np.abs(system.matrix @ nodal - system.rhs)))
-    return fem.ContinuousValue(mesh, nodal), residual
+    return fem.ContinuousValue(mesh, nodal), float(np.max(np.abs(system.residual(nodal))))
 
 
 def approximate_policy_iteration(model: MdpModel, cfg: ApiConfig = ApiConfig()) -> ApiResult:
     """Alternate FEM evaluation and pointwise improvement on all grid states.
     The mesh never changes, so the state centres are located on it once, in
-    the first improvement (``Mesh.centres``)."""
+    the first improvement (``Mesh.centres``). The value returned is the
+    returned policy's own, also when the budget runs out."""
     mesh = fem.build_mesh(model.states, cfg.k)
     policy = initial_policy(model)
     change_counts: list[int] = []
     diagnostics: list[dict] = []
     flips = np.zeros(model.n_states, dtype=np.int64)
-    value: fem.ContinuousValue | None = None
     for it in range(1, cfg.max_iterations + 1):
         value, residual = evaluate_policy_fem(model, policy, mesh)
         margins = _STICKINESS * np.exp2(np.clip(flips - 2, 0, 48))
@@ -194,11 +193,9 @@ def approximate_policy_iteration(model: MdpModel, cfg: ApiConfig = ApiConfig()) 
                 "value_max": float(value.coefficients.max()),
             }
         )
-        if changes == 0:
-            return ApiResult(policy, value, it, change_counts, True, diagnostics)
+        if changes == 0 or it == cfg.max_iterations:
+            return ApiResult(policy, value, it, change_counts, changes == 0, diagnostics)
         policy = improved
-    assert value is not None
-    return ApiResult(policy, value, cfg.max_iterations, change_counts, False, diagnostics)
 
 
 def value_mse(value: fem.ContinuousValue, oracle: np.ndarray, states) -> float:

@@ -54,9 +54,12 @@ class SimOptions:
     """Integration and trial-accounting settings.
 
     ``noise_resample`` draws disturbance noise every step ("step") or once
-    per trial ("trial"); ``noise_scaling`` optionally multiplies the
-    per-step noise by sqrt(dt) for Brownian-style sensitivity runs
-    ("sqrt-dt"). The once-per-trial draw is never scaled.
+    per trial ("trial"). A step moves a vehicle by scale * w * dt, w ~ N(0,
+    sigma^2) per axis, where ``noise_scaling`` sets scale to 1 ("plain") or
+    sqrt(dt) ("sqrt-dt"); the once-per-trial draw is never scaled. Per hour,
+    per-step noise adds a variance of sigma^2 * dt ("plain", 0.1 sigma^2 at
+    dt = 0.1 h) or sigma^2 * dt^2 ("sqrt-dt"): both vanish as dt shrinks, and
+    neither is the sigma^2 per hour of the MDP's law (``mdp.build_model``).
     """
 
     dt_h: float = 0.1

@@ -1,11 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from flowplan import fem
+from flowplan import cli, fem
 from flowplan.cli import main
+from flowplan.config import build_mdp, parse_config
 from flowplan.errors import NumericalError
+from flowplan.policy_iter import ApiConfig, approximate_policy_iteration, evaluate_policy_fem
 
 SMALL_GYRE = """\
 field.kind = gyre
@@ -110,8 +113,9 @@ def test_mse_with_the_goal_outside_the_field_is_a_config_error(tmp_path, capsys,
 @pytest.mark.parametrize("axis, key", [("x", "goal.i"), ("y", "goal.j")])
 def test_mse_with_the_goal_just_below_the_field_maps_it_to_the_first_cell(tmp_path, capsys, axis, key):
     # The goal centre lies 5e-10 km below the field, inside the 1e-9 km that
-    # mse accepts. Rounded, it falls on cell -1 of the 4x4 grid; mse must
-    # clamp it to cell 0, where a goal on the field's edge falls.
+    # mse accepts. Its lattice coordinate on the 4x4 grid lies just below
+    # -0.5, so mse must clamp it to cell 0, where a goal on the field's edge
+    # falls.
     tables = {}
     for origin in ("-5e-10", "0.0"):
         text = SMALL_GYRE.replace(f"grid.origin_{axis}_km = 1.0", f"grid.origin_{axis}_km = {origin}")
@@ -122,6 +126,37 @@ def test_mse_with_the_goal_just_below_the_field_maps_it_to_the_first_cell(tmp_pa
         assert code == 0, capsys.readouterr().err
         tables[origin] = (out / "mse.csv").read_bytes()
     assert tables["-5e-10"] == tables["0.0"]
+
+
+def test_mse_maps_the_goal_to_the_cell_that_state_at_gives(tmp_path, capsys, monkeypatch):
+    # A 20 km field and a 2 km grid from 1 km: goal (2, 2) is centred at
+    # (5, 5) km, half-way between cells 0 and 1 of the 5 km mse grid.
+    # ``StateSpace.state_at``, which the mesh and the simulator use, puts it
+    # in cell 1 on both axes; rounding half to even put it in cell 0.
+    goals = []
+
+    def recording(cfg, *args, **kwargs):
+        goals.append((cfg.goal_i, cfg.goal_j))
+        return build_mdp(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_mdp", recording)
+    text = SMALL_GYRE.replace("_km = 12.0", "_km = 20.0").replace("= 6\n", "= 10\n").replace("= 4\n", "= 2\n")
+    assert text.count("20.0") == 2 and text.count("= 10\n") == 2 and text.count("= 2\n") == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "mse.grid_sizes = 4\n")
+    code = main(["mse", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    assert goals == [(1, 1)]
+
+
+def test_an_unconverged_api_returns_the_value_of_the_policy_it_returns():
+    # Out of iterations, API must return the policy it evaluated last, not
+    # the improvement of it that it never evaluated.
+    model = build_mdp(parse_config(SMALL_GYRE))
+    res = approximate_policy_iteration(model, ApiConfig(k=1, max_iterations=2))
+    assert not res.converged and res.iterations == 2 and res.change_counts[-1] > 0
+    value, _ = evaluate_policy_fem(model, res.policy, res.value.mesh)
+    assert np.array_equal(value.coefficients.view(np.int64), res.value.coefficients.view(np.int64))
 
 
 def test_simulate_on_a_small_gyre_writes_stats_and_trajectories(tmp_path, capsys):
@@ -250,7 +285,7 @@ def test_a_singular_fem_system_in_the_real_solve_exits_3(tmp_path, capsys, monke
 
     def lose_pin(system, goal_node):
         pinned = pin(system, goal_node)
-        pinned.matrix.data[pinned.matrix.indptr[goal_node] : pinned.matrix.indptr[goal_node + 1]] = 0.0
+        pinned.data[pinned.row == goal_node] = 0.0
         return pinned
 
     monkeypatch.setattr(fem, "constrain_goal", lose_pin)

@@ -64,6 +64,18 @@ def constant_coefficients(mesh, drift=(0.0, 0.0), diffusion=None, source=0.0, ga
     )
 
 
+def _system(dense, rhs):
+    """The SparseSystem of a dense matrix's nonzero entries, row by row."""
+    row, col = np.nonzero(dense)
+    return SparseSystem(row, col, dense[row, col], np.asarray(rhs, dtype=float))
+
+
+def _csr(system):
+    """A system's matrix as CSR: its entries sorted by row, duplicates added."""
+    n = len(system.rhs)
+    return sp.csr_matrix((system.data, (system.row, system.col)), shape=(n, n))
+
+
 @functools.lru_cache(maxsize=4)
 def _edge_triangles(mesh):
     """Reference edge map: every sorted node pair to the triangles that
@@ -594,7 +606,7 @@ def _unit_right_block(drift, diffusion, gamma):
     element block, gamma * advection - gamma/2 * stiffness - (1-gamma) * mass."""
     mesh = lattice_mesh(unit_grid(2), UNIT_RIGHT, [[0, 1, 2]], [0, 1, 2])
     coeffs = constant_coefficients(mesh, drift=drift, diffusion=diffusion, gamma=gamma)
-    return assemble(mesh, coeffs).matrix.toarray()
+    return _csr(assemble(mesh, coeffs)).toarray()
 
 
 def test_stiffness_block_on_unit_right_triangle():
@@ -628,22 +640,22 @@ def test_constants_in_gradient_kernel():
     # the reaction term remains, equal to -(1-gamma) * integral of each basis
     lumped = np.zeros(mesh.n_nodes)
     np.add.at(lumped, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
-    np.testing.assert_allclose(system.matrix @ ones, -(1 - 0.9) * lumped, atol=1e-12)
+    np.testing.assert_allclose(_csr(system) @ ones, -(1 - 0.9) * lumped, atol=1e-12)
 
 
 def test_matrix_symmetric_without_drift():
     mesh = build_mesh(unit_square_states(6), k=1)
     coeffs = constant_coefficients(mesh, diffusion=[[2.0, 0.3], [0.3, 1.0]])
-    system = assemble(mesh, coeffs)
-    asym = (system.matrix - system.matrix.T).toarray()
-    scale = np.abs(system.matrix.toarray()).max()
+    a = _csr(assemble(mesh, coeffs)).toarray()
+    asym = a - a.T
+    scale = np.abs(a).max()
     assert np.abs(asym).max() < 1e-10 * scale
 
 
 def _reference_assemble(mesh, coeffs):
-    """Assembly as it was before the per-mesh table: element blocks by
-    ``mean`` and ``einsum``, summed by ``coo_matrix.tocsr``, the load vector
-    by ``np.add.at``."""
+    """Assembly as it was before the per-mesh table, as a CSR matrix and a
+    load vector: element blocks by ``mean`` and ``einsum``, summed by
+    ``coo_matrix.tocsr``, the load vector by ``np.add.at``."""
     gamma = coeffs.gamma
     tris = mesh.triangles
     area = mesh.areas
@@ -663,7 +675,7 @@ def _reference_assemble(mesh, coeffs):
     matrix = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
     rhs = np.zeros(mesh.n_nodes)
     np.add.at(rhs, tris.ravel(), np.repeat(-src_e * area / 3.0, 3))
-    return SparseSystem(matrix, rhs)
+    return matrix, rhs
 
 
 def _reference_node_gradients(value):
@@ -679,11 +691,14 @@ def _reference_node_gradients(value):
 
 
 def _assert_same_system(got, want):
-    for attr in ("data", "indices", "indptr"):
-        a, b = getattr(got.matrix, attr), getattr(want.matrix, attr)
-        assert a.dtype == b.dtype and np.array_equal(a, b), attr
-    assert got.matrix.has_canonical_format
-    assert np.array_equal(got.rhs, want.rhs)
+    """``got`` holds the stored entries of the reference's canonical CSR
+    matrix, in its order, with the same values and the same load vector."""
+    matrix, rhs = want
+    assert matrix.has_canonical_format
+    assert np.array_equal(got.row, np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)))
+    assert np.array_equal(got.col, matrix.indices)
+    assert got.data.dtype == matrix.data.dtype and np.array_equal(got.data, matrix.data)
+    assert got.rhs.dtype == rhs.dtype and np.array_equal(got.rhs, rhs)
 
 
 def _random_coefficients(mesh, rng):
@@ -721,6 +736,14 @@ ASSEMBLY_GEOMETRIES = {
 }
 
 
+def _assembly_case(geometry):
+    """The gyre model and the mesh of one of ``ASSEMBLY_GEOMETRIES``."""
+    nx, ny, cell, origin, k, goal, obstacles = geometry
+    states = StateSpace.regular(nx, ny, cell, goal, origin=origin, obstacle_cells=obstacles)
+    field = gyre_field(GyreParams(0.5, cell * nx / 2), NoiseParams(0.4, 0.7), extent=(cell * (nx + 1), cell * (ny + 1)))
+    return build_model(field, states, 1.0, 3.0, 0.95), build_mesh(states, k)
+
+
 @pytest.mark.parametrize("coefficients", ["displacement", "random"])
 @pytest.mark.parametrize("geometry", ASSEMBLY_GEOMETRIES.values(), ids=ASSEMBLY_GEOMETRIES.keys())
 def test_assemble_matches_the_coo_reference_bit_for_bit(geometry, coefficients):
@@ -728,11 +751,9 @@ def test_assemble_matches_the_coo_reference_bit_for_bit(geometry, coefficients):
     # scipy's per-row sort keeps equal columns in entry order. The
     # coefficients are either the wall-projected displacement moments of
     # random policies or random fields of either drift sign.
-    nx, ny, cell, origin, k, goal, obstacles = geometry
-    states = StateSpace.regular(nx, ny, cell, goal, origin=origin, obstacle_cells=obstacles)
-    field = gyre_field(GyreParams(0.5, cell * nx / 2), NoiseParams(0.4, 0.7), extent=(cell * (nx + 1), cell * (ny + 1)))
-    model = build_model(field, states, 1.0, 3.0, 0.95)
-    mesh = build_mesh(states, k)
+    model, mesh = _assembly_case(geometry)
+    states = model.states
+    nx, k = states.nx, geometry[4]
     rng = np.random.default_rng(nx + k + len(coefficients))
     for _ in range(3):
         if coefficients == "random":
@@ -747,13 +768,31 @@ def test_assemble_matches_the_coo_reference_bit_for_bit(geometry, coefficients):
         assert np.array_equal(value.node_gradients, _reference_node_gradients(value))
 
 
+@pytest.mark.parametrize("geometry", ASSEMBLY_GEOMETRIES.values(), ids=ASSEMBLY_GEOMETRIES.keys())
+def test_residual_matches_the_csr_matvec_bit_for_bit(geometry):
+    # Each row's products are summed in CSR order, as the CSR matvec sums
+    # them: of the assembled system against the COO reference, and of the
+    # constrained one against its own entries put into CSR.
+    model, mesh = _assembly_case(geometry)
+    rng = np.random.default_rng(mesh.n_nodes)
+    coeffs = _random_coefficients(mesh, rng)
+    system = assemble(mesh, coeffs)
+    matrix, rhs = _reference_assemble(mesh, coeffs)
+    pinned = constrain_goal(system, mesh.goal_node)
+    for x in (rng.standard_normal(mesh.n_nodes), solve(pinned)):
+        assert np.array_equal(system.residual(x), matrix @ x - rhs)
+        assert np.array_equal(pinned.residual(x), _csr(pinned) @ x - pinned.rhs)
+
+
 def test_writing_into_an_assembled_matrix_leaves_the_next_assembly_unchanged():
     mesh = build_mesh(grid_states(6, goal=(2, 3)), k=1)
     coeffs = constant_coefficients(mesh, drift=(0.3, -0.2), source=1.0)
     first = assemble(mesh, coeffs)
-    first.matrix.data[:] = 7.0
-    first.matrix.indices[:] = 0
+    first.data[:] = 7.0
     first.rhs[:] = 7.0
+    for pattern in (first.row, first.col):  # shared with the mesh's assembly table
+        with pytest.raises(ValueError, match="read-only"):
+            pattern[:] = 0
     _assert_same_system(assemble(mesh, coeffs), _reference_assemble(mesh, coeffs))
 
 
@@ -761,21 +800,18 @@ def test_writing_into_an_assembled_matrix_leaves_the_next_assembly_unchanged():
 
 
 def test_constrain_goal_toy_system():
-    import scipy.sparse as sp
-
-    system = SparseSystem(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])), np.array([1.0, 1.0]))
+    system = _system(np.array([[2.0, 1.0], [1.0, 2.0]]), [1.0, 1.0])
     constrained = constrain_goal(system, 0)
     got = solve(constrained)
     np.testing.assert_allclose(got, [0.0, 0.5], atol=1e-14)
 
 
 def test_constrain_goal_idempotent():
-    import scipy.sparse as sp
-
-    system = SparseSystem(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])), np.array([1.0, 1.0]))
+    system = _system(np.array([[2.0, 1.0], [1.0, 2.0]]), [1.0, 1.0])
     once = constrain_goal(system, 0)
     twice = constrain_goal(once, 0)
-    assert (once.matrix != twice.matrix).nnz == 0
+    for attr in ("row", "col", "data"):
+        assert np.array_equal(getattr(once, attr), getattr(twice, attr)), attr
     np.testing.assert_allclose(once.rhs, twice.rhs, atol=0)
 
 
@@ -784,23 +820,25 @@ def test_constrain_goal_keeps_the_stored_pattern_of_lil_elimination():
     # and keeps every other stored entry, explicit zeros included.
     mesh = build_mesh(grid_states(6, goal=(2, 3)), k=1)
     system = assemble(mesh, constant_coefficients(mesh, drift=(0.3, -0.2), source=1.0))
-    system.matrix.data[::7] = 0.0
+    system.data[::7] = 0.0
     g = mesh.goal_node
-    ref = system.matrix.tolil(copy=True)
+    ref = _csr(system).tolil(copy=True)
     ref[g, :] = 0.0
     ref[:, g] = 0.0
     ref[g, g] = 1.0
     ref = ref.tocsr()
-    got = constrain_goal(system, g).matrix
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+    got = constrain_goal(system, g)
+    # Every entry but the appended goal entry keeps its (CSR) order.
+    order = np.lexsort((got.col, got.row))
+    assert np.array_equal(order[got.row[order] != g], np.arange(len(order) - 1))
+    assert np.array_equal(got.row[order], np.repeat(np.arange(mesh.n_nodes), np.diff(ref.indptr)))
+    assert np.array_equal(got.col[order], ref.indices)
+    assert np.array_equal(got.data[order], ref.data)
 
 
 def test_solve_identity_system():
-    import scipy.sparse as sp
-
     rhs = np.array([3.0, -1.0, 2.0])
-    system = SparseSystem(sp.identity(3, format="csr"), rhs)
+    system = _system(np.eye(3), rhs)
     np.testing.assert_allclose(solve(system), rhs, atol=0)
 
 
@@ -840,9 +878,8 @@ def test_solve_agrees_with_the_general_sparse_solve(nx, ny, k, goal):
     system = _policy_system(nx, ny, k, goal)
     # Node ids follow the lattice, and the goal pin clears the couplings of
     # an odd goal numbered last, so every coupling stays within a grid row.
-    a = system.matrix.tocoo()
-    assert np.abs(a.row.astype(np.int64) - a.col).max() <= nx + 1
-    want = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.abs(system.row.astype(np.int64) - system.col).max() <= nx + 1
+    want = spla.spsolve(_csr(system).tocsc(), system.rhs)
     got = solve(system)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -850,8 +887,8 @@ def test_solve_agrees_with_the_general_sparse_solve(nx, ny, k, goal):
 def test_solve_of_a_singular_system_is_a_numerical_error():
     # A goal row left all zero, as if the pin were lost.
     system = _policy_system(8, 8, 2, (3, 4))
-    g = system.matrix.shape[0] - 1  # the odd goal is the last node
-    system.matrix.data[system.matrix.indptr[g] : system.matrix.indptr[g + 1]] = 0.0
+    g = len(system.rhs) - 1  # the odd goal is the last node
+    system.data[system.row == g] = 0.0
     with pytest.raises(NumericalError, match="zero pivot"):
         solve(system)
 
@@ -862,7 +899,7 @@ def test_solve_of_non_finite_input_is_a_numerical_error(where):
     if where == "rhs":
         system.rhs[5] = np.nan
     else:
-        system.matrix.data[7] = np.nan
+        system.data[7] = np.nan
     with pytest.raises(NumericalError):
         solve(system)
 

@@ -28,13 +28,21 @@ from flowplan.mdp import (
     classic_policy_iteration,
     compass_actions,
     MdpModel,
-    _solve_banded,
+    _band_solve,
     policy_evaluation_exact,
 )
 
 from conftest import is_terminal, policy_improvement_discrete, transition_row, value_iteration
 
 GAMMA = 0.95
+
+
+def _solve_banded(matrix, rhs):
+    """``_band_solve`` over the stored entries of a scipy sparse matrix:
+    duplicates are added, and a stored zero reaches the band and counts
+    towards its width."""
+    a = matrix.tocoo()
+    return _band_solve(a.row, a.col, a.data, rhs)
 
 
 def _zero_field(extent=(40.0, 40.0), sigma=1.0):

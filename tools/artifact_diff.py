@@ -10,7 +10,8 @@ commands on them at seeds 7 and 11, plus ``flowplan mse`` on a small gyre,
 once more with its goal centre on the domain's lower edge, ``flowplan
 simulate`` on it with per-trial and with sqrt(dt)-scaled noise and
 over a sweep of two strengths with one obstacle, and ``flowplan solve`` on it
-with a k=2 mesh, an even goal and one obstacle, and once more without noise.
+with a k=2 mesh, an even goal and one obstacle, once more without noise, and
+once more with an iteration budget of two that API runs out of.
 Every output file, each command's stdout and its exit status are compared
 byte for byte. The differing files are listed (marked when they differ only
 in line endings), and the exit status is 1 if any file differs, else 0.
@@ -76,6 +77,10 @@ SMALL_GYRE_K2 = "fem.k = 2\ngrid.obstacles = 1, 3\n"
 # carry probability exactly 0, and exact policy evaluation must leave in-grid
 # entries out of its band matrix.
 SMALL_GYRE_NOISE_FREE = "noise.sigma_kmh = 0.0\n"
+# ``flowplan solve`` on the small gyre with API stopped after two iterations,
+# before it converges: ``policy_api.csv``, ``coefficients.csv`` and
+# ``value_raster.csv`` must still belong to one evaluated policy.
+SMALL_GYRE_UNCONVERGED = "api.max_iterations = 2\n"
 # ``flowplan simulate`` on the small gyre over a sweep of two strengths, with
 # the obstacle: the sweep loop, and a slow vehicle in strong noise, so that at
 # seed 7 trials end by goal, collision and budget, and one planner's copy of a
@@ -117,6 +122,10 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE + SMALL_GYRE_NOISE_FREE)
     cases.append(("solve-small-gyre-noise-free", ["solve", "--config", str(cfg)]))
+    cfg = inputs / "solve-small-gyre-unconverged" / "run.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text(SMALL_GYRE + SMALL_GYRE_UNCONVERGED)
+    cases.append(("solve-small-gyre-unconverged", ["solve", "--config", str(cfg)]))
     cfg = inputs / "simulate-small-gyre-sweep" / "run.cfg"
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE + SMALL_GYRE_SWEEP)
