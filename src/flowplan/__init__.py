@@ -27,7 +27,6 @@ from .flowfield import (
     grid_field,
     gyre_field,
     load_grid_field,
-    sample_noise,
 )
 from .mdp import (
     Action,

@@ -64,8 +64,6 @@ class ExperimentConfig:
     sim_budget_h: float = 30.0
     sim_dt_h: float = 0.1
     sim_goal_radius_km: float = 1.0
-    sim_noise_resample: str = "step"
-    sim_noise_scaling: str = "plain"
     sim_seed: int = 1234
     sweep_strengths: tuple[float, ...] = ()
     mse_grid_sizes: tuple[int, ...] = ()
@@ -194,10 +192,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         fail("sim.budget_h", "budget and step must be positive")
     if cfg.sim_goal_radius_km <= 0:
         fail("sim.goal_radius_km", "must be positive")
-    if cfg.sim_noise_resample not in ("step", "trial"):
-        fail("sim.noise_resample", f"must be 'step' or 'trial' (got {cfg.sim_noise_resample!r})")
-    if cfg.sim_noise_scaling not in ("plain", "sqrt-dt"):
-        fail("sim.noise_scaling", f"must be 'plain' or 'sqrt-dt' (got {cfg.sim_noise_scaling!r})")
     if cfg.output_raster_n < 2:
         fail("output.raster_n", "must be at least 2")
     for n in cfg.mse_grid_sizes:

@@ -3,8 +3,8 @@ flowplan's CSV tables.
 
 Two field variants share one interface: an analytic wind-driven gyre and a
 grid of sampled velocities with bilinear interpolation (the stand-in for
-externally produced current estimates). Noise is white in space and time:
-each query draws fresh, independent per-axis Gaussian perturbations.
+externally produced current estimates). A field's noise is its per-axis
+standard deviations; the simulator draws it.
 
 This module owns the CSV format on both sides: :func:`load_grid_field`
 reads a sampled field, and :func:`write_table` writes every table the
@@ -209,14 +209,6 @@ def _bilinear_rows(samples: GridSamples, rows: list[list[float]]) -> list[float]
 def field_velocity(field: FlowField, p: Point2) -> Velocity2:
     """Noise-free velocity at ``p``: :func:`field_velocities` on one row."""
     return Velocity2(*field_velocities(field, [p])[0].tolist())
-
-
-def sample_noise(noise: NoiseParams, rng: np.random.Generator, scale: float = 1.0) -> tuple[float, float]:
-    """Independent per-axis Gaussian velocity noise, x drawn before y, each
-    draw multiplied by ``scale``. A block ``rng.normal(0.0, (sigma_x,
-    sigma_y), size=(m, 2))`` draws the same numbers as ``m`` calls, in the
-    same order; the simulator draws its per-step noise that way."""
-    return scale * rng.normal(0.0, noise.sigma_x), scale * rng.normal(0.0, noise.sigma_y)
 
 
 def _cluster(values: list[float]) -> list[float]:

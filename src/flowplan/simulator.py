@@ -36,7 +36,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import fem
-from .flowfield import FlowField, Point2, field_velocities, sample_noise, write_table
+from .flowfield import FlowField, Point2, field_velocities, write_table
 from .mdp import Action, MdpModel, StateSpace
 from .policy_iter import _state_scores, best_action
 
@@ -53,28 +53,19 @@ _NOISE_BLOCK = 64
 class SimOptions:
     """Integration and trial-accounting settings.
 
-    ``noise_resample`` draws disturbance noise every step ("step") or once
-    per trial ("trial"). A step moves a vehicle by scale * w * dt, w ~ N(0,
-    sigma^2) per axis, where ``noise_scaling`` sets scale to 1 ("plain") or
-    sqrt(dt) ("sqrt-dt"); the once-per-trial draw is never scaled. Per hour,
-    per-step noise adds a variance of sigma^2 * dt ("plain", 0.1 sigma^2 at
-    dt = 0.1 h) or sigma^2 * dt^2 ("sqrt-dt"): both vanish as dt shrinks, and
-    neither is the sigma^2 per hour of the MDP's law (``mdp.build_model``).
+    Each step draws fresh disturbance noise w ~ N(0, sigma^2) per axis and
+    moves a vehicle by w * dt, so per hour the noise adds a variance of
+    sigma^2 * dt (0.1 sigma^2 at dt = 0.1 h). That vanishes as dt shrinks and
+    is not the sigma^2 per hour of the MDP's law (``mdp.build_model``).
     """
 
     dt_h: float = 0.1
     goal_radius_km: float = 1.0
     budget_h: float = 30.0
-    noise_resample: str = "step"
-    noise_scaling: str = "plain"
 
     def __post_init__(self) -> None:
         if self.dt_h <= 0 or self.budget_h <= 0 or self.goal_radius_km <= 0:
             raise ValueError("dt, budget, and goal radius must be positive")
-        if self.noise_resample not in ("step", "trial"):
-            raise ValueError(f"unknown noise_resample {self.noise_resample!r}")
-        if self.noise_scaling not in ("plain", "sqrt-dt"):
-            raise ValueError(f"unknown noise_scaling {self.noise_scaling!r}")
 
 
 def goal_oriented_action(points: np.ndarray, goal: Point2, v_max: float):
@@ -241,14 +232,14 @@ def simulate_trials(
     every step. A trial that ends without reaching the goal reports the full
     budget as its time cost.
 
-    Every planner's trial ``r`` draws its noise from ``rngs[r]`` alone: the
-    per-trial noise once, and the per-step noise a block of steps at a time,
-    drawn while any planner's copy of the trial is live. A planner's copy is
-    live at a block boundary only if it was at every earlier one, so it meets
-    the same draws as on a fresh generator of its own, and a path is the same
-    alone as in any batch. A generator may end up advanced past its trial's
-    last step. Positions and headings are recorded a block of steps at a
-    time, and each trajectory is cut from the blocks at the end.
+    Every planner's trial ``r`` draws its noise from ``rngs[r]`` alone, a
+    block of steps at a time, while any planner's copy of the trial is live.
+    A planner's copy is live at a block boundary only if it was at every
+    earlier one, so it meets the same draws as on a fresh generator of its
+    own, and a path is the same alone as in any batch. A generator may end
+    up advanced past its trial's last step. Positions and headings are
+    recorded a block of steps at a time, and each trajectory is cut from the
+    blocks at the end.
     """
     if any(getattr(pl, "states", states) is not states for pl in planners):
         raise ValueError("a grid planner plans on another StateSpace than the simulator's")
@@ -259,12 +250,8 @@ def simulate_trials(
     every_step = np.repeat([bool(pl.requery_every_step) for pl in planners], n_trials)
     p = np.tile(np.asarray(start, dtype=float), (n, 1))
     n_steps = int(opts.budget_h / opts.dt_h + 1e-9)  # stay within the budget
-    if opts.noise_resample == "trial":
-        noise = np.array([sample_noise(field.noise, rng) for rng in rngs]).reshape(n_trials, 2)
-    else:
-        sigma = (field.noise.sigma_x, field.noise.sigma_y)
-        scale = math.sqrt(opts.dt_h) if opts.noise_scaling == "sqrt-dt" else 1.0
-        blocks = np.empty((n_trials, min(_NOISE_BLOCK, n_steps), 2))
+    sigma = (field.noise.sigma_x, field.noise.sigma_y)
+    blocks = np.empty((n_trials, min(_NOISE_BLOCK, n_steps), 2))
     cell = states.state_at(p)
     heading, speed = np.empty(n), np.empty(n)
 
@@ -290,15 +277,11 @@ def simulate_trials(
         history_p[-1][at], history_h[-1][at] = p, heading
         if k == n_steps or not live.size:
             break
-        if opts.noise_resample == "trial":
-            row_noise = noise[trial[live]]
-        else:
-            if at == 0:
-                m = min(_NOISE_BLOCK, n_steps - k)
-                for t in np.unique(trial[live]).tolist():
-                    blocks[t, :m] = scale * rngs[t].normal(0.0, sigma, size=(m, 2))
-            row_noise = blocks[trial[live], at]
-        moved = step(field, p[live], (heading[live], speed[live]), opts.dt_h, row_noise)
+        if at == 0:
+            m = min(_NOISE_BLOCK, n_steps - k)
+            for t in np.unique(trial[live]).tolist():
+                blocks[t, :m] = rngs[t].normal(0.0, sigma, size=(m, 2))
+        moved = step(field, p[live], (heading[live], speed[live]), opts.dt_h, blocks[trial[live], at])
         p[live] = moved
         since_query[live] += opts.dt_h
         end[live] = k + 1

@@ -59,7 +59,15 @@ def test_gyre_grid_origin_below_the_domain_is_a_config_error(tmp_path, capsys, k
     assert "config error" in err and "outside the field domain" in err
 
 
-@pytest.mark.parametrize("line", ["fem.moment_convention = displacement", "api.init_policy = goal-aimed"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "fem.moment_convention = displacement",
+        "api.init_policy = goal-aimed",
+        "sim.noise_resample = trial",
+        "sim.noise_scaling = sqrt-dt",
+    ],
+)
 def test_a_removed_key_is_a_config_error_that_names_it(tmp_path, capsys, line):
     code, err = _run(tmp_path, SMALL_GYRE + line + "\n", capsys)
     assert code == 2
@@ -251,6 +259,32 @@ def test_coefficients_csv_holds_the_coefficients_of_the_final_evaluation(tmp_pat
     dumped = [[float(row[c]) for c in cols] for row in rows]
     final = assembled[-1].diffusion.reshape(-1, 4)[:, [0, 1, 3]]
     assert dumped == final.tolist()
+
+
+def test_solve_prints_how_many_elements_have_a_high_or_a_singular_peclet_number(tmp_path, capsys, monkeypatch):
+    # k = 2 with an obstacle node beside the x = 0 wall: the elements that
+    # join it to two wall nodes have no wall-normal diffusion, so their
+    # Peclet number is |mu| h over the 1e-12 floor. The line counts them
+    # apart instead of printing that quotient as a maximum.
+    computed = []
+    element_peclet = fem.element_peclet
+
+    def recording(mesh, coeffs):
+        computed.append(element_peclet(mesh, coeffs))
+        return computed[-1]
+
+    monkeypatch.setattr(fem, "element_peclet", recording)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_GYRE + "fem.k = 2\ngrid.obstacles = 1, 3\n")
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    (pe,) = computed
+    high, singular = int((pe > 2).sum()), int((pe > 1e6).sum())
+    assert singular > 0 and pe[pe <= 1e6].max() < 1e3
+    assert captured.out.splitlines()[-1].endswith(
+        f"element peclet above 2 on {high} of {pe.size} elements, above 1e6 on {singular}"
+    )
 
 
 def test_mse_writes_one_row_per_grid_size_and_k(tmp_path, capsys):

@@ -57,8 +57,6 @@ def valid_configs(draw) -> ExperimentConfig:
         sim_budget_h=draw(positive),
         sim_dt_h=draw(positive),
         sim_goal_radius_km=draw(positive),
-        sim_noise_resample=draw(st.sampled_from(["step", "trial"])),
-        sim_noise_scaling=draw(st.sampled_from(["plain", "sqrt-dt"])),
         sim_seed=draw(st.integers(-(2**63), 2**63 - 1)),
         sweep_strengths=tuple(draw(st.lists(finite, max_size=4, unique_by=strength_tag))),
         mse_grid_sizes=tuple(draw(st.lists(st.integers(4, 200), max_size=4))),
@@ -97,8 +95,8 @@ def test_serialized_config_parses_back_to_itself(cfg):
         ("sim.trials", {"sim_trials": 0}),
         ("sim.budget_h", {"sim_dt_h": 0.0}),
         ("sim.goal_radius_km", {"sim_goal_radius_km": 0.0}),
-        ("sim.noise_resample", {"sim_noise_resample": "never"}),
-        ("sim.noise_scaling", {"sim_noise_scaling": "dt"}),
+        ("field.width_km", {"field_width_km": 0.0}),
+        ("grid.nx", {"grid_nx": 1}),
         ("output.raster_n", {"output_raster_n": 1}),
         ("mse.grid_sizes", {"mse_grid_sizes": (10, 3)}),
         ("grid.nx", {"grid_nx": 21}),
@@ -140,8 +138,8 @@ CONFIG_KEYS = [
     "field.height_km", "noise.sigma_kmh", "grid.nx", "grid.ny", "grid.cell_km", "grid.origin_x_km",
     "grid.origin_y_km", "grid.obstacles", "goal.i", "goal.j", "start.x_km", "start.y_km",
     "vehicle.v_max_kmh", "mdp.dt_h", "mdp.gamma", "fem.k", "api.max_iterations", "sim.trials",
-    "sim.budget_h", "sim.dt_h", "sim.goal_radius_km", "sim.noise_resample", "sim.noise_scaling",
-    "sim.seed", "sweep.strengths", "mse.grid_sizes", "output.raster_n",
+    "sim.budget_h", "sim.dt_h", "sim.goal_radius_km", "sim.seed", "sweep.strengths", "mse.grid_sizes",
+    "output.raster_n",
 ]  # fmt: skip
 
 

@@ -17,7 +17,6 @@ from flowplan.flowfield import (
     grid_field,
     gyre_field,
     load_grid_field,
-    sample_noise,
 )
 
 NO_NOISE = NoiseParams.isotropic(0.0)
@@ -37,7 +36,7 @@ def gyre_velocity(p, params):
 def sample_disturbance(field, p, rng):
     """Field velocity plus independent per-axis Gaussian noise."""
     base = field_velocity(field, p)
-    wx, wy = sample_noise(field.noise, rng)
+    wx, wy = rng.normal(0.0, field.noise.sigma_x), rng.normal(0.0, field.noise.sigma_y)
     return Velocity2(base.vx + wx, base.vy + wy)
 
 

@@ -8,8 +8,8 @@ inputs of the three benchmark workloads are written once, by this tree's
 ``perfbench/workloads.write_inputs``, and both trees run every workload's
 commands on them at seeds 7 and 11, plus ``flowplan mse`` on a small gyre,
 once more with its goal centre on the domain's lower edge, ``flowplan
-simulate`` on it with per-trial and with sqrt(dt)-scaled noise and
-over a sweep of two strengths with one obstacle, and ``flowplan solve`` on it
+simulate`` on it with a slow vehicle and a 12 h budget, and once more over a
+sweep of two strengths with one obstacle, and ``flowplan solve`` on it
 with a k=2 mesh, an even goal and one obstacle, once more without noise, and
 once more with an iteration budget of two that API runs out of.
 Every output file, each command's stdout and its exit status are compared
@@ -63,10 +63,9 @@ mse.grid_sizes = 4, 6
 SMALL_GYRE_EDGE_GOAL = SMALL_GYRE.replace("grid.origin_x_km = 1.0", "grid.origin_x_km = -5e-10").replace(
     "goal.i = 4", "goal.i = 0"
 )
-# ``flowplan simulate`` on the small gyre, once in each noise mode that the
-# workloads leave at its default. With a 1 km/h vehicle most trials outlast
-# one of the simulator's blocks of per-step noise, and some the 12 h budget.
-NOISE_MODES = {"trial-noise": "sim.noise_resample = trial\n", "sqrt-dt-noise": "sim.noise_scaling = sqrt-dt\n"}
+# ``flowplan simulate`` on the small gyre. With a 1 km/h vehicle most trials
+# outlast one of the simulator's blocks of per-step noise, and some the 12 h
+# budget.
 SMALL_GYRE_SIM = "vehicle.v_max_kmh = 1.0\nsim.trials = 6\nsim.budget_h = 12.0\n"
 # ``flowplan solve`` on the small gyre through the assembly settings that the
 # workloads leave out: a k=2 mesh with an even goal and an obstacle on a mesh
@@ -109,11 +108,10 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE_EDGE_GOAL)
     cases.append(("mse-small-gyre-goal-on-edge", ["mse", "--config", str(cfg)]))
-    for name, mode in NOISE_MODES.items():
-        cfg = inputs / f"simulate-small-gyre-{name}" / "run.cfg"
-        cfg.parent.mkdir()
-        cfg.write_text(SMALL_GYRE + SMALL_GYRE_SIM + mode)
-        cases.append((f"simulate-small-gyre-{name}", ["simulate", "--config", str(cfg), "--seed", str(SEEDS[0])]))
+    cfg = inputs / "simulate-small-gyre" / "run.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text(SMALL_GYRE + SMALL_GYRE_SIM)
+    cases.append(("simulate-small-gyre", ["simulate", "--config", str(cfg), "--seed", str(SEEDS[0])]))
     cfg = inputs / "solve-small-gyre-k2-obstacle" / "run.cfg"
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE + SMALL_GYRE_K2)
