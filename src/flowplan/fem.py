@@ -176,6 +176,13 @@ class Mesh:
         return np.linalg.inv(mats), p[:, 0]
 
     @cached_property
+    def _bary_columns(self) -> np.ndarray:
+        """``_bary_frames`` as the rows (inv00, inv01, inv10, inv11, x0, y0)
+        of one (6, n_tris) table, so a batch of queries gathers them at once."""
+        inv, r0 = self._bary_frames
+        return np.vstack([inv.reshape(-1, 4).T, r0.T])
+
+    @cached_property
     def _point_triangles(self) -> np.ndarray:
         """Per lattice point, the triangles whose integer lattice box holds
         it: all that can contain a point that rounds to it."""
@@ -221,12 +228,19 @@ class Mesh:
         if lattice is None:
             lattice = self.states.state_at(points)
         tris = self._point_triangles[lattice]
-        inv, r0 = self._bary_frames
-        lam12 = np.einsum("pcij,pcj->pci", inv[tris], points[:, None, :] - r0[tris])
-        lam = np.concatenate([1.0 - lam12.sum(axis=-1, keepdims=True), lam12], axis=-1)
-        mins = lam.min(axis=-1)
+        # Elementwise on the (row, candidate) arrays: einsum and reductions
+        # over axes of two or three cost more than the arithmetic.
+        i00, i01, i10, i11, x0, y0 = self._bary_columns[:, tris]
+        dx, dy = points[:, :1] - x0, points[:, 1:] - y0
+        lam = np.empty((3, *tris.shape))
+        lam[1] = i00 * dx + i01 * dy
+        lam[2] = i10 * dx + i11 * dy
+        lam[0] = 1.0 - (lam[1] + lam[2])
+        mins = np.minimum(np.minimum(lam[0], lam[1]), lam[2])
         rows, k = np.arange(len(points)), mins.argmax(axis=1)
-        return np.where(mins[rows, k] >= -_BARY_TOL, tris[rows, k], -1), lam[rows, k]
+        # + 0.0 makes an exact zero weight +0.0 whatever the signs of its two
+        # products, as a sum started from 0.0 (einsum's, a dot's) makes it.
+        return np.where(mins[rows, k] >= -_BARY_TOL, tris[rows, k], -1), lam[:, rows, k].T + 0.0
 
     def _nearest_many(self, points: np.ndarray, lattice: np.ndarray | None = None) -> np.ndarray:
         """``nearest_node`` of every row at once; ``lattice`` as in ``_find_many``."""
@@ -234,7 +248,7 @@ class Mesh:
             lattice = self.states.state_at(points)
         ids = self._block_nodes[lattice]
         d = self.nodes[ids] - points[:, None, :]
-        k = np.einsum("pmd,pmd->pm", d, d).argmin(axis=1)
+        k = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).argmin(axis=1)
         return ids[np.arange(len(points)), k]
 
     def _project_many(self, points: np.ndarray) -> np.ndarray:
@@ -340,9 +354,9 @@ class Mesh:
         The 1-ring is a row of the sparse node adjacency ``ring`` and the
         2-ring the same row of ``ring @ ring``. Patches whose offsets from
         their node are equal to the bit share one pseudo-inverse, and the
-        shapes of one patch size are fitted together: one stacked rank test
-        and one stacked pseudo-inverse, which LAPACK computes matrix by matrix
-        exactly as it would one shape alone.
+        shapes of one patch size are fitted together: one stacked SVD, which
+        LAPACK computes matrix by matrix exactly as it would one shape alone,
+        gives both the rank test and the pseudo-inverse.
         """
         n, tris = self.n_nodes, self.triangles
         ring = sp.csr_matrix(  # nodes that share a triangle, the node included
@@ -369,8 +383,16 @@ class Mesh:
             group = np.flatnonzero(size[first] == p)
             x, y = np.moveaxis(offsets[first[group], :p], -1, 0)
             design = np.stack([np.ones_like(x), x, y, x**2, x * y, y**2], axis=-1)
-            full = np.linalg.matrix_rank(design) == 6  # never with under six nodes
-            for s, fit in zip(group[full], np.linalg.pinv(design[full])):
+            u, sv, vt = np.linalg.svd(design, full_matrices=False)
+            # The rank test of ``np.linalg.matrix_rank`` and the arithmetic of
+            # ``np.linalg.pinv`` (rcond 1e-15), on one SVD of each shape.
+            top = sv.max(axis=-1, keepdims=True)
+            full = (sv > top * (max(p, 6) * np.finfo(float).eps)).sum(axis=-1) == 6  # never under six nodes
+            large = sv > 1e-15 * top
+            inv = np.divide(1, sv, where=large, out=sv)
+            inv[~large] = 0
+            pinv = np.matmul(vt.swapaxes(-1, -2)[full], inv[full, :, None] * u.swapaxes(-1, -2)[full])
+            for s, fit in zip(group[full], pinv):
                 fits[s] = fit
         return rows, ids, place, shape, fits
 

@@ -127,11 +127,17 @@ class FlowField:
             and self.origin.y - tol <= p[1] <= self.origin.y + self.extent[1] + tol
         )
 
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The domain's lower and upper corners, as arrays for the domain test
+        of :func:`field_velocities` and for ``clamp``."""
+        lo = np.array(self.origin, dtype=float)
+        return lo, lo + np.array(self.extent, dtype=float)
+
     def clamp(self, points: np.ndarray) -> np.ndarray:
         """Project each row of ``points`` onto the domain, component-wise,
         as Python's ``min(max(x, lo), hi)`` does (a signed zero included)."""
-        lo = np.array(self.origin)
-        hi = np.array([self.origin.x + self.extent[0], self.origin.y + self.extent[1]])
+        lo, hi = self._bounds
         points = np.where(points < lo, lo, points)
         return np.where(points > hi, hi, points)
 
@@ -154,30 +160,30 @@ def field_velocities(field: FlowField, points: np.ndarray | Sequence[Point2]) ->
     """Noise-free velocity at each row of ``points``, as an (n, 2) array;
     raises DomainError, naming the first row outside the domain.
 
-    Row by row in Python floats: the gyre's ``math`` sine and cosine may
-    round differently from numpy's, and on the few dozen rows of a simulator
-    step a numpy gather costs more than the loop.
+    The domain test and the gyre are numpy array expressions, in the order of
+    operations of the one-point formula: numpy's float64 sine and cosine
+    round as ``math.sin`` and ``math.cos`` do (``tests/test_flowfield.py``
+    checks this bit for bit). The grid's bilinear interpolation stays a loop
+    over the rows in Python floats: on the few dozen rows of a simulator step
+    a numpy gather of the four corners costs more than the loop.
     """
-    rows = np.asarray(points, dtype=float).reshape(-1, 2).tolist()
-    (x0, y0), (width, height) = field.origin, field.extent
-    x_lo, x_hi = x0 - _DOMAIN_TOL_KM, x0 + width + _DOMAIN_TOL_KM
-    y_lo, y_hi = y0 - _DOMAIN_TOL_KM, y0 + height + _DOMAIN_TOL_KM
-    inside = [x_lo <= x <= x_hi and y_lo <= y <= y_hi for x, y in rows]
-    if not all(inside):
-        raise DomainError(f"point {tuple(rows[inside.index(False)])} outside field domain")
-    if field.gyre is not None:
-        a = math.pi * field.gyre.strength_kmh
-        size = field.gyre.size_km
-        sin, cos, pi = math.sin, math.cos, math.pi
-        flat: list[float] = []
-        for x, y in rows:
-            kx = pi * x / size
-            ky = pi * y / size
-            flat += (-a * sin(kx) * cos(ky), a * cos(kx) * sin(ky))
-    else:
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    lo, hi = field._bounds
+    inside = (lo - _DOMAIN_TOL_KM <= points) & (points <= hi + _DOMAIN_TOL_KM)
+    if not inside.all():
+        first = np.argmin(inside.all(axis=1))
+        raise DomainError(f"point {tuple(points[first].tolist())} outside field domain")
+    if field.gyre is None:
         assert field.grid is not None
-        flat = _bilinear_rows(field.grid, rows)
-    return np.array(flat, dtype=float).reshape(-1, 2)
+        flat = _bilinear_rows(field.grid, points.tolist())
+        return np.array(flat, dtype=float).reshape(-1, 2)
+    a = math.pi * field.gyre.strength_kmh
+    k = math.pi * points / field.gyre.size_km
+    sin, cos = np.sin(k), np.cos(k)
+    out = np.empty_like(k)
+    out[:, 0] = -a * sin[:, 0] * cos[:, 1]
+    out[:, 1] = a * cos[:, 0] * sin[:, 1]
+    return out
 
 
 def _bilinear_rows(samples: GridSamples, rows: list[list[float]]) -> list[float]:

@@ -19,11 +19,15 @@ the compass actions against a finite-element value function every step, and
 a goal-oriented baseline that always heads straight for the goal at full
 speed. Trials stop on entering the goal radius, on hitting an obstacle cell
 (counted as a failure), or when the time budget runs out; each trajectory
-records which. The field velocity, the headings and the goal distances use
-``math``, not numpy, row by row: ``np.arctan2`` and ``np.hypot`` round
-differently from ``math.atan2`` and ``math.dist`` on some arguments, and
-numpy's sin and cos may as well. The Euler update itself is array arithmetic,
-which rounds as the scalar update does.
+records which. A step is whole-batch numpy: the gyre current, the course
+(``np.cos`` and ``np.sin`` of the headings), the Euler update, the clamp and
+the goal test, which compares squared distances and asks ``math.dist`` only
+for rows within 1e-9 (relative) of the radius. Numpy's float64 sin and cos
+round as ``math``'s do (the tests check it bit for bit), so the paths are
+those of the one-point scalar formulas. Two parts stay scalar, row by row:
+the goal-oriented heading, as ``np.arctan2`` rounds apart from
+``math.atan2`` on some arguments, and the bilinear interpolation of a
+sampled field, which beats a numpy gather on the few dozen rows of a step.
 """
 
 from __future__ import annotations
@@ -178,13 +182,16 @@ def step(
     the domain; DomainError when a row lies outside it.
 
     ``command`` holds the rows' heading and speed arrays, and ``noise`` the
-    rows' (wx, wy) disturbance, added to the noise-free current.
+    rows' (wx, wy) disturbance, added to the noise-free current. The course
+    is ``np.cos`` and ``np.sin`` of the headings, which round as ``math.cos``
+    and ``math.sin`` do, and the update is array arithmetic in the order of
+    the one-row formula, so every row moves as it would alone.
     """
     heading, speed = command
-    hs = heading.tolist()
-    course = np.array([[math.cos(h) for h in hs], [math.sin(h) for h in hs]]).T
-    moved = points + (field_velocities(field, points) + noise + speed[:, None] * course) * dt_h
-    return field.clamp(moved)
+    velocity = field_velocities(field, points) + noise
+    velocity[:, 0] += speed * np.cos(heading)
+    velocity[:, 1] += speed * np.sin(heading)
+    return field.clamp(points + velocity * dt_h)
 
 
 @dataclass(eq=False)
@@ -204,8 +211,28 @@ class Trajectory:
         return len(self.times)
 
 
+# Relative gap between a squared distance and the squared radius beyond which
+# their comparison decides goal entry as ``math.dist`` does; the absolute floor
+# covers squares that underflow.
+_GOAL_TEST_REL = 1e-9
+_GOAL_TEST_FLOOR = 1e-300
+
+
 def _in_goal(points: np.ndarray, goal: Point2, radius_km: float) -> np.ndarray:
-    return np.array([math.dist(q, goal) <= radius_km for q in points.tolist()], dtype=bool)
+    """``math.dist(q, goal) <= radius_km`` for each row ``q`` of ``points``.
+
+    The squared distance of a row is within a few ulps of the exact square of
+    the norm that ``math.dist`` rounds, so outside a band of 1e-9 (relative)
+    around the squared radius comparing the squares decides alike. Rows in
+    the band, or whose gap is NaN, take ``math.dist`` itself."""
+    d = points - np.asarray(goal, dtype=float)
+    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    r2 = radius_km * radius_km
+    inside = d2 <= r2
+    near = np.flatnonzero(~(np.abs(d2 - r2) > _GOAL_TEST_REL * r2 + _GOAL_TEST_FLOOR))
+    for i in near.tolist():
+        inside[i] = math.dist(points[i].tolist(), goal) <= radius_km
+    return inside
 
 
 def simulate_trials(
@@ -246,7 +273,7 @@ def simulate_trials(
     n_trials = len(rngs)
     n = len(planners) * n_trials
     trial = np.tile(np.arange(n_trials), len(planners))  # the trial of each row
-    bounds = np.arange(1, len(planners)) * n_trials  # each later planner's first row
+    bounds = np.arange(len(planners) + 1) * n_trials  # each planner's first row, then n
     every_step = np.repeat([bool(pl.requery_every_step) for pl in planners], n_trials)
     p = np.tile(np.asarray(start, dtype=float), (n, 1))
     n_steps = int(opts.budget_h / opts.dt_h + 1e-9)  # stay within the budget
@@ -257,9 +284,11 @@ def simulate_trials(
 
     def command(ask: np.ndarray) -> None:
         """New commands for the rows ``ask``, ascending: one call per planner."""
-        for j, rows in enumerate(np.split(ask, np.searchsorted(ask, bounds))):
-            if rows.size:
-                heading[rows], speed[rows] = planners[j].command(p[rows], cell[rows])
+        cut = np.searchsorted(ask, bounds).tolist()
+        for j, planner in enumerate(planners):
+            if cut[j] < cut[j + 1]:
+                rows = ask[cut[j] : cut[j + 1]]
+                heading[rows], speed[rows] = planner.command(p[rows], cell[rows])
 
     command(np.arange(n))
     history_p, history_h = [], []  # blocks of _NOISE_BLOCK samples: points, headings

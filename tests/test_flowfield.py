@@ -211,6 +211,36 @@ def test_field_velocities_equal_the_one_point_reference(kind):
     assert field_velocities(field, np.empty((0, 2))).shape == (0, 2)
 
 
+# Printed when a trig kernel test fails: the kernels take numpy's float64 sin
+# and cos for math's, and the CI log's numpy.show_runtime() names the host's
+# SIMD extensions.
+LIBM_NOTE = (
+    "the kernel relies on numpy's float64 sin/cos rounding as libm's math.sin/math.cos do, "
+    "which this host's numpy does not"
+)
+
+
+@pytest.mark.parametrize("strength, size", [(0.5, 20.0), (1.3, 7.0), (0.05, 3.3), (2.0, 55.0)])
+def test_the_gyre_kernel_equals_the_math_reference_bit_for_bit(strength, size):
+    params = GyreParams(strength, size)
+    field = gyre_field(params, NO_NOISE, extent=(80.0, 60.0), origin=Point2(-20.0, -10.0))
+    rng = np.random.default_rng(np.random.SeedSequence([41, int(size * 10)]))
+    corners = size * np.arange(-3, 12)  # cell edges: sin is 0 there (a signed zero at 0) or nearly so
+    rows = np.vstack(
+        [
+            np.column_stack([rng.uniform(-20.0, 60.0, 30_000), rng.uniform(-10.0, 50.0, 30_000)]),
+            np.column_stack([corners, np.full(len(corners), size / 2)]),
+            np.column_stack([np.full(len(corners), size / 2), corners]),
+        ]
+    )
+    rows = rows[[field.contains(p) for p in rows.tolist()]]
+    assert len(rows) >= 30_000
+    got = field_velocities(field, rows)
+    want = np.array([gyre_velocity(p, params) for p in rows.tolist()])
+    differ = int((got.view(np.int64) != want.view(np.int64)).sum())
+    assert differ == 0, f"{differ} of {want.size} gyre components differ from the math reference: {LIBM_NOTE}"
+
+
 @pytest.mark.parametrize("kind", ["gyre", "grid"])
 def test_field_velocities_name_the_first_row_outside(kind):
     field = _kernel_fields()[kind]

@@ -7,7 +7,7 @@ import pytest
 from flowplan import fem
 from flowplan.errors import DomainError
 from flowplan.flowfield import GyreParams, NoiseParams, Point2, field_velocity, gyre_field
-from flowplan.mdp import StateSpace, build_model, classic_policy_iteration
+from flowplan.mdp import StateSpace, build_model, classic_policy_iteration, compass_actions
 from flowplan.policy_iter import ApiConfig, _state_scores, approximate_policy_iteration, best_action
 from flowplan.simulator import (
     END_REASONS,
@@ -16,6 +16,7 @@ from flowplan.simulator import (
     DiscretePlanner,
     GoalOrientedPlanner,
     SimOptions,
+    _in_goal,
     run_experiment,
     simulate_trial,
     step,
@@ -384,3 +385,65 @@ def test_step_rejects_a_row_outside_the_field(gyre):
     command = (np.zeros(2), np.full(2, 3.0))
     with pytest.raises(DomainError):
         step(field, points, command, 0.1, np.zeros((2, 2)))
+
+
+def test_the_step_course_equals_math_cos_and_sin_bit_for_bit():
+    # In still water at the origin, a one-hour step at unit speed moves a row
+    # by its course alone: the compass headings of the grid planners and the
+    # atan2 headings of the goal-oriented one.
+    field = gyre_field(GyreParams(0.0, 20.0), NoiseParams.isotropic(0.0), extent=(4.0, 4.0), origin=Point2(-2.0, -2.0))
+    rng = np.random.default_rng(23)
+    dx, dy = rng.normal(size=(2, 20_000)).tolist()
+    headings = np.array([a.heading for a in compass_actions(3.0)] + list(map(math.atan2, dy, dx)))
+    n = len(headings)
+    moved = step(field, np.zeros((n, 2)), (headings, np.ones(n)), 1.0, np.zeros((n, 2)))
+    want = np.array([(math.cos(h), math.sin(h)) for h in headings.tolist()])
+    differ = int((moved.view(np.int64) != want.view(np.int64)).sum())
+    assert differ == 0, (
+        f"{differ} of {want.size} course components differ from math.cos/math.sin: step's course relies on "
+        "numpy's float64 sin/cos rounding as libm's do, which this host's numpy does not"
+    )
+
+
+@pytest.mark.parametrize(
+    "goal, radius",
+    [((35.0, 35.0), 1.0), ((35.0, 35.0), 5.0), ((0.1, 0.7), 0.3), ((12.345, -6.789), 2.5), ((0.0, 0.0), 1e-3)],
+)
+def test_the_goal_test_decides_as_math_dist_on_and_near_the_radius(goal, radius):
+    g = np.asarray(goal)
+    rng = np.random.default_rng(np.random.SeedSequence([31, int(radius * 1000)]))
+    # On the radius: axis points, and a 3-4-5 triangle when the radius is 5.
+    unit = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [-0.8, -0.6]])
+    exact = g + radius * unit
+    # 1 to 4 ulps inside and outside points of the circle, axis by axis,
+    # along several directions.
+    theta = rng.uniform(0.0, 2.0 * np.pi, 300)
+    ring = g + radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    near = [ring]
+    for outward in (True, False):
+        q = ring
+        for _ in range(4):
+            q = np.nextafter(q, np.where((q > g) == outward, np.inf, -np.inf))
+            near.append(q)
+    spread = g + radius * rng.uniform(-3.0, 3.0, size=(2000, 2))
+    rows = np.vstack([exact, *near, g[None], spread])
+    want = np.array([math.dist(q, goal) <= radius for q in rows.tolist()])
+    assert np.array_equal(_in_goal(rows, goal, radius), want)
+    if radius in (1.0, 5.0):  # the goal and the radius are exact in binary
+        on = exact if radius == 5.0 else exact[:4]
+        assert [math.dist(q, goal) for q in on.tolist()] == [radius] * len(on)
+        assert _in_goal(on, goal, radius).all()
+    assert want[-len(spread) - 1] and 0 < want.sum() < len(rows)  # the goal itself is inside
+
+
+def test_the_goal_test_is_not_a_comparison_of_squares_alone():
+    # Near the radius, the rounded squared distance and the squared radius
+    # decide some rows otherwise than math.dist does; the kernel must not.
+    goal, radius = (0.1, 0.7), 0.3
+    g = np.asarray(goal)
+    theta = np.random.default_rng(37).uniform(0.0, 2.0 * np.pi, 2000)
+    rows = g + radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    want = np.array([math.dist(q, goal) <= radius for q in rows.tolist()])
+    d = rows - g
+    assert ((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius * radius) != want).any()
+    assert np.array_equal(_in_goal(rows, goal, radius), want)
