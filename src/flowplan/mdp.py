@@ -52,6 +52,13 @@ COMPASS_VECTORS = {
 STEP_REWARD = -0.1
 OBSTACLE_REWARD = -1.0
 
+_TIE_TOL = 1e-12  # action values or scores this close to the best tie
+
+# Couplings gamma p below this floor stay out of the exact evaluation's band.
+# A row drops at most 9 of them, mass below 9 * floor, so a value moves by at
+# most 9 * floor / (1 - gamma) * max|v| (about 2e-28 relative at gamma = 0.95).
+_COUPLING_FLOOR = 1e-30
+
 @dataclass(frozen=True)
 class Action:
     """A commanded (heading, speed) pair named by its compass direction."""
@@ -151,7 +158,7 @@ class MdpModel:
 
     ``succ``/``prob`` have shape (n_actions, n_states, 9); rows are padded with
     the state itself at probability zero so they stay fixed-width. Exact
-    policy evaluation leaves entries of probability zero out of its band
+    policy evaluation leaves entries below a coupling floor out of its band
     matrix, so the padding never reaches one. ``rewards`` holds the
     transition-weighted expected reward per (state, action).
     ``moment_table`` holds the displacement moments of every row, built on
@@ -182,14 +189,40 @@ class MdpModel:
         """Read-only drift E[s' - s], shape (n_actions, n_states, 2), and
         second moment E[(s' - s)(s' - s)^T], shape (n_actions, n_states, 2, 2),
         of every transition row (km and km^2). Padding entries have zero
-        displacement and zero probability, so they add nothing."""
+        displacement and zero probability, so they add nothing. The rows of
+        every action list the same successors, as ``build_model`` builds
+        them, so each state's displacements are gathered once; a model
+        whose actions differ there raises ValueError."""
+        succ = self.succ[0]
+        if not (self.succ == succ).all():
+            raise ValueError("the moment table needs one successor list per state for every action")
         positions = self.states.positions()
-        disp = positions[self.succ] - positions[None, :, None, :]
-        drift = np.einsum("asj,asjd->asd", self.prob, disp)
-        second = np.einsum("asj,asjd,asje->asde", self.prob, disp, disp)
+        disp = positions[succ] - positions[:, None, :]
+        dx, dy = disp[..., 0], disp[..., 1]
+        px, py = self.prob * dx, self.prob * dy
+        drift = np.stack([_sum_successors(px), _sum_successors(py)], axis=-1)
+        # The (0, 1) and (1, 0) entries are summed apart, as (p dx) dy and
+        # (p dy) dx, so each equals the einsum over the same factors bit for
+        # bit; the table is not exactly symmetric.
+        second = np.stack(
+            [
+                np.stack([_sum_successors(px * dx), _sum_successors(px * dy)], axis=-1),
+                np.stack([_sum_successors(py * dx), _sum_successors(py * dy)], axis=-1),
+            ],
+            axis=-2,
+        )
         drift.setflags(write=False)
         second.setflags(write=False)
         return drift, second
+
+
+def _sum_successors(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last (successor) axis in order, from 0.0 as einsum does:
+    an exact zero sums to +0.0, whatever the sign of its terms."""
+    total = terms[..., 0] + 0.0
+    for j in range(1, terms.shape[-1]):
+        total += terms[..., j]
+    return total
 
 
 def build_model(
@@ -306,22 +339,23 @@ def policy_evaluation_exact(model: MdpModel, policy: np.ndarray) -> np.ndarray:
 
     The band is filled straight from the policy's padded transition rows:
     the identity first, then -gamma p for every successor whose gamma p is
-    not exactly 0, so a diagonal entry is 1 - gamma p_ss rounded once, as
-    in the sparse matrix I - gamma P_pi with its zeros pruned. Entries of
-    gamma p = 0 stay out: the padding, and with zero noise the in-grid cells
-    of probability 0. They add nothing to the matrix, but counted towards
-    the bandwidths they would widen the band that the LU works over (on the
-    noise-free 20x20 paper gyre with every state heading NE, l is 0 without
-    them and nx + 1 with them). Left out, the band and the LU are those of
-    the pruned sparse matrix, whose round-off decides exact Q ties in
-    ``classic_policy_iteration``. A residual max |v - gamma P_pi v - r_pi|
-    above 1e-9 raises NumericalError.
+    at least ``_COUPLING_FLOOR`` (1e-30), so a diagonal entry is
+    1 - gamma p_ss rounded once, as in the sparse matrix I - gamma P_pi with
+    those entries pruned. Below the floor lie the padding, the in-grid cells
+    of probability 0 under zero noise, and the Gaussian tails, which reach
+    down to 1e-94. The tails change no value by more than the floor's bound,
+    but their products in the LU fill are subnormal, and subnormal
+    arithmetic is slow; zeros counted towards the bandwidths would widen the
+    band the LU works over (on the noise-free 20x20 paper gyre with every
+    state heading NE, l is 0 without them and nx + 1 with them). The model
+    keeps every coupling, and the residual max |v - gamma P_pi v - r_pi| is
+    taken over all of them; above 1e-9 it raises NumericalError.
     """
     idx = np.arange(model.n_states)
     succ = model.succ[policy, idx]
     coupling = model.gamma * model.prob[policy, idx]
     r_pi = model.rewards[idx, policy]
-    keep = coupling != 0.0
+    keep = coupling >= _COUPLING_FLOOR
     row = np.concatenate([idx, np.repeat(idx, keep.sum(axis=1))])
     col = np.concatenate([idx, succ[keep]])
     data = np.concatenate([np.ones(model.n_states), -coupling[keep]])
@@ -338,6 +372,26 @@ def action_values(model: MdpModel, values: np.ndarray) -> np.ndarray:
     return model.rewards + model.gamma * expected.T
 
 
+def initial_policy(model: MdpModel) -> np.ndarray:
+    """The heading aimed most directly at the goal, at every state."""
+    positions = model.states.positions()
+    goal = positions[model.states.goal]
+    delta = goal - positions
+    bearing = np.arctan2(delta[:, 1], delta[:, 0])
+    headings = np.array([a.heading for a in model.actions])
+    alignment = np.cos(bearing[:, None] - headings[None, :])
+    policy = np.argmax(alignment, axis=1)
+    policy[model.states.goal] = 0
+    return policy.astype(np.int64)
+
+
+def best_action(scores: np.ndarray) -> np.ndarray:
+    """Index of the best score of each row; scores within 1e-12 of the best
+    count as tied, and the lowest action index wins a tie."""
+    best = scores.max(axis=-1, keepdims=True)
+    return np.argmax(scores >= best - _TIE_TOL, axis=-1)
+
+
 @dataclass(eq=False)
 class PiResult:
     policy: np.ndarray
@@ -348,18 +402,22 @@ class PiResult:
 def classic_policy_iteration(model: MdpModel, max_iterations: int = 500) -> PiResult:
     """Alternate exact evaluation and greedy improvement to a fixed policy.
 
-    The loop keeps a state's incumbent action unless a challenger improves
-    its action value beyond float noise; without that guard, exact ties
-    (e.g. equivalent diagonal paths in deterministic models) flip forever on
-    round-off-level differences and the stopping rule never fires.
+    The loop starts from ``initial_policy``, the goal-aimed heading that
+    approximate policy iteration starts from, and improves every state to
+    ``best_action`` of its action values: the lowest action index within
+    1e-12 of the best, with no regard to the incumbent. It stops when the
+    policy is unchanged. Each improved policy is greedy to within 1e-12, so
+    the values climb to the optimum (Puterman, 1994, section 6.4); there Q
+    is fixed, the rule picks the same policy from it, and the loop stops,
+    on the same policy whatever the start and however the solver rounds Q's
+    exact ties (equivalent diagonal paths in deterministic models, for one).
+    ``max_iterations`` only guards against a cycle of policies whose values
+    differ by round-off; running out raises IterationLimitError.
     """
-    policy = np.zeros(model.n_states, dtype=np.int64)
+    policy = initial_policy(model)
     for it in range(1, max_iterations + 1):
         values = policy_evaluation_exact(model, policy)
-        q = action_values(model, values)
-        best = np.argmax(q, axis=1)
-        idx = np.arange(model.n_states)
-        improved = np.where(q[idx, best] > q[idx, policy] + 1e-12, best, policy)
+        improved = best_action(action_values(model, values))
         if np.array_equal(improved, policy):
             return PiResult(policy, values, it)
         policy = improved

@@ -16,10 +16,9 @@ import numpy as np
 
 from . import fem
 from .errors import DomainError
-from .mdp import MdpModel
+from .mdp import MdpModel, best_action, initial_policy
 from .moments import PdeCoefficients, assemble_coefficients, transition_moments
 
-_TIE_TOL = 1e-12  # scores this close to the best tie; same guard as classic PI
 # Score margin a challenger action must beat the incumbent by during the loop.
 # Near-tied states otherwise flip forever as the evaluated value jitters, so
 # the stopping rule would never trigger; the margin doubles for a state after
@@ -54,19 +53,6 @@ class ApiResult:
     diagnostics: list[dict] = field(default_factory=list)
 
 
-def initial_policy(model: MdpModel) -> np.ndarray:
-    """The heading aimed most directly at the goal, at every state."""
-    positions = model.states.positions()
-    goal = positions[model.states.goal]
-    delta = goal - positions
-    bearing = np.arctan2(delta[:, 1], delta[:, 0])
-    headings = np.array([a.heading for a in model.actions])
-    alignment = np.cos(bearing[:, None] - headings[None, :])
-    policy = np.argmax(alignment, axis=1)
-    policy[model.states.goal] = 0
-    return policy.astype(np.int64)
-
-
 def _state_scores(
     model: MdpModel,
     s: int | np.ndarray,
@@ -87,13 +73,6 @@ def _state_scores(
     diff_term = 0.5 * np.einsum("...aij,...ij->...a", diffusion, hess)
     reaction = (1.0 - gamma) * np.asarray(value_at)[..., None]
     return model.rewards[s] + gamma * (drift_term + diff_term) - reaction
-
-
-def best_action(scores: np.ndarray) -> np.ndarray:
-    """Index of the best score of each row; scores within 1e-12 of the best
-    count as tied, and the lowest action index wins a tie."""
-    best = scores.max(axis=-1, keepdims=True)
-    return np.argmax(scores >= best - _TIE_TOL, axis=-1)
 
 
 def improve_policy_continuous(

@@ -231,11 +231,14 @@ def test_evaluation_shift_by_constant_over_one_minus_gamma(zero_field_model):
 
 
 def test_policy_iteration_trivial_on_zero_rewards(zero_field_model):
+    # Every Q ties at 0, so the goal-aimed start moves to action 0 at every
+    # state, and the second evaluation confirms it.
     model = zero_field_model
     model.rewards[:] = 0.0
     res = classic_policy_iteration(model)
-    assert res.iterations == 1
-    assert np.abs(res.values).max() < 1e-12
+    assert res.iterations == 2
+    assert (res.policy == 0).all()
+    assert (res.values == 0.0).all()
 
 
 def test_policy_iteration_deterministic_chain_geometric_values():
@@ -434,6 +437,49 @@ def _near_tie_case():
     return field, StateSpace.regular(5, 5, 2.0, (4, 4)), 0.47140452079103173
 
 
+def _csv_wall_case():
+    """The CSV case with a wall of five cells between start and goal."""
+    field, states, dt_h = _csv_case()
+    wall = [(3, j) for j in range(1, 6)]
+    return field, StateSpace.regular(9, 7, 1.4, (5, 4), Point2(0.5, 0.7), wall), dt_h
+
+
+def _reference_moment_table(model):
+    """The einsum table of every (action, state) row's displacement moments."""
+    positions = model.states.positions()
+    disp = positions[model.succ] - positions[None, :, None, :]
+    drift = np.einsum("asj,asjd->asd", model.prob, disp)
+    second = np.einsum("asj,asjd,asje->asde", model.prob, disp, disp)
+    return drift, second
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (_paper_case, (20, 20, (1.0, 1.0), 0.5)),
+        (_csv_wall_case, ()),
+        (_paper_case, (20, 20, (0.0, 0.0), 0.5)),
+        (_corner_case, ((0, 0),)),
+        (_corner_case, ((5, 4),)),
+    ],
+    ids=["paper", "csv-wall", "noise-free", "goal-sw-corner", "goal-ne-corner"],
+)
+def test_moment_table_equals_the_einsum_reference_bit_for_bit(make, args):
+    field, states, dt_h = make(*args)
+    model = build_model(field, states, dt_h, 3.0, GAMMA)
+    for got, want in zip(model.moment_table, _reference_moment_table(model)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # sign bits too
+
+
+def test_moment_table_needs_one_successor_list_for_every_action(zero_field_model):
+    model = zero_field_model
+    model.succ = model.succ.copy()
+    model.succ[3, 0, 0] = 1
+    with pytest.raises(ValueError, match="one successor list"):
+        model.moment_table
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -464,13 +510,16 @@ def test_build_model_matches_the_state_loop_reference(case):
 # ------------------------------------------------------------ banded solve
 
 
-def _policy_matrix(model, policy):
-    """P_pi as a CSR matrix of the padded transition rows, duplicates added:
-    the reference for the band that policy_evaluation_exact fills directly."""
+def _policy_matrix(model, policy, floor=0.0):
+    """P_pi as a CSR matrix of the padded transition rows, duplicates added,
+    with the entries whose gamma p lies below ``floor`` set to 0: with
+    ``mdp._COUPLING_FLOOR``, the reference for the band that
+    policy_evaluation_exact fills directly."""
     n = model.n_states
     idx = np.arange(n)
     cols = model.succ[policy, idx].ravel()
     data = model.prob[policy, idx].ravel()
+    data = np.where(model.gamma * data < floor, 0.0, data)
     rows = np.repeat(idx, model.succ.shape[2])
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
@@ -518,15 +567,9 @@ def test_exact_evaluation_agrees_with_the_general_sparse_solve(case):
         _assert_agrees(policy_evaluation_exact(model, policy), want)
 
 
-@pytest.mark.parametrize("case", _SOLVE_CASES)
-def test_exact_evaluation_is_bit_identical_to_the_sparse_construction(case, monkeypatch):
-    # Exact Q ties in policy iteration break by the solver's round-off, so
-    # the band filled from the transition rows must give the very values of
-    # the sparse I - gamma P_pi (its zeros pruned) through _solve_banded:
-    # for the zero policy, a random one and every policy PI evaluates.
-    make, args = case
-    field, states, dt_h = make(*args)
-    model = build_model(field, states, dt_h, 3.0, GAMMA)
+def _zero_random_and_visited_policies(model, monkeypatch):
+    """The zero policy, a seeded random one and every policy that classic PI
+    evaluates on ``model``."""
     evaluate = mdp.policy_evaluation_exact
     visited = []
 
@@ -536,13 +579,67 @@ def test_exact_evaluation_is_bit_identical_to_the_sparse_construction(case, monk
 
     monkeypatch.setattr(mdp, "policy_evaluation_exact", recording)
     classic_policy_iteration(model)
+    monkeypatch.setattr(mdp, "policy_evaluation_exact", evaluate)
     assert visited
-    rng = np.random.default_rng(states.n)
+    n = model.n_states
+    return [np.zeros(n, dtype=np.int64), np.random.default_rng(n).integers(0, 8, size=n), *visited]
+
+
+@pytest.mark.parametrize("case", _SOLVE_CASES)
+def test_exact_evaluation_is_bit_identical_to_the_sparse_construction(case, monkeypatch):
+    # The band filled from the transition rows must give the very values of
+    # the sparse I - gamma P_pi (its entries below the coupling floor pruned)
+    # through _solve_banded: for the zero policy, a random one and every
+    # policy PI evaluates.
+    make, args = case
+    field, states, dt_h = make(*args)
+    model = build_model(field, states, dt_h, 3.0, GAMMA)
+    evaluate = mdp.policy_evaluation_exact
     idx = np.arange(states.n)
-    for policy in (np.zeros(states.n, dtype=np.int64), rng.integers(0, 8, size=states.n), *visited):
-        system = sp.eye(states.n, format="csr") - GAMMA * _policy_matrix(model, policy)
+    for policy in _zero_random_and_visited_policies(model, monkeypatch):
+        floored = _policy_matrix(model, policy, mdp._COUPLING_FLOOR)
+        system = sp.eye(states.n, format="csr") - GAMMA * floored
         want = _solve_banded(system, model.rewards[idx, policy])
         assert np.array_equal(evaluate(model, policy).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("case", _SOLVE_CASES)
+def test_the_coupling_floor_moves_no_value_beyond_its_bound(case, monkeypatch):
+    # Against the band of every coupling, nothing dropped, for the zero
+    # policy, a random one and every policy PI evaluates.
+    make, args = case
+    field, states, dt_h = make(*args)
+    model = build_model(field, states, dt_h, 3.0, GAMMA)
+    evaluate = mdp.policy_evaluation_exact
+    n, idx = states.n, np.arange(states.n)
+    for policy in _zero_random_and_visited_policies(model, monkeypatch):
+        row = np.concatenate([idx, np.repeat(idx, 9)])
+        col = np.concatenate([idx, model.succ[policy, idx].ravel()])
+        data = np.concatenate([np.ones(n), -GAMMA * model.prob[policy, idx].ravel()])
+        want = _band_solve(row, col, data, model.rewards[idx, policy])
+        got = evaluate(model, policy)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [(_csv_case, ()), (_paper_case, (20, 20, (1.0, 1.0), 0.5)), (_paper_case, (20, 20, (0.0, 0.0), 0.5))],
+    ids=["csv", "paper", "paper-noise-free"],
+)
+def test_policy_iteration_reaches_one_answer_from_any_start(make, args, monkeypatch):
+    # The noise-free paper case has exact Q ties at hundreds of states.
+    field, states, dt_h = make(*args)
+    model = build_model(field, states, dt_h, 3.0, GAMMA)
+    want = classic_policy_iteration(model)
+    starts = {
+        "zero": np.zeros(states.n, dtype=np.int64),
+        "random": np.random.default_rng(9).integers(0, 8, size=states.n),
+    }
+    for start in starts.values():
+        monkeypatch.setattr(mdp, "initial_policy", lambda model, start=start: start.copy())
+        got = classic_policy_iteration(model)
+        assert np.array_equal(got.policy, want.policy)
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
 
 
 @pytest.mark.parametrize("case", _SOLVE_CASES)
