@@ -145,6 +145,7 @@ def cmd_mse(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
     ):
         if not -1e-9 <= value <= extent + 1e-9:
             raise ConfigError(f"{key}: the goal centre lies outside the field domain")
+    field = build_field(cfg, base_dir)  # every grid size samples the one field
     records = []
     for n in sizes:
         cell = cfg.field_width_km / n
@@ -161,7 +162,7 @@ def cmd_mse(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
             goal_i=goal_i,
             goal_j=goal_j,
         )
-        model = build_mdp(cfg_n, base_dir=base_dir)
+        model = build_mdp(cfg_n, field=field)
         pi_res = mdp.classic_policy_iteration(model)
         max_abs = float(np.max(np.abs(pi_res.values)))
         for k in (1, 2):

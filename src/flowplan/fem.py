@@ -28,8 +28,10 @@ as the eight-neighbour transition law reaches in every direction. The
 patches are read off the sparse node adjacency and its square (the 1-ring
 and 2-ring), and the fits form one sparse recovery operator from nodal
 values to nodal Hessians (in the spirit of patch recovery, Zienkiewicz & Zhu
-1992), with one pseudo-inverse per distinct patch shape, computed in one
-stack per patch size. ``ContinuousValue.expansion`` gives the value,
+1992), with one pseudo-inverse per patch shape, computed in one stack per
+patch size. A shape is the patch's integer lattice steps from its node, so
+a lattice has a few dozen shapes whatever its cell size, each fitted at the
+offsets (di h, dj h). ``ContinuousValue.expansion`` gives the value,
 gradient and Hessian at many points from one ``Mesh.locate_rows`` (point
 location, projection and nearest node), and reads the cached element
 gradients, nodal gradients and nodal Hessians; ``expansion_at`` does the same
@@ -183,18 +185,22 @@ class Mesh:
         return np.vstack([inv.reshape(-1, 4).T, r0.T])
 
     @cached_property
+    def _node_ij(self) -> np.ndarray:
+        """Integer lattice coordinates (i, j) of every node, shape (n_nodes, 2)."""
+        nx = self.states.nx
+        return np.stack([self.node_state % nx, self.node_state // nx], axis=-1)
+
+    @cached_property
     def _point_triangles(self) -> np.ndarray:
         """Per lattice point, the triangles whose integer lattice box holds
         it: all that can contain a point that rounds to it."""
-        st = self.states
-        ij = np.stack([self.node_state % st.nx, self.node_state // st.nx], axis=-1)[self.triangles]
+        st, ij = self.states, self._node_ij[self.triangles]
         return _lattice_table(ij.min(axis=1), ij.max(axis=1), st.nx, st.n)
 
     @cached_property
     def _block_nodes(self) -> np.ndarray:
         """Per lattice point, the nodes of the 3x3 block of points around it."""
-        st = self.states
-        ij = np.stack([self.node_state % st.nx, self.node_state // st.nx], axis=-1)
+        st, ij = self.states, self._node_ij
         last = np.minimum(ij + 1, (st.nx - 1, st.ny - 1))
         return _lattice_table(np.maximum(ij - 1, 0), last, st.nx, st.n)
 
@@ -352,11 +358,13 @@ class Mesh:
         too few to trigger the fallback and too flat to fit.
 
         The 1-ring is a row of the sparse node adjacency ``ring`` and the
-        2-ring the same row of ``ring @ ring``. Patches whose offsets from
-        their node are equal to the bit share one pseudo-inverse, and the
-        shapes of one patch size are fitted together: one stacked SVD, which
-        LAPACK computes matrix by matrix exactly as it would one shape alone,
-        gives both the rank test and the pseudo-inverse.
+        2-ring the same row of ``ring @ ring``. A patch's shape is its lattice
+        steps (di, dj) from its node, and each shape is fitted once, from the
+        offsets (di h, dj h) for cell size h: node positions subtracted would
+        differ in their last bits from patch to patch on a cell such as 5/3
+        km. The shapes of one patch size are fitted together: one stacked
+        SVD, which LAPACK computes matrix by matrix exactly as it would one
+        shape alone, gives both the rank test and the pseudo-inverse.
         """
         n, tris = self.n_nodes, self.triangles
         ring = sp.csr_matrix(  # nodes that share a triangle, the node included
@@ -371,17 +379,18 @@ class Mesh:
         reach = np.maximum.reduceat(np.where(in_ring, dist, 0.0), ring2.indptr[:-1])
         inside = (np.diff(ring.indptr) < 6)[rows] | (dist <= reach[rows] + _NODE_TOL_KM)
         rows, ids = rows[inside], ring2.indices[inside].astype(np.int64)
-        # Each node's offsets to its patch, padded with NaN, are its key.
+        # Each node's lattice steps to its patch, padded with a step no patch
+        # takes, are its key.
         size = np.bincount(rows, minlength=n)
         place = np.arange(len(rows)) - np.concatenate([[0], np.cumsum(size)])[rows]
-        offsets = np.full((n, size.max(), 2), np.nan)
-        offsets[rows, place] = self.nodes[ids] - self.nodes[rows]
-        keys = offsets.reshape(n, -1).view(np.dtype((np.void, offsets[0].nbytes)))[:, 0]
+        steps = np.full((n, size.max(), 2), np.iinfo(np.int64).min)
+        steps[rows, place] = self._node_ij[ids] - self._node_ij[rows]
+        keys = steps.reshape(n, -1).view(np.dtype((np.void, steps[0].nbytes)))[:, 0]
         _, first, shape = np.unique(keys, return_index=True, return_inverse=True)
         fits = np.full(len(first), None, dtype=object)
         for p in np.unique(size[first]):
             group = np.flatnonzero(size[first] == p)
-            x, y = np.moveaxis(offsets[first[group], :p], -1, 0)
+            x, y = np.moveaxis(steps[first[group], :p] * self.states.cell_km, -1, 0)
             design = np.stack([np.ones_like(x), x, y, x**2, x * y, y**2], axis=-1)
             u, sv, vt = np.linalg.svd(design, full_matrices=False)
             # The rank test of ``np.linalg.matrix_rank`` and the arithmetic of

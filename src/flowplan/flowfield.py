@@ -26,6 +26,11 @@ import numpy as np
 from .errors import DomainError, FieldFormatError
 
 _COORD_TOL_KM = 1e-6
+_HEADER = ["x_km", "y_km", "vx_kmh", "vy_kmh"]
+# Characters of a CSV body that keep it from numpy's reader: the csv module's
+# quote, and the ASCII separators that numpy's float parser strips as
+# whitespace where ``float`` does not.
+_LOADTXT_REFUSED = '"\x1c\x1d\x1e\x1f'
 # How far outside its rectangle a point may lie and still be in the domain.
 _DOMAIN_TOL_KM = 1e-9
 
@@ -96,9 +101,15 @@ class GridSamples:
                 raise ValueError(f"{name} must have shape (ny, nx) = ({self.ny}, {self.nx})")
 
     @cached_property
-    def _nested(self) -> tuple[list[list[float]], list[list[float]]]:
-        """``vx`` and ``vy`` as nested lists of rows, for per-row lookups."""
-        return self.vx.tolist(), self.vy.tolist()
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lattice origin and the last cell's (i, j) as arrays, and per
+        lattice cell j * (nx - 1) + i the (vx, vy) samples at its corners (i,
+        j), (i + 1, j), (i, j + 1) and (i + 1, j + 1): shape (cells, 4, 2),
+        for one gather per row."""
+        v = np.stack([self.vx, self.vy], axis=-1)
+        corners = np.stack([v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]], axis=2)
+        last = np.array([self.nx - 2, self.ny - 2])
+        return np.array(self.origin, dtype=float), last, corners.reshape(-1, 4, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,12 +171,12 @@ def field_velocities(field: FlowField, points: np.ndarray | Sequence[Point2]) ->
     """Noise-free velocity at each row of ``points``, as an (n, 2) array;
     raises DomainError, naming the first row outside the domain.
 
-    The domain test and the gyre are numpy array expressions, in the order of
-    operations of the one-point formula: numpy's float64 sine and cosine
-    round as ``math.sin`` and ``math.cos`` do (``tests/test_flowfield.py``
-    checks this bit for bit). The grid's bilinear interpolation stays a loop
-    over the rows in Python floats: on the few dozen rows of a simulator step
-    a numpy gather of the four corners costs more than the loop.
+    The domain test, the gyre and the grid's bilinear interpolation are numpy
+    array expressions, in the order of operations of the one-point formulas:
+    numpy's float64 sine and cosine round as ``math.sin`` and ``math.cos``
+    do, and the bilinear weights and their sum are elementwise products and
+    sums (``tests/test_flowfield.py`` checks both bit for bit). The model
+    build and the simulator step share this one path.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     lo, hi = field._bounds
@@ -175,8 +186,7 @@ def field_velocities(field: FlowField, points: np.ndarray | Sequence[Point2]) ->
         raise DomainError(f"point {tuple(points[first].tolist())} outside field domain")
     if field.gyre is None:
         assert field.grid is not None
-        flat = _bilinear_rows(field.grid, points.tolist())
-        return np.array(flat, dtype=float).reshape(-1, 2)
+        return _bilinear(field.grid, points)
     a = math.pi * field.gyre.strength_kmh
     k = math.pi * points / field.gyre.size_km
     sin, cos = np.sin(k), np.cos(k)
@@ -186,30 +196,21 @@ def field_velocities(field: FlowField, points: np.ndarray | Sequence[Point2]) ->
     return out
 
 
-def _bilinear_rows(samples: GridSamples, rows: list[list[float]]) -> list[float]:
-    """Bilinear interpolation of the samples at each (x, y) row, with the
-    lattice cell clamped to the grid; the (vx, vy) pairs in one flat list."""
-    vx, vy = samples._nested
-    x0, y0, cell = samples.origin.x, samples.origin.y, samples.cell_km
-    i_max, j_max = samples.nx - 2, samples.ny - 2
-    flat: list[float] = []
-    for x, y in rows:
-        u = (x - x0) / cell
-        v = (y - y0) / cell
-        i = min(max(math.floor(u), 0), i_max)
-        j = min(max(math.floor(v), 0), j_max)
-        fx = u - i
-        fy = v - j
-        w00 = (1.0 - fx) * (1.0 - fy)
-        w10 = fx * (1.0 - fy)
-        w01 = (1.0 - fx) * fy
-        w11 = fx * fy
-        row0, row1 = vx[j], vx[j + 1]
-        bx = w00 * row0[i] + w10 * row0[i + 1] + w01 * row1[i] + w11 * row1[i + 1]
-        row0, row1 = vy[j], vy[j + 1]
-        by = w00 * row0[i] + w10 * row0[i + 1] + w01 * row1[i] + w11 * row1[i + 1]
-        flat += (bx, by)
-    return flat
+def _bilinear(samples: GridSamples, points: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of the samples at each (x, y) row of ``points``,
+    with the lattice cell clamped to the grid, as an (n, 2) array. Each row is
+    ``((w00 c00 + w10 c10) + w01 c01) + w11 c11`` with the weights of the
+    one-row formula. The cell index is clamped as an integer, as the formula
+    clamps ``math.floor``, so no signed zero of a float clamp reaches the
+    weights."""
+    origin, last, corners = samples._cells
+    uv = (points - origin) / samples.cell_km
+    ij = np.minimum(np.maximum(np.floor(uv).astype(np.int64), 0), last)
+    f = uv - ij
+    g = 1.0 - f
+    w = np.stack([g[:, 0] * g[:, 1], f[:, 0] * g[:, 1], g[:, 0] * f[:, 1], f[:, 0] * f[:, 1]], axis=1)
+    terms = w[:, :, None] * corners[ij[:, 1] * (samples.nx - 1) + ij[:, 0]]
+    return ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
 
 
 def field_velocity(field: FlowField, p: Point2) -> Velocity2:
@@ -249,24 +250,47 @@ def _raise_first_bad_record(records: list[tuple[int, list[str]]]) -> None:
             raise FieldFormatError(f"line {lineno}: values must be finite, got {row}")
 
 
-def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> FlowField:
-    """Build a grid-sampled field from CSV records.
+def _loadtxt_table(lines: list[str]) -> np.ndarray | None:
+    """The (records, 4) body table of a CSV input by ``np.loadtxt``, or None
+    where numpy's reader might read it apart from the csv module.
 
-    Expects header ``x_km,y_km,vx_kmh,vy_kmh`` and one record per lattice
-    point; row order is free, points are keyed by coordinates with a 1e-6 km
-    tolerance. Missing, duplicate, off-lattice or non-finite records raise
-    :class:`FieldFormatError`.
+    The header is found by the csv module, as in :func:`_csv_table`, and the
+    lines after it go to numpy, unless they are blank (numpy would warn of no
+    data), hold a character of ``_LOADTXT_REFUSED`` or a line longer than the
+    csv module's field size limit. What numpy then reads as four finite
+    columns is the csv module's table to the bit: both parse a number as
+    ``float`` does, and numpy refuses the spellings only ``float`` takes,
+    such as ``1_0`` and non-ASCII digits.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return load_grid_field(fh, noise)
+    reader = csv.reader(lines)
+    header = next((row for row in reader if "".join(row).strip()), None)
+    if header is None or [cell.strip() for cell in header] != _HEADER:
+        return None
+    body = lines[reader.line_num :]
+    text = "".join(body)
+    if not text or text.isspace() or any(c in text for c in _LOADTXT_REFUSED):
+        return None
+    if max(map(len, body)) > csv.field_size_limit():
+        return None
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != 4 or not np.isfinite(table).all():
+        return None
+    return table
 
-    reader = csv.reader(source)
+
+def _csv_table(lines: list[str]) -> np.ndarray:
+    """The (records, 4) body table of a CSV input read by the csv module,
+    record by record; FieldFormatError, naming the physical line of the
+    first bad record, for input that holds no such table."""
+    reader = csv.reader(lines)
     records = [(reader.line_num, row) for row in reader if "".join(row).strip()]
     if not records:
         raise FieldFormatError("empty input")
     header = [cell.strip() for cell in records[0][1]]
-    if header != ["x_km", "y_km", "vx_kmh", "vy_kmh"]:
+    if header != _HEADER:
         raise FieldFormatError(f"unexpected header {header}")
 
     # Parse the whole table at once; only when a check fails, look for the
@@ -280,6 +304,29 @@ def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> F
             pass
     if table is None or not np.isfinite(table).all():
         _raise_first_bad_record(records[1:])
+    return table
+
+
+def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> FlowField:
+    """Build a grid-sampled field from CSV records.
+
+    Expects header ``x_km,y_km,vx_kmh,vy_kmh`` and one record per lattice
+    point; row order is free, points are keyed by coordinates with a 1e-6 km
+    tolerance. Missing, duplicate, off-lattice or non-finite records raise
+    :class:`FieldFormatError`.
+
+    The body is read by ``np.loadtxt`` where that gives the csv module's
+    table to the bit (:func:`_loadtxt_table`), and record by record by the
+    csv module otherwise (:func:`_csv_table`), which names the first bad
+    line. Either way the same inputs are accepted, with the same values.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, newline="") as fh:
+            return load_grid_field(fh.readlines(), noise)
+    lines = list(source)
+    table = _loadtxt_table(lines)
+    if table is None:
+        table = _csv_table(lines)
     xs = _cluster(table[:, 0].tolist())
     ys = _cluster(table[:, 1].tolist())
     nx, ny = len(xs), len(ys)

@@ -142,12 +142,18 @@ class StateSpace:
         out[:, 1] = self.origin.y + (idx // self.nx) * self.cell_km
         return out
 
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid origin and the last cell's (i, j), as arrays for
+        ``state_at``."""
+        return np.array(self.origin, dtype=float), np.array([self.nx - 1, self.ny - 1], dtype=float)
+
     def state_at(self, p: Point2 | np.ndarray) -> int | np.ndarray:
         """Containing cell of a point, clamped onto the grid; for an (n, 2)
         array of points, the cell of each row."""
-        p = np.asarray(p, dtype=float)
-        ij = np.floor((p - self.origin) / self.cell_km + 0.5)
-        ij = np.minimum(np.maximum(ij, 0), (self.nx - 1, self.ny - 1)).astype(np.int64)
+        origin, last = self._frame
+        ij = np.floor((np.asarray(p, dtype=float) - origin) / self.cell_km + 0.5)
+        ij = np.minimum(np.maximum(ij, 0), last).astype(np.int64)
         s = ij[..., 1] * self.nx + ij[..., 0]
         return int(s) if s.ndim == 0 else s
 

@@ -22,12 +22,13 @@ speed. Trials stop on entering the goal radius, on hitting an obstacle cell
 records which. A step is whole-batch numpy: the gyre current, the course
 (``np.cos`` and ``np.sin`` of the headings), the Euler update, the clamp and
 the goal test, which compares squared distances and asks ``math.dist`` only
-for rows within 1e-9 (relative) of the radius. Numpy's float64 sin and cos
-round as ``math``'s do (the tests check it bit for bit), so the paths are
-those of the one-point scalar formulas. Two parts stay scalar, row by row:
-the goal-oriented heading, as ``np.arctan2`` rounds apart from
-``math.atan2`` on some arguments, and the bilinear interpolation of a
-sampled field, which beats a numpy gather on the few dozen rows of a step.
+for rows within 1e-9 (relative) of the radius. The current is
+``field_velocities``: the gyre, or the bilinear interpolation of a sampled
+field in one array kernel. Numpy's float64 sin and cos round as ``math``'s
+do, and the bilinear sum keeps the one-row order (the tests check both bit
+for bit), so the paths are those of the one-point scalar formulas. One part
+stays scalar, row by row: the goal-oriented heading, as ``np.arctan2``
+rounds apart from ``math.atan2`` on some arguments.
 """
 
 from __future__ import annotations

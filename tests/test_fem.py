@@ -1048,7 +1048,9 @@ def test_hessian_recovers_quadratics_exactly():
 
 def _reference_hessian_patches(mesh):
     """The patches built node by node from Python sets of ring members, with
-    one pseudo-inverse per distinct patch shape."""
+    one pseudo-inverse per distinct patch shape: its lattice steps (di, dj)
+    from the node, fitted at the offsets (di h, dj h) for cell size h."""
+    ij = np.stack([mesh.node_state % mesh.states.nx, mesh.node_state // mesh.states.nx], axis=-1)
     rings = [set() for _ in range(mesh.n_nodes)]
     for tri in mesh.triangles.tolist():
         for n in tri:
@@ -1060,7 +1062,7 @@ def _reference_hessian_patches(mesh):
             reach = np.linalg.norm(mesh.nodes[list(ring)] - mesh.nodes[n], axis=1).max()
             dist = np.linalg.norm(mesh.nodes[ids] - mesh.nodes[n], axis=1)
             ids = ids[dist <= reach + 1e-9]
-        d = mesh.nodes[ids] - mesh.nodes[n]
+        d = (ij[ids] - ij[n]) * mesh.states.cell_km
         key = d.tobytes()
         if key not in fits:
             design = np.column_stack(

@@ -1,3 +1,5 @@
+import csv
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowplan import flowfield
 from flowplan.errors import DomainError, FieldFormatError
 from flowplan.flowfield import (
     GridSamples,
@@ -211,6 +214,91 @@ def test_field_velocities_equal_the_one_point_reference(kind):
     assert field_velocities(field, np.empty((0, 2))).shape == (0, 2)
 
 
+def _bilinear_rows(samples, rows):
+    """The per-row loop that the grid's array kernel replaced: bilinear
+    interpolation at each (x, y) row in Python floats, with the lattice cell
+    clamped to the grid; the (vx, vy) pairs in one flat list."""
+    vx, vy = samples.vx.tolist(), samples.vy.tolist()
+    x0, y0, cell = samples.origin.x, samples.origin.y, samples.cell_km
+    i_max, j_max = samples.nx - 2, samples.ny - 2
+    flat = []
+    for x, y in rows:
+        u = (x - x0) / cell
+        v = (y - y0) / cell
+        i = min(max(math.floor(u), 0), i_max)
+        j = min(max(math.floor(v), 0), j_max)
+        fx = u - i
+        fy = v - j
+        w00 = (1.0 - fx) * (1.0 - fy)
+        w10 = fx * (1.0 - fy)
+        w01 = (1.0 - fx) * fy
+        w11 = fx * fy
+        row0, row1 = vx[j], vx[j + 1]
+        bx = w00 * row0[i] + w10 * row0[i + 1] + w01 * row1[i] + w11 * row1[i + 1]
+        row0, row1 = vy[j], vy[j + 1]
+        by = w00 * row0[i] + w10 * row0[i + 1] + w01 * row1[i] + w11 * row1[i + 1]
+        flat += (bx, by)
+    return flat
+
+
+@pytest.mark.parametrize(
+    "origin, cell, nx, ny",
+    [
+        ((0.0, 0.0), 1.0, 41, 41),  # the csv-wall-k2 lattice
+        ((0.5, -1.25), 40.0 / 24.0, 7, 5),
+        ((-0.0, 0.3), 0.7, 2, 3),  # one cell wide; a -0.0 origin
+        ((-3.0, 2.5), 2.5e-3, 9, 4),
+    ],
+)
+def test_the_bilinear_kernel_equals_the_row_loop_bit_for_bit(origin, cell, nx, ny):
+    rng = np.random.default_rng(np.random.SeedSequence([23, nx, ny]))
+    samples = GridSamples(Point2(*origin), cell, nx, ny, rng.normal(size=(ny, nx)), rng.normal(size=(ny, nx)))
+    # A first cell whose sum shows the sign of a zero weight: at (-0.0, -0.0)
+    # with the origin at +0.0, the loop's weights are 1, -0.0, -0.0 and +0.0.
+    samples.vx[:2, :2] = [[-0.0, 1.0], [1.0, -1.0]]
+    field = grid_field(samples, NO_NOISE)
+    (x0, y0), (w, h) = field.origin, field.extent
+    lo, hi = np.array([x0, y0]), np.array([x0 + w, y0 + h])
+    gx, gy = np.meshgrid(x0 + cell * np.arange(nx), y0 + cell * np.arange(ny))
+    lattice = np.clip(np.column_stack([gx.ravel(), gy.ravel()]), lo, hi)
+    across = np.vstack([np.nextafter(lattice, np.inf), np.nextafter(lattice, -np.inf)])  # 1 ulp off each point
+    lines = np.vstack(  # 1 ulp either side of every cell edge, the other coordinate random
+        [
+            np.column_stack([np.nextafter(gx[0], side), rng.uniform(y0, y0 + h, nx)])
+            for side in (np.inf, -np.inf)
+        ]
+        + [
+            np.column_stack([rng.uniform(x0, x0 + w, ny), np.nextafter(gy[:, 0], side)])
+            for side in (np.inf, -np.inf)
+        ]
+    )
+    edges = [
+        [x0, y0], [x0 + w, y0 + h], [x0 + w, y0], [x0, y0 + h],  # corners
+        [x0 + w / 3, y0], [x0 + w, y0 + h / 3], [x0, y0 + h / 2], [x0 + w / 2, y0 + h],  # edges
+        [x0 - 5e-10, y0 + h / 4], [x0 + w + 9e-10, y0 + h + 9e-10], [x0 + w / 5, y0 - 1e-9],  # within tolerance
+        [-0.0, -0.0], [-0.0, y0 + h / 2],  # -0.0 coordinates
+    ]
+    last_column = np.column_stack([np.full(40, x0 + w), rng.uniform(y0, y0 + h, 40)])  # clamps into cell nx - 2
+    last_row = np.column_stack([rng.uniform(x0, x0 + w, 40), np.full(40, y0 + h)])  # and into row ny - 2
+    rows = np.vstack(
+        [
+            np.column_stack([rng.uniform(x0, x0 + w, 30_000), rng.uniform(y0, y0 + h, 30_000)]),
+            lattice,
+            np.clip(across, lo, hi),
+            np.clip(lines, lo, hi),
+            [p for p in edges if field.contains(p)],
+            last_column,
+            last_row,
+        ]
+    )
+    rows = rows[[field.contains(p) for p in rows.tolist()]]
+    assert len(rows) >= 30_000
+    got = field_velocities(field, rows)
+    want = np.array(_bilinear_rows(samples, rows.tolist())).reshape(-1, 2)
+    differ = int((got.view(np.int64) != want.view(np.int64)).sum())
+    assert differ == 0, f"{differ} of {want.size} components differ from the row loop"
+
+
 # Printed when a trig kernel test fails: the kernels take numpy's float64 sin
 # and cos for math's, and the CI log's numpy.show_runtime() names the host's
 # SIMD extensions.
@@ -391,3 +479,152 @@ def test_load_28x28_lattice_extent():
     assert field.extent == (54.0, 54.0)
     assert field.contains(Point2(54.0, 54.0))
     assert not field.contains(Point2(54.1, 0.0))
+
+
+def _reference_load_grid_field(lines, noise):
+    """The csv-module reader that ``np.loadtxt`` now stands in for: every
+    record through ``csv.reader`` and ``float``, then the lattice checks."""
+    reader = csv.reader(lines)
+    records = [(reader.line_num, row) for row in reader if "".join(row).strip()]
+    if not records:
+        raise FieldFormatError("empty input")
+    header = [cell.strip() for cell in records[0][1]]
+    if header != ["x_km", "y_km", "vx_kmh", "vy_kmh"]:
+        raise FieldFormatError(f"unexpected header {header}")
+    body = [row for _, row in records[1:]]
+    table = None
+    if set(map(len, body)) <= {4}:
+        try:
+            table = np.fromiter(map(float, itertools.chain.from_iterable(body)), dtype=float).reshape(-1, 4)
+        except ValueError:
+            pass
+    if table is None or not np.isfinite(table).all():
+        flowfield._raise_first_bad_record(records[1:])
+    xs = flowfield._cluster(table[:, 0].tolist())
+    ys = flowfield._cluster(table[:, 1].tolist())
+    nx, ny = len(xs), len(ys)
+    if nx < 2 or ny < 2:
+        raise FieldFormatError(f"lattice must be at least 2x2, got {nx}x{ny}")
+    if nx * ny != len(table):
+        raise FieldFormatError(f"expected {nx}x{ny} = {nx * ny} lattice records, got {len(table)}")
+    dxs, dys = np.diff(xs), np.diff(ys)
+    cell = float(dxs[0])
+    if not (np.allclose(dxs, cell, atol=1e-6) and np.allclose(dys, cell, atol=1e-6)):
+        raise FieldFormatError("lattice spacing is not uniform and square")
+    slot = flowfield._nearest(np.asarray(ys), table[:, 1]) * nx + flowfield._nearest(np.asarray(xs), table[:, 0])
+    repeat = np.ones(len(slot), dtype=bool)
+    repeat[np.unique(slot, return_index=True)[1]] = False
+    if repeat.any():
+        x, y = table[int(np.argmax(repeat)), :2].tolist()
+        raise FieldFormatError(f"duplicate record at ({x}, {y})")
+    velocity = np.empty((nx * ny, 2))
+    velocity[slot] = table[:, 2:]
+    vx, vy = velocity.T.reshape(2, ny, nx)
+    return grid_field(GridSamples(Point2(float(xs[0]), float(ys[0])), cell, nx, ny, vx, vy), noise)
+
+
+def _load_outcome(load, lines):
+    """What a loader makes of ``lines``: the samples as bytes, or the
+    FieldFormatError message."""
+    try:
+        grid = load(list(lines), NO_NOISE).grid
+    except FieldFormatError as exc:
+        return "error", str(exc)
+    return grid.nx, grid.ny, np.array([*grid.origin, grid.cell_km]).tobytes(), grid.vx.tobytes(), grid.vy.tobytes()
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+# Spellings of a cell value that both readers take, and spellings that only
+# the csv module's float reads (quoted, underscores, non-ASCII digits) or
+# neither does (a trailing ASCII separator, which numpy strips as whitespace;
+# a trailing comma; non-finite values).
+_PLAIN = {
+    "repr": repr,
+    "exponent": lambda v: f"{v:.17e}",
+    "padded": lambda v: f" {v!r}\t",
+    "short": lambda v: f"{v:.3g}",  # rounds: for velocities only
+}
+_ODD = {
+    "quoted": lambda v: f'"{v!r}"',
+    "underscore": lambda v: f"{v:.3f}".replace(".", "_0."),
+    "arabic-indic": lambda v: repr(v).translate(_ARABIC_INDIC),
+    "separator": lambda v: f"{v!r}\x1c",
+    "trailing-comma": lambda v: f"{v!r},",
+    "nan": lambda v: "nan",
+    "inf": lambda v: "-inf",
+}
+_EXTRA_LINES = ["\n", "\r\n", "  \t\n", " , ,\n", "# a comment\n"]
+
+
+@st.composite
+def _csv_inputs(draw):
+    """A small lattice field as CSV lines: shuffled records of plain cells,
+    at most one odd cell, blank or other extra lines, and now and then a
+    header without a body or a wrong header."""
+    nx, ny = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    cell = draw(st.sampled_from([1.0, 0.7, 40.0 / 24.0, 2.5e-3]))
+    x0, y0 = draw(st.sampled_from([(0.0, 0.0), (-3.0, 2.5), (0.3, -1.1)]))
+    value = st.floats(-5.0, 5.0, allow_subnormal=False)
+    records = [[x0 + i * cell, y0 + j * cell, draw(value), draw(value)] for j in range(ny) for i in range(nx)]
+    records = draw(st.permutations(records))
+    coordinate, velocity = st.sampled_from(["repr", "exponent", "padded"]), st.sampled_from(list(_PLAIN))
+    cells = [[_PLAIN[draw(coordinate if k < 2 else velocity)](v) for k, v in enumerate(r)] for r in records]
+    odd = draw(st.sampled_from([None] * len(_ODD) + list(_ODD)))
+    if odd is not None:
+        r, k = draw(st.integers(0, len(cells) - 1)), draw(st.integers(0, 3))
+        cells[r][k] = _ODD[odd](records[r][k])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(row) + end for row in cells]
+    if draw(st.sampled_from([False] * 7 + [True])):
+        lines = []  # a header with no body
+    for _ in range(draw(st.integers(0, 2))):
+        extra = draw(st.sampled_from(_EXTRA_LINES[:2] * 3 + _EXTRA_LINES[2:]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    header = draw(st.sampled_from(["x_km,y_km,vx_kmh,vy_kmh"] * 6 + [" x_km , y_km,vx_kmh,vy_kmh\t", "x,y,vx,vy"]))
+    return ["\n"] * draw(st.integers(0, 1)) + [header + end] + lines
+
+
+@given(lines=_csv_inputs())
+@settings(max_examples=300, deadline=None)
+def test_load_grid_field_reads_as_the_csv_module_does(lines):
+    assert _load_outcome(load_grid_field, lines) == _load_outcome(_reference_load_grid_field, lines)
+
+
+def _plain_lines(end="\n"):
+    rng = np.random.default_rng(3)
+    points = [(i / 0.6, j / 0.6, *rng.normal(size=2).tolist()) for j in range(3) for i in range(4)]
+    return [f"x_km,y_km,vx_kmh,vy_kmh{end}", end] + [f"{x!r},{y!r},{u!r},{v!r}{end}" for x, y, u, v in points]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_a_plain_body_takes_numpys_reader(end, tmp_path):
+    lines = _plain_lines(end)
+    table = flowfield._loadtxt_table(lines)
+    assert table is not None and table.tobytes() == flowfield._csv_table(lines).tobytes()
+    path = tmp_path / "field.csv"
+    path.write_text("".join(lines), newline="")
+    assert _load_outcome(lambda _, noise: load_grid_field(path, noise), lines) == _load_outcome(
+        _reference_load_grid_field, lines
+    )
+
+
+@pytest.mark.parametrize(
+    "cell",
+    ['"1.0"', "1_0.0", "١.0", "1.0\x1c", "nan", " , "],
+    ids=["quoted", "underscore", "non-ascii-digit", "ascii-separator", "non-finite", "blank-cell"],
+)
+def test_a_body_numpy_may_read_apart_goes_to_the_csv_module(cell):
+    lines = _plain_lines()
+    lines[3] = lines[3].replace(lines[3].split(",")[2], cell, 1)
+    assert flowfield._loadtxt_table(lines) is None
+
+
+@pytest.mark.parametrize("body", [[], ["\n", "\r\n"], ["  \t\n", "\n"]], ids=["none", "empty-lines", "whitespace"])
+def test_a_header_without_records_never_reaches_loadtxt(body, monkeypatch):
+    # np.loadtxt warns "input contained no data" here, and a warning fails the suite.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    with pytest.raises(FieldFormatError, match=r"^lattice must be at least 2x2, got 0x0$"):
+        load_grid_field(["x_km,y_km,vx_kmh,vy_kmh\n", *body], NO_NOISE)

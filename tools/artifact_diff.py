@@ -6,12 +6,13 @@ where BASE is any revision ``git archive`` accepts (``HEAD~1``, a SHA, ...).
 BASE is extracted with ``git archive`` into a temporary directory. The
 inputs of the three benchmark workloads are written once, by this tree's
 ``perfbench/workloads.write_inputs``, and both trees run every workload's
-commands on them at seeds 7 and 11, plus ``flowplan mse`` on a small gyre,
-once more with its goal centre on the domain's lower edge, ``flowplan
-simulate`` on it with a slow vehicle and a 12 h budget, and once more over a
-sweep of two strengths with one obstacle, and ``flowplan solve`` on it
-with a k=2 mesh, an even goal and one obstacle, once more without noise, and
-once more with an iteration budget of two that API runs out of.
+commands on them at seeds 7 and 11, plus ``flowplan mse`` on the
+``csv-wall-k2`` inputs of seed 7 at grid sizes 12 and 24, ``flowplan mse``
+on a small gyre, once more with its goal centre on the domain's lower edge,
+``flowplan simulate`` on it with a slow vehicle and a 12 h budget, and once
+more over a sweep of two strengths with one obstacle, and ``flowplan solve``
+on it with a k=2 mesh, an even goal and one obstacle, once more without
+noise, and once more with an iteration budget of two that API runs out of.
 Every output file, each command's stdout and its exit status are compared
 byte for byte. The differing files are listed (marked when they differ only
 in line endings), and the exit status is 1 if any file differs, else 0.
@@ -89,6 +90,10 @@ SMALL_GYRE_SWEEP = (
     "sweep.strengths = 0.25, 0.5\nsim.trials = 2\ngrid.obstacles = 1, 3\n"
     "vehicle.v_max_kmh = 1.0\nnoise.sigma_kmh = 2.0\n"
 )
+# ``flowplan mse`` on the csv-wall-k2 inputs (its CSV field, at the first
+# seed): k = 1 and k = 2 meshes on cells of 10/3 and 5/3 km, which are not
+# dyadic, and one parse of the field for the whole sweep.
+CSV_WALL_MSE = "mse.grid_sizes = 12, 24\n"
 
 
 def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
@@ -100,6 +105,9 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
             seed_args = ["--seed", str(seed)] if workload.uses_seed else []
             for command in workload.commands:
                 cases.append((f"{name}/s{seed}/{command}", [command, "--config", str(cfg), *seed_args]))
+    cfg = inputs / f"csv-wall-k2-s{SEEDS[0]}" / "mse.cfg"
+    cfg.write_text((cfg.parent / "workload.cfg").read_text() + CSV_WALL_MSE)
+    cases.append(("mse-csv-wall-k2", ["mse", "--config", str(cfg)]))
     cfg = inputs / "mse-small-gyre" / "run.cfg"
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE)
