@@ -137,27 +137,26 @@ def cmd_mse(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
     sizes = cfg.mse_grid_sizes or (cfg.grid_nx,)
     if not cfg.mse_grid_sizes and cfg.grid_nx < MSE_MIN_GRID:  # validate_config checks the listed sizes
         raise ConfigError(f"grid.nx: grid size {cfg.grid_nx} too small for mse (set mse.grid_sizes)")
+    field = build_field(cfg, base_dir)  # every grid size samples the one field
     goal_x = cfg.grid_origin_x_km + cfg.goal_i * cfg.grid_cell_km
     goal_y = cfg.grid_origin_y_km + cfg.goal_j * cfg.grid_cell_km
-    for key, value, extent in (
-        ("goal.i", goal_x, cfg.field_width_km),
-        ("goal.j", goal_y, cfg.field_height_km),
-    ):
-        if not -1e-9 <= value <= extent + 1e-9:
+    for key, value, lo, extent in zip(("goal.i", "goal.j"), (goal_x, goal_y), field.origin, field.extent):
+        if not lo - 1e-9 <= value <= lo + extent + 1e-9:
             raise ConfigError(f"{key}: the goal centre lies outside the field domain")
-    field = build_field(cfg, base_dir)  # every grid size samples the one field
     records = []
     for n in sizes:
-        cell = cfg.field_width_km / n
-        lattice = mdp.StateSpace.regular(int(n), int(n), cell, (0, 0))
+        # Each lattice tiles the field's (square) domain from its origin.
+        cell = field.extent[0] / n
+        origin = Point2(field.origin.x + cell / 2, field.origin.y + cell / 2)
+        lattice = mdp.StateSpace.regular(int(n), int(n), cell, (0, 0), origin)
         goal_i, goal_j = lattice.coords(lattice.state_at((goal_x, goal_y)))
         cfg_n = replace(
             cfg,
             grid_nx=int(n),
             grid_ny=int(n),
             grid_cell_km=cell,
-            grid_origin_x_km=cell / 2,
-            grid_origin_y_km=cell / 2,
+            grid_origin_x_km=origin.x,
+            grid_origin_y_km=origin.y,
             grid_obstacles=(),
             goal_i=goal_i,
             goal_j=goal_j,

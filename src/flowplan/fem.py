@@ -37,7 +37,8 @@ location, projection and nearest node), and reads the cached element
 gradients, nodal gradients and nodal Hessians; ``expansion_at`` does the same
 at rows located before, such as the state centres (``Mesh.centres``). It is
 the one implementation of these queries: ``evaluate``, ``gradient`` and
-``hessian`` send it a batch of one. Edge adjacency has one table too,
+``hessian`` send it a batch of one; its sums are elementwise in a written
+order, never a BLAS dot. Edge adjacency has one table too,
 ``Mesh.edge_neighbours``, built from the sorted edge keys of every triangle.
 """
 
@@ -211,7 +212,7 @@ class Mesh:
         on_hull = (self.edge_neighbours[:, [2, 0, 1]] < 0).ravel()  # the edges opposite c, a, b
         start = self.nodes[self.triangles.ravel()[on_hull]]
         vec = self.nodes[self.triangles[:, [1, 2, 0]].ravel()[on_hull]] - start
-        return start, vec, np.einsum("ed,ed->e", vec, vec)
+        return start, vec, vec[:, 0] * vec[:, 0] + vec[:, 1] * vec[:, 1]
 
     def _find(self, p: Point2 | np.ndarray) -> tuple[int, np.ndarray] | None:
         """Containing triangle and weights, or None off the cover."""
@@ -244,8 +245,7 @@ class Mesh:
         lam[0] = 1.0 - (lam[1] + lam[2])
         mins = np.minimum(np.minimum(lam[0], lam[1]), lam[2])
         rows, k = np.arange(len(points)), mins.argmax(axis=1)
-        # + 0.0 makes an exact zero weight +0.0 whatever the signs of its two
-        # products, as a sum started from 0.0 (einsum's, a dot's) makes it.
+        # + 0.0 makes an exact zero weight +0.0 whatever the signs of its two products.
         return np.where(mins[rows, k] >= -_BARY_TOL, tris[rows, k], -1), lam[:, rows, k].T + 0.0
 
     def _nearest_many(self, points: np.ndarray, lattice: np.ndarray | None = None) -> np.ndarray:
@@ -261,10 +261,11 @@ class Mesh:
         """Closest hull-edge point of every row; the first closest in
         triangle-edge order."""
         start, vec, length2 = self._hull
-        t = np.clip(np.einsum("ped,ed->pe", points[:, None, :] - start, vec) / length2, 0.0, 1.0)
+        d = points[:, None, :] - start
+        t = np.clip((d[..., 0] * vec[:, 0] + d[..., 1] * vec[:, 1]) / length2, 0.0, 1.0)
         cand = start + t[..., None] * vec
         d = points[:, None, :] - cand
-        return cand[np.arange(len(points)), np.einsum("ped,ped->pe", d, d).argmin(axis=1)]
+        return cand[np.arange(len(points)), (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).argmin(axis=1)]
 
     def locate_rows(
         self, points: np.ndarray, clamp: bool = False, cells: np.ndarray | None = None
@@ -273,21 +274,15 @@ class Mesh:
         nearest node. Rows off the cover raise DomainError unless ``clamp``
         moves them to their closest point of the cover. ``cells``, when
         given, are the rows' ``states.state_at``, which saves computing them.
-        Rows go in batches of ``_BATCH_ROWS``, which bounds the temporaries."""
-        return self._locate(points, clamp, nearest=True, cells=cells)
-
-    def _locate(
-        self, points: np.ndarray, clamp: bool, nearest: bool, cells: np.ndarray | None = None
-    ) -> tuple[np.ndarray, ...]:
-        """``locate_rows``, whose nearest nodes are left out unless ``nearest``.
         Each row's lattice point serves both searches; a row projected onto
-        the cover is given the lattice point of its new position."""
+        the cover is given the lattice point of its new position. Rows go in
+        batches of ``_BATCH_ROWS``, which bounds the temporaries."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         if len(points) > _BATCH_ROWS:
             parts = []
             for r in range(0, len(points), _BATCH_ROWS):
                 rows = slice(r, r + _BATCH_ROWS)
-                parts.append(self._locate(points[rows], clamp, nearest, None if cells is None else cells[rows]))
+                parts.append(self.locate_rows(points[rows], clamp, None if cells is None else cells[rows]))
             return tuple(map(np.concatenate, zip(*parts)))
         lattice = self.states.state_at(points) if cells is None else cells
         tri, lam = self._find_many(points, lattice)
@@ -301,7 +296,7 @@ class Mesh:
             tri[off], lam[off] = self._find_many(points[off], lattice[off])
             if (tri[off] < 0).any():
                 raise DomainError("a projected point lies outside the mesh cover")
-        return (points, tri, lam, self._nearest_many(points, lattice)) if nearest else (points, tri, lam)
+        return points, tri, lam, self._nearest_many(points, lattice)
 
     @cached_property
     def centres(self) -> tuple[np.ndarray, ...]:
@@ -315,8 +310,9 @@ class Mesh:
     def locate_many(
         self, points: np.ndarray, clamp: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Point location of each row; optionally projects uncovered points."""
-        _, tri, lam = self._locate(points, clamp, nearest=False)
+        """The triangle and barycentric weights, clipped to [0, 1], of each
+        row's ``locate_rows``."""
+        _, tri, lam, _ = self.locate_rows(points, clamp)
         return tri, np.clip(lam, 0.0, 1.0)
 
     def covers(self, p: Point2 | np.ndarray) -> bool:
@@ -681,13 +677,14 @@ def element_peclet(mesh: Mesh, coeffs: PdeCoefficients) -> np.ndarray:
 class ContinuousValue:
     """P1 value function: a mesh plus nodal coefficients.
 
-    Evaluation is barycentric interpolation; gradients are element-constant
-    with area-weighted averaging at nodes and edges; second derivatives come
-    from a least-squares quadratic fit over the patch around the nearest node
-    (zero, by policy, where the patch cannot support the fit); the patch is
-    the node's mesh neighbourhood widened to the lattice's symmetry, see
-    ``Mesh.hessian_patches``. The fits of every node are one matvec of
-    ``Mesh.hessian_operator`` with the coefficients (``node_hessians``).
+    Evaluation is barycentric interpolation (``_interpolate``); gradients
+    are element-constant with area-weighted averaging at nodes and edges;
+    second derivatives come from a least-squares quadratic fit over the
+    patch around the nearest node (zero, by policy, where the patch cannot
+    support the fit); the patch is the node's mesh neighbourhood widened to
+    the lattice's symmetry, see ``Mesh.hessian_patches``. The fits of every
+    node are one matvec of ``Mesh.hessian_operator`` with the coefficients
+    (``node_hessians``).
 
     ``expansion`` answers all three queries for many points at once: one
     ``Mesh.locate_rows``, then ``expansion_at`` the located rows. The
@@ -705,9 +702,17 @@ class ContinuousValue:
 
     @cached_property
     def element_gradients(self) -> np.ndarray:
-        return np.einsum(
-            "eid,ei->ed", self.mesh.basis_gradients, self.coefficients[self.mesh.triangles]
-        )
+        """(g0 c0 + g1 c1) + g2 c2 over each element's basis gradients g and
+        corner values c."""
+        gc = self.mesh.basis_gradients * self.coefficients[self.mesh.triangles][..., None]
+        return (gc[:, 0] + gc[:, 1]) + gc[:, 2]
+
+    def _interpolate(self, tri: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """(l0 c0 + l1 c1) + l2 c2 over each row's weights l and its
+        triangle's corner values c: the interpolation of ``expansion_at``
+        and ``evaluate_many``."""
+        lc = lam * self.coefficients[self.mesh.triangles[tri]]
+        return (lc[:, 0] + lc[:, 1]) + lc[:, 2]
 
     @cached_property
     def node_gradients(self) -> np.ndarray:
@@ -725,8 +730,7 @@ class ContinuousValue:
         return float(self.expansion(p)[0][0])
 
     def evaluate_many(self, points: np.ndarray, clamp: bool = False) -> np.ndarray:
-        tri_idx, lams = self.mesh.locate_many(points, clamp=clamp)
-        return np.einsum("pl,pl->p", lams, self.coefficients[self.mesh.triangles[tri_idx]])
+        return self._interpolate(*self.mesh.locate_many(points, clamp=clamp))
 
     def gradient(self, p: Point2 | np.ndarray) -> np.ndarray:
         return self.expansion(p)[1][0]
@@ -757,20 +761,17 @@ class ContinuousValue:
     def expansion_at(self, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value (n,), gradient (n, 2) and Hessian (n, 2, 2) at rows located
         by ``Mesh.locate_rows``.
-        The value interpolates the containing triangle's corners. The
-        gradient is the nearest node's recovered gradient within 1e-9 km of a
-        node, the area-weighted mean of the two triangles on an edge, and the
-        element gradient inside a triangle. The Hessian is the nearest node's
-        fit.
+        The value is ``_interpolate`` at the raw weights. The gradient is the
+        nearest node's recovered gradient within 1e-9 km, sqrt(dx dx + dy dy),
+        of a node, the area-weighted mean of the two triangles on an edge, and
+        the element gradient inside a triangle. The Hessian is the nearest
+        node's fit.
         """
         mesh = self.mesh
         points, tri, lam, nearest = rows
-        corners = self.coefficients[mesh.triangles[tri]]
-        # Stacked (1, k) @ (k, 1) products take the dot kernel of a 1-D ``@``
-        # and of ``np.linalg.norm``, so the sums round as one point's would.
-        value = (lam[:, None, :] @ corners[:, :, None])[:, 0, 0]
-        d = (mesh.nodes[nearest] - points)[:, None, :]
-        at_node = np.sqrt(d @ d.swapaxes(1, 2))[:, 0, 0] < _NODE_TOL_KM
+        value = self._interpolate(tri, lam)
+        dx, dy = (mesh.nodes[nearest] - points).T
+        at_node = np.sqrt(dx * dx + dy * dy) < _NODE_TOL_KM
         grad = np.where(
             at_node[:, None], self.node_gradients[nearest], self.element_gradients[tri]
         )

@@ -166,9 +166,9 @@ class MdpModel:
     the state itself at probability zero so they stay fixed-width. Exact
     policy evaluation leaves entries below a coupling floor out of its band
     matrix, so the padding never reaches one. ``rewards`` holds the
-    transition-weighted expected reward per (state, action).
-    ``moment_table`` holds the displacement moments of every row, built on
-    first use.
+    transition-weighted expected reward per (state, action), shape
+    (n_states, n_actions). ``moment_table`` holds the displacement moments
+    of every row in the same state-major layout, built on first use.
     """
 
     states: StateSpace
@@ -192,24 +192,25 @@ class MdpModel:
 
     @cached_property
     def moment_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only drift E[s' - s], shape (n_actions, n_states, 2), and
-        second moment E[(s' - s)(s' - s)^T], shape (n_actions, n_states, 2, 2),
-        of every transition row (km and km^2). Padding entries have zero
+        """Read-only drift E[s' - s], shape (n_states, n_actions, 2), and
+        second moment E[(s' - s)(s' - s)^T], shape (n_states, n_actions, 2, 2),
+        of every transition row (km and km^2), state-major as ``rewards``,
+        each a ``_sum_successors`` sum. Padding entries have zero
         displacement and zero probability, so they add nothing. The rows of
         every action list the same successors, as ``build_model`` builds
-        them, so each state's displacements are gathered once; a model
-        whose actions differ there raises ValueError."""
+        them, so each state's displacements are gathered once; a model whose
+        actions differ there raises ValueError."""
         succ = self.succ[0]
         if not (self.succ == succ).all():
             raise ValueError("the moment table needs one successor list per state for every action")
         positions = self.states.positions()
         disp = positions[succ] - positions[:, None, :]
-        dx, dy = disp[..., 0], disp[..., 1]
-        px, py = self.prob * dx, self.prob * dy
+        dx, dy = disp[:, None, :, 0], disp[:, None, :, 1]
+        prob = np.ascontiguousarray(self.prob.transpose(1, 0, 2))  # (n_states, n_actions, 9)
+        px, py = prob * dx, prob * dy
         drift = np.stack([_sum_successors(px), _sum_successors(py)], axis=-1)
         # The (0, 1) and (1, 0) entries are summed apart, as (p dx) dy and
-        # (p dy) dx, so each equals the einsum over the same factors bit for
-        # bit; the table is not exactly symmetric.
+        # (p dy) dx, so the table is not exactly symmetric.
         second = np.stack(
             [
                 np.stack([_sum_successors(px * dx), _sum_successors(px * dy)], axis=-1),
@@ -223,8 +224,8 @@ class MdpModel:
 
 
 def _sum_successors(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last (successor) axis in order, from 0.0 as einsum does:
-    an exact zero sums to +0.0, whatever the sign of its terms."""
+    """Sum over the last (successor) axis in order, from 0.0 (an exact zero
+    sums to +0.0). Rewards, action values and the moment table sum so."""
     total = terms[..., 0] + 0.0
     for j in range(1, terms.shape[-1]):
         total += terms[..., j]
@@ -301,8 +302,7 @@ def build_model(
 
     reward = np.where(states.obstacles[succ], OBSTACLE_REWARD, STEP_REWARD)
     reward[(succ == states.goal) | terminal[:, None]] = 0.0
-    rewards = prob.transpose(1, 0, 2)[..., None, :] @ reward[:, None, :, None]
-    rewards = np.ascontiguousarray(rewards[..., 0, 0])  # row-major (n, 8)
+    rewards = np.ascontiguousarray(_sum_successors(prob * reward).T)  # row-major (n, 8)
     succ = np.tile(succ, (len(actions), 1, 1))
     return MdpModel(states, actions, dt_h, v_max, gamma, field.noise, field, succ, prob, rewards)
 
@@ -373,8 +373,9 @@ def policy_evaluation_exact(model: MdpModel, policy: np.ndarray) -> np.ndarray:
 
 
 def action_values(model: MdpModel, values: np.ndarray) -> np.ndarray:
-    """Q(s, a) = R(s, a) + gamma * E[values(s')], shape (n_states, n_actions)."""
-    expected = np.einsum("asn,asn->as", model.prob, values[model.succ])
+    """Q(s, a) = R(s, a) + gamma * E[values(s')], shape (n_states, n_actions),
+    each expectation a ``_sum_successors`` sum of probability times value."""
+    expected = _sum_successors(model.prob * values[model.succ])
     return model.rewards + model.gamma * expected.T
 
 

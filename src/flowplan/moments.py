@@ -52,12 +52,13 @@ def transition_moments(
 
     drift_i = sum_s' T(s,a;s') (s'_i - s_i) and
     diffusion_ij = sum_s' T(s,a;s') (s'_i - s_i)(s'_j - s_j). ``s`` and ``a``
-    index the table as numpy indices do: ``a=slice(None)`` gives every
-    action's row of state ``s``, stacked in action order. Integer and slice indices give
-    read-only views of the table; index arrays give copies.
+    index the state-major table as numpy indices do: ``a=slice(None)`` gives
+    every action's row of state ``s`` in action order, shape (n_actions, 2),
+    or (n, n_actions, 2) for an array of n states. Integer and slice indices
+    give read-only views of the table; index arrays give copies.
     """
     drift, diffusion = model.moment_table
-    return DriftDiffusion(drift[a, s], diffusion[a, s])
+    return DriftDiffusion(drift[s, a], diffusion[s, a])
 
 
 def assemble_coefficients(

@@ -48,7 +48,6 @@ class ApiResult:
     policy: np.ndarray
     value: fem.ContinuousValue
     iterations: int
-    change_counts: list[int]
     converged: bool
     diagnostics: list[dict] = field(default_factory=list)
 
@@ -64,15 +63,16 @@ def _state_scores(
     curvature terms of the local expansion of the value, less the reaction
     term. With an array of states (and one value, gradient and Hessian row
     per state) it scores each state in its own row, shape (n, n_actions),
-    with the arithmetic of the one-state case."""
+    with the arithmetic of the one-state case. The drift term d0 g0 + d1 g1
+    and the curvature term ((S00 H00 + S01 H01) + S10 H10) + S11 H11 are
+    elementwise sums in that order, so a score rounds alike on every BLAS."""
     gamma = model.gamma
     m = transition_moments(model, s, slice(None))
-    drift = m.drift.swapaxes(0, -2)  # (..., n_a, 2)
-    diffusion = m.diffusion.swapaxes(0, -3)  # (..., n_a, 2, 2)
-    drift_term = (drift @ np.asarray(grad)[..., None])[..., 0]
-    diff_term = 0.5 * np.einsum("...aij,...ij->...a", diffusion, hess)
+    dg = m.drift * np.asarray(grad)[..., None, :]  # (..., n_a, 2)
+    sh = m.diffusion * np.asarray(hess)[..., None, :, :]  # (..., n_a, 2, 2)
+    curvature = ((sh[..., 0, 0] + sh[..., 0, 1]) + sh[..., 1, 0]) + sh[..., 1, 1]
     reaction = (1.0 - gamma) * np.asarray(value_at)[..., None]
-    return model.rewards[s] + gamma * (drift_term + diff_term) - reaction
+    return model.rewards[s] + gamma * ((dg[..., 0] + dg[..., 1]) + 0.5 * curvature) - reaction
 
 
 def improve_policy_continuous(
@@ -153,7 +153,6 @@ def approximate_policy_iteration(model: MdpModel, cfg: ApiConfig = ApiConfig()) 
     returned policy's own, also when the budget runs out."""
     mesh = fem.build_mesh(model.states, cfg.k)
     policy = initial_policy(model)
-    change_counts: list[int] = []
     diagnostics: list[dict] = []
     flips = np.zeros(model.n_states, dtype=np.int64)
     for it in range(1, cfg.max_iterations + 1):
@@ -162,7 +161,6 @@ def approximate_policy_iteration(model: MdpModel, cfg: ApiConfig = ApiConfig()) 
         improved = improve_policy_continuous(model, value, incumbent=policy, margins=margins)
         changes = int(np.sum(improved != policy))
         flips += improved != policy
-        change_counts.append(changes)
         diagnostics.append(
             {
                 "iteration": it,
@@ -173,7 +171,7 @@ def approximate_policy_iteration(model: MdpModel, cfg: ApiConfig = ApiConfig()) 
             }
         )
         if changes == 0 or it == cfg.max_iterations:
-            return ApiResult(policy, value, it, change_counts, changes == 0, diagnostics)
+            return ApiResult(policy, value, it, changes == 0, diagnostics)
         policy = improved
 
 

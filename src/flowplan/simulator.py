@@ -42,8 +42,8 @@ import numpy as np
 
 from . import fem
 from .flowfield import FlowField, Point2, field_velocities, write_table
-from .mdp import Action, MdpModel, StateSpace
-from .policy_iter import _state_scores, best_action
+from .mdp import Action, MdpModel, StateSpace, best_action
+from .policy_iter import _state_scores
 
 END_REASONS = ("goal", "collision", "budget")
 

@@ -157,12 +157,45 @@ def test_mse_maps_the_goal_to_the_cell_that_state_at_gives(tmp_path, capsys, mon
     assert goals == [(1, 1)]
 
 
+def test_mse_on_a_csv_field_off_the_origin_places_its_lattices_on_the_field(tmp_path, capsys, monkeypatch):
+    # A 21x21-sample field over [10, 30]^2 km, and a 10x10 grid of 2 km cells
+    # from 11 km with its goal centred at 25 km. Each mse lattice tiles the
+    # field's own domain: the 5x5 lattice has 4 km cells from 12 km, and the
+    # 10x10 lattice is the config's grid.
+    rows = ["x_km,y_km,vx_kmh,vy_kmh"]
+    rows += [f"{10 + x}.0,{10 + y}.0,{0.1 * (y - 10)},{-0.1 * (x - 10)}" for y in range(21) for x in range(21)]
+    (tmp_path / "field.csv").write_text("\n".join(rows) + "\n")
+    text = (
+        SMALL_GYRE.replace("field.kind = gyre", "field.kind = csv\nfield.csv_path = field.csv")
+        .replace("= 6\n", "= 10\n")
+        .replace("= 1.0\n", "= 11.0\n")
+        .replace("= 4\n", "= 7\n")
+    )
+    assert text.count("= 10\n") == 2 and text.count("= 11.0\n") == 2 and text.count("= 7\n") == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "start.x_km = 12.0\nstart.y_km = 12.0\nmse.grid_sizes = 5, 10\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 0
+    lattices = []
+
+    def recording(cfg, *args, **kwargs):
+        lattices.append((cfg.grid_cell_km, cfg.grid_origin_x_km, cfg.grid_origin_y_km, cfg.goal_i, cfg.goal_j))
+        return build_mdp(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_mdp", recording)
+    out = tmp_path / "out"
+    code = main(["mse", "--config", str(cfg), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert lattices == [(4.0, 12.0, 12.0, 3, 3), (2.0, 11.0, 11.0, 7, 7)]
+    _, rows = _rows(out / "mse.csv")
+    assert [(int(n), int(k)) for n, k, _, _ in rows] == [(5, 1), (5, 2), (10, 1), (10, 2)]
+
+
 def test_an_unconverged_api_returns_the_value_of_the_policy_it_returns():
     # Out of iterations, API must return the policy it evaluated last, not
     # the improvement of it that it never evaluated.
     model = build_mdp(parse_config(SMALL_GYRE))
     res = approximate_policy_iteration(model, ApiConfig(k=1, max_iterations=2))
-    assert not res.converged and res.iterations == 2 and res.change_counts[-1] > 0
+    assert not res.converged and res.iterations == 2 and res.diagnostics[-1]["policy_changes"] > 0
     value, _ = evaluate_policy_fem(model, res.policy, res.value.mesh)
     assert np.array_equal(value.coefficients.view(np.int64), res.value.coefficients.view(np.int64))
 

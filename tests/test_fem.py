@@ -488,7 +488,6 @@ def test_locate_with_the_rows_cells_matches_the_self_computed_path_bit_for_bit(n
     for located in (
         mesh.locate_rows(points, clamp=True),
         mesh.locate_rows(points, clamp=True, cells=cells),
-        mesh._locate(points, True, False, cells=cells),
     ):
         for a, b in zip(want, located):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -515,9 +514,11 @@ def test_expansion_matches_scalar_queries_exactly(nx, ny, cell, origin, k, goal)
 
 
 def _reference_evaluate(value, p):
-    """One point's value: its triangle's barycentric interpolant."""
+    """One point's value: its triangle's barycentric interpolant, summed in
+    Python floats as (l0 c0 + l1 c1) + l2 c2."""
     e, lam = value.mesh.locate(p)
-    return float(lam @ value.coefficients[value.mesh.triangles[e]])
+    (l0, l1, l2), (c0, c1, c2) = lam.tolist(), value.coefficients[value.mesh.triangles[e]].tolist()
+    return (l0 * c0 + l1 * c1) + l2 * c2
 
 
 def _reference_gradient(value, p):

@@ -402,7 +402,7 @@ def _reference_build_model(field, states, dt_h, v_max, gamma):
             succ[a, s, : len(ids)] = ids
             succ[a, s, len(ids) :] = s
             prob[a, s, : len(ids)] = probs
-            rewards[s, a] = float(probs @ _reference_reward_kernel(states, s, ids))
+            rewards[s, a] = sum((p * r for p, r in zip(probs, _reference_reward_kernel(states, s, ids))), 0.0)
     return MdpModel(states, actions, dt_h, v_max, gamma, field.noise, field, succ, prob, rewards)
 
 
@@ -445,11 +445,11 @@ def _csv_wall_case():
 
 
 def _reference_moment_table(model):
-    """The einsum table of every (action, state) row's displacement moments."""
+    """The einsum table of every (state, action) row's displacement moments."""
     positions = model.states.positions()
     disp = positions[model.succ] - positions[None, :, None, :]
-    drift = np.einsum("asj,asjd->asd", model.prob, disp)
-    second = np.einsum("asj,asjd,asje->asde", model.prob, disp, disp)
+    drift = np.einsum("asj,asjd->sad", model.prob, disp)
+    second = np.einsum("asj,asjd,asje->sade", model.prob, disp, disp)
     return drift, second
 
 

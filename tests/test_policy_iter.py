@@ -231,7 +231,7 @@ def test_api_converges_and_agrees_with_classic(gyre_benchmark, gyre_api):
     model, exact = gyre_benchmark
     res = gyre_api[1]
     assert res.converged
-    assert res.change_counts[-1] == 0
+    assert res.diagnostics[-1]["policy_changes"] == 0
     nonterminal = np.arange(model.n_states) != model.states.goal
     agreement = float(np.mean(res.policy[nonterminal] == exact.policy[nonterminal]))
     assert agreement >= 0.90, f"agreement {agreement}"
