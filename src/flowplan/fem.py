@@ -25,20 +25,22 @@ Second derivatives come from a quadratic fit over a node patch with the
 symmetry of the state lattice: at interior nodes, the 3x3 block of grid
 neighbours (k=1) or the (+-1, +-1), (+-2, 0) and (0, +-2) neighbours (k=2),
 as the eight-neighbour transition law reaches in every direction. The
-patches are read off the sparse node adjacency and its square (the 1-ring
-and 2-ring), and the fits form one sparse recovery operator from nodal
-values to nodal Hessians (in the spirit of patch recovery, Zienkiewicz & Zhu
-1992), with one pseudo-inverse per patch shape, computed in one stack per
-patch size. A shape is the patch's integer lattice steps from its node, so
-a lattice has a few dozen shapes whatever its cell size, each fitted at the
-offsets (di h, dj h). ``ContinuousValue.expansion`` gives the value,
-gradient and Hessian at many points from one ``Mesh.locate_rows`` (point
-location, projection and nearest node), and reads the cached element
-gradients, nodal gradients and nodal Hessians; ``expansion_at`` does the same
-at rows located before, such as the state centres (``Mesh.centres``). It is
-the one implementation of these queries: ``evaluate``, ``gradient`` and
-``hessian`` send it a batch of one; its sums are elementwise in a written
-order, never a BLAS dot. Edge adjacency has one table too,
+patches are read off the assembly pattern (the 1-ring) and the 1-rings of
+its nodes (the 2-ring), and the fits form one padded recovery table from
+nodal values to nodal Hessians (in the spirit of patch recovery,
+Zienkiewicz & Zhu 1992), with one pseudo-inverse per patch shape, computed
+in one stack per patch size. A shape is the patch's integer lattice steps
+from its node, so a lattice has a few dozen shapes whatever its cell size,
+each fitted at the offsets (di h, dj h). ``ContinuousValue.expansion``
+gives the value, gradient and Hessian at many points from one
+``Mesh.locate_rows`` (point location, projection and nearest node), and
+reads the cached element gradients, nodal gradients and nodal Hessians;
+``expansion_at`` does the same at rows located before, such as the state
+centres (``Mesh.centres``). It is the one implementation of these queries:
+``evaluate``, ``gradient`` and ``hessian`` send it a batch of one; its sums
+are elementwise in a written order, never a BLAS dot. ``evaluate_many``
+needs no nearest node, so ``Mesh.locate_many`` leaves that search out.
+Edge adjacency has one table too,
 ``Mesh.edge_neighbours``, built from the sorted edge keys of every triangle.
 """
 
@@ -49,7 +51,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, MeshError, NumericalError
 from .flowfield import Point2, write_table
@@ -84,6 +85,13 @@ def _lattice_table(first: np.ndarray, last: np.ndarray, nx: int, n: int) -> np.n
     table = np.zeros((n, count.max()), dtype=np.int64)
     table[key[order], np.arange(len(key)) - np.repeat(np.cumsum(count) - count, count)] = item[order]
     return table
+
+
+class HessianOperator(NamedTuple):
+    """``Mesh.hessian_operator``: the nodal Hessian fits as a padded table."""
+
+    ids: np.ndarray  # (slots, n_nodes) patch node of each slot
+    weights: np.ndarray  # (3, slots, n_nodes) its weights towards x^2, xy, y^2
 
 
 class AssemblyTable(NamedTuple):
@@ -267,22 +275,21 @@ class Mesh:
         d = points[:, None, :] - cand
         return cand[np.arange(len(points)), (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).argmin(axis=1)]
 
-    def locate_rows(
-        self, points: np.ndarray, clamp: bool = False, cells: np.ndarray | None = None
-    ) -> tuple[np.ndarray, ...]:
-        """Each row's point, containing triangle, raw barycentric weights and
-        nearest node. Rows off the cover raise DomainError unless ``clamp``
-        moves them to their closest point of the cover. ``cells``, when
-        given, are the rows' ``states.state_at``, which saves computing them.
-        Each row's lattice point serves both searches; a row projected onto
-        the cover is given the lattice point of its new position. Rows go in
-        batches of ``_BATCH_ROWS``, which bounds the temporaries."""
+    def _locate(
+        self, points: np.ndarray, clamp: bool, cells: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's point, lattice point, containing triangle and raw
+        barycentric weights, for ``locate_rows`` and ``locate_many``. Rows
+        off the cover raise DomainError unless ``clamp`` moves them to their
+        closest point of the cover, which is given the lattice point of its
+        new position. Rows go in batches of ``_BATCH_ROWS``, which bounds the
+        temporaries."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         if len(points) > _BATCH_ROWS:
             parts = []
             for r in range(0, len(points), _BATCH_ROWS):
                 rows = slice(r, r + _BATCH_ROWS)
-                parts.append(self.locate_rows(points[rows], clamp, None if cells is None else cells[rows]))
+                parts.append(self._locate(points[rows], clamp, None if cells is None else cells[rows]))
             return tuple(map(np.concatenate, zip(*parts)))
         lattice = self.states.state_at(points) if cells is None else cells
         tri, lam = self._find_many(points, lattice)
@@ -296,6 +303,18 @@ class Mesh:
             tri[off], lam[off] = self._find_many(points[off], lattice[off])
             if (tri[off] < 0).any():
                 raise DomainError("a projected point lies outside the mesh cover")
+        return points, lattice, tri, lam
+
+    def locate_rows(
+        self, points: np.ndarray, clamp: bool = False, cells: np.ndarray | None = None
+    ) -> tuple[np.ndarray, ...]:
+        """Each row's point, containing triangle, raw barycentric weights and
+        nearest node, as ``_locate`` finds them; ``cells``, when given, are
+        the rows' ``states.state_at``, which saves computing them. Each row's
+        lattice point serves both searches. The nearest-node search takes
+        all rows at once: its temporaries per row are about half point
+        location's."""
+        points, lattice, tri, lam = self._locate(points, clamp, cells)
         return points, tri, lam, self._nearest_many(points, lattice)
 
     @cached_property
@@ -311,8 +330,8 @@ class Mesh:
         self, points: np.ndarray, clamp: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """The triangle and barycentric weights, clipped to [0, 1], of each
-        row's ``locate_rows``."""
-        _, tri, lam, _ = self.locate_rows(points, clamp)
+        row's ``locate_rows``, without its nearest-node search."""
+        _, _, tri, lam = self._locate(points, clamp, None)
         return tri, np.clip(lam, 0.0, 1.0)
 
     def covers(self, p: Point2 | np.ndarray) -> bool:
@@ -353,28 +372,37 @@ class Mesh:
         widened first, an edge node's patch would be six nodes on two rows,
         too few to trigger the fallback and too flat to fit.
 
-        The 1-ring is a row of the sparse node adjacency ``ring`` and the
-        2-ring the same row of ``ring @ ring``. A patch's shape is its lattice
-        steps (di, dj) from its node, and each shape is fitted once, from the
-        offsets (di h, dj h) for cell size h: node positions subtracted would
+        Both rings are sorted int64 keys row * n + col. The 1-ring is the
+        summed pattern of ``assembly_table``; the 2-ring carries every 1-ring
+        pair (a, b) on to b's 1-ring and drops repeats after one ``np.sort``,
+        and a 2-ring key's membership of the 1-ring is a binary search. So
+        each node's patch lists its ids ascending. A patch's shape is its
+        lattice steps (di, dj) from its node, and each shape is fitted once,
+        from the offsets (di h, dj h) for cell size h: node positions subtracted would
         differ in their last bits from patch to patch on a cell such as 5/3
         km. The shapes of one patch size are fitted together: one stacked
         SVD, which LAPACK computes matrix by matrix exactly as it would one
         shape alone, gives both the rank test and the pseudo-inverse.
         """
-        n, tris = self.n_nodes, self.triangles
-        ring = sp.csr_matrix(  # nodes that share a triangle, the node included
-            (np.ones(tris.size * 3), (np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel())),
-            shape=(n, n),
-        )
-        ring2 = ring @ ring
-        ring2.sort_indices()
-        rows = np.repeat(np.arange(n), np.diff(ring2.indptr))
-        dist = np.linalg.norm(self.nodes[ring2.indices] - self.nodes[rows], axis=1)
-        in_ring = ring[rows, ring2.indices].A1 > 0
-        reach = np.maximum.reduceat(np.where(in_ring, dist, 0.0), ring2.indptr[:-1])
-        inside = (np.diff(ring.indptr) < 6)[rows] | (dist <= reach[rows] + _NODE_TOL_KM)
-        rows, ids = rows[inside], ring2.indices[inside].astype(np.int64)
+        n, table = self.n_nodes, self.assembly_table
+        # The assembly pattern is the 1-ring: the nodes that share a triangle,
+        # the node included, in (row, col) order.
+        ring_row, ring_col = table.row, table.col
+        ring = ring_row * n + ring_col
+        ring_size = np.bincount(ring_row, minlength=n)
+        # Each 1-ring entry (a, b) reaches (a, c) for every c in b's 1-ring.
+        count = ring_size[ring_col]
+        step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        reached = ring_col[np.repeat((np.cumsum(ring_size) - ring_size)[ring_col], count) + step]
+        ring2 = np.sort(np.repeat(ring_row, count) * n + reached)
+        ring2 = ring2[np.diff(ring2, prepend=-1) != 0]
+        rows, ids = np.divmod(ring2, n)
+        dist = np.linalg.norm(self.nodes[ids] - self.nodes[rows], axis=1)
+        in_ring = ring[np.minimum(np.searchsorted(ring, ring2), len(ring) - 1)] == ring2
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))  # every node is in its own 2-ring
+        reach = np.maximum.reduceat(np.where(in_ring, dist, 0.0), starts)
+        inside = (ring_size < 6)[rows] | (dist <= reach[rows] + _NODE_TOL_KM)
+        rows, ids = rows[inside], ids[inside]
         # Each node's lattice steps to its patch, padded with a step no patch
         # takes, are its key.
         size = np.bincount(rows, minlength=n)
@@ -402,48 +430,46 @@ class Mesh:
         return rows, ids, place, shape, fits
 
     @cached_property
-    def hessian_operator(self) -> sp.csr_matrix:
+    def hessian_operator(self) -> HessianOperator:
         """The patch fits as one linear map from nodal values to fitted
-        quadratic coefficients: row 3n + k of this (3 n_nodes, n_nodes)
-        matrix gives node n's coefficient of x^2, xy, y^2 for k = 0, 1, 2
-        (empty rows where the patch cannot support the fit)."""
+        quadratic coefficients, slot-major: slot p of node n holds patch node
+        ``ids[p, n]`` and its weights ``weights[:, p, n]`` towards n's
+        coefficients of x^2, xy and y^2, the last three rows of the fit's
+        pseudo-inverse. Node n's patch fills its first slots in ascending id
+        order, so the table read node by node, coefficient by coefficient and
+        slot by slot is the canonical CSR order of a (3 n_nodes, n_nodes)
+        matrix. Slots past the patch, and every slot of a node whose patch
+        cannot support the fit, hold the node itself with weight zero.
+        Read-only."""
         rows, ids, place, shape, fits = self._patch_table
         coef = np.zeros((len(fits), 3, place.max() + 1))  # each shape's last three pinv rows
         for s, pinv in enumerate(fits):
             if pinv is not None:
                 coef[s, :, : pinv.shape[1]] = pinv[3:]
-        fitted = np.array([pinv is not None for pinv in fits])[shape[rows]]
-        rows, ids, place = rows[fitted], ids[fitted], place[fitted]
-        vals = coef[shape[rows], :, place].T  # (3, entries)
-        return sp.csr_matrix(
-            (vals.ravel(), ((3 * rows + np.arange(3)[:, None]).ravel(), np.tile(ids, 3))),
-            shape=(3 * self.n_nodes, self.n_nodes),
-        )
+        table = np.tile(np.arange(self.n_nodes), (coef.shape[2], 1))
+        table[place, rows] = ids
+        op = HessianOperator(table, np.ascontiguousarray(coef[shape].transpose(1, 2, 0)))
+        for a in op:
+            a.setflags(write=False)
+        return op
 
     @cached_property
     def assembly_table(self) -> AssemblyTable:
         """The policy-independent part of ``assemble``, built on first use.
 
         Entry 9e + 3i + j of the element blocks couples rows ``triangles[e,
-        i]`` and columns ``triangles[e, j]``. Their summed CSR pattern, and
-        the order in which they are summed into it, are read off scipy's own
-        canonicalisation: an unsummed CSR whose data are the entry ids, rows
-        filled in entry order as ``coo_matrix.tocsr`` fills them, put through
-        ``sort_indices``. That sort is not stable on rows of more than 16
-        entries (an interior k=1 node has 18), so summing in entry order
-        would change some entries in their last bit.
+        i]`` and columns ``triangles[e, j]``. A stable sort on the key row *
+        n + col puts the entries in CSR order, rows ascending and columns
+        ascending within a row, and keeps the entries of one (row, col) in
+        entry order, the order in which ``assemble`` sums them.
         """
         tris, n = self.triangles, self.n_nodes
-        rows = np.repeat(tris, 3, axis=1).ravel()
-        cols = np.tile(tris, (1, 3)).ravel()
-        by_row = np.argsort(rows, kind="stable")
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        ids = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr), shape=(n, n))
-        ids.sort_indices()
-        order = ids.data.astype(np.int64)
-        row = rows[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (row[1:] != row[:-1]) | (ids.indices[1:] != ids.indices[:-1])
+        key = np.repeat(tris, 3, axis=1).ravel().astype(np.int64) * n + np.tile(tris, (1, 3)).ravel()
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        row, col = np.divmod(key[new], n)
         corners = tris.T.ravel()
         i, j = np.divmod(np.arange(9), 3)
         grads = self.basis_gradients
@@ -454,8 +480,8 @@ class Mesh:
             grad=np.ascontiguousarray(grads[:, j].transpose(2, 0, 1)),
             order=order,
             slot=np.cumsum(new) - 1,
-            row=row[new],
-            col=ids.indices[new],
+            row=row,
+            col=col,
             node_area=np.bincount(corners, weights=np.tile(self.areas, 3), minlength=n),
         )
         for a in table:
@@ -583,13 +609,12 @@ def assemble(mesh: Mesh, coeffs: PdeCoefficients) -> SparseSystem:
 
     Everything that depends on the mesh alone comes from
     ``Mesh.assembly_table``, built once per mesh: the mass blocks, the
-    summed entries' rows and columns (shared, read-only) and the order in
-    which the element-block entries are summed into them. That order is the
-    one ``coo_matrix.tocsr`` sums in, so the entries are those of the CSR
-    matrix it would build, to the bit, and a policy costs only element
-    arithmetic and one ``np.bincount``. The vertex averages and stiffness
-    products are written out in the order ``mean`` and ``einsum`` sum them,
-    to the same end.
+    summed entries' rows and columns in CSR order (shared, read-only) and
+    the order in which the element-block entries are summed into them, entry
+    order within each (row, col). So a policy costs only element arithmetic
+    and one ``np.bincount``. The vertex averages and stiffness products are
+    written out in the order ``mean`` and ``einsum`` sum them, so the
+    element blocks keep their bits.
     """
     if len(coeffs.source) != mesh.n_nodes:
         raise ValueError("coefficient arrays must have one entry per mesh node")
@@ -737,13 +762,17 @@ class ContinuousValue:
 
     @cached_property
     def node_hessians(self) -> np.ndarray:
-        """Fitted Hessian at every node, shape (n_nodes, 2, 2): one sparse
-        matvec of ``Mesh.hessian_operator`` with the nodal values."""
-        c = (self.mesh.hessian_operator @ self.coefficients).reshape(-1, 3)
+        """Fitted Hessian at every node, shape (n_nodes, 2, 2): the products of
+        ``Mesh.hessian_operator``'s weights and nodal values summed slot by
+        slot from 0.0, as a CSR matvec sums a row: numpy adds a reduction
+        over an axis other than the fast one term by term, in order, as
+        pairwise summation is only for the fast axis."""
+        op = self.mesh.hessian_operator
+        c = np.add.reduce(op.weights * self.coefficients[op.ids], axis=1, initial=0.0)
         out = np.empty((self.mesh.n_nodes, 2, 2))
-        out[:, 0, 0] = 2.0 * c[:, 0]
-        out[:, 0, 1] = out[:, 1, 0] = c[:, 1]
-        out[:, 1, 1] = 2.0 * c[:, 2]
+        out[:, 0, 0] = 2.0 * c[0]
+        out[:, 0, 1] = out[:, 1, 0] = c[1]
+        out[:, 1, 1] = 2.0 * c[2]
         return out
 
     def hessian(self, p: Point2 | np.ndarray) -> np.ndarray:

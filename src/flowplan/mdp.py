@@ -11,16 +11,40 @@ finite-element approximation is benchmarked against.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+import scipy
 
 from .errors import IterationLimitError, NumericalError
 from .flowfield import FlowField, NoiseParams, Point2, field_velocities, write_table
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded
+    from their file alone. The ``scipy.linalg`` package would bring in
+    ``scipy._lib``'s helpers and through them ``numpy.testing``, ``numpy.ma``
+    and ``unittest``, about 27 MB of resident memory and 0.3 s per process
+    (scipy 1.17, Python 3.11), for the one routine ``dgbsv``. The module is
+    the one ``scipy.linalg.lapack`` wraps, so its routines are the same
+    objects. ImportError names the directory when the file is missing."""
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(where, loaders).find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is missing from {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dgbsv = _load_flapack().dgbsv
 
 COMPASS_ORDER = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 
@@ -191,20 +215,26 @@ class MdpModel:
         return len(self.actions)
 
     @cached_property
+    def _successors(self) -> np.ndarray:
+        """The successor list of every state, shape (n_states, 9). The rows
+        of every action list the same successors, as ``build_model`` builds
+        them, so the moment table and ``action_values`` gather per state once;
+        a model whose actions differ there raises ValueError."""
+        succ = self.succ[0]
+        if not (self.succ == succ).all():
+            raise ValueError("the model needs one successor list per state for every action")
+        return succ
+
+    @cached_property
     def moment_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only drift E[s' - s], shape (n_states, n_actions, 2), and
         second moment E[(s' - s)(s' - s)^T], shape (n_states, n_actions, 2, 2),
         of every transition row (km and km^2), state-major as ``rewards``,
         each a ``_sum_successors`` sum. Padding entries have zero
-        displacement and zero probability, so they add nothing. The rows of
-        every action list the same successors, as ``build_model`` builds
-        them, so each state's displacements are gathered once; a model whose
-        actions differ there raises ValueError."""
-        succ = self.succ[0]
-        if not (self.succ == succ).all():
-            raise ValueError("the moment table needs one successor list per state for every action")
+        displacement and zero probability, so they add nothing. Each state's
+        displacements are gathered once, over ``_successors``."""
         positions = self.states.positions()
-        disp = positions[succ] - positions[:, None, :]
+        disp = positions[self._successors] - positions[:, None, :]
         dx, dy = disp[:, None, :, 0], disp[:, None, :, 1]
         prob = np.ascontiguousarray(self.prob.transpose(1, 0, 2))  # (n_states, n_actions, 9)
         px, py = prob * dx, prob * dy
@@ -374,8 +404,10 @@ def policy_evaluation_exact(model: MdpModel, policy: np.ndarray) -> np.ndarray:
 
 def action_values(model: MdpModel, values: np.ndarray) -> np.ndarray:
     """Q(s, a) = R(s, a) + gamma * E[values(s')], shape (n_states, n_actions),
-    each expectation a ``_sum_successors`` sum of probability times value."""
-    expected = _sum_successors(model.prob * values[model.succ])
+    each expectation a ``_sum_successors`` sum of probability times value.
+    The values are gathered once per state, over the model's shared
+    successor lists."""
+    expected = _sum_successors(model.prob * values[model._successors])
     return model.rewards + model.gamma * expected.T
 
 

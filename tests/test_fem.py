@@ -593,7 +593,7 @@ def test_node_hessians_are_the_patch_fits(k, goal):
         assert np.array_equal(pinv, np.linalg.pinv(design))
         c = pinv @ coefficients[ids]
         want = np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])
-        # The sparse matvec sums the same products in its own order.
+        # The operator sums the same products in its own order.
         np.testing.assert_allclose(hessians[n], want, rtol=0, atol=1e-12)
         fitted += 1
     assert fitted > mesh.n_nodes // 2
@@ -655,8 +655,10 @@ def test_matrix_symmetric_without_drift():
 
 def _reference_assemble(mesh, coeffs):
     """Assembly as it was before the per-mesh table, as a CSR matrix and a
-    load vector: element blocks by ``mean`` and ``einsum``, summed by
-    ``coo_matrix.tocsr``, the load vector by ``np.add.at``."""
+    load vector: element blocks by ``mean`` and ``einsum``, each (row, col)
+    summed from 0.0 in entry order by a Python loop and put into CSR by
+    ``coo_matrix.tocsr`` (which then has no duplicates to add), the load
+    vector by ``np.add.at``."""
     gamma = coeffs.gamma
     tris = mesh.triangles
     area = mesh.areas
@@ -673,7 +675,11 @@ def _reference_assemble(mesh, coeffs):
     local = gamma * adv - 0.5 * gamma * stiff - (1.0 - gamma) * mass
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    matrix = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    summed = {}
+    for key, v in zip(zip(rows.tolist(), cols.tolist()), local.ravel().tolist()):
+        summed[key] = summed.get(key, 0.0) + v
+    (rows, cols), vals = zip(*summed), list(summed.values())
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
     rhs = np.zeros(mesh.n_nodes)
     np.add.at(rhs, tris.ravel(), np.repeat(-src_e * area / 3.0, 3))
     return matrix, rhs
@@ -748,8 +754,8 @@ def _assembly_case(geometry):
 @pytest.mark.parametrize("coefficients", ["displacement", "random"])
 @pytest.mark.parametrize("geometry", ASSEMBLY_GEOMETRIES.values(), ids=ASSEMBLY_GEOMETRIES.keys())
 def test_assemble_matches_the_coo_reference_bit_for_bit(geometry, coefficients):
-    # Interior k=1 rows hold 18 unsummed entries, past the 16 up to which
-    # scipy's per-row sort keeps equal columns in entry order. The
+    # An interior k=1 row holds 18 unsummed entries, six on the diagonal
+    # and two for each off-diagonal column, summed in entry order. The
     # coefficients are either the wall-projected displacement moments of
     # random policies or random fields of either drift sign.
     model, mesh = _assembly_case(geometry)
@@ -1122,12 +1128,26 @@ def _reference_hessian_operator(mesh):
     ],
 )
 def test_hessian_operator_matches_the_node_loop_reference(nx, ny, k, goal):
+    # Read node by node, coefficient by coefficient and slot by slot, the
+    # filled slots are the reference's canonical CSR arrays; the padding
+    # weighs nothing, so node_hessians sums each row as the CSR matvec does.
     mesh = build_mesh(StateSpace.regular(nx, ny, 0.7, goal, origin=Point2(0.3, -1.1)), k=k)
     got, want = mesh.hessian_operator, _reference_hessian_operator(mesh)
-    assert got.shape == want.shape
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert want.has_canonical_format
+    slots = got.ids.shape[0]
+    assert got.ids.shape == (slots, mesh.n_nodes) and got.weights.shape == (3, slots, mesh.n_nodes)
+    size = np.array([len(ids) if pinv is not None else 0 for ids, pinv in mesh.hessian_patches])
+    filled = np.repeat((np.arange(slots)[:, None] < size).T[:, None, :], 3, axis=1)  # (node, coefficient, slot)
+    ids = np.repeat(got.ids.T[:, None, :], 3, axis=1)
+    weights = got.weights.transpose(2, 0, 1)
+    assert np.array_equal(np.concatenate([[0], np.cumsum(filled.sum(axis=2).ravel())]), want.indptr)
+    assert np.array_equal(ids[filled], want.indices)
+    assert weights.dtype == want.data.dtype and np.array_equal(weights[filled], want.data)
+    assert not weights[~filled].any() and ((0 <= got.ids) & (got.ids < mesh.n_nodes)).all()
+    coefficients = np.random.default_rng(nx * ny + k).normal(size=mesh.n_nodes)
+    value = ContinuousValue(mesh, coefficients)
+    xx, xy, yy = (want @ coefficients).reshape(-1, 3).T
+    assert np.array_equal(value.node_hessians.reshape(-1, 4), np.stack([2.0 * xx, xy, xy, 2.0 * yy], axis=-1))
 
 
 def test_hessian_patches_support_fit_everywhere_on_grid_mesh():

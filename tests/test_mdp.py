@@ -1,13 +1,17 @@
 import math
+import re
+import types
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbsv as scipy_dgbsv
 from scipy.stats import norm
 
 from flowplan import mdp
 from flowplan.errors import NumericalError
+from flowplan.fem import build_mesh
 from flowplan.flowfield import (
     GridSamples,
     GyreParams,
@@ -31,6 +35,7 @@ from flowplan.mdp import (
     _band_solve,
     policy_evaluation_exact,
 )
+from flowplan.policy_iter import evaluate_policy_fem
 
 from conftest import is_terminal, policy_improvement_discrete, transition_row, value_iteration
 
@@ -601,6 +606,39 @@ def test_exact_evaluation_is_bit_identical_to_the_sparse_construction(case, monk
         system = sp.eye(states.n, format="csr") - GAMMA * floored
         want = _solve_banded(system, model.rewards[idx, policy])
         assert np.array_equal(evaluate(model, policy).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("case", _SOLVE_CASES)
+def test_the_loaded_dgbsv_solves_like_scipy_linalg_lapack(case, monkeypatch):
+    # mdp loads scipy's LAPACK extension from its file; every banded LU of
+    # exact PI, and of the FEM evaluation on each mesh the grid admits, must
+    # give scipy.linalg.lapack.dgbsv's factors, pivots, solution and status.
+    loaded, solves = mdp.dgbsv, []
+
+    def both(lower, upper, band, rhs, overwrite_ab):
+        want = scipy_dgbsv(lower, upper, band.copy(), rhs.copy())
+        got = loaded(lower, upper, band, rhs, overwrite_ab=overwrite_ab)
+        for a, b in zip(map(np.asarray, got), map(np.asarray, want)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        solves.append(len(rhs))
+        return got
+
+    monkeypatch.setattr(mdp, "dgbsv", both)
+    make, args = case
+    field, states, dt_h = make(*args)
+    model = build_model(field, states, dt_h, 3.0, GAMMA)
+    pi = classic_policy_iteration(model)
+    ks = [k for k in (1, 2) if min(states.nx, states.ny) > k]
+    for k in ks:
+        evaluate_policy_fem(model, pi.policy, build_mesh(states, k))
+    assert len(solves) == pi.iterations + len(ks)
+
+
+def test_a_scipy_without_its_lapack_extension_is_an_import_error(tmp_path, monkeypatch):
+    (tmp_path / "linalg").mkdir()
+    monkeypatch.setattr(mdp, "scipy", types.SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        mdp._load_flapack()
 
 
 @pytest.mark.parametrize("case", _SOLVE_CASES)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import flowplan
 
 # The package's public names. An export added or dropped shows up here, so
@@ -21,3 +26,13 @@ PUBLIC_NAMES = [
 def test_the_public_names_are_pinned():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert flowplan.__all__ == PUBLIC_NAMES
+
+
+def test_importing_the_cli_leaves_out_scipy_linalg_and_scipy_sparse():
+    # The banded LU comes from scipy's LAPACK extension alone; the packages
+    # around it would cost each process tens of MB and a quarter second.
+    heavy = ("scipy.linalg", "scipy.sparse", "scipy._lib._util")
+    code = f"import sys, flowplan.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(flowplan.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
