@@ -801,9 +801,8 @@ class ContinuousValue:
         value = self._interpolate(tri, lam)
         dx, dy = (mesh.nodes[nearest] - points).T
         at_node = np.sqrt(dx * dx + dy * dy) < _NODE_TOL_KM
-        grad = np.where(
-            at_node[:, None], self.node_gradients[nearest], self.element_gradients[tri]
-        )
+        grad = self.element_gradients[tri]
+        grad[at_node] = self.node_gradients[nearest[at_node]]
         on_edge = ~at_node & (lam < _BARY_TOL).any(axis=1)
         if on_edge.any():
             # Area-weighted average over the triangles sharing the edge opposite
@@ -834,11 +833,14 @@ def write_raster_csv(
     """Dense n-by-n sample of the value over (x0, x1, y0, y1) for plotting.
 
     Points outside the mesh cover are evaluated at their projection onto it,
-    so the raster stays rectangular.
+    so the raster stays rectangular. The rows run over x within each y, and
+    each of the n distinct x and y coordinates is formatted once.
     """
     x0, x1, y0, y1 = bounds
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
     grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
     vals = value.evaluate_many(grid, clamp=True)
-    write_table(path, ["x_km", "y_km", "value"], zip(*grid.T.tolist(), vals.tolist()))
+    x_cells = list(map(repr, xs.tolist())) * n
+    y_cells = [y for y in map(repr, ys.tolist()) for _ in range(n)]
+    write_table(path, ["x_km", "y_km", "value"], zip(x_cells, y_cells, vals.tolist()))

@@ -8,7 +8,8 @@ standard deviations; the simulator draws it.
 
 This module owns the CSV format on both sides: :func:`load_grid_field`
 reads a sampled field, and :func:`write_table` writes every table the
-commands emit.
+commands emit; :func:`write_keyed_table` writes one whose rows come in
+runs that share their first cell.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ _HEADER = ["x_km", "y_km", "vx_kmh", "vy_kmh"]
 _LOADTXT_REFUSED = '"\x1c\x1d\x1e\x1f'
 # How far outside its rectangle a point may lie and still be in the domain.
 _DOMAIN_TOL_KM = 1e-9
+# The line terminator of every table written: CRLF, the csv module's default.
+_EOL = "\r\n"
 
 
 class Point2(NamedTuple):
@@ -364,7 +367,27 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
     write them; they are never quoted, so no cell may hold a comma, a quote
     or a line break.
     """
-    line = ",".join(["{}"] * len(header)) + "\r\n"
+    line = ",".join(["{}"] * len(header)) + _EOL
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(header) + _EOL)
         fh.writelines(itertools.starmap(line.format, rows))
+
+
+def write_keyed_table(
+    path: str | Path, header: Sequence[str], runs: Iterable[tuple[object, Iterable[Sequence[str]]]]
+) -> None:
+    """Write a CSV table whose rows come in runs that share their first cell.
+
+    ``runs`` yields ``(key, rows)`` pairs: the run's first cell and the rows'
+    other cells, already formatted as strings. The bytes are those of
+    :func:`write_table` given the same cells, but each run is joined into one
+    string behind its ``"{key},"`` prefix, so no row is formatted on its own.
+    A run with no rows writes nothing.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + _EOL)
+        for key, rows in runs:
+            lines = list(map(",".join, rows))
+            if lines:
+                pre = f"{key},"
+                fh.write(pre + (_EOL + pre).join(lines) + _EOL)

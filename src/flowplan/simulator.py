@@ -27,13 +27,14 @@ for rows within 1e-9 (relative) of the radius. The current is
 field in one array kernel. Numpy's float64 sin and cos round as ``math``'s
 do, and the bilinear sum keeps the one-row order (the tests check both bit
 for bit), so the paths are those of the one-point scalar formulas. One part
-stays scalar, row by row: the goal-oriented heading, as ``np.arctan2``
-rounds apart from ``math.atan2`` on some arguments.
+stays scalar: the goal-oriented heading is one ``map`` of ``math.atan2``
+over the rows' offsets, as ``np.arctan2`` rounds apart from it on some
+arguments. The trajectory table is written a trial at a time, each trial's
+rows joined into one string.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
@@ -41,7 +42,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import fem
-from .flowfield import FlowField, Point2, field_velocities, write_table
+from .flowfield import FlowField, Point2, field_velocities, write_keyed_table, write_table
 from .mdp import Action, MdpModel, StateSpace, best_action
 from .policy_iter import _state_scores
 
@@ -75,12 +76,12 @@ class SimOptions:
 
 def goal_oriented_action(points: np.ndarray, goal: Point2, v_max: float):
     """Heading and speed arrays that head each row of ``points`` straight at
-    the goal at full speed; zero command at the goal."""
-    cmds = [
-        (0.0, 0.0) if dx == 0.0 and dy == 0.0 else (math.atan2(dy, dx), v_max)
-        for dx, dy in (np.asarray(goal, dtype=float) - points).tolist()
-    ]
-    heading, speed = np.array(cmds, dtype=float).reshape(-1, 2).T
+    the goal at full speed (``math.atan2`` headings); zero command at the goal."""
+    dx, dy = (np.asarray(goal, dtype=float) - points).T
+    heading = np.array(list(map(math.atan2, dy.tolist(), dx.tolist())), dtype=float)
+    speed = np.full(len(heading), float(v_max))
+    home = (dx == 0.0) & (dy == 0.0)  # either sign of zero
+    heading[home] = speed[home] = 0.0
     return heading, speed
 
 
@@ -111,17 +112,15 @@ class _CompassPlanner:
         self._speeds = np.array([a.speed for a in actions])
 
     def _choose(self, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Action index for each row of points outside the goal cell."""
+        """Action index for each row of points, each row scored on its own."""
         raise NotImplementedError
 
     def _command(self, points: np.ndarray, cells: np.ndarray):
-        act = np.zeros(len(points), dtype=np.int64)
-        away = cells != self.states.goal
-        if away.any():
-            act[away] = self._choose(points[away], cells[away])
+        # Goal-cell rows are chosen for too, then home straight at the goal.
+        act = self._choose(points, cells)
         heading, speed = self._headings[act], self._speeds[act]
-        if not away.all():
-            home = ~away
+        home = cells == self.states.goal
+        if home.any():
             goal = self.states.position(self.states.goal)
             heading[home], speed[home] = goal_oriented_action(points[home], goal, self.actions[0].speed)
         return heading, speed
@@ -266,8 +265,8 @@ def simulate_trials(
     earlier one, so it meets the same draws as on a fresh generator of its
     own, and a path is the same alone as in any batch. A generator may end
     up advanced past its trial's last step. Positions and headings are
-    recorded a block of steps at a time, and each trajectory is cut from the
-    blocks at the end.
+    recorded a block of steps at a time; at the end the blocks are joined
+    once, and each trajectory's arrays are copies cut from them.
     """
     if any(getattr(pl, "states", states) is not states for pl in planners):
         raise ValueError("a grid planner plans on another StateSpace than the simulator's")
@@ -332,17 +331,16 @@ def simulate_trials(
             command(ask)
             since_query[ask] = 0.0
 
+    history_p, history_h = np.concatenate(history_p), np.concatenate(history_h)
+    clock = np.arange(n_steps + 1) * opts.dt_h
     runs = []
-    for r in range(n):
-        last = int(end[r])
-        used = last // _NOISE_BLOCK + 1
-        pts = np.concatenate([block[:, r] for block in history_p[:used]])[: last + 1]
+    for r, last in enumerate(end.tolist()):
+        pts = history_p[: last + 1, r].copy()
         seg = np.diff(pts, axis=0)
         length = float(np.sqrt((seg**2).sum(axis=1)).sum())
         time_cost = last * opts.dt_h if reason[r] == "goal" else opts.budget_h
-        times = np.arange(last + 1) * opts.dt_h
-        headings = np.concatenate([block[:, r] for block in history_h[:used]])[: last + 1]
-        runs.append(Trajectory(times, pts, headings, reason[r], time_cost, length))
+        headings = history_h[: last + 1, r].copy()
+        runs.append(Trajectory(clock[: last + 1].copy(), pts, headings, reason[r], time_cost, length))
     return [runs[j * n_trials : (j + 1) * n_trials] for j in range(len(planners))]
 
 
@@ -413,36 +411,41 @@ def run_experiment(
 
 
 def write_trajectories_csv(path, runs: list[Trajectory]) -> None:
-    """One row per sample, streamed one trial at a time.
+    """One row per sample, written one trial at a time through
+    ``write_keyed_table``, which joins a trial's rows behind its trial number.
 
     Repeated cells are formatted once. A simulated trial's times are the
     first samples of the longest trial's (``arange(k) * dt``), so they are
     formatted once per file; a run whose times differ from that prefix in any
     bit gets its own. A trial's heading strings are memoised when its
     headings repeat, as the compass planners' eight values do, except at
-    zero: 0.0 and -0.0 are one key but print apart.
+    zero: 0.0 and -0.0 are one key but print apart. Every x, y and distinct
+    heading is formatted once, by ``str``.
     """
     longest = max(runs, key=len).times if runs else np.empty(0)
     times = list(map(str, longest.tolist()))
     names: dict[float, str] = {}
 
-    def trial_rows(trial: int, run: Trajectory):
+    def trial_rows(run: Trajectory):
         n = len(run)
         same = run.times.dtype == longest.dtype and run.times.tobytes() == longest[:n].tobytes()
         headings = run.headings.tolist()
         distinct = set(headings)
         if 2 * len(distinct) <= n:
             names.update((h, str(h)) for h in distinct.difference(names))
-            headings = [names[h] if h else str(h) for h in headings]
+            psi = [names[h] if h else str(h) for h in headings]
+        else:
+            psi = map(str, headings)
+        x, y = run.points.T.tolist()
         return zip(
-            itertools.repeat(trial),
             times[:n] if same else list(map(str, run.times.tolist())),
-            *run.points.T.tolist(),
-            headings,
+            map(str, x),
+            map(str, y),
+            psi,
         )
 
-    rows = itertools.chain.from_iterable(itertools.starmap(trial_rows, enumerate(runs)))
-    write_table(path, ["trial", "t_h", "x_km", "y_km", "psi_rad"], rows)
+    trials = ((trial, trial_rows(run)) for trial, run in enumerate(runs))
+    write_keyed_table(path, ["trial", "t_h", "x_km", "y_km", "psi_rad"], trials)
 
 
 def write_stats_csv(path, rows: list[tuple[str, float, float, TrialStats]]) -> None:

@@ -17,6 +17,7 @@ from flowplan.simulator import (
     GoalOrientedPlanner,
     SimOptions,
     _in_goal,
+    goal_oriented_action,
     run_experiment,
     simulate_trial,
     step,
@@ -333,19 +334,20 @@ def test_start_inside_the_goal_radius_ends_every_planner_at_once(solved, offset)
             assert (run.end_reason, run.time_cost, run.length, len(run)) == ("goal", 0.0, 0.0, 1)
 
 
+def _toward(p, goal, v_max):
+    """The goal-oriented command at one point, as one (dx, dy) offset."""
+    dx, dy = goal[0] - p[0], goal[1] - p[1]
+    return (0.0, 0.0) if dx == 0.0 and dy == 0.0 else (math.atan2(dy, dx), v_max)
+
+
 def _reference_command(planner, p):
     """One planner command at one point, as the planners gave it before they
     took rows: the continuous planner scores the point's state as an integer."""
-
-    def toward(goal, v_max):
-        dx, dy = goal[0] - p[0], goal[1] - p[1]
-        return (0.0, 0.0) if dx == 0.0 and dy == 0.0 else (math.atan2(dy, dx), v_max)
-
     if isinstance(planner, GoalOrientedPlanner):
-        return toward(planner.goal, planner.v_max)
+        return _toward(p, planner.goal, planner.v_max)
     s = planner.states.state_at(p)
     if s == planner.states.goal:
-        return toward(planner.states.position(s), planner.actions[0].speed)
+        return _toward(p, planner.states.position(s), planner.actions[0].speed)
     if isinstance(planner, DiscretePlanner):
         act = planner.actions[int(planner.policy[s])]
     else:
@@ -368,15 +370,37 @@ def test_row_commands_equal_one_point_commands(solved):
         ]
     )
     assert not all(planners["api"].value.mesh.covers(Point2(*q)) for q in rows)
-    assert (states.state_at(rows) == states.goal).sum() >= 7
-    for name, planner in planners.items():
-        heading, speed = planner.command(rows, states.state_at(rows))
-        for q, h, v in zip(rows, heading, speed):
-            p = Point2(*q)
-            assert (h, v) == _reference_command(planner, p), (name, q)
+    in_goal_cell = states.state_at(rows) == states.goal
+    assert in_goal_cell.sum() >= 7
+    # The whole batch, and the batch without its goal-cell rows, which homes
+    # no row.
+    for batch in (rows, rows[~in_goal_cell]):
+        for name, planner in planners.items():
+            heading, speed = planner.command(batch, states.state_at(batch))
+            for q, h, v in zip(batch, heading, speed):
+                p = Point2(*q)
+                assert (h, v) == _reference_command(planner, p), (name, q)
     # At the goal point itself every planner stops.
     for planner in planners.values():
         assert _command(planner, goal, states) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("goal", [(-0.0, -0.0), (0.0, 0.0), (7.0, -3.5)], ids=["negative-zero", "zero", "off-origin"])
+def test_goal_oriented_headings_equal_math_atan2_row_by_row(goal):
+    gx, gy = goal
+    rng = np.random.default_rng(17)
+    # At the goal (-0.0, -0.0) these rows give each sign pair of a zero offset.
+    zeros = [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
+    axes = [[gx, gy + 2.0], [gx, gy - 2.0], [gx + 2.0, gy], [gx - 2.0, gy]]
+    rows = np.vstack([zeros, [goal], axes, rng.normal(size=(40, 2)) * 5.0, [[float("nan"), 1.0]]])
+    heading, speed = goal_oriented_action(rows, Point2(*goal), 3.0)
+    want_heading, want_speed = np.array([_toward(q, goal, 3.0) for q in rows.tolist()]).T
+    assert heading.tobytes() == want_heading.tobytes()
+    assert speed.tobytes() == want_speed.tobytes()
+    assert (speed == 0.0).sum() == (5 if goal[0] == 0.0 else 1)
+    heading, speed = goal_oriented_action(np.empty((0, 2)), Point2(*goal), 3.0)
+    assert heading.shape == speed.shape == (0,)
+    assert heading.dtype == speed.dtype == np.float64
 
 
 def test_step_rejects_a_row_outside_the_field(gyre):

@@ -1,4 +1,6 @@
-"""Every CSV artifact goes through ``flowfield.write_table``.
+"""Every CSV artifact is written by ``flowfield``: the trajectories through
+``write_keyed_table``, a trial's rows joined at a time, every other table
+through ``write_table``.
 
 The ``_reference_*`` functions are the writers as they were before the
 shared table writer: six through ``csv.writer`` with a ``repr`` per cell,
@@ -16,10 +18,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowplan.fem import build_mesh, write_mesh_csv, write_raster_csv
-from flowplan.flowfield import Point2, write_table
+from flowplan.flowfield import Point2, write_keyed_table, write_table
 from flowplan.mdp import StateSpace, classic_policy_iteration, write_policy_csv, write_value_csv
 from flowplan.moments import PdeCoefficients, assemble_coefficients, write_coefficients_csv
-from flowplan.simulator import Trajectory, TrialStats, write_stats_csv, write_trajectories_csv
+from flowplan.policy_iter import ApiConfig, approximate_policy_iteration
+from flowplan.simulator import (
+    ContinuousPlanner,
+    DiscretePlanner,
+    GoalOrientedPlanner,
+    SimOptions,
+    Trajectory,
+    TrialStats,
+    run_experiment,
+    write_stats_csv,
+    write_trajectories_csv,
+)
 
 EDGE = [float("nan"), -0.0, 5e-324, 1e16, -1e16, 0.1, -2.5e-308, float("inf"), 1 / 3, 123456789.125]
 BIG_IDS = [0, 7, 2**62, -(2**63), 2**63 - 1, 4, 1, 2, 3, 5]
@@ -232,6 +245,27 @@ def test_trajectory_table_of_simulated_trials_matches_the_old_writer(tmp_path):
     _same_bytes(tmp_path, _reference_stats_csv, write_stats_csv, rows)
 
 
+def test_trajectory_tables_of_a_simulated_experiment_match_the_old_writer(tmp_path, gyre_benchmark):
+    # The paper gyre's three planners, 40 trials each: the compass planners'
+    # trials take the memoised heading cells, and the goal-oriented
+    # planner's, whose headings are all distinct but the last, which repeats
+    # the command that reached the goal, a repr per heading.
+    model, exact = gyre_benchmark
+    api = approximate_policy_iteration(model, ApiConfig(k=1))
+    goal = model.states.position(model.states.goal)
+    planners = {
+        "classic-pi": DiscretePlanner(exact.policy, model.states, model.actions),
+        "api-k1": ContinuousPlanner(model, api.value),
+        "goal-oriented": GoalOrientedPlanner(goal, 3.0),
+    }
+    _, runs = run_experiment(model.field, planners, Point2(1.0, 1.0), goal, SimOptions(), 40, 41, model.states)
+    assert all(len(set(run.headings.tolist())) == len(run) - 1 > 1 for run in runs["goal-oriented"])
+    assert all(2 * len(set(run.headings.tolist())) <= len(run) for run in runs["classic-pi"])
+    for name in planners:
+        assert len(runs[name]) == 40
+        _same_bytes(tmp_path, _reference_trajectories_csv, write_trajectories_csv, runs[name])
+
+
 def test_mse_table_changes_only_its_line_endings(tmp_path):
     records = [(4, 1, 1e-3, 0.25), (4, 2, 5e-324, -0.0), (64, 1, float("nan"), 1e16), (2**62, 2, 0.0, 1 / 3)]
     _reference_mse_csv(tmp_path / "reference.csv", records)
@@ -259,3 +293,13 @@ def test_write_table_matches_csv_writer_with_repr_cells(tmp_path_factory, rows):
         writer.writerows([repr(c) if isinstance(c, float) else c for c in row] for row in rows)
     write_table(path / "table.csv", header, iter(rows))
     assert (path / "table.csv").read_bytes() == (path / "reference.csv").read_bytes()
+
+
+@given(st.lists(st.tuples(cells, st.lists(st.lists(cells, min_size=3, max_size=3), max_size=4)), max_size=5))
+def test_keyed_table_matches_write_table(tmp_path_factory, runs):
+    header = ["key", "a", "b", "c"]
+    path = tmp_path_factory.mktemp("keyed")
+    write_table(path / "table.csv", header, [(key, *row) for key, rows in runs for row in rows])
+    keyed = [(key, [[str(c) for c in row] for row in rows]) for key, rows in runs]
+    write_keyed_table(path / "keyed.csv", header, iter(keyed))
+    assert (path / "keyed.csv").read_bytes() == (path / "table.csv").read_bytes()
