@@ -115,7 +115,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
@@ -227,7 +227,10 @@ def build_field(cfg: ExperimentConfig, base_dir: str | Path = ".") -> FlowField:
     path = Path(cfg.field_csv_path)
     if not path.is_absolute():
         path = Path(base_dir) / path
-    return load_grid_field(path, noise)
+    try:
+        return load_grid_field(path, noise)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"field.csv_path: cannot read {path}: {exc}") from exc
 
 
 def build_states(cfg: ExperimentConfig) -> StateSpace:
@@ -250,9 +253,7 @@ def build_mdp(cfg: ExperimentConfig, field: FlowField | None = None, base_dir: s
     if not field.contains(Point2(cfg.start_x_km, cfg.start_y_km)):
         raise ConfigError("start: the start lies outside the field domain")
     states = build_states(cfg)
-    centres = states.positions()  # FlowField.contains at every centre, 1e-9 km tolerance too
-    lo, hi = np.subtract(field.origin, 1e-9), np.add(field.origin, field.extent) + 1e-9
-    outside = np.flatnonzero(~((lo <= centres) & (centres <= hi)).all(axis=1))
+    outside = np.flatnonzero(~field.contains(states.positions()))
     if len(outside):
         i, j = states.coords(int(outside[0]))
         raise ConfigError(f"grid: state ({i}, {j}) lies outside the field domain")

@@ -135,16 +135,18 @@ class FlowField:
         if self.extent[0] <= 0 or self.extent[1] <= 0:
             raise ValueError("domain extent must be positive")
 
-    def contains(self, p: Point2, tol: float = _DOMAIN_TOL_KM) -> bool:
-        return (
-            self.origin.x - tol <= p[0] <= self.origin.x + self.extent[0] + tol
-            and self.origin.y - tol <= p[1] <= self.origin.y + self.extent[1] + tol
-        )
+    def contains(self, p: Point2 | np.ndarray) -> bool | np.ndarray:
+        """Whether a point lies in the domain, up to 1e-9 km outside its
+        rectangle; for an (n, 2) array of points, whether each row does."""
+        lo, hi = self._bounds
+        p = np.asarray(p, dtype=float)
+        inside = ((lo - _DOMAIN_TOL_KM <= p) & (p <= hi + _DOMAIN_TOL_KM)).all(axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
     @cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """The domain's lower and upper corners, as arrays for the domain test
-        of :func:`field_velocities` and for ``clamp``."""
+        """The domain's lower and upper corners, as arrays for ``contains``
+        and ``clamp``."""
         lo = np.array(self.origin, dtype=float)
         return lo, lo + np.array(self.extent, dtype=float)
 
@@ -172,9 +174,9 @@ def grid_field(samples: GridSamples, noise: NoiseParams) -> FlowField:
 
 def field_velocities(field: FlowField, points: np.ndarray | Sequence[Point2]) -> np.ndarray:
     """Noise-free velocity at each row of ``points``, as an (n, 2) array;
-    raises DomainError, naming the first row outside the domain.
+    raises DomainError, naming the first row outside ``FlowField.contains``.
 
-    The domain test, the gyre and the grid's bilinear interpolation are numpy
+    The gyre and the grid's bilinear interpolation are numpy
     array expressions, in the order of operations of the one-point formulas:
     numpy's float64 sine and cosine round as ``math.sin`` and ``math.cos``
     do, and the bilinear weights and their sum are elementwise products and
@@ -182,10 +184,9 @@ def field_velocities(field: FlowField, points: np.ndarray | Sequence[Point2]) ->
     build and the simulator step share this one path.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    lo, hi = field._bounds
-    inside = (lo - _DOMAIN_TOL_KM <= points) & (points <= hi + _DOMAIN_TOL_KM)
+    inside = field.contains(points)
     if not inside.all():
-        first = np.argmin(inside.all(axis=1))
+        first = np.argmin(inside)
         raise DomainError(f"point {tuple(points[first].tolist())} outside field domain")
     if field.gyre is None:
         assert field.grid is not None
@@ -221,13 +222,17 @@ def field_velocity(field: FlowField, p: Point2) -> Velocity2:
     return Velocity2(*field_velocities(field, [p])[0].tolist())
 
 
-def _cluster(values: list[float]) -> list[float]:
-    """Collapse sorted coordinates that agree within the keying tolerance."""
-    out: list[float] = []
-    for v in sorted(values):
-        if not out or v - out[-1] > _COORD_TOL_KM:
-            out.append(v)
-    return out
+def _cluster(values: np.ndarray) -> np.ndarray:
+    """Collapse sorted coordinates that agree within the keying tolerance:
+    a cluster is its least value and every value at most 1e-6 km above it,
+    found by one ``searchsorted`` per cluster (subtracting a constant keeps
+    the order). The stable sort lets the first of +0.0 and -0.0 lead."""
+    v = np.sort(values, kind="stable")
+    leaders, i = [], 0
+    while i < len(v):
+        leaders.append(i)
+        i += int(np.searchsorted(v[i:] - v[i], _COORD_TOL_KM, side="right"))
+    return v[leaders]
 
 
 def _nearest(lattice: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -330,8 +335,8 @@ def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> F
     table = _loadtxt_table(lines)
     if table is None:
         table = _csv_table(lines)
-    xs = _cluster(table[:, 0].tolist())
-    ys = _cluster(table[:, 1].tolist())
+    xs = _cluster(table[:, 0])
+    ys = _cluster(table[:, 1])
     nx, ny = len(xs), len(ys)
     if nx < 2 or ny < 2:
         raise FieldFormatError(f"lattice must be at least 2x2, got {nx}x{ny}")
@@ -346,7 +351,7 @@ def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> F
     # Key each record to its nearest lattice point. Every coordinate lies
     # within the tolerance of its own cluster, so only duplicates can clash;
     # with the count check passed, no duplicate means no missing point.
-    slot = _nearest(np.asarray(ys), table[:, 1]) * nx + _nearest(np.asarray(xs), table[:, 0])
+    slot = _nearest(ys, table[:, 1]) * nx + _nearest(xs, table[:, 0])
     repeat = np.ones(len(slot), dtype=bool)
     repeat[np.unique(slot, return_index=True)[1]] = False
     if repeat.any():

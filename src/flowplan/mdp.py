@@ -7,6 +7,9 @@ places Gaussian weight on the 8-connected neighborhood plus the cell itself,
 centered on the drifted mean position, and renormalizes. Classic policy
 iteration on this model serves as the exact reference that the
 finite-element approximation is benchmarked against.
+
+Every table of the model is state-major, with one successor list per state
+and the successor axis last (``MdpModel``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 import scipy
 
 from .errors import IterationLimitError, NumericalError
-from .flowfield import FlowField, NoiseParams, Point2, field_velocities, write_table
+from .flowfield import FlowField, Point2, field_velocities, write_table
 
 
 def _load_flapack():
@@ -184,23 +187,21 @@ class StateSpace:
 
 @dataclass(eq=False)
 class MdpModel:
-    """Grid MDP with per-action padded transition tables.
+    """Grid MDP in one state-major layout.
 
-    ``succ``/``prob`` have shape (n_actions, n_states, 9); rows are padded with
-    the state itself at probability zero so they stay fixed-width. Exact
-    policy evaluation leaves entries below a coupling floor out of its band
-    matrix, so the padding never reaches one. ``rewards`` holds the
-    transition-weighted expected reward per (state, action), shape
-    (n_states, n_actions). ``moment_table`` holds the displacement moments
-    of every row in the same state-major layout, built on first use.
+    ``succ`` (n_states, 9) is each state's one successor list, padded with
+    the state itself; ``prob`` (n_states, n_actions, 9) holds each (state,
+    action) row's probabilities over it, zero on the padding, which exact
+    policy evaluation's coupling floor keeps out of its band. ``rewards``
+    (n_states, n_actions) holds each row's expected reward and
+    ``moment_table``, built on first use, its displacement moments. The
+    noise and the vehicle speed are those of ``field`` and ``actions``.
     """
 
     states: StateSpace
     actions: tuple[Action, ...]
     dt_h: float
-    v_max: float
     gamma: float
-    noise: NoiseParams
     field: FlowField
     succ: np.ndarray
     prob: np.ndarray
@@ -215,29 +216,17 @@ class MdpModel:
         return len(self.actions)
 
     @cached_property
-    def _successors(self) -> np.ndarray:
-        """The successor list of every state, shape (n_states, 9). The rows
-        of every action list the same successors, as ``build_model`` builds
-        them, so the moment table and ``action_values`` gather per state once;
-        a model whose actions differ there raises ValueError."""
-        succ = self.succ[0]
-        if not (self.succ == succ).all():
-            raise ValueError("the model needs one successor list per state for every action")
-        return succ
-
-    @cached_property
     def moment_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only drift E[s' - s], shape (n_states, n_actions, 2), and
         second moment E[(s' - s)(s' - s)^T], shape (n_states, n_actions, 2, 2),
         of every transition row (km and km^2), state-major as ``rewards``,
         each a ``_sum_successors`` sum. Padding entries have zero
         displacement and zero probability, so they add nothing. Each state's
-        displacements are gathered once, over ``_successors``."""
+        displacements are gathered once, over its successor list."""
         positions = self.states.positions()
-        disp = positions[self._successors] - positions[:, None, :]
+        disp = positions[self.succ] - positions[:, None, :]
         dx, dy = disp[:, None, :, 0], disp[:, None, :, 1]
-        prob = np.ascontiguousarray(self.prob.transpose(1, 0, 2))  # (n_states, n_actions, 9)
-        px, py = prob * dx, prob * dy
+        px, py = self.prob * dx, self.prob * dy
         drift = np.stack([_sum_successors(px), _sum_successors(py)], axis=-1)
         # The (0, 1) and (1, 0) entries are summed apart, as (p dx) dy and
         # (p dy) dx, so the table is not exactly symmetric.
@@ -304,6 +293,7 @@ def build_model(
     means = (drift.T[:, None, :] + heading.T[:, :, None]) * dt_h  # (2, 8, n)
     # Per-axis log-weights of every (offset, action, state), shape (3, 8, n):
     # with the offset leading, the in-grid max and min reduce whole slabs.
+    # Each axis is then laid out state-major, (n, 8, 3), as the model is.
     log_w = []
     for in_grid, mean, sigma in zip(in_axis, means, (field.noise.sigma_x, field.noise.sigma_y)):
         in_grid = in_grid[:, None, :]
@@ -316,25 +306,24 @@ def build_model(
         else:
             w = -(deltas**2) / (2.0 * variance)
             lw = np.where(in_grid, w - np.where(in_grid, w, -np.inf).max(axis=0), -np.inf)
-        log_w.append(np.moveaxis(lw, 0, -1))
-    weights = np.exp(log_w[0][..., :, None] + log_w[1][..., None, :]).reshape(len(actions), n, 9)
+        log_w.append(lw.transpose(2, 1, 0))
+    weights = np.exp(log_w[0][..., :, None] + log_w[1][..., None, :]).reshape(n, len(actions), 9)
 
     # Pack each row's in-grid cells to the front, keeping stencil order.
     in_grid = (in_axis[0].T[:, :, None] & in_axis[1].T[:, None, :]).reshape(n, 9)
     order = np.argsort(~in_grid, axis=1, kind="stable")
     cells = ids[:, None] + (step[:, None] + states.nx * step).ravel()
     succ = np.take_along_axis(np.where(in_grid, cells, ids[:, None]), order, axis=1)
-    weights = np.take_along_axis(weights, order[None], axis=2)
+    weights = np.take_along_axis(weights, order[:, None, :], axis=2)
     # Row sums add the in-grid cells as numpy sums them one row at a time:
     # in order below eight terms, pairwise for the full nine.
-    total = np.where(in_grid.all(axis=1), weights.sum(axis=2), np.cumsum(weights, axis=2)[..., -1])
+    total = np.where(in_grid.all(axis=1)[:, None], weights.sum(axis=2), np.cumsum(weights, axis=2)[..., -1])
     prob = weights / total[..., None]
 
     reward = np.where(states.obstacles[succ], OBSTACLE_REWARD, STEP_REWARD)
     reward[(succ == states.goal) | terminal[:, None]] = 0.0
-    rewards = np.ascontiguousarray(_sum_successors(prob * reward).T)  # row-major (n, 8)
-    succ = np.tile(succ, (len(actions), 1, 1))
-    return MdpModel(states, actions, dt_h, v_max, gamma, field.noise, field, succ, prob, rewards)
+    rewards = _sum_successors(prob * reward[:, None, :])
+    return MdpModel(states, actions, dt_h, gamma, field, succ, prob, rewards)
 
 
 def _band_solve(row: np.ndarray, col: np.ndarray, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -388,15 +377,14 @@ def policy_evaluation_exact(model: MdpModel, policy: np.ndarray) -> np.ndarray:
     taken over all of them; above 1e-9 it raises NumericalError.
     """
     idx = np.arange(model.n_states)
-    succ = model.succ[policy, idx]
-    coupling = model.gamma * model.prob[policy, idx]
+    coupling = model.gamma * model.prob[idx, policy]
     r_pi = model.rewards[idx, policy]
     keep = coupling >= _COUPLING_FLOOR
     row = np.concatenate([idx, np.repeat(idx, keep.sum(axis=1))])
-    col = np.concatenate([idx, succ[keep]])
+    col = np.concatenate([idx, model.succ[keep]])
     data = np.concatenate([np.ones(model.n_states), -coupling[keep]])
     values = _band_solve(row, col, data, r_pi)
-    residual = np.max(np.abs(values - (coupling * values[succ]).sum(axis=1) - r_pi))
+    residual = np.max(np.abs(values - (coupling * values[model.succ]).sum(axis=1) - r_pi))
     if not residual < 1e-9:
         raise NumericalError(f"policy evaluation residual {residual:.3e} exceeds 1e-9")
     return values
@@ -405,10 +393,9 @@ def policy_evaluation_exact(model: MdpModel, policy: np.ndarray) -> np.ndarray:
 def action_values(model: MdpModel, values: np.ndarray) -> np.ndarray:
     """Q(s, a) = R(s, a) + gamma * E[values(s')], shape (n_states, n_actions),
     each expectation a ``_sum_successors`` sum of probability times value.
-    The values are gathered once per state, over the model's shared
-    successor lists."""
-    expected = _sum_successors(model.prob * values[model._successors])
-    return model.rewards + model.gamma * expected.T
+    The values are gathered once per state, over its successor list."""
+    expected = _sum_successors(model.prob * values[model.succ][:, None, :])
+    return model.rewards + model.gamma * expected
 
 
 def initial_policy(model: MdpModel) -> np.ndarray:

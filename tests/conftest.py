@@ -12,9 +12,9 @@ from flowplan.mdp import StateSpace, action_values, build_model, classic_policy_
 def transition_row(model, s, a):
     """Successor ids and probabilities of one transition row, with the
     zero-probability padding removed."""
-    p = model.prob[a, s]
+    p = model.prob[s, a]
     keep = p > 0.0
-    return model.succ[a, s][keep], p[keep]
+    return model.succ[s][keep], p[keep]
 
 
 def is_terminal(states, s):

@@ -91,6 +91,47 @@ def test_start_outside_the_domain_is_a_config_error_before_any_solve(tmp_path, c
     assert not (tmp_path / "out" / "stats.csv").exists()
 
 
+CSV_FIELD = SMALL_GYRE.replace("field.kind = gyre", "field.kind = csv\nfield.csv_path = field.csv")
+
+
+def _missing_csv(tmp_path):
+    return CSV_FIELD.encode()
+
+
+def _csv_that_is_a_directory(tmp_path):
+    (tmp_path / "field.csv").mkdir()
+    return CSV_FIELD.encode()
+
+
+def _undecodable_csv(tmp_path):
+    (tmp_path / "field.csv").write_bytes(b"x_km,y_km,vx_kmh,vy_kmh\n0.0,0.0,\xff\xfe,0.0\n")
+    return CSV_FIELD.encode()
+
+
+def _undecodable_config(tmp_path):
+    return SMALL_GYRE.encode() + b"# \xff\xfe\n"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_missing_csv, "config error: field.csv_path: cannot read"),
+        (_csv_that_is_a_directory, "config error: field.csv_path: cannot read"),
+        (_undecodable_csv, "config error: field.csv_path: cannot read"),
+        (_undecodable_config, "config error: cannot read config"),
+    ],
+    ids=["missing-csv", "csv-is-a-directory", "undecodable-csv", "undecodable-config"],
+)
+def test_an_unreadable_input_is_a_config_error_without_a_traceback(tmp_path, capsys, make, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(make(tmp_path))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_mse_on_a_grid_under_4x4_is_a_config_error_before_any_solve(tmp_path, capsys):
     # Without mse.grid_sizes, mse solves the config's own grid size with k = 1
     # and k = 2; a 2x2 grid must fail up front, not after the k = 1 solve.

@@ -52,7 +52,7 @@ def test_rewards_are_successor_sums_in_python_floats(model):
     st = model.states
     want = [
         [
-            _successor_sum(model.prob[a, s].tolist(), [_reward(st, s, int(s2)) for s2 in model.succ[a, s]])
+            _successor_sum(model.prob[s, a].tolist(), [_reward(st, s, int(s2)) for s2 in model.succ[s]])
             for a in range(model.n_actions)
         ]
         for s in range(model.n_states)
@@ -65,7 +65,7 @@ def test_action_values_are_successor_sums_in_python_floats(model):
     v, r = values.tolist(), model.rewards.tolist()
     want = [
         [
-            r[s][a] + model.gamma * _successor_sum(model.prob[a, s].tolist(), [v[s2] for s2 in model.succ[a, s]])
+            r[s][a] + model.gamma * _successor_sum(model.prob[s, a].tolist(), [v[s2] for s2 in model.succ[s]])
             for a in range(model.n_actions)
         ]
         for s in range(model.n_states)

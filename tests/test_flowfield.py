@@ -339,6 +339,22 @@ def test_field_velocities_name_the_first_row_outside(kind):
     assert str(err.value) == f"point {(x0 + w + 2e-9, y0 + 1.0)} outside field domain"
 
 
+def test_contains_takes_one_point_or_rows():
+    # Rows on, just inside and just outside the 1e-9 km band of every edge,
+    # against the one-point comparison chain that contains used to write.
+    field = _kernel_fields()["gyre"]
+    (x0, y0), (w, h) = field.origin, field.extent
+    xs = [x0 - 2e-9, x0 - 1e-9, x0, x0 + 7.0, x0 + w, x0 + w + 1e-9, x0 + w + 2e-9, math.nan]
+    ys = [y0 - 2e-9, y0 - 1e-9, y0, y0 + 3.0, y0 + h, y0 + h + 1e-9, y0 + h + 2e-9]
+    rows = np.array([(x, y) for x in xs for y in ys])
+    want = [x0 - 1e-9 <= x <= x0 + w + 1e-9 and y0 - 1e-9 <= y <= y0 + h + 1e-9 for x, y in rows.tolist()]
+    got = field.contains(rows)
+    assert got.dtype == bool and got.tolist() == want
+    assert [field.contains(Point2(*p)) for p in rows.tolist()] == want
+    assert all(type(field.contains(p)) is bool for p in rows[:3])
+    assert field.contains(np.empty((0, 2))).shape == (0,)
+
+
 def test_out_of_domain_rejected():
     field = gyre_field(GyreParams(0.5, 20.0), NO_NOISE)
     with pytest.raises(DomainError):
@@ -481,6 +497,47 @@ def test_load_28x28_lattice_extent():
     assert not field.contains(Point2(54.1, 0.0))
 
 
+def _reference_cluster(values):
+    """The record loop that ``flowfield._cluster`` replaced: a sorted value
+    opens a new cluster when it lies more than 1e-6 km above the current
+    cluster's first value."""
+    out = []
+    for v in sorted(values):
+        if not out or v - out[-1] > 1e-6:
+            out.append(v)
+    return out
+
+
+def _cluster_inputs():
+    """Shuffled lattice coordinates, each repeated and jittered well within
+    the tolerance; a chain whose steps each lie within 1e-6 km of the last
+    value but not of the chain's first; and signed zeros."""
+    rng = np.random.default_rng(23)
+    cases = {}
+    for cell, origin, n in [(1.0 / 0.6, 0.0, 9), (40.0 / 24.0, -3.2, 25), (0.3, 1e5, 40)]:
+        lattice = origin + cell * np.arange(n)
+        values = np.repeat(lattice, 7) + rng.uniform(-4e-7, 4e-7, 7 * n)
+        cases[f"jittered-{n}"] = rng.permutation(values)
+    chain = 2.0 + 0.6e-6 * np.arange(12)
+    cases["chain"] = rng.permutation(np.concatenate([chain, chain + 5.0, [2.0 + 1e-6, 2.0 + 1e-6 + 1e-12]]))
+    cases["signed-zeros"] = np.array([0.0, -0.0, 5e-7, -0.0, 1.0, -1e-7, 1.0 + 1e-6])
+    cases["negative-zero-first"] = np.array([-0.0, 0.0, 3.0, 3.0])
+    # Long enough that an unstable sort may put a -0.0 first.
+    cases["many-signed-zeros"] = np.concatenate([np.tile([0.0, -0.0], 8), [2.0, 2.0 + 1e-7, 1.0]])
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_cluster_inputs()))
+def test_cluster_equals_the_record_loop(name):
+    values = _cluster_inputs()[name]
+    got = flowfield._cluster(values)
+    want = np.array(_reference_cluster(values.tolist()))
+    assert got.tobytes() == want.tobytes()  # the sign of a zero too
+    if name == "chain":
+        # A threshold on consecutive differences would find fewer clusters.
+        assert 1 + (np.diff(np.sort(values)) > 1e-6).sum() < len(want)
+
+
 def _reference_load_grid_field(lines, noise):
     """The csv-module reader that ``np.loadtxt`` now stands in for: every
     record through ``csv.reader`` and ``float``, then the lattice checks."""
@@ -500,8 +557,8 @@ def _reference_load_grid_field(lines, noise):
             pass
     if table is None or not np.isfinite(table).all():
         flowfield._raise_first_bad_record(records[1:])
-    xs = flowfield._cluster(table[:, 0].tolist())
-    ys = flowfield._cluster(table[:, 1].tolist())
+    xs = _reference_cluster(table[:, 0].tolist())
+    ys = _reference_cluster(table[:, 1].tolist())
     nx, ny = len(xs), len(ys)
     if nx < 2 or ny < 2:
         raise FieldFormatError(f"lattice must be at least 2x2, got {nx}x{ny}")

@@ -66,8 +66,8 @@ def oracle_row(model, s, a):
         pos.x + (drift.vx + act.speed * math.cos(act.heading)) * model.dt_h,
         pos.y + (drift.vy + act.speed * math.sin(act.heading)) * model.dt_h,
     )
-    sx = model.noise.sigma_x * math.sqrt(model.dt_h)
-    sy = model.noise.sigma_y * math.sqrt(model.dt_h)
+    sx = model.field.noise.sigma_x * math.sqrt(model.dt_h)
+    sy = model.field.noise.sigma_y * math.sqrt(model.dt_h)
     weights = {}
     for dj in (-1, 0, 1):
         for di in (-1, 0, 1):
@@ -189,7 +189,7 @@ def test_evaluation_matches_policy_restricted_value_iteration():
     v = np.zeros(states.n)
     for _ in range(20000):
         idx = np.arange(states.n)
-        expected = (model.prob[policy, idx] * v[model.succ[policy, idx]]).sum(axis=1)
+        expected = (model.prob[idx, policy] * v[model.succ]).sum(axis=1)
         nxt = model.rewards[idx, policy] + model.gamma * expected
         if np.abs(nxt - v).max() < 1e-14:
             break
@@ -219,9 +219,7 @@ def test_improvement_invariant_to_reward_shift(gyre_benchmark):
     model, exact = gyre_benchmark
     base = policy_improvement_discrete(model, exact.values)
     shifted_rewards = model.rewards + 0.37
-    q = shifted_rewards + model.gamma * np.einsum(
-        "asn,asn->as", model.prob, exact.values[model.succ]
-    ).T
+    q = shifted_rewards + model.gamma * np.einsum("san,sn->sa", model.prob, exact.values[model.succ])
     assert np.array_equal(np.argmax(q, axis=1), base)
 
 
@@ -380,8 +378,8 @@ def _reference_build_model(field, states, dt_h, v_max, gamma):
     actions = compass_actions(v_max)
     n = states.n
     n_a = len(actions)
-    succ = np.empty((n_a, n, 9), dtype=np.int64)
-    prob = np.zeros((n_a, n, 9))
+    succ = np.empty((n, 9), dtype=np.int64)
+    prob = np.zeros((n, n_a, 9))
     rewards = np.zeros((n, n_a))
     var_x = field.noise.sigma_x**2 * dt_h
     var_y = field.noise.sigma_y**2 * dt_h
@@ -390,25 +388,24 @@ def _reference_build_model(field, states, dt_h, v_max, gamma):
         i, j = states.coords(s)
         pos = states.position(s)
         if is_terminal(states, s):
-            succ[:, s, :] = s
-            prob[:, s, 0] = 1.0
+            succ[s, :] = s
+            prob[s, :, 0] = 1.0
             continue
         dis = np.array([di for di in (-1, 0, 1) if 0 <= i + di < states.nx])
         djs = np.array([dj for dj in (-1, 0, 1) if 0 <= j + dj < states.ny])
-        cand = np.array([[states.index(i + di, j + dj) for dj in djs] for di in dis])
+        ids = np.array([[states.index(i + di, j + dj) for dj in djs] for di in dis]).ravel()
+        succ[s, : len(ids)] = ids
+        succ[s, len(ids) :] = s
         drift = field_velocity(field, pos)
         for a, act in enumerate(actions):
             ux, uy = COMPASS_VECTORS[act.compass]
             mean_dx = (drift.vx + act.speed * ux) * dt_h
             mean_dy = (drift.vy + act.speed * uy) * dt_h
             w = _reference_transition_weights(dis * cell, djs * cell, mean_dx, mean_dy, var_x, var_y)
-            ids = cand.ravel()
             probs = w.ravel()
-            succ[a, s, : len(ids)] = ids
-            succ[a, s, len(ids) :] = s
-            prob[a, s, : len(ids)] = probs
+            prob[s, a, : len(ids)] = probs
             rewards[s, a] = sum((p * r for p, r in zip(probs, _reference_reward_kernel(states, s, ids))), 0.0)
-    return MdpModel(states, actions, dt_h, v_max, gamma, field.noise, field, succ, prob, rewards)
+    return MdpModel(states, actions, dt_h, gamma, field, succ, prob, rewards)
 
 
 def _paper_case(nx, ny, sigma, strength):
@@ -452,9 +449,9 @@ def _csv_wall_case():
 def _reference_moment_table(model):
     """The einsum table of every (state, action) row's displacement moments."""
     positions = model.states.positions()
-    disp = positions[model.succ] - positions[None, :, None, :]
-    drift = np.einsum("asj,asjd->sad", model.prob, disp)
-    second = np.einsum("asj,asjd,asje->sade", model.prob, disp, disp)
+    disp = positions[model.succ] - positions[:, None, :]
+    drift = np.einsum("saj,sjd->sad", model.prob, disp)
+    second = np.einsum("saj,sjd,sje->sade", model.prob, disp, disp)
     return drift, second
 
 
@@ -475,14 +472,6 @@ def test_moment_table_equals_the_einsum_reference_bit_for_bit(make, args):
     for got, want in zip(model.moment_table, _reference_moment_table(model)):
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))  # sign bits too
-
-
-def test_moment_table_needs_one_successor_list_for_every_action(zero_field_model):
-    model = zero_field_model
-    model.succ = model.succ.copy()
-    model.succ[3, 0, 0] = 1
-    with pytest.raises(ValueError, match="one successor list"):
-        model.moment_table
 
 
 @pytest.mark.parametrize(
@@ -506,6 +495,9 @@ def test_build_model_matches_the_state_loop_reference(case):
     got = build_model(field, states, dt_h, 3.0, GAMMA)
     want = _reference_build_model(field, states, dt_h, 3.0, GAMMA)
     assert got.succ.dtype == want.succ.dtype
+    assert got.succ.shape == (states.n, 9)
+    assert got.prob.shape == (states.n, 8, 9)
+    assert got.rewards.shape == (states.n, 8)
     assert np.array_equal(got.succ, want.succ)
     assert np.array_equal(got.prob, want.prob)
     assert np.array_equal(got.rewards, want.rewards)
@@ -522,10 +514,10 @@ def _policy_matrix(model, policy, floor=0.0):
     policy_evaluation_exact fills directly."""
     n = model.n_states
     idx = np.arange(n)
-    cols = model.succ[policy, idx].ravel()
-    data = model.prob[policy, idx].ravel()
+    cols = model.succ.ravel()
+    data = model.prob[idx, policy].ravel()
     data = np.where(model.gamma * data < floor, 0.0, data)
-    rows = np.repeat(idx, model.succ.shape[2])
+    rows = np.repeat(idx, model.succ.shape[1])
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
@@ -652,8 +644,8 @@ def test_the_coupling_floor_moves_no_value_beyond_its_bound(case, monkeypatch):
     n, idx = states.n, np.arange(states.n)
     for policy in _zero_random_and_visited_policies(model, monkeypatch):
         row = np.concatenate([idx, np.repeat(idx, 9)])
-        col = np.concatenate([idx, model.succ[policy, idx].ravel()])
-        data = np.concatenate([np.ones(n), -GAMMA * model.prob[policy, idx].ravel()])
+        col = np.concatenate([idx, model.succ.ravel()])
+        data = np.concatenate([np.ones(n), -GAMMA * model.prob[idx, policy].ravel()])
         want = _band_solve(row, col, data, model.rewards[idx, policy])
         got = evaluate(model, policy)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
@@ -716,8 +708,8 @@ def test_banded_solve_adds_duplicate_entries():
     model = build_model(field, states, dt_h, 3.0, GAMMA)
     policy = np.random.default_rng(4).integers(0, 8, size=states.n)
     n, idx = states.n, np.arange(states.n)
-    cols = np.column_stack([idx, model.succ[policy, idx]])
-    data = np.column_stack([np.ones(n), -GAMMA * model.prob[policy, idx]])
+    cols = np.column_stack([idx, model.succ])
+    data = np.column_stack([np.ones(n), -GAMMA * model.prob[idx, policy]])
     duplicated = sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, 10 * n + 1, 10)), shape=(n, n))
     assert not duplicated.has_canonical_format
     rhs = model.rewards[idx, policy]
@@ -741,6 +733,6 @@ def test_exact_evaluation_of_non_finite_input_is_a_numerical_error(zero_field_mo
     if table == "rewards":
         model.rewards[s, :] = np.nan
     else:
-        model.prob[0, s, 0] = np.nan
+        model.prob[s, 0, 0] = np.nan
     with pytest.raises(NumericalError):
         policy_evaluation_exact(model, np.zeros(model.n_states, dtype=np.int64))
