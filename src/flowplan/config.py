@@ -203,14 +203,24 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if tag in tagged:
             fail("sweep.strengths", f"{tagged[tag]!r} and {strength!r} share the file tag {tag}")
         tagged[tag] = strength
-    # Grid must sit inside the field domain so every state center is queryable.
-    max_x = cfg.grid_origin_x_km + (cfg.grid_nx - 1) * cfg.grid_cell_km
-    max_y = cfg.grid_origin_y_km + (cfg.grid_ny - 1) * cfg.grid_cell_km
-    if cfg.field_kind == "gyre" and (max_x > cfg.field_width_km + 1e-9 or max_y > cfg.field_height_km + 1e-9):
-        fail("grid.nx", "state grid extends beyond the field domain")
-    # A gyre's domain is [0, width] x [0, height]; a CSV field's is known only
-    # once loaded, so build_mdp checks the start there.
+    # A gyre's domain is [0, width] x [0, height], and every state centre and
+    # the start must lie in it; a CSV field's is known only once loaded, so
+    # build_mdp and cmd_mse check them there. The goal centre goes first: mse
+    # re-grids the field and keeps only the goal of the configured grid.
     if cfg.field_kind == "gyre":
+        cell = cfg.grid_cell_km
+        axes = (
+            ("x", "i", cfg.grid_origin_x_km, cfg.grid_nx, cfg.goal_i, cfg.field_width_km),
+            ("y", "j", cfg.grid_origin_y_km, cfg.grid_ny, cfg.goal_j, cfg.field_height_km),
+        )
+        for _, index, origin, _, goal, extent in axes:
+            if not -1e-9 <= origin + goal * cell <= extent + 1e-9:
+                fail(f"goal.{index}", "the goal centre lies outside the field domain")
+        for axis, _, origin, n, _, extent in axes:
+            if origin < -1e-9:
+                fail(f"grid.origin_{axis}_km", "the grid's lower corner lies outside the field domain")
+            if origin + (n - 1) * cell > extent + 1e-9:
+                fail("grid.nx", "state grid extends beyond the field domain")
         for key, value, extent in (
             ("start.x_km", cfg.start_x_km, cfg.field_width_km),
             ("start.y_km", cfg.start_y_km, cfg.field_height_km),

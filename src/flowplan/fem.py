@@ -15,32 +15,31 @@ LU of exact policy iteration too: node ids follow the state lattice row by
 row, so the band is about one grid row wide. The solved nodal coefficients
 define a value function that is continuous over the whole mesh cover and
 evaluable (with recovered first and second derivatives) anywhere inside it.
-Point queries are lattice arithmetic on batches of rows: a point's state
-(``StateSpace.state_at``) lists the few triangles that may contain it and,
-in its 3x3 block, the nodes that may be nearest to it, as every lattice
-point is a node (k=1) or next to one (k=2) and an odd-parity goal is a
-state too. Both give the answer a search of the whole mesh gives. Rows off
-the cover are projected in one batch onto the hull edges.
-Second derivatives come from a quadratic fit over a node patch with the
-symmetry of the state lattice: at interior nodes, the 3x3 block of grid
-neighbours (k=1) or the (+-1, +-1), (+-2, 0) and (0, +-2) neighbours (k=2),
-as the eight-neighbour transition law reaches in every direction. The
-patches are read off the assembly pattern (the 1-ring) and the 1-rings of
-its nodes (the 2-ring), and the fits form one padded recovery table from
-nodal values to nodal Hessians (in the spirit of patch recovery,
-Zienkiewicz & Zhu 1992), with one pseudo-inverse per patch shape, computed
-in one stack per patch size. A shape is the patch's integer lattice steps
+Point location is lattice arithmetic on batches of rows: a point's state
+(``StateSpace.state_at``) lists the few triangles that may contain it, which
+gives the answer a search of the whole mesh gives. Rows off the cover are
+projected in one batch onto the hull edges.
+First derivatives are recovered at the nodes as the area-weighted mean of
+the element gradients around them. Second derivatives come from a quadratic
+fit over a node patch with the symmetry of the state lattice: at interior
+nodes, the 3x3 block of grid neighbours (k=1) or the (+-1, +-1), (+-2, 0)
+and (0, +-2) neighbours (k=2), as the eight-neighbour transition law
+reaches in every direction. The patches are read off the assembly pattern
+(the 1-ring) and the 1-rings of its nodes (the 2-ring), and the fits form
+one padded recovery table from nodal values to nodal Hessians (in the
+spirit of patch recovery, Zienkiewicz & Zhu 1992), with one pseudo-inverse
+per patch shape, computed in one stack per patch size. A shape is the patch's integer lattice steps
 from its node, so a lattice has a few dozen shapes whatever its cell size,
 each fitted at the offsets (di h, dj h). ``ContinuousValue.expansion``
 gives the value, gradient and Hessian at many points from one
-``Mesh.locate_rows`` (point location, projection and nearest node), and
-reads the cached element gradients, nodal gradients and nodal Hessians;
-``expansion_at`` does the same at rows located before, such as the state
-centres (``Mesh.centres``). It is the one implementation of these queries:
-``evaluate``, ``gradient`` and ``hessian`` send it a batch of one; its sums
-are elementwise in a written order, never a BLAS dot. ``evaluate_many``
-needs no nearest node, so ``Mesh.locate_many`` leaves that search out.
-Edge adjacency has one table too,
+``Mesh.locate_rows`` (point location and projection); ``expansion_at`` does
+the same at rows located before, such as the state centres
+(``Mesh.centres``). All three follow one rule: the barycentric interpolant
+of nodal values (the coefficients, the recovered gradients, the fitted
+Hessians), so the expansion is continuous over the cover. It is the one
+implementation of these queries: ``evaluate``, ``gradient`` and ``hessian``
+send it a batch of one; its sums are elementwise in a written order, never
+a BLAS dot. Edge adjacency has one table too,
 ``Mesh.edge_neighbours``, built from the sorted edge keys of every triangle.
 """
 
@@ -66,25 +65,6 @@ _BATCH_ROWS = 512  # rows per batched point location (about 0.3 MB per temporary
 def _cross_z(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """z-component of the cross product of planar vectors (broadcasts)."""
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
-def _lattice_table(first: np.ndarray, last: np.ndarray, nx: int, n: int) -> np.ndarray:
-    """Per lattice point j * nx + i of an n-point lattice, the ascending ids of
-    the items whose inclusive (i, j) box ``first[item]``..``last[item]`` holds
-    it, as the rows of one table padded with id 0. A pad never changes an
-    answer: an item missing from a row neither contains a point that rounds
-    to the row's lattice point nor is the node nearest to one, and an item
-    listed twice loses to its first listing."""
-    span = (last - first).max(axis=0) + 1
-    point = first[:, None] + np.indices(span).reshape(2, -1).T  # (item, offset, (i, j))
-    ok = (point <= last[:, None]).all(axis=-1)
-    item = np.nonzero(ok)[0]  # ascending
-    key = (point[..., 1] * nx + point[..., 0])[ok]
-    order = np.argsort(key, kind="stable")
-    count = np.bincount(key, minlength=n)
-    table = np.zeros((n, count.max()), dtype=np.int64)
-    table[key[order], np.arange(len(key)) - np.repeat(np.cumsum(count) - count, count)] = item[order]
-    return table
 
 
 class HessianOperator(NamedTuple):
@@ -121,21 +101,16 @@ class Mesh:
     the query tables, the assembly table) are built lazily and shared by
     every value function on the mesh; the edge table is built at once, as it also checks conformity.
 
-    Point queries are lattice arithmetic on batches of rows; ``locate``,
-    ``covers``, ``nearest_node`` and ``project`` are batches of one. Both
-    searches start from the query point's state, ``states.state_at``: the
-    lattice point nearest it, clamped onto the grid. Point location weighs the
-    triangles whose integer lattice box holds that lattice point (a triangle
-    that contains the point within the barycentric tolerance does), and takes
-    the first, in triangle order, with the largest minimum barycentric weight:
-    the pick of a search of the whole mesh. The nearest-node search weighs the
-    nodes of the 3x3 block of lattice points around it in id order, so the
-    lowest id wins exact ties. It relies on every lattice point being a node
-    (k=1) or next to one (k=2), an odd goal being a state: a node outside the
-    block then has a strictly closer node two lattice steps (or, for the odd
-    goal, one step) nearer. Rows off the cover are projected in one batch onto
-    the hull edges (``edge_neighbours`` < 0), where the closest point of the
-    cover lies; the first closest in triangle-edge order is taken.
+    Point location is lattice arithmetic on batches of rows; ``locate``,
+    ``covers`` and ``project`` are batches of one. It starts from the query
+    point's state, ``states.state_at``: the lattice point nearest it, clamped
+    onto the grid. It weighs the triangles whose integer lattice box holds
+    that lattice point (a triangle that contains the point within the
+    barycentric tolerance does), and takes the first, in triangle order, with
+    the largest minimum barycentric weight: the pick of a search of the whole
+    mesh. Rows off the cover are projected in one batch onto the hull edges
+    (``edge_neighbours`` < 0), where the closest point of the cover lies; the
+    first closest in triangle-edge order is taken.
     """
 
     states: StateSpace
@@ -201,17 +176,23 @@ class Mesh:
 
     @cached_property
     def _point_triangles(self) -> np.ndarray:
-        """Per lattice point, the triangles whose integer lattice box holds
-        it: all that can contain a point that rounds to it."""
-        st, ij = self.states, self._node_ij[self.triangles]
-        return _lattice_table(ij.min(axis=1), ij.max(axis=1), st.nx, st.n)
-
-    @cached_property
-    def _block_nodes(self) -> np.ndarray:
-        """Per lattice point, the nodes of the 3x3 block of points around it."""
-        st, ij = self.states, self._node_ij
-        last = np.minimum(ij + 1, (st.nx - 1, st.ny - 1))
-        return _lattice_table(np.maximum(ij - 1, 0), last, st.nx, st.n)
+        """Per lattice point j * nx + i, the ascending ids of the triangles
+        whose inclusive integer lattice box holds it (all that can contain a
+        point that rounds to it), as the rows of one table padded with id 0.
+        A pad never changes an answer: a triangle missing from a row does not
+        contain such a point, and one listed twice loses to its first listing."""
+        ij = self._node_ij[self.triangles]
+        first, last = ij.min(axis=1), ij.max(axis=1)
+        span = (last - first).max(axis=0) + 1
+        point = first[:, None] + np.indices(span).reshape(2, -1).T  # (triangle, offset, (i, j))
+        ok = (point <= last[:, None]).all(axis=-1)
+        tri = np.nonzero(ok)[0]  # ascending
+        key = (point[..., 1] * self.states.nx + point[..., 0])[ok]
+        order = np.argsort(key, kind="stable")
+        count = np.bincount(key, minlength=self.states.n)
+        table = np.zeros((self.states.n, count.max()), dtype=np.int64)
+        table[key[order], np.arange(len(key)) - np.repeat(np.cumsum(count) - count, count)] = tri[order]
+        return table
 
     @cached_property
     def _hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,15 +237,6 @@ class Mesh:
         # + 0.0 makes an exact zero weight +0.0 whatever the signs of its two products.
         return np.where(mins[rows, k] >= -_BARY_TOL, tris[rows, k], -1), lam[:, rows, k].T + 0.0
 
-    def _nearest_many(self, points: np.ndarray, lattice: np.ndarray | None = None) -> np.ndarray:
-        """``nearest_node`` of every row at once; ``lattice`` as in ``_find_many``."""
-        if lattice is None:
-            lattice = self.states.state_at(points)
-        ids = self._block_nodes[lattice]
-        d = self.nodes[ids] - points[:, None, :]
-        k = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).argmin(axis=1)
-        return ids[np.arange(len(points)), k]
-
     def _project_many(self, points: np.ndarray) -> np.ndarray:
         """Closest hull-edge point of every row; the first closest in
         triangle-edge order."""
@@ -275,50 +247,36 @@ class Mesh:
         d = points[:, None, :] - cand
         return cand[np.arange(len(points)), (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).argmin(axis=1)]
 
-    def _locate(
-        self, points: np.ndarray, clamp: bool, cells: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's point, lattice point, containing triangle and raw
-        barycentric weights, for ``locate_rows`` and ``locate_many``. Rows
-        off the cover raise DomainError unless ``clamp`` moves them to their
-        closest point of the cover, which is given the lattice point of its
-        new position. Rows go in batches of ``_BATCH_ROWS``, which bounds the
-        temporaries."""
+    def locate_rows(
+        self, points: np.ndarray, clamp: bool = False, cells: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's point, containing triangle and raw barycentric weights;
+        ``cells``, when given, are the rows' ``states.state_at``, which saves
+        computing them. Rows off the cover raise DomainError unless ``clamp``
+        moves them to their closest point of the cover, which is located from
+        the lattice point of its new position. Rows go in batches of
+        ``_BATCH_ROWS``, which bounds the temporaries."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         if len(points) > _BATCH_ROWS:
             parts = []
             for r in range(0, len(points), _BATCH_ROWS):
                 rows = slice(r, r + _BATCH_ROWS)
-                parts.append(self._locate(points[rows], clamp, None if cells is None else cells[rows]))
+                parts.append(self.locate_rows(points[rows], clamp, None if cells is None else cells[rows]))
             return tuple(map(np.concatenate, zip(*parts)))
-        lattice = self.states.state_at(points) if cells is None else cells
-        tri, lam = self._find_many(points, lattice)
+        tri, lam = self._find_many(points, cells)
         off = np.flatnonzero(tri < 0)
         if len(off):
             if not clamp:
                 raise DomainError("a query point lies outside the mesh cover")
-            points, lattice = points.copy(), lattice.copy()
+            points = points.copy()
             points[off] = self._project_many(points[off])
-            lattice[off] = self.states.state_at(points[off])
-            tri[off], lam[off] = self._find_many(points[off], lattice[off])
+            tri[off], lam[off] = self._find_many(points[off])
             if (tri[off] < 0).any():
                 raise DomainError("a projected point lies outside the mesh cover")
-        return points, lattice, tri, lam
-
-    def locate_rows(
-        self, points: np.ndarray, clamp: bool = False, cells: np.ndarray | None = None
-    ) -> tuple[np.ndarray, ...]:
-        """Each row's point, containing triangle, raw barycentric weights and
-        nearest node, as ``_locate`` finds them; ``cells``, when given, are
-        the rows' ``states.state_at``, which saves computing them. Each row's
-        lattice point serves both searches. The nearest-node search takes
-        all rows at once: its temporaries per row are about half point
-        location's."""
-        points, lattice, tri, lam = self._locate(points, clamp, cells)
-        return points, tri, lam, self._nearest_many(points, lattice)
+        return points, tri, lam
 
     @cached_property
-    def centres(self) -> tuple[np.ndarray, ...]:
+    def centres(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``locate_rows`` of the state centres, clamped (the cut corners of
         an even-sided k=2 board lie off the cover), located once; read-only."""
         rows = self.locate_rows(self.states.positions(), clamp=True)
@@ -330,8 +288,8 @@ class Mesh:
         self, points: np.ndarray, clamp: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """The triangle and barycentric weights, clipped to [0, 1], of each
-        row's ``locate_rows``, without its nearest-node search."""
-        _, _, tri, lam = self._locate(points, clamp, None)
+        row's ``locate_rows``."""
+        _, tri, lam = self.locate_rows(points, clamp)
         return tri, np.clip(lam, 0.0, 1.0)
 
     def covers(self, p: Point2 | np.ndarray) -> bool:
@@ -339,7 +297,8 @@ class Mesh:
 
     def nearest_node(self, p: Point2 | np.ndarray) -> int:
         """Closest node; the lowest node id wins exact ties."""
-        return int(self._nearest_many(np.asarray(p, dtype=float).reshape(1, 2))[0])
+        d = self.nodes - np.asarray(p, dtype=float).reshape(2)
+        return int((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]).argmin())
 
     def project(self, p: Point2) -> Point2:
         """Closest point of the mesh cover (used for queries off the hull)."""
@@ -702,14 +661,15 @@ def element_peclet(mesh: Mesh, coeffs: PdeCoefficients) -> np.ndarray:
 class ContinuousValue:
     """P1 value function: a mesh plus nodal coefficients.
 
-    Evaluation is barycentric interpolation (``_interpolate``); gradients
-    are element-constant with area-weighted averaging at nodes and edges;
-    second derivatives come from a least-squares quadratic fit over the
-    patch around the nearest node (zero, by policy, where the patch cannot
-    support the fit); the patch is the node's mesh neighbourhood widened to
-    the lattice's symmetry, see ``Mesh.hessian_patches``. The fits of every
-    node are one matvec of ``Mesh.hessian_operator`` with the coefficients
-    (``node_hessians``).
+    Its value, gradient and Hessian at a point are each the barycentric
+    interpolant of nodal values over the point's triangle
+    (``_interpolate``): of the coefficients, of the recovered gradients
+    (``node_gradients``, the area-weighted mean of the element gradients
+    around each node) and of the fitted Hessians (``node_hessians``, a
+    least-squares quadratic fit over each node's patch, zero by policy where
+    the patch cannot support the fit; see ``Mesh.hessian_patches``). So all
+    three are continuous over the mesh cover. The fits of every node are one
+    matvec of ``Mesh.hessian_operator`` with the coefficients.
 
     ``expansion`` answers all three queries for many points at once: one
     ``Mesh.locate_rows``, then ``expansion_at`` the located rows. The
@@ -732,12 +692,14 @@ class ContinuousValue:
         gc = self.mesh.basis_gradients * self.coefficients[self.mesh.triangles][..., None]
         return (gc[:, 0] + gc[:, 1]) + gc[:, 2]
 
-    def _interpolate(self, tri: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """(l0 c0 + l1 c1) + l2 c2 over each row's weights l and its
-        triangle's corner values c: the interpolation of ``expansion_at``
+    def _interpolate(self, nodal: np.ndarray, tri: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """(l0 q0 + l1 q1) + l2 q2 over each row's weights l and its
+        triangle's corner entries q of ``nodal``, one entry per node (a
+        number, a vector or a matrix): the interpolation of ``expansion_at``
         and ``evaluate_many``."""
-        lc = lam * self.coefficients[self.mesh.triangles[tri]]
-        return (lc[:, 0] + lc[:, 1]) + lc[:, 2]
+        q = nodal[self.mesh.triangles[tri]]
+        lq = lam.reshape(lam.shape + (1,) * (q.ndim - 2)) * q
+        return (lq[:, 0] + lq[:, 1]) + lq[:, 2]
 
     @cached_property
     def node_gradients(self) -> np.ndarray:
@@ -755,7 +717,7 @@ class ContinuousValue:
         return float(self.expansion(p)[0][0])
 
     def evaluate_many(self, points: np.ndarray, clamp: bool = False) -> np.ndarray:
-        return self._interpolate(*self.mesh.locate_many(points, clamp=clamp))
+        return self._interpolate(self.coefficients, *self.mesh.locate_many(points, clamp=clamp))
 
     def gradient(self, p: Point2 | np.ndarray) -> np.ndarray:
         return self.expansion(p)[1][0]
@@ -787,37 +749,18 @@ class ContinuousValue:
         their closest point of the cover."""
         return self.expansion_at(self.mesh.locate_rows(points, clamp, cells))
 
-    def expansion_at(self, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def expansion_at(
+        self, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value (n,), gradient (n, 2) and Hessian (n, 2, 2) at rows located
-        by ``Mesh.locate_rows``.
-        The value is ``_interpolate`` at the raw weights. The gradient is the
-        nearest node's recovered gradient within 1e-9 km, sqrt(dx dx + dy dy),
-        of a node, the area-weighted mean of the two triangles on an edge, and
-        the element gradient inside a triangle. The Hessian is the nearest
-        node's fit.
-        """
-        mesh = self.mesh
-        points, tri, lam, nearest = rows
-        value = self._interpolate(tri, lam)
-        dx, dy = (mesh.nodes[nearest] - points).T
-        at_node = np.sqrt(dx * dx + dy * dy) < _NODE_TOL_KM
-        grad = self.element_gradients[tri]
-        grad[at_node] = self.node_gradients[nearest[at_node]]
-        on_edge = ~at_node & (lam < _BARY_TOL).any(axis=1)
-        if on_edge.any():
-            # Area-weighted average over the triangles sharing the edge opposite
-            # the first vanishing weight; a sum of two terms rounds alike in
-            # either order.
-            e = tri[on_edge]
-            other = mesh.edge_neighbours[e, np.argmax(lam[on_edge] < _BARY_TOL, axis=1)]
-            w = mesh.areas[e]
-            num = self.element_gradients[e] * w[:, None]
-            pair = other >= 0
-            w2 = mesh.areas[other[pair]]
-            num[pair] += self.element_gradients[other[pair]] * w2[:, None]
-            w[pair] += w2
-            grad[on_edge] = num / w[:, None]
-        return value, grad, self.node_hessians[nearest]
+        by ``Mesh.locate_rows``: ``_interpolate`` at the raw weights of the
+        coefficients, ``node_gradients`` and ``node_hessians``."""
+        _, tri, lam = rows
+        return (
+            self._interpolate(self.coefficients, tri, lam),
+            self._interpolate(self.node_gradients, tri, lam),
+            self._interpolate(self.node_hessians, tri, lam),
+        )
 
 
 def write_mesh_csv(nodes_path, tris_path, mesh: Mesh) -> None:

@@ -56,7 +56,7 @@ def test_csv_field_smaller_than_the_grid_is_a_config_error(tmp_path, capsys):
 def test_gyre_grid_origin_below_the_domain_is_a_config_error(tmp_path, capsys, key):
     code, err = _run(tmp_path, SMALL_GYRE.replace(f"{key} = 1.0", f"{key} = -1.0"), capsys)
     assert code == 2
-    assert "config error" in err and "outside the field domain" in err
+    assert "config error" in err and f"{key}: the grid's lower corner lies outside the field domain" in err
 
 
 @pytest.mark.parametrize(

@@ -395,7 +395,7 @@ def _geometry_params(*square):
 )
 def test_bucketed_queries_match_brute_force(nx, ny, cell, origin, k, goal):
     # The buckets are the lattice points: each lists the triangles whose
-    # lattice box holds it and the nodes of its 3x3 block.
+    # lattice box holds it.
     states = StateSpace.regular(nx, ny, cell, goal, origin=origin)
     mesh = build_mesh(states, k=k)
     rng = np.random.default_rng(nx * 10 + goal[1])
@@ -406,12 +406,10 @@ def _check_queries(mesh, points):
     """Checks every query at every point, one at a time and batched, against
     brute force; returns the number of points off the cover."""
     tri_idx, lams = mesh._find_many(points)
-    nearest = mesh._nearest_many(points)
-    for p, e, lam, n in zip(points, tri_idx, lams, nearest):
+    for p, e, lam in zip(points, tri_idx, lams):
         found = _brute_locate(mesh, p)
         assert e == (-1 if found is None else found[0])
         assert found is None or np.array_equal(lam, found[1])
-        assert n == _brute_nearest(mesh, p)
     outside = 0
     for p in points:
         found = _brute_locate(mesh, p)
@@ -454,12 +452,12 @@ def test_locate_many_matches_single_point_queries():
         mesh.locate_many(pts)
 
 
-def test_locate_many_is_locate_rows_without_the_nearest_node():
+def test_locate_many_is_locate_rows_with_clipped_weights():
     # A clamped raster of more rows than one batch, some off the cut corners.
     mesh = build_mesh(grid_states(8, goal=(3, 4)), k=2)
     pts = _raster((-1.0, 17.0, -1.0, 17.0), 41)
     tri_idx, lams = mesh.locate_many(pts, clamp=True)
-    _, tri_ref, lam_ref, _ = mesh.locate_rows(pts, clamp=True)
+    _, tri_ref, lam_ref = mesh.locate_rows(pts, clamp=True)
     assert np.array_equal(tri_idx, tri_ref)
     assert np.array_equal(lams, np.clip(lam_ref, 0.0, 1.0))
 
@@ -483,12 +481,13 @@ def test_locate_with_the_rows_cells_matches_the_self_computed_path_bit_for_bit(n
     assert off.any()
     projected = points.copy()
     projected[off] = mesh._project_many(points[off])
-    want = (projected, *mesh._find_many(projected), mesh._nearest_many(projected))
+    want = (projected, *mesh._find_many(projected))
     cells = states.state_at(points)
     for located in (
         mesh.locate_rows(points, clamp=True),
         mesh.locate_rows(points, clamp=True, cells=cells),
     ):
+        assert len(located) == len(want)
         for a, b in zip(want, located):
             assert a.dtype == b.dtype and np.array_equal(a, b)
     assert np.array_equal(cells, states.state_at(points))  # left as passed
@@ -513,6 +512,38 @@ def test_expansion_matches_scalar_queries_exactly(nx, ny, cell, origin, k, goal)
     assert kinds == {"off", "node", "edge", "interior"}
 
 
+@pytest.mark.parametrize(
+    "nx, ny, cell, origin, k, goal",
+    [
+        _square(8, 1, (3, 2), "8-1"),
+        _square(8, 2, (3, 4), "8-2-odd-goal-inside"),  # the inserted goal's split diamond
+        pytest.param(*QUERY_GEOMETRIES["csv-wall-k2"], id="csv-wall-k2"),
+    ],
+)
+def test_expansion_is_continuous_across_interior_edges(nx, ny, cell, origin, k, goal):
+    # Points 1e-9 km either side of every shared edge, at its midpoint and at
+    # a random point along it, lie in the edge's two triangles; the gradient
+    # and the Hessian must agree across it as the value does.
+    states = StateSpace.regular(nx, ny, cell, goal, origin=origin)
+    mesh = build_mesh(states, k=k)
+    rng = np.random.default_rng(nx + k)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    value = ContinuousValue(mesh, np.sin(0.4 * x) * np.cos(0.3 * y) + rng.normal(0.0, 0.01, mesh.n_nodes))
+    e, l = np.nonzero(mesh.edge_neighbours > np.arange(len(mesh.triangles))[:, None])  # each shared edge once
+    other = mesh.edge_neighbours[e, l]
+    a = mesh.nodes[mesh.triangles[e, (l + 1) % 3]]
+    b = mesh.nodes[mesh.triangles[e, (l + 2) % 3]]
+    outward = np.stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]], axis=-1)  # right of a -> b, out of CCW e
+    outward /= np.linalg.norm(outward, axis=1)[:, None]
+    for t in (np.full(len(e), 0.5), rng.uniform(0.1, 0.9, len(e))):
+        on = a + t[:, None] * (b - a)
+        inside, across = (mesh.locate_rows(on + s * 1e-9 * outward) for s in (-1.0, 1.0))
+        assert np.array_equal(inside[1], e) and np.array_equal(across[1], other)
+        for q, nodal in ((0, value.coefficients), (1, value.node_gradients), (2, value.node_hessians)):
+            jump = np.abs(value.expansion_at(inside)[q] - value.expansion_at(across)[q]).max()
+            assert jump <= 1e-6 * np.abs(nodal).max()
+
+
 def _reference_evaluate(value, p):
     """One point's value: its triangle's barycentric interpolant, summed in
     Python floats as (l0 c0 + l1 c1) + l2 c2."""
@@ -521,29 +552,24 @@ def _reference_evaluate(value, p):
     return (l0 * c0 + l1 * c1) + l2 * c2
 
 
+def _reference_interpolation(value, nodal, p):
+    """One point's interpolant of a nodal table: its triangle's barycentric
+    weights l and corner entries q, summed entry by entry in Python floats
+    as (l0 q0 + l1 q1) + l2 q2."""
+    e, lam = value.mesh.locate(p)
+    l0, l1, l2 = lam.tolist()
+    corners = nodal[value.mesh.triangles[e]].reshape(3, -1).tolist()
+    return np.array([(l0 * q0 + l1 * q1) + l2 * q2 for q0, q1, q2 in zip(*corners)]).reshape(nodal.shape[1:])
+
+
 def _reference_gradient(value, p):
-    """One point's gradient: the nearest node's recovered gradient at a node,
-    the area-weighted mean over the triangles of an edge, else the element's."""
-    mesh = value.mesh
-    nearest = mesh.nearest_node(p)
-    if np.linalg.norm(mesh.nodes[nearest] - np.asarray(p, dtype=float)) < 1e-9:
-        return value.node_gradients[nearest].copy()
-    e, lam = mesh.locate(p)
-    on = np.nonzero(lam < 1e-9)[0]
-    if len(on) == 0:
-        return value.element_gradients[e].copy()
-    tri = mesh.triangles[e]
-    u, v = [int(tri[l]) for l in range(3) if l != on[0]]
-    elems = _edge_triangles(mesh)[(min(u, v), max(u, v))]
-    w = mesh.areas[elems]
-    return (value.element_gradients[elems] * w[:, None]).sum(axis=0) / w.sum()
+    """One point's gradient: the interpolant of the recovered nodal gradients."""
+    return _reference_interpolation(value, value.node_gradients, p)
 
 
 def _reference_hessian(value, p):
-    """One point's Hessian: the fit at the nearest node."""
-    if not value.mesh.covers(p):
-        raise DomainError("outside mesh cover")
-    return value.node_hessians[value.mesh.nearest_node(p)].copy()
+    """One point's Hessian: the interpolant of the fitted nodal Hessians."""
+    return _reference_interpolation(value, value.node_hessians, p)
 
 
 def _check_expansion(mesh, pts, rng):

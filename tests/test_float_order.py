@@ -116,8 +116,14 @@ def test_values_are_written_interpolations_in_python_floats(model, k):
     value = fem.ContinuousValue(mesh, rng.normal(-1.0, 0.5, mesh.n_nodes))
     points = rng.uniform(-0.5, 40.5, (1500, 2))
     rows = mesh.locate_rows(points, clamp=True)
-    _, tri, lam, _ = rows
+    _, tri, lam = rows
     corners = value.coefficients[mesh.triangles[tri]].tolist()
-    assert _same_bits(value.expansion_at(rows)[0], _interpolate(lam.tolist(), corners))
+    got = value.expansion_at(rows)
+    assert _same_bits(got[0], _interpolate(lam.tolist(), corners))
+    # The gradient and the Hessian interpolate their nodal tables entry by entry.
+    for have, nodal in zip(got[1:], (value.node_gradients, value.node_hessians)):
+        entries = nodal[mesh.triangles[tri]].reshape(len(tri), 3, -1)
+        for c in range(entries.shape[-1]):
+            assert _same_bits(have.reshape(len(tri), -1)[:, c], _interpolate(lam.tolist(), entries[..., c].tolist()))
     want = _interpolate(np.clip(lam, 0.0, 1.0).tolist(), corners)
     assert _same_bits(value.evaluate_many(points, clamp=True), want)

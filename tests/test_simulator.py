@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flowplan import fem
+from flowplan.config import build_mdp, parse_config
 from flowplan.errors import DomainError
 from flowplan.flowfield import GyreParams, NoiseParams, Point2, field_velocity, gyre_field
 from flowplan.mdp import StateSpace, build_model, classic_policy_iteration, compass_actions
@@ -471,3 +472,34 @@ def test_the_goal_test_is_not_a_comparison_of_squares_alone():
     d = rows - g
     assert ((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius * radius) != want).any()
     assert np.array_equal(_in_goal(rows, goal, radius), want)
+
+
+def _turning(headings):
+    """Total absolute change of the commanded heading, each step wrapped to [-pi, pi)."""
+    return float(np.abs((np.diff(headings) + np.pi) % (2.0 * np.pi) - np.pi).sum())
+
+
+def test_the_api_planner_turns_no_more_than_classic_pi_along_a_wall():
+    # The csv-wall-k2 geometry on the paper's gyre: a 24x24 grid of 40/24 km
+    # cells, a 12-cell wall between the start and an odd-parity goal, a k=2
+    # mesh. A value expansion that jumps at element edges makes the
+    # continuous planner's commands chatter along the wall; its mean turning
+    # per trial must not exceed that of the grid policy it approximates.
+    cell = 40.0 / 24
+    text = (
+        f"noise.sigma_kmh = 0.3\ngrid.nx = 24\ngrid.ny = 24\ngrid.cell_km = {cell!r}\n"
+        f"grid.origin_x_km = {cell / 2!r}\ngrid.origin_y_km = {cell / 2!r}\n"
+        f"grid.obstacles = {', '.join(f'12, {j}' for j in range(6, 18))}\n"
+        "goal.i = 18\ngoal.j = 17\nfem.k = 2\n"
+    )
+    cfg = parse_config(text)
+    model = build_mdp(cfg)
+    states = model.states
+    goal = states.position(states.goal)
+    planners = {
+        "classic-pi": DiscretePlanner(classic_policy_iteration(model).policy, states, model.actions),
+        "api": ContinuousPlanner(model, approximate_policy_iteration(model, ApiConfig(k=2)).value),
+    }
+    _, runs = run_experiment(model.field, planners, Point2(1.0, 1.0), goal, SimOptions(), 10, 7, states=states)
+    turning = {name: np.mean([_turning(run.headings) for run in trials]) for name, trials in runs.items()}
+    assert turning["api"] <= turning["classic-pi"]
