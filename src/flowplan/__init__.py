@@ -59,6 +59,6 @@ from .simulator import (
     simulate_trials,
     step,
 )
-from .config import ExperimentConfig, load_config, parse_config, serialize_config
+from .config import ExperimentConfig, load_config, parse_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -116,7 +116,6 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
             cfg.sim_trials,
             cfg.sim_seed,
             states=model.states,
-            requery_dt_h=cfg.mdp_dt_h,
         )
         for name in planners:
             rows.append((name, float(strength), cfg.noise_sigma_kmh, stats[name]))

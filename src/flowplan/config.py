@@ -2,13 +2,11 @@
 
 One config file drives every command. The format is line-oriented
 ``section.key = value`` with ``#`` comments; values are decimal numbers,
-bare strings, or comma-separated lists. Loading, serializing, and reloading
-a config yields an identical value, which keeps sweep runs reproducible.
+bare strings, or comma-separated lists.
 
 The schema is :class:`ExperimentConfig` itself: each field's key is its name
 with the first underscore read as a dot (``grid_origin_x_km`` is
-``grid.origin_x_km``), its annotation picks the parser, and the field order
-is the order of the serialization.
+``grid.origin_x_km``), and its annotation picks the parser.
 """
 
 from __future__ import annotations
@@ -120,16 +118,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(text)
 
 
-def _format_value(value) -> str:
-    """The text of a value; ``str`` of a float is its shortest repr."""
-    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = [f"{key} = {_format_value(getattr(cfg, attr))}" for key, (attr, _) in _KEYS.items()]
-    return "\n".join(lines) + "\n"
-
-
 def obstacle_cells(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     pairs = cfg.grid_obstacles
     return [(pairs[k], pairs[k + 1]) for k in range(0, len(pairs), 2)]
@@ -157,12 +145,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         fail("field.csv_path", "required when field.kind = csv")
     if cfg.field_kind == "gyre" and cfg.field_size_km <= 0:
         fail("field.size_km", "must be positive")
-    if cfg.field_width_km <= 0 or cfg.field_height_km <= 0:
+    if cfg.field_width_km <= 0:
         fail("field.width_km", "domain extent must be positive")
+    if cfg.field_height_km <= 0:
+        fail("field.height_km", "domain extent must be positive")
     if cfg.noise_sigma_kmh < 0:
         fail("noise.sigma_kmh", "must be non-negative")
-    if cfg.grid_nx < 2 or cfg.grid_ny < 2:
+    if cfg.grid_nx < 2:
         fail("grid.nx", "grid must be at least 2x2")
+    if cfg.grid_ny < 2:
+        fail("grid.ny", "grid must be at least 2x2")
     if cfg.grid_cell_km <= 0:
         fail("grid.cell_km", "must be positive")
     if len(cfg.grid_obstacles) % 2 != 0:
@@ -188,8 +180,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         fail("api.max_iterations", "must be at least 1")
     if cfg.sim_trials < 1:
         fail("sim.trials", "must be at least 1")
-    if cfg.sim_budget_h <= 0 or cfg.sim_dt_h <= 0:
-        fail("sim.budget_h", "budget and step must be positive")
+    if cfg.sim_budget_h <= 0:
+        fail("sim.budget_h", "must be positive")
+    if cfg.sim_dt_h <= 0:
+        fail("sim.dt_h", "must be positive")
     if cfg.sim_goal_radius_km <= 0:
         fail("sim.goal_radius_km", "must be positive")
     if cfg.output_raster_n < 2:
@@ -203,6 +197,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if tag in tagged:
             fail("sweep.strengths", f"{tagged[tag]!r} and {strength!r} share the file tag {tag}")
         tagged[tag] = strength
+    if cfg.field_kind == "csv" and len(cfg.sweep_strengths) > 1:
+        fail("sweep.strengths", "a csv field ignores field.strength_kmh, so it takes at most one strength")
     # A gyre's domain is [0, width] x [0, height], and every state centre and
     # the start must lie in it; a CSV field's is known only once loaded, so
     # build_mdp and cmd_mse check them there. The goal centre goes first: mse
@@ -220,7 +216,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             if origin < -1e-9:
                 fail(f"grid.origin_{axis}_km", "the grid's lower corner lies outside the field domain")
             if origin + (n - 1) * cell > extent + 1e-9:
-                fail("grid.nx", "state grid extends beyond the field domain")
+                fail(f"grid.n{axis}", "state grid extends beyond the field domain")
         for key, value, extent in (
             ("start.x_km", cfg.start_x_km, cfg.field_width_km),
             ("start.y_km", cfg.start_y_km, cfg.field_height_km),

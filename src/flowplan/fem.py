@@ -17,8 +17,9 @@ define a value function that is continuous over the whole mesh cover and
 evaluable (with recovered first and second derivatives) anywhere inside it.
 Point location is lattice arithmetic on batches of rows: a point's state
 (``StateSpace.state_at``) lists the few triangles that may contain it, which
-gives the answer a search of the whole mesh gives. Rows off the cover are
-projected in one batch onto the hull edges.
+gives the answer a search of the whole mesh gives. Every query row off the
+cover is projected, in one batch, onto the hull edges and answered there;
+only ``Mesh.locate`` raises DomainError off the cover.
 First derivatives are recovered at the nodes as the area-weighted mean of
 the element gradients around them. Second derivatives come from a quadratic
 fit over a node patch with the symmetry of the state lattice: at interior
@@ -108,9 +109,10 @@ class Mesh:
     that lattice point (a triangle that contains the point within the
     barycentric tolerance does), and takes the first, in triangle order, with
     the largest minimum barycentric weight: the pick of a search of the whole
-    mesh. Rows off the cover are projected in one batch onto the hull edges
-    (``edge_neighbours`` < 0), where the closest point of the cover lies; the
-    first closest in triangle-edge order is taken.
+    mesh. ``locate`` raises DomainError off the cover; the batched queries
+    project such rows in one batch onto the hull edges (``edge_neighbours``
+    < 0), where the closest point of the cover lies, and take the first
+    closest in triangle-edge order.
     """
 
     states: StateSpace
@@ -248,26 +250,23 @@ class Mesh:
         return cand[np.arange(len(points)), (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).argmin(axis=1)]
 
     def locate_rows(
-        self, points: np.ndarray, clamp: bool = False, cells: np.ndarray | None = None
+        self, points: np.ndarray, cells: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each row's point, containing triangle and raw barycentric weights;
         ``cells``, when given, are the rows' ``states.state_at``, which saves
-        computing them. Rows off the cover raise DomainError unless ``clamp``
-        moves them to their closest point of the cover, which is located from
-        the lattice point of its new position. Rows go in batches of
-        ``_BATCH_ROWS``, which bounds the temporaries."""
+        computing them. A row off the cover moves to its closest point of the
+        cover, which is located from the lattice point of its new position.
+        Rows go in batches of ``_BATCH_ROWS``, which bounds the temporaries."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         if len(points) > _BATCH_ROWS:
             parts = []
             for r in range(0, len(points), _BATCH_ROWS):
                 rows = slice(r, r + _BATCH_ROWS)
-                parts.append(self.locate_rows(points[rows], clamp, None if cells is None else cells[rows]))
+                parts.append(self.locate_rows(points[rows], None if cells is None else cells[rows]))
             return tuple(map(np.concatenate, zip(*parts)))
         tri, lam = self._find_many(points, cells)
         off = np.flatnonzero(tri < 0)
         if len(off):
-            if not clamp:
-                raise DomainError("a query point lies outside the mesh cover")
             points = points.copy()
             points[off] = self._project_many(points[off])
             tri[off], lam[off] = self._find_many(points[off])
@@ -277,20 +276,17 @@ class Mesh:
 
     @cached_property
     def centres(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``locate_rows`` of the state centres, clamped (the cut corners of
-        an even-sided k=2 board lie off the cover), located once; read-only."""
-        rows = self.locate_rows(self.states.positions(), clamp=True)
+        """``locate_rows`` of the state centres (the cut corners of an
+        even-sided k=2 board lie off the cover), located once; read-only."""
+        rows = self.locate_rows(self.states.positions())
         for a in rows:
             a.setflags(write=False)
         return rows
 
-    def locate_many(
-        self, points: np.ndarray, clamp: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The triangle and barycentric weights, clipped to [0, 1], of each
-        row's ``locate_rows``."""
-        _, tri, lam = self.locate_rows(points, clamp)
-        return tri, np.clip(lam, 0.0, 1.0)
+    def locate_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The triangle and raw barycentric weights of each row's
+        ``locate_rows``."""
+        return self.locate_rows(points)[1:]
 
     def covers(self, p: Point2 | np.ndarray) -> bool:
         return self._find(p) is not None
@@ -685,13 +681,6 @@ class ContinuousValue:
         if self.coefficients.shape != (self.mesh.n_nodes,):
             raise ValueError("need exactly one coefficient per mesh node")
 
-    @cached_property
-    def element_gradients(self) -> np.ndarray:
-        """(g0 c0 + g1 c1) + g2 c2 over each element's basis gradients g and
-        corner values c."""
-        gc = self.mesh.basis_gradients * self.coefficients[self.mesh.triangles][..., None]
-        return (gc[:, 0] + gc[:, 1]) + gc[:, 2]
-
     def _interpolate(self, nodal: np.ndarray, tri: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """(l0 q0 + l1 q1) + l2 q2 over each row's weights l and its
         triangle's corner entries q of ``nodal``, one entry per node (a
@@ -704,9 +693,11 @@ class ContinuousValue:
     @cached_property
     def node_gradients(self) -> np.ndarray:
         """Area-weighted mean of the element gradients around each node,
-        summed over corners 0, 1 and 2 in turn."""
+        summed over corners 0, 1 and 2 in turn. An element's gradient is
+        (g0 c0 + g1 c1) + g2 c2 over its basis gradients g and corner values c."""
         table = self.mesh.assembly_table
-        weighted = self.element_gradients * self.mesh.areas[:, None]
+        gc = self.mesh.basis_gradients * self.coefficients[self.mesh.triangles][..., None]
+        weighted = ((gc[:, 0] + gc[:, 1]) + gc[:, 2]) * self.mesh.areas[:, None]
         num = np.stack(
             [np.bincount(table.corners, weights=np.tile(w, 3), minlength=self.mesh.n_nodes) for w in weighted.T],
             axis=-1,
@@ -716,8 +707,9 @@ class ContinuousValue:
     def evaluate(self, p: Point2 | np.ndarray) -> float:
         return float(self.expansion(p)[0][0])
 
-    def evaluate_many(self, points: np.ndarray, clamp: bool = False) -> np.ndarray:
-        return self._interpolate(self.coefficients, *self.mesh.locate_many(points, clamp=clamp))
+    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
+        """The value at each row, interpolated as ``expansion_at`` does."""
+        return self._interpolate(self.coefficients, *self.mesh.locate_many(points))
 
     def gradient(self, p: Point2 | np.ndarray) -> np.ndarray:
         return self.expansion(p)[1][0]
@@ -741,13 +733,12 @@ class ContinuousValue:
         return self.expansion(p)[2][0]
 
     def expansion(
-        self, points: np.ndarray, clamp: bool = False, cells: np.ndarray | None = None
+        self, points: np.ndarray, cells: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``expansion_at`` the rows of ``points``, located by one batched
-        ``Mesh.locate_rows``, which takes the rows' ``cells`` when given. Rows
-        off the mesh cover raise DomainError unless ``clamp`` moves them to
-        their closest point of the cover."""
-        return self.expansion_at(self.mesh.locate_rows(points, clamp, cells))
+        ``Mesh.locate_rows``, which takes the rows' ``cells`` when given and
+        answers a row off the mesh cover at its closest point of the cover."""
+        return self.expansion_at(self.mesh.locate_rows(points, cells))
 
     def expansion_at(
         self, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -783,7 +774,7 @@ def write_raster_csv(
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
     grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
-    vals = value.evaluate_many(grid, clamp=True)
+    vals = value.evaluate_many(grid)
     x_cells = list(map(repr, xs.tolist())) * n
     y_cells = [y for y in map(repr, ys.tolist()) for _ in range(n)]
     write_table(path, ["x_km", "y_km", "value"], zip(x_cells, y_cells, vals.tolist()))

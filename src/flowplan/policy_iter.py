@@ -183,5 +183,5 @@ def value_mse(value: fem.ContinuousValue, oracle: np.ndarray, states) -> float:
     """
     keep = ~states.obstacles
     points = states.positions()[keep]
-    approx = value.evaluate_many(points, clamp=True)
+    approx = value.evaluate_many(points)
     return float(np.mean((approx - oracle[keep]) ** 2))

@@ -5,32 +5,32 @@ freshly sampled disturbed current plus the commanded (heading, speed) pair.
 All trials of all planners advance in lockstep as the rows of one
 (planners x trials, 2) array, planner-major: each step moves every live row,
 checks goal entry and locates the containing cell once for all of them, and
-each planner gets one batched command call for its own rows that need one,
-with their cells.
+each planner gets one batched command call for its own live rows, with
+their cells.
 Trial ``t`` has one generator, shared by every planner's copy of the trial:
 the same seed gives each planner the same draws, so one stream serves them
 all. Per-step noise is drawn in blocks of a fixed number of steps, once per
 trial while any planner's copy of it is live, so a path does not depend on
 the other trials or planners. Positions and headings are recorded in blocks
 of the same number of steps.
-Three planner kinds are supported: a discrete grid policy that is re-queried
-on cell change or every action interval, a continuous planner that re-scores
-the compass actions against a finite-element value function every step, and
-a goal-oriented baseline that always heads straight for the goal at full
-speed. Trials stop on entering the goal radius, on hitting an obstacle cell
-(counted as a failure), or when the time budget runs out; each trajectory
-records which. A step is whole-batch numpy: the gyre current, the course
-(``np.cos`` and ``np.sin`` of the headings), the Euler update, the clamp and
-the goal test, which compares squared distances and asks ``math.dist`` only
-for rows within 1e-9 (relative) of the radius. The current is
-``field_velocities``: the gyre, or the bilinear interpolation of a sampled
-field in one array kernel. Numpy's float64 sin and cos round as ``math``'s
-do, and the bilinear sum keeps the one-row order (the tests check both bit
-for bit), so the paths are those of the one-point scalar formulas. One part
-stays scalar: the goal-oriented heading is one ``map`` of ``math.atan2``
-over the rows' offsets, as ``np.arctan2`` rounds apart from it on some
-arguments. The trajectory table is written a trial at a time, each trial's
-rows joined into one string.
+Every planner is asked for a new command at every step. Three planner kinds
+are supported: a discrete grid policy that looks up the containing cell's
+action, a continuous planner that re-scores the compass actions against a
+finite-element value function, and a goal-oriented baseline that always
+heads straight for the goal at full speed. Trials stop on entering the goal
+radius, on hitting an obstacle cell (counted as a failure), or when the time
+budget runs out; each trajectory records which. A step is whole-batch numpy:
+the gyre current, the course (``np.cos`` and ``np.sin`` of the headings),
+the Euler update, the clamp and the goal test, which compares squared
+distances and asks ``math.dist`` only for rows within 1e-9 (relative) of the
+radius. The current is ``field_velocities``: the gyre, or the bilinear
+interpolation of a sampled field in one array kernel. Numpy's float64 sin
+and cos round as ``math``'s do, and the bilinear sum keeps the one-row order
+(the tests check both bit for bit), so the paths are those of the one-point
+scalar formulas. One part stays scalar: the goal-oriented heading is one
+``map`` of ``math.atan2`` over the rows' offsets, as ``np.arctan2`` rounds
+apart from it on some arguments. The trajectory table is written a trial at
+a time, each trial's rows joined into one string.
 """
 
 from __future__ import annotations
@@ -86,9 +86,7 @@ def goal_oriented_action(points: np.ndarray, goal: Point2, v_max: float):
 
 
 class GoalOrientedPlanner:
-    """Maximum-speed, goal-pointing baseline; re-queried every step."""
-
-    requery_every_step = True
+    """Maximum-speed, goal-pointing baseline."""
 
     def __init__(self, goal: Point2, v_max: float):
         self.goal = goal
@@ -127,9 +125,8 @@ class _CompassPlanner:
 
 
 class DiscretePlanner(_CompassPlanner):
-    """Tabular policy lookup on the containing grid cell."""
-
-    requery_every_step = False
+    """Tabular policy lookup on the containing grid cell: outside the goal
+    cell, one command for every point of a cell."""
 
     def __init__(self, policy: np.ndarray, states: StateSpace, actions: tuple[Action, ...]):
         super().__init__(states, actions)
@@ -153,8 +150,6 @@ class ContinuousPlanner(_CompassPlanner):
     value's mesh must be built on the model's states; ValueError otherwise.
     """
 
-    requery_every_step = True
-
     def __init__(self, model: MdpModel, value: fem.ContinuousValue):
         if value.mesh.states is not model.states:
             raise ValueError("the value's mesh is not built on the model's states")
@@ -163,7 +158,7 @@ class ContinuousPlanner(_CompassPlanner):
         self.value = value
 
     def _choose(self, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-        v, grad, hess = self.value.expansion(rows, clamp=True, cells=s)
+        v, grad, hess = self.value.expansion(rows, cells=s)
         return best_action(_state_scores(self.model, s, v, grad, hess))
 
     def command(self, points: np.ndarray, cells: np.ndarray):
@@ -243,7 +238,6 @@ def simulate_trials(
     opts: SimOptions,
     rngs: Sequence[np.random.Generator],
     states: StateSpace,
-    requery_dt_h: float = 1.0,
 ) -> list[list[Trajectory]]:
     """Run every planner on one trial per generator in ``rngs``, all in one
     lockstep batch, each until goal entry, obstacle hit, or budget
@@ -252,12 +246,10 @@ def simulate_trials(
     The rows of the batch are planner-major, with the trials in order. Each
     step moves every live row in one :func:`step`, then checks goal entry and
     locates the containing cells of all of them at once. Each planner then
-    gets the rows of its own that need a new command, in trial order, in one
-    call, with their cells. A planner whose ``states`` is not ``states`` is a
-    ValueError. Discrete planners are re-queried when the containing cell
-    changes or ``requery_dt_h`` elapses, whichever comes first; other planners
-    every step. A trial that ends without reaching the goal reports the full
-    budget as its time cost.
+    gets its own live rows, in trial order, in one call, with their cells,
+    and gives each a new command. A planner whose ``states`` is not
+    ``states`` is a ValueError. A trial that ends without reaching the goal
+    reports the full budget as its time cost.
 
     Every planner's trial ``r`` draws its noise from ``rngs[r]`` alone, a
     block of steps at a time, while any planner's copy of the trial is live.
@@ -274,7 +266,6 @@ def simulate_trials(
     n = len(planners) * n_trials
     trial = np.tile(np.arange(n_trials), len(planners))  # the trial of each row
     bounds = np.arange(len(planners) + 1) * n_trials  # each planner's first row, then n
-    every_step = np.repeat([bool(pl.requery_every_step) for pl in planners], n_trials)
     p = np.tile(np.asarray(start, dtype=float), (n, 1))
     n_steps = int(opts.budget_h / opts.dt_h + 1e-9)  # stay within the budget
     sigma = (field.noise.sigma_x, field.noise.sigma_y)
@@ -282,20 +273,19 @@ def simulate_trials(
     cell = states.state_at(p)
     heading, speed = np.empty(n), np.empty(n)
 
-    def command(ask: np.ndarray) -> None:
-        """New commands for the rows ``ask``, ascending: one call per planner."""
-        cut = np.searchsorted(ask, bounds).tolist()
+    def command(rows: np.ndarray) -> None:
+        """New commands for ``rows``, ascending: one call per planner."""
+        cut = np.searchsorted(rows, bounds).tolist()
         for j, planner in enumerate(planners):
             if cut[j] < cut[j + 1]:
-                rows = ask[cut[j] : cut[j + 1]]
-                heading[rows], speed[rows] = planner.command(p[rows], cell[rows])
+                own = rows[cut[j] : cut[j + 1]]
+                heading[own], speed[own] = planner.command(p[own], cell[own])
 
     command(np.arange(n))
     history_p, history_h = [], []  # blocks of _NOISE_BLOCK samples: points, headings
     reason = np.full(n, "budget", dtype=object)
     end = np.zeros(n, dtype=np.int64)  # step of each row's last sample
     reason[_in_goal(p, goal, opts.goal_radius_km)] = "goal"
-    since_query = np.zeros(n)
     live = np.flatnonzero(reason == "budget")
 
     for k in range(n_steps + 1):
@@ -312,24 +302,18 @@ def simulate_trials(
                 blocks[t, :m] = rngs[t].normal(0.0, sigma, size=(m, 2))
         moved = step(field, p[live], (heading[live], speed[live]), opts.dt_h, blocks[trial[live], at])
         p[live] = moved
-        since_query[live] += opts.dt_h
         end[live] = k + 1
         arrived = _in_goal(moved, goal, opts.goal_radius_km)
         if arrived.any():
             reason[live[arrived]] = "goal"
             live, moved = live[~arrived], moved[~arrived]
-        requery = (since_query[live] >= requery_dt_h - 1e-12) | every_step[live]
         s = states.state_at(moved)
         crashed = states.obstacles[s]  # a collision ends the trial as a failure
         if crashed.any():
             reason[live[crashed]] = "collision"
-            live, s, requery = live[~crashed], s[~crashed], requery[~crashed]
-        requery |= s != cell[live]
+            live, s = live[~crashed], s[~crashed]
         cell[live] = s
-        ask = live[requery]
-        if ask.size:
-            command(ask)
-            since_query[ask] = 0.0
+        command(live)
 
     history_p, history_h = np.concatenate(history_p), np.concatenate(history_h)
     clock = np.arange(n_steps + 1) * opts.dt_h
@@ -352,10 +336,9 @@ def simulate_trial(
     opts: SimOptions,
     rng: np.random.Generator,
     states: StateSpace,
-    requery_dt_h: float = 1.0,
 ) -> Trajectory:
     """One trial of one planner: :func:`simulate_trials` with a batch of one."""
-    return simulate_trials(field, [planner], start, goal, opts, [rng], states, requery_dt_h)[0][0]
+    return simulate_trials(field, [planner], start, goal, opts, [rng], states)[0][0]
 
 
 @dataclass(frozen=True)
@@ -387,20 +370,19 @@ def run_experiment(
     trials: int,
     master_seed: int,
     states: StateSpace,
-    requery_dt_h: float = 1.0,
 ) -> tuple[dict[str, TrialStats], dict[str, list[Trajectory]]]:
     """Paired trials per planner with streams derived from (seed, trial).
 
-    Every planner's trials step in one lockstep batch (see
-    :func:`simulate_trials`). Trial ``t`` has one generator, seeded by
-    ``SeedSequence([master_seed, t])`` and shared by every planner, so the
-    planners meet the same noise, and each trajectory is the one that
-    planner's trial would follow alone.
+    Every planner's trials step in one lockstep batch, each planner asked
+    for its live rows' commands at every step (see :func:`simulate_trials`).
+    Trial ``t`` has one generator, seeded by ``SeedSequence([master_seed,
+    t])`` and shared by every planner, so the planners meet the same noise,
+    and each trajectory is the one that planner's trial would follow alone.
     """
     stats: dict[str, TrialStats] = {}
     trajectories: dict[str, list[Trajectory]] = {}
     rngs = [np.random.default_rng(np.random.SeedSequence([master_seed, t])) for t in range(trials)]
-    batch = simulate_trials(field, list(planners.values()), start, goal, opts, rngs, states, requery_dt_h)
+    batch = simulate_trials(field, list(planners.values()), start, goal, opts, rngs, states)
     for name, runs in zip(planners, batch):
         done = [r for r in runs if r.reached]
         mean_t, std_t = _stats([r.time_cost for r in done])

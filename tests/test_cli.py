@@ -280,6 +280,31 @@ def test_sweep_strengths_sharing_a_file_tag_are_a_config_error_before_any_solve(
     assert not out.exists()
 
 
+def test_more_than_one_strength_on_a_csv_field_is_a_config_error_before_any_solve(tmp_path, capsys):
+    # A csv field's current is read from its file and ignores
+    # field.strength_kmh, so a sweep would label the same runs with strengths
+    # never applied. One strength stays valid and labels its one run.
+    rows = ["x_km,y_km,vx_kmh,vy_kmh"]
+    rows += [f"{x}.0,{y}.0,{0.1 * (y - 6)},{0.1 * (6 - x)}" for y in range(13) for x in range(13)]
+    (tmp_path / "field.csv").write_text("\n".join(rows) + "\n")
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+
+    def simulate(strengths):
+        cfg.write_text(CSV_FIELD + f"sweep.strengths = {strengths}\nsim.trials = 1\nsim.budget_h = 1.0\n")
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        return code, capsys.readouterr()
+
+    code, captured = simulate("0.25, 0.5")
+    assert code == 2
+    assert "config error: sweep.strengths:" in captured.err and captured.out == ""
+    assert not out.exists()
+    code, captured = simulate("0.25")
+    assert code == 0, captured.err
+    assert sorted(p.name for p in out.glob("trajectories_*")) == [
+        f"trajectories_{name}_A0p25.csv" for name in ("api-k1", "classic-pi", "goal-oriented")
+    ]
+
+
 def _rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]

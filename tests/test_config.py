@@ -9,7 +9,6 @@ from flowplan.config import (
     _PARSERS,
     ExperimentConfig,
     parse_config,
-    serialize_config,
     strength_tag,
     validate_config,
 )
@@ -58,10 +57,23 @@ def valid_configs(draw) -> ExperimentConfig:
         sim_dt_h=draw(positive),
         sim_goal_radius_km=draw(positive),
         sim_seed=draw(st.integers(-(2**63), 2**63 - 1)),
-        sweep_strengths=tuple(draw(st.lists(finite, max_size=4, unique_by=strength_tag))),
+        # A csv field has no strength to sweep.
+        sweep_strengths=tuple(draw(st.lists(finite, max_size=4 if kind == "gyre" else 1, unique_by=strength_tag))),
         mse_grid_sizes=tuple(draw(st.lists(st.integers(4, 200), max_size=4))),
         output_raster_n=draw(st.integers(2, 400)),
     )
+
+
+def _format_value(value) -> str:
+    """The text of a value; ``str`` of a float is its shortest repr."""
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def serialize_config(cfg: ExperimentConfig) -> str:
+    """The config as the text ``parse_config`` reads, one key per line in
+    field order: the reference of the round trip."""
+    lines = [f"{key} = {_format_value(getattr(cfg, attr))}" for key, (attr, _) in _KEYS.items()]
+    return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -76,9 +88,9 @@ def test_serialized_config_parses_back_to_itself(cfg):
         ("field.kind", {"field_kind": "tidal"}),
         ("field.csv_path", {"field_kind": "csv", "field_csv_path": ""}),
         ("field.size_km", {"field_size_km": 0.0}),
-        ("field.width_km", {"field_height_km": -1.0}),
+        ("field.width_km", {"field_width_km": -1.0}),
         ("noise.sigma_kmh", {"noise_sigma_kmh": -0.1}),
-        ("grid.nx", {"grid_ny": 1}),
+        ("grid.nx", {"grid_nx": 0}),
         ("grid.cell_km", {"grid_cell_km": 0.0}),
         ("grid.obstacles", {"grid_obstacles": (1, 2, 3)}),
         ("grid.obstacles", {"grid_obstacles": (20, 0)}),
@@ -93,7 +105,7 @@ def test_serialized_config_parses_back_to_itself(cfg):
         ("api.max_iterations", {"api_max_iterations": 0}),
         ("sim.budget_h", {"sim_budget_h": 0.0}),
         ("sim.trials", {"sim_trials": 0}),
-        ("sim.budget_h", {"sim_dt_h": 0.0}),
+        ("sim.dt_h", {"sim_dt_h": 0.0}),
         ("sim.goal_radius_km", {"sim_goal_radius_km": 0.0}),
         ("field.width_km", {"field_width_km": 0.0}),
         ("grid.nx", {"grid_nx": 1}),
@@ -108,6 +120,10 @@ def test_serialized_config_parses_back_to_itself(cfg):
         ("vehicle.v_max_kmh", {"vehicle_v_max_kmh": float("inf")}),
         ("field.strength_kmh", {"field_strength_kmh": float("-inf")}),
         ("sweep.strengths", {"sweep_strengths": (0.5, float("nan"))}),
+        ("field.height_km", {"field_height_km": -1.0}),
+        ("grid.ny", {"grid_ny": 1}),
+        ("grid.ny", {"grid_ny": 21}),
+        ("sweep.strengths", {"field_kind": "csv", "field_csv_path": "f.csv", "sweep_strengths": (0.25, 0.5)}),
     ],
 )
 def test_each_validation_branch_names_its_key(key, change):

@@ -350,7 +350,7 @@ def test_hull_projection_matches_the_all_edge_scan_bit_for_bit(states, k, points
     assert off.any()
     want = np.array([_all_edge_project(mesh, p) for p in points[off]])
     assert np.array_equal(mesh._project_many(points[off]), want)
-    assert np.array_equal(mesh.locate_rows(points, clamp=True)[0][off], want)
+    assert np.array_equal(mesh.locate_rows(points)[0][off], want)
 
 
 def _query_points(mesh, states, rng):
@@ -421,6 +421,10 @@ def _check_queries(mesh, points):
                 mesh.locate(p)
             proj = mesh.project(Point2(*p))
             assert np.abs(np.asarray(proj) - _edge_loop_project(mesh, p)).max() <= 1e-12
+            # The batched queries answer at the projection.
+            (q,), (e,), (lam,) = mesh.locate_rows(p)
+            e_ref, lam_ref = mesh.locate(proj)
+            assert np.array_equal(q, proj) and e == e_ref and np.array_equal(lam, lam_ref)
         else:
             e, lam = mesh.locate(p)
             assert e == found[0]
@@ -442,24 +446,26 @@ def test_locate_many_matches_single_point_queries():
     states = grid_states(8, goal=(3, 4))
     mesh = build_mesh(states, k=2)
     pts = _query_points(mesh, states, np.random.default_rng(3))
-    tri_idx, lams = mesh.locate_many(pts, clamp=True)
+    tri_idx, lams = mesh.locate_many(pts)
+    assert not all(mesh.covers(p) for p in pts)
     for p, e, lam in zip(pts, tri_idx, lams):
         q = p if mesh.covers(p) else mesh.project(Point2(*p))
         e_ref, lam_ref = mesh.locate(q)
         assert e == e_ref
-        assert np.array_equal(lam, np.clip(lam_ref, 0.0, 1.0))
-    with pytest.raises(DomainError):
-        mesh.locate_many(pts)
+        assert np.array_equal(lam, lam_ref)
 
 
-def test_locate_many_is_locate_rows_with_clipped_weights():
-    # A clamped raster of more rows than one batch, some off the cut corners.
+def test_locate_many_is_locate_rows_bit_for_bit():
+    # A raster of more rows than one batch, some off the cut corners: the
+    # raw weights, some a little negative, so values interpolate as in
+    # expansion_at.
     mesh = build_mesh(grid_states(8, goal=(3, 4)), k=2)
     pts = _raster((-1.0, 17.0, -1.0, 17.0), 41)
-    tri_idx, lams = mesh.locate_many(pts, clamp=True)
-    _, tri_ref, lam_ref = mesh.locate_rows(pts, clamp=True)
+    tri_idx, lams = mesh.locate_many(pts)
+    _, tri_ref, lam_ref = mesh.locate_rows(pts)
     assert np.array_equal(tri_idx, tri_ref)
-    assert np.array_equal(lams, np.clip(lam_ref, 0.0, 1.0))
+    assert lams.tobytes() == lam_ref.tobytes()
+    assert (lams < 0.0).any()
 
 
 @pytest.mark.parametrize(
@@ -484,8 +490,8 @@ def test_locate_with_the_rows_cells_matches_the_self_computed_path_bit_for_bit(n
     want = (projected, *mesh._find_many(projected))
     cells = states.state_at(points)
     for located in (
-        mesh.locate_rows(points, clamp=True),
-        mesh.locate_rows(points, clamp=True, cells=cells),
+        mesh.locate_rows(points),
+        mesh.locate_rows(points, cells=cells),
     ):
         assert len(located) == len(want)
         for a, b in zip(want, located):
@@ -581,7 +587,7 @@ def _check_expansion(mesh, pts, rng):
     value = ContinuousValue(
         mesh, np.sin(0.4 * x) * np.cos(0.3 * y) + rng.normal(0.0, 0.01, mesh.n_nodes)
     )
-    vals, grads, hessians = value.expansion(pts, clamp=True)
+    vals, grads, hessians = value.expansion(pts)
     kinds = set()
     for p, v, g, h in zip(pts, vals, grads, hessians):
         q = p if mesh.covers(p) else mesh.project(Point2(*p))
@@ -595,8 +601,8 @@ def _check_expansion(mesh, pts, rng):
         assert np.array_equal(g, value.gradient(q))
         assert np.array_equal(h, _reference_hessian(value, q))
         assert np.array_equal(h, value.hessian(q))
-    with pytest.raises(DomainError):
-        value.expansion(pts)
+        if q is not p:  # off the cover the one-point queries answer at the projection too
+            assert (value.evaluate(p), *value.gradient(p), *value.hessian(p).ravel()) == (v, *g, *h.ravel())
     return kinds
 
 
@@ -712,11 +718,14 @@ def _reference_assemble(mesh, coeffs):
 
 
 def _reference_node_gradients(value):
-    """Nodal gradients by ``np.add.at``, one corner of every triangle at a time."""
+    """Nodal gradients by ``np.add.at``, one corner of every triangle at a
+    time, of the element gradients (g0 c0 + g1 c1) + g2 c2 over each
+    element's basis gradients g and corner values c."""
     mesh = value.mesh
     num = np.zeros((mesh.n_nodes, 2))
     den = np.zeros(mesh.n_nodes)
-    weighted = value.element_gradients * mesh.areas[:, None]
+    gc = mesh.basis_gradients * value.coefficients[mesh.triangles][..., None]
+    weighted = ((gc[:, 0] + gc[:, 1]) + gc[:, 2]) * mesh.areas[:, None]
     for local in range(3):
         np.add.at(num, mesh.triangles[:, local], weighted)
         np.add.at(den, mesh.triangles[:, local], mesh.areas)
@@ -1000,11 +1009,15 @@ def test_evaluate_reproduces_linear_functions(x, y):
     assert abs(v.evaluate((x, y)) - (2.0 * x - y + 0.5)) < 1e-12
 
 
-def test_evaluate_outside_mesh_rejected():
+def test_evaluate_outside_the_cover_is_the_expansion_at_its_projection():
     mesh = build_mesh(grid_states(4), k=1)
     v = _linear_value(mesh)
+    p = Point2(-3.0, 0.0)
+    q = mesh.project(p)
+    assert q != p and mesh.covers(q)
+    assert v.evaluate(p) == v.evaluate(q) == v.evaluate_many(np.array([p]))[0]
     with pytest.raises(DomainError):
-        v.evaluate(Point2(-3.0, 0.0))
+        mesh.locate(p)
 
 
 def test_partition_of_unity():

@@ -157,7 +157,7 @@ def test_batched_improvement_matches_per_state_reference(gyre_benchmark, k):
         if best != held[s] and scores[best] > scores[held[s]] + margins[s]:
             held[s] = best
     states = np.arange(model.n_states)
-    batched = _state_scores(model, states, *value.expansion(model.states.positions(), clamp=True))
+    batched = _state_scores(model, states, *value.expansion(model.states.positions()))
     assert np.array_equal(batched, np.array(rows))
     assert np.array_equal(improve_policy_continuous(model, value), plain)
     got = improve_policy_continuous(
@@ -175,7 +175,7 @@ def test_api_scores_the_centres_it_located_once(gyre_benchmark, gyre_api, k):
     value = gyre_api[k].value
     assert "centres" in vars(value.mesh)
     got = value.expansion_at(value.mesh.centres)
-    want = value.expansion(model.states.positions(), clamp=True)
+    want = value.expansion(model.states.positions())
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 

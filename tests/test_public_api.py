@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "errors", "fem", "field_velocities", "field_velocity", "flowfield", "goal_oriented_action",
     "grid_field", "gyre_field", "improve_policy_continuous", "load_config", "load_grid_field",
     "mdp", "moments", "parse_config", "policy_evaluation_exact", "policy_iter", "run_experiment",
-    "serialize_config", "simulate_trial", "simulate_trials", "simulator", "solve",
+    "simulate_trial", "simulate_trials", "simulator", "solve",
     "step", "transition_moments", "value_mse",
 ]  # fmt: skip
 

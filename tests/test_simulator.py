@@ -133,17 +133,16 @@ def test_a_continuous_planner_on_a_mesh_of_another_state_space_is_a_value_error(
         ContinuousPlanner(model, fem.ContinuousValue(mesh, np.zeros(mesh.n_nodes)))
 
 
-def _reference_trial(field, planner, start, goal, opts, rng, states, requery_dt_h=1.0):
+def _reference_trial(field, planner, start, goal, opts, rng, states):
     """The one-trial-at-a-time loop and scalar Euler step that the lockstep
-    simulator replaced, kept as its reference. Returns the trajectory's
-    (times, points, headings, end reason, time cost, length)."""
+    simulator replaced, kept as its reference: the planner is asked for a
+    new command at every step. Returns the trajectory's (times, points,
+    headings, end reason, time cost, length)."""
     p = Point2(*start)
     heading, speed = _command(planner, p, states)
     times, pts, headings = [0.0], [tuple(p)], [heading]
     reason = "goal" if math.dist(p, goal) <= opts.goal_radius_km else "budget"
     time_cost = 0.0
-    cell = states.state_at(p) if states is not None else None
-    since_query = 0.0
     n_steps = int(opts.budget_h / opts.dt_h + 1e-9)
     if reason != "goal":
         for k in range(1, n_steps + 1):
@@ -159,25 +158,16 @@ def _reference_trial(field, planner, start, goal, opts, rng, states, requery_dt_
                 min(max(ny, field.origin.y), field.origin.y + field.extent[1]),
             )
             t = k * opts.dt_h
-            since_query += opts.dt_h
             times.append(t)
             pts.append(tuple(p))
             headings.append(heading)
             if math.dist(p, goal) <= opts.goal_radius_km:
                 reason, time_cost = "goal", t
                 break
-            if states is not None:
-                s = states.state_at(p)
-                if states.obstacles[s]:
-                    reason = "collision"
-                    break
-                cell_changed = s != cell
-                cell = s
-            else:
-                cell_changed = False
-            if planner.requery_every_step or cell_changed or since_query >= requery_dt_h - 1e-12:
-                heading, speed = _command(planner, p, states)
-                since_query = 0.0
+            if states.obstacles[states.state_at(p)]:
+                reason = "collision"
+                break
+            heading, speed = _command(planner, p, states)
             headings[-1] = heading
     if reason != "goal":
         time_cost = opts.budget_h
@@ -298,8 +288,6 @@ def test_an_experiment_of_one_trial_equals_the_reference(solved, opts):
 class _StillPlanner:
     """Commands zero speed everywhere: the vehicle drifts with the noise."""
 
-    requery_every_step = True
-
     def command(self, points, cells):
         return np.zeros(len(points)), np.zeros(len(points))
 
@@ -352,7 +340,7 @@ def _reference_command(planner, p):
     if isinstance(planner, DiscretePlanner):
         act = planner.actions[int(planner.policy[s])]
     else:
-        v, grad, hess = planner.value.expansion(np.array([p]), clamp=True)
+        v, grad, hess = planner.value.expansion(np.array([p]))
         scores = _state_scores(planner.model, s, v[0], grad[0], hess[0])
         act = planner.actions[best_action(scores)]
     return act.heading, act.speed
@@ -384,6 +372,24 @@ def test_row_commands_equal_one_point_commands(solved):
     # At the goal point itself every planner stops.
     for planner in planners.values():
         assert _command(planner, goal, states) == (0.0, 0.0)
+
+
+def test_the_discrete_planner_gives_one_command_everywhere_in_a_non_goal_cell(solved):
+    # The simulator asks every planner at every step; for the grid policy
+    # that is a lookup of the containing cell, so asking again inside a cell
+    # other than the goal's gives the command it already holds.
+    _, states, model, planners = solved
+    planner = planners["classic-pi"]
+    rng = np.random.default_rng(29)
+    rows = np.vstack([rng.uniform(0.0, 20.0, size=(4000, 2)), states.positions() + 0.999, states.positions() - 0.999])
+    rows = np.clip(rows, 0.0, 20.0)
+    cells = states.state_at(rows)
+    heading, speed = planner.command(rows, cells)
+    away = cells != states.goal
+    assert set(cells[away].tolist()) == set(range(states.n)) - {states.goal}
+    act = planner.policy[cells[away]]
+    assert np.array_equal(heading[away], [model.actions[a].heading for a in act])
+    assert np.array_equal(speed[away], [model.actions[a].speed for a in act])
 
 
 @pytest.mark.parametrize("goal", [(-0.0, -0.0), (0.0, 0.0), (7.0, -3.5)], ids=["negative-zero", "zero", "off-origin"])

@@ -81,7 +81,7 @@ def _reference_raster_csv(path, value, bounds, n):
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
     grid = np.array([(x, y) for y in ys for x in xs])
-    vals = value.evaluate_many(grid, clamp=True)
+    vals = value.evaluate_many(grid)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x_km", "y_km", "value"])
@@ -184,7 +184,7 @@ def test_mesh_tables_match_the_csv_writer(tmp_path):
 
 
 def test_raster_table_matches_the_csv_writer(tmp_path):
-    value = SimpleNamespace(evaluate_many=lambda points, clamp: _edge(len(points), 1))
+    value = SimpleNamespace(evaluate_many=lambda points: _edge(len(points), 1))
     for bounds, n in [((0.0, 8.0, 0.0, 8.0), 5), ((-0.0, 1e16, 5e-324, 0.1), 4), ((1.0, 1.0, 2.0, 2.0), 2)]:
         _same_bytes(tmp_path, _reference_raster_csv, write_raster_csv, value, bounds, n)
 
