@@ -24,8 +24,8 @@ from .config import (
     ExperimentConfig,
     build_field,
     build_mdp,
-    build_states,
     load_config,
+    require_in_domain,
     strength_tag,
 )
 from .errors import (
@@ -133,40 +133,35 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
 
 
 def cmd_mse(cfg: ExperimentConfig, out: Path, base_dir: Path) -> int:
+    """API's value error against classic PI on n x n lattices over the square
+    field, one per size in mse.grid_sizes (else grid.nx), each with the goal in
+    the cell of the configured goal centre; only that centre must be in the field."""
     sizes = cfg.mse_grid_sizes or (cfg.grid_nx,)
     if not cfg.mse_grid_sizes and cfg.grid_nx < MSE_MIN_GRID:  # validate_config checks the listed sizes
         raise ConfigError(f"grid.nx: grid size {cfg.grid_nx} too small for mse (set mse.grid_sizes)")
     field = build_field(cfg, base_dir)  # every grid size samples the one field
+    width, height = field.extent
+    if width != height:
+        key = "field.height_km" if cfg.field_kind == "gyre" else "field.csv_path"
+        raise ConfigError(f"{key}: mse needs a square field, got {width:g} x {height:g} km")
     goal_x = cfg.grid_origin_x_km + cfg.goal_i * cfg.grid_cell_km
     goal_y = cfg.grid_origin_y_km + cfg.goal_j * cfg.grid_cell_km
-    for key, value, lo, extent in zip(("goal.i", "goal.j"), (goal_x, goal_y), field.origin, field.extent):
-        if not lo - 1e-9 <= value <= lo + extent + 1e-9:
-            raise ConfigError(f"{key}: the goal centre lies outside the field domain")
+    outside = "the goal centre lies outside the field domain"
+    require_in_domain(field, [("goal.i", 0, goal_x, outside), ("goal.j", 1, goal_y, outside)])
     records = []
     for n in sizes:
-        # Each lattice tiles the field's (square) domain from its origin.
-        cell = field.extent[0] / n
+        # Each lattice tiles the field's square domain from its origin.
+        cell = width / n
         origin = Point2(field.origin.x + cell / 2, field.origin.y + cell / 2)
-        lattice = mdp.StateSpace.regular(int(n), int(n), cell, (0, 0), origin)
-        goal_i, goal_j = lattice.coords(lattice.state_at((goal_x, goal_y)))
-        cfg_n = replace(
-            cfg,
-            grid_nx=int(n),
-            grid_ny=int(n),
-            grid_cell_km=cell,
-            grid_origin_x_km=origin.x,
-            grid_origin_y_km=origin.y,
-            grid_obstacles=(),
-            goal_i=goal_i,
-            goal_j=goal_j,
-        )
-        model = build_mdp(cfg_n, field=field)
+        lattice = mdp.StateSpace.regular(n, n, cell, (0, 0), origin)
+        states = replace(lattice, goal=lattice.state_at((goal_x, goal_y)))
+        model = mdp.build_model(field, states, cfg.mdp_dt_h, cfg.vehicle_v_max_kmh, cfg.mdp_gamma)
         pi_res = mdp.classic_policy_iteration(model)
         max_abs = float(np.max(np.abs(pi_res.values)))
         for k in (1, 2):
-            api_res = approximate_policy_iteration(model, _api_config(cfg_n, k=k))
-            err = value_mse(api_res.value, pi_res.values, model.states)
-            records.append((int(n), k, err, max_abs))
+            api_res = approximate_policy_iteration(model, _api_config(cfg, k=k))
+            err = value_mse(api_res.value, pi_res.values, states)
+            records.append((n, k, err, max_abs))
             print(f"grid {n}x{n} k={k}: mse {err:.3e}, max |value| {max_abs:.3f}")
     write_table(out / "mse.csv", ["grid_n", "k", "mse", "max_abs_value"], records)
     return 0

@@ -130,6 +130,8 @@ def strength_tag(strength: float) -> str:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """ConfigError, naming the key, for what the config text alone decides;
+    ``build_mdp`` checks the grid and the start against the built field."""
     def fail(key: str, message: str):
         raise ConfigError(f"{key}: {message}")
 
@@ -162,8 +164,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for i, j in obstacle_cells(cfg):
         if not (0 <= i < cfg.grid_nx and 0 <= j < cfg.grid_ny):
             fail("grid.obstacles", f"cell ({i}, {j}) outside the grid")
-    if not (0 <= cfg.goal_i < cfg.grid_nx and 0 <= cfg.goal_j < cfg.grid_ny):
+    if not 0 <= cfg.goal_i < cfg.grid_nx:
         fail("goal.i", "goal cell outside the grid")
+    if not 0 <= cfg.goal_j < cfg.grid_ny:
+        fail("goal.j", "goal cell outside the grid")
     if (cfg.goal_i, cfg.goal_j) in obstacle_cells(cfg):
         fail("goal.i", "goal cell cannot be an obstacle")
     if cfg.vehicle_v_max_kmh <= 0:
@@ -199,30 +203,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         tagged[tag] = strength
     if cfg.field_kind == "csv" and len(cfg.sweep_strengths) > 1:
         fail("sweep.strengths", "a csv field ignores field.strength_kmh, so it takes at most one strength")
-    # A gyre's domain is [0, width] x [0, height], and every state centre and
-    # the start must lie in it; a CSV field's is known only once loaded, so
-    # build_mdp and cmd_mse check them there. The goal centre goes first: mse
-    # re-grids the field and keeps only the goal of the configured grid.
-    if cfg.field_kind == "gyre":
-        cell = cfg.grid_cell_km
-        axes = (
-            ("x", "i", cfg.grid_origin_x_km, cfg.grid_nx, cfg.goal_i, cfg.field_width_km),
-            ("y", "j", cfg.grid_origin_y_km, cfg.grid_ny, cfg.goal_j, cfg.field_height_km),
-        )
-        for _, index, origin, _, goal, extent in axes:
-            if not -1e-9 <= origin + goal * cell <= extent + 1e-9:
-                fail(f"goal.{index}", "the goal centre lies outside the field domain")
-        for axis, _, origin, n, _, extent in axes:
-            if origin < -1e-9:
-                fail(f"grid.origin_{axis}_km", "the grid's lower corner lies outside the field domain")
-            if origin + (n - 1) * cell > extent + 1e-9:
-                fail(f"grid.n{axis}", "state grid extends beyond the field domain")
-        for key, value, extent in (
-            ("start.x_km", cfg.start_x_km, cfg.field_width_km),
-            ("start.y_km", cfg.start_y_km, cfg.field_height_km),
-        ):
-            if not -1e-9 <= value <= extent + 1e-9:
-                fail(key, "start lies outside the field domain")
 
 
 def build_field(cfg: ExperimentConfig, base_dir: str | Path = ".") -> FlowField:
@@ -239,28 +219,40 @@ def build_field(cfg: ExperimentConfig, base_dir: str | Path = ".") -> FlowField:
         raise ConfigError(f"field.csv_path: cannot read {path}: {exc}") from exc
 
 
-def build_states(cfg: ExperimentConfig) -> StateSpace:
-    return StateSpace.regular(
-        cfg.grid_nx,
-        cfg.grid_ny,
-        cfg.grid_cell_km,
-        (cfg.goal_i, cfg.goal_j),
-        origin=Point2(cfg.grid_origin_x_km, cfg.grid_origin_y_km),
-        obstacle_cells=obstacle_cells(cfg),
-    )
+def require_in_domain(field: FlowField, checks: list[tuple[str, int, float, str]]) -> None:
+    """ConfigError ``key: message`` for the first (key, axis, value, message)
+    whose value lies outside the field's domain on that axis. One
+    ``FlowField.contains`` call tests all, each at the field's origin on its other axis."""
+    points = np.tile(np.array(field.origin, dtype=float), (len(checks), 1))
+    points[np.arange(len(checks)), [c[1] for c in checks]] = [c[2] for c in checks]
+    outside = np.flatnonzero(~field.contains(points))
+    if len(outside):
+        key, _, _, message = checks[outside[0]]
+        raise ConfigError(f"{key}: {message}")
 
 
 def build_mdp(cfg: ExperimentConfig, field: FlowField | None = None, base_dir: str | Path = ".") -> MdpModel:
-    """The grid MDP of a config; ConfigError when a state centre or the start
-    lies outside the field's domain (a CSV lattice too small, or a grid
-    origin outside)."""
+    """The grid MDP of a config; on a gyre or a CSV field alike, ConfigError
+    naming the first of grid.origin_x_km (lower corner), grid.nx (last centre),
+    grid.origin_y_km, grid.ny, start.x_km and start.y_km outside the domain."""
     if field is None:
         field = build_field(cfg, base_dir)
-    if not field.contains(Point2(cfg.start_x_km, cfg.start_y_km)):
-        raise ConfigError("start: the start lies outside the field domain")
-    states = build_states(cfg)
-    outside = np.flatnonzero(~field.contains(states.positions()))
-    if len(outside):
-        i, j = states.coords(int(outside[0]))
-        raise ConfigError(f"grid: state ({i}, {j}) lies outside the field domain")
+    x0, y0, cell = cfg.grid_origin_x_km, cfg.grid_origin_y_km, cfg.grid_cell_km
+    corner = "the grid's lower corner lies outside the field domain"
+    beyond = "state grid extends beyond the field domain"
+    start = "start lies outside the field domain"
+    require_in_domain(
+        field,
+        [
+            ("grid.origin_x_km", 0, x0, corner),
+            ("grid.nx", 0, x0 + (cfg.grid_nx - 1) * cell, beyond),  # the last centre, as StateSpace.positions
+            ("grid.origin_y_km", 1, y0, corner),
+            ("grid.ny", 1, y0 + (cfg.grid_ny - 1) * cell, beyond),
+            ("start.x_km", 0, cfg.start_x_km, start),
+            ("start.y_km", 1, cfg.start_y_km, start),
+        ],
+    )
+    states = StateSpace.regular(
+        cfg.grid_nx, cfg.grid_ny, cell, (cfg.goal_i, cfg.goal_j), Point2(x0, y0), obstacle_cells(cfg)
+    )
     return build_model(field, states, cfg.mdp_dt_h, cfg.vehicle_v_max_kmh, cfg.mdp_gamma)

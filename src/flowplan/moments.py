@@ -40,7 +40,6 @@ class PdeCoefficients:
     diffusion: np.ndarray  # (n_nodes, 2, 2)
     source: np.ndarray  # (n_nodes,) expected one-step reward R(s, pi(s))
     gamma: float
-    goal_node: int
 
 
 def transition_moments(
@@ -65,12 +64,10 @@ def assemble_coefficients(
     model: MdpModel,
     policy: np.ndarray,
     node_states: np.ndarray,
-    goal_node: int,
 ) -> PdeCoefficients:
     """Sample drift, diffusion, and reward source at mesh nodes.
 
-    ``node_states`` maps each node to its grid state; the node sitting on the
-    goal state is recorded for the point constraint applied by the solver.
+    ``node_states`` maps each node to its grid state.
     """
     node_states = np.asarray(node_states)
     if node_states.ndim != 1 or len(node_states) == 0:
@@ -80,7 +77,7 @@ def assemble_coefficients(
     actions = np.asarray(policy)[node_states]
     m = transition_moments(model, node_states, actions)
     source = model.rewards[node_states, actions]
-    return PdeCoefficients(m.drift, m.diffusion, source, model.gamma, goal_node)
+    return PdeCoefficients(m.drift, m.diffusion, source, model.gamma)
 
 
 def write_coefficients_csv(path, node_positions: np.ndarray, coeffs: PdeCoefficients) -> None:

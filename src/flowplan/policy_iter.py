@@ -131,7 +131,7 @@ def project_wall_tangential(coeffs, mesh: fem.Mesh, model: MdpModel) -> None:
 def policy_coefficients(model: MdpModel, policy: np.ndarray, mesh: fem.Mesh) -> PdeCoefficients:
     """The nodal coefficients that the evaluation of ``policy`` on ``mesh``
     solves with: the moments of its transition rows, wall-projected."""
-    coeffs = assemble_coefficients(model, policy, mesh.node_state, mesh.goal_node)
+    coeffs = assemble_coefficients(model, policy, mesh.node_state)
     project_wall_tangential(coeffs, mesh, model)
     return coeffs
 

@@ -8,6 +8,7 @@ from flowplan import cli, fem
 from flowplan.cli import main
 from flowplan.config import build_mdp, parse_config
 from flowplan.errors import NumericalError
+from flowplan.mdp import build_model
 from flowplan.policy_iter import ApiConfig, approximate_policy_iteration, evaluate_policy_fem
 
 SMALL_GYRE = """\
@@ -41,15 +42,15 @@ def test_solve_on_a_small_gyre_exits_zero(tmp_path, capsys):
 
 
 def test_csv_field_smaller_than_the_grid_is_a_config_error(tmp_path, capsys):
-    # The lattice spans [0, 6] km, but the state centres reach 11 km. In
-    # state order the first centre outside is (7, 1) km, state (3, 0).
+    # The lattice spans [0, 6] km, but the last state centre lies at 11 km
+    # on both axes; x is checked first.
     rows = ["x_km,y_km,vx_kmh,vy_kmh"]
     rows += [f"{x}.0,{y}.0,0.0,0.0" for y in range(7) for x in range(7)]
     (tmp_path / "field.csv").write_text("\n".join(rows) + "\n")
     text = SMALL_GYRE.replace("field.kind = gyre", "field.kind = csv\nfield.csv_path = field.csv")
     code, err = _run(tmp_path, text, capsys)
     assert code == 2
-    assert "config error" in err and "grid: state (3, 0) lies outside the field domain" in err
+    assert "config error" in err and "grid.nx: state grid extends beyond the field domain" in err
 
 
 @pytest.mark.parametrize("key", ["grid.origin_x_km", "grid.origin_y_km"])
@@ -184,11 +185,11 @@ def test_mse_maps_the_goal_to_the_cell_that_state_at_gives(tmp_path, capsys, mon
     # in cell 1 on both axes; rounding half to even put it in cell 0.
     goals = []
 
-    def recording(cfg, *args, **kwargs):
-        goals.append((cfg.goal_i, cfg.goal_j))
-        return build_mdp(cfg, *args, **kwargs)
+    def recording(field, states, *args):
+        goals.append(states.coords(states.goal))
+        return build_model(field, states, *args)
 
-    monkeypatch.setattr(cli, "build_mdp", recording)
+    monkeypatch.setattr(cli.mdp, "build_model", recording)
     text = SMALL_GYRE.replace("_km = 12.0", "_km = 20.0").replace("= 6\n", "= 10\n").replace("= 4\n", "= 2\n")
     assert text.count("20.0") == 2 and text.count("= 10\n") == 2 and text.count("= 2\n") == 2
     cfg = tmp_path / "run.cfg"
@@ -218,17 +219,60 @@ def test_mse_on_a_csv_field_off_the_origin_places_its_lattices_on_the_field(tmp_
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 0
     lattices = []
 
-    def recording(cfg, *args, **kwargs):
-        lattices.append((cfg.grid_cell_km, cfg.grid_origin_x_km, cfg.grid_origin_y_km, cfg.goal_i, cfg.goal_j))
-        return build_mdp(cfg, *args, **kwargs)
+    def recording(field, states, *args):
+        lattices.append((states.cell_km, *states.origin, *states.coords(states.goal)))
+        return build_model(field, states, *args)
 
-    monkeypatch.setattr(cli, "build_mdp", recording)
+    monkeypatch.setattr(cli.mdp, "build_model", recording)
     out = tmp_path / "out"
     code = main(["mse", "--config", str(cfg), "--out", str(out)])
     assert code == 0, capsys.readouterr().err
     assert lattices == [(4.0, 12.0, 12.0, 3, 3), (2.0, 11.0, 11.0, 7, 7)]
     _, rows = _rows(out / "mse.csv")
     assert [(int(n), int(k)) for n, k, _, _ in rows] == [(5, 1), (5, 2), (10, 1), (10, 2)]
+
+
+def test_mse_on_a_gyre_grid_that_overflows_the_field_runs_when_the_goal_lies_inside(tmp_path, capsys):
+    # A seventh column puts the last state centre at 13 km on the 12 km
+    # field, but mse solves only its own lattices and the goal centre at
+    # (9, 9) km: the configured grid is none of its business.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_GYRE.replace("grid.nx = 6", "grid.nx = 7") + "mse.grid_sizes = 4\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 2
+    assert "config error: grid.nx: state grid extends beyond the field domain" in capsys.readouterr().err
+    code = main(["mse", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    _, rows = _rows(tmp_path / "out" / "mse.csv")
+    assert [(int(n), int(k)) for n, k, _, _ in rows] == [(4, 1), (4, 2)]
+
+
+def _taller_gyre(tmp_path):
+    # A 12 x 24 km gyre with the goal centre at (9, 21) km, above the lower
+    # 12 km square that lattices of width / n cells would cover.
+    text = SMALL_GYRE.replace("field.height_km = 12.0", "field.height_km = 24.0")
+    return "field.height_km", text.replace("grid.origin_y_km = 1.0", "grid.origin_y_km = 13.0")
+
+
+def _wider_csv(tmp_path):
+    # A 20 x 10 km CSV lattice; the goal centre at (9, 9) km lies in it.
+    rows = ["x_km,y_km,vx_kmh,vy_kmh"] + [f"{x}.0,{y}.0,0.0,0.0" for y in range(11) for x in range(21)]
+    (tmp_path / "field.csv").write_text("\n".join(rows) + "\n")
+    return "field.csv_path", CSV_FIELD
+
+
+@pytest.mark.parametrize("make", [_taller_gyre, _wider_csv], ids=["taller-gyre", "wider-csv"])
+def test_mse_on_a_field_that_is_not_square_is_a_config_error_before_any_solve(tmp_path, capsys, make):
+    # mse tiles n x n lattices of square cells over the field, so a field
+    # that is not square would leave part of it out, or the goal with it.
+    key, text = make(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "mse.grid_sizes = 4\n")
+    code = main(["mse", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"config error: {key}: mse needs a square field")
+    assert captured.out == ""
+    assert not (tmp_path / "out" / "mse.csv").exists()
 
 
 def test_an_unconverged_api_returns_the_value_of_the_policy_it_returns():

@@ -8,6 +8,8 @@ from flowplan.config import (
     _KEYS,
     _PARSERS,
     ExperimentConfig,
+    build_field,
+    build_mdp,
     parse_config,
     strength_tag,
     validate_config,
@@ -94,7 +96,7 @@ def test_serialized_config_parses_back_to_itself(cfg):
         ("grid.cell_km", {"grid_cell_km": 0.0}),
         ("grid.obstacles", {"grid_obstacles": (1, 2, 3)}),
         ("grid.obstacles", {"grid_obstacles": (20, 0)}),
-        ("goal.i", {"goal_j": 20}),
+        ("goal.j", {"goal_j": 20}),
         ("goal.i", {"grid_obstacles": (17, 17)}),
         ("vehicle.v_max_kmh", {"vehicle_v_max_kmh": 0.0}),
         ("mdp.dt_h", {"mdp_dt_h": -1.0}),
@@ -111,9 +113,9 @@ def test_serialized_config_parses_back_to_itself(cfg):
         ("grid.nx", {"grid_nx": 1}),
         ("output.raster_n", {"output_raster_n": 1}),
         ("mse.grid_sizes", {"mse_grid_sizes": (10, 3)}),
-        ("grid.nx", {"grid_nx": 21}),
-        ("start.x_km", {"start_x_km": 40.5}),
-        ("start.y_km", {"start_y_km": -0.5}),
+        ("goal.i", {"goal_i": 20}),
+        ("grid.obstacles", {"grid_obstacles": (-1, 0)}),
+        ("sweep.strengths", {"sweep_strengths": (0.5, 0.5000001)}),
         ("sim.dt_h", {"sim_dt_h": float("nan")}),
         ("sim.budget_h", {"sim_budget_h": float("inf")}),
         ("noise.sigma_kmh", {"noise_sigma_kmh": float("nan")}),
@@ -122,7 +124,7 @@ def test_serialized_config_parses_back_to_itself(cfg):
         ("sweep.strengths", {"sweep_strengths": (0.5, float("nan"))}),
         ("field.height_km", {"field_height_km": -1.0}),
         ("grid.ny", {"grid_ny": 1}),
-        ("grid.ny", {"grid_ny": 21}),
+        ("field.height_km", {"field_height_km": 0.0}),
         ("sweep.strengths", {"field_kind": "csv", "field_csv_path": "f.csv", "sweep_strengths": (0.25, 0.5)}),
     ],
 )
@@ -130,6 +132,46 @@ def test_each_validation_branch_names_its_key(key, change):
     validate_config(ExperimentConfig())
     with pytest.raises(ConfigError, match=rf"^{key}: "):
         validate_config(replace(ExperimentConfig(), **change))
+
+
+def _default_square_field(kind, tmp_path):
+    """The default config's 40 km square domain, as its gyre or as a still CSV
+    lattice of 4 km cells."""
+    if kind == "gyre":
+        return build_field(ExperimentConfig())
+    rows = ["x_km,y_km,vx_kmh,vy_kmh"] + [f"{4 * i}.0,{4 * j}.0,0.0,0.0" for j in range(11) for i in range(11)]
+    (tmp_path / "field.csv").write_text("\n".join(rows) + "\n")
+    return build_field(replace(ExperimentConfig(), field_kind="csv", field_csv_path="field.csv"), tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["gyre", "csv"])
+def test_build_mdp_accepts_the_default_grid_on_either_field(kind, tmp_path):
+    field = _default_square_field(kind, tmp_path)
+    assert field.origin == (0.0, 0.0) and field.extent == (40.0, 40.0)
+    assert build_mdp(ExperimentConfig(), field=field).n_states == 400
+
+
+@pytest.mark.parametrize("kind", ["gyre", "csv"])
+@pytest.mark.parametrize(
+    "key, change",
+    [
+        ("grid.origin_x_km", {"grid_origin_x_km": -1.0}),
+        ("grid.nx", {"grid_nx": 21}),
+        ("grid.origin_y_km", {"grid_origin_y_km": 40.5}),
+        ("grid.ny", {"grid_ny": 21}),
+        ("start.x_km", {"start_x_km": 40.5}),
+        ("start.y_km", {"start_y_km": -0.5}),
+        # With two faults the first in key order is named: x before y, and
+        # the grid before the start.
+        ("grid.nx", {"grid_nx": 21, "grid_origin_y_km": -1.0}),
+        ("grid.ny", {"grid_ny": 21, "start_x_km": 40.5}),
+    ],
+)
+def test_build_mdp_names_the_same_key_for_a_domain_fault_on_either_field(kind, key, change, tmp_path):
+    cfg = replace(ExperimentConfig(), **change)
+    validate_config(cfg)  # the config text alone is valid
+    with pytest.raises(ConfigError, match=rf"^{key}: "):
+        build_mdp(cfg, field=_default_square_field(kind, tmp_path))
 
 
 @pytest.mark.parametrize(

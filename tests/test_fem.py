@@ -60,7 +60,6 @@ def constant_coefficients(mesh, drift=(0.0, 0.0), diffusion=None, source=0.0, ga
         diffusion=np.tile(diffusion, (n, 1, 1)),
         source=np.full(n, float(source)),
         gamma=gamma,
-        goal_node=mesh.goal_node,
     )
 
 
@@ -751,7 +750,6 @@ def _random_coefficients(mesh, rng):
         diffusion=a @ a.swapaxes(1, 2),
         source=rng.standard_normal(n),
         gamma=0.95,
-        goal_node=mesh.goal_node,
     )
 
 
@@ -802,7 +800,7 @@ def test_assemble_matches_the_coo_reference_bit_for_bit(geometry, coefficients):
             coeffs = _random_coefficients(mesh, rng)
         else:
             policy = rng.integers(0, 8, size=states.n)
-            coeffs = assemble_coefficients(model, policy, mesh.node_state, mesh.goal_node)
+            coeffs = assemble_coefficients(model, policy, mesh.node_state)
             project_wall_tangential(coeffs, mesh, model)
         system = assemble(mesh, coeffs)
         _assert_same_system(system, _reference_assemble(mesh, coeffs))
@@ -900,7 +898,7 @@ def _policy_system(nx, ny, k, goal):
     model = build_model(field, states, 1.0, 3.0, 0.95)
     mesh = build_mesh(states, k)
     policy = np.random.default_rng(nx * ny + k).integers(0, 8, size=states.n)
-    coeffs = assemble_coefficients(model, policy, mesh.node_state, mesh.goal_node)
+    coeffs = assemble_coefficients(model, policy, mesh.node_state)
     project_wall_tangential(coeffs, mesh, model)
     return constrain_goal(assemble(mesh, coeffs), mesh.goal_node)
 

@@ -81,7 +81,7 @@ def test_coefficients_uniform_for_translation_invariant_model(zero_field_model):
     model = zero_field_model
     node_states = np.arange(model.n_states)
     policy = np.zeros(model.n_states, dtype=np.int64)
-    coeffs = assemble_coefficients(model, policy, node_states, int(model.states.goal))
+    coeffs = assemble_coefficients(model, policy, node_states)
     interior = [
         s
         for s in range(model.n_states)
@@ -97,9 +97,7 @@ def test_coefficients_uniform_for_translation_invariant_model(zero_field_model):
 def test_interior_source_is_step_reward(zero_field_model):
     model = zero_field_model
     node_states = np.arange(model.n_states)
-    coeffs = assemble_coefficients(
-        model, np.zeros(model.n_states, dtype=np.int64), node_states, int(model.states.goal)
-    )
+    coeffs = assemble_coefficients(model, np.zeros(model.n_states, dtype=np.int64), node_states)
     far = model.states.index(0, 0)
     assert coeffs.source[far] == pytest.approx(-0.1, abs=1e-12)
     assert -coeffs.source[far] == pytest.approx(0.1, abs=1e-12)
@@ -108,7 +106,7 @@ def test_interior_source_is_step_reward(zero_field_model):
 def test_coefficient_field_matches_per_node_moment_calls(gyre_benchmark):
     model, exact = gyre_benchmark
     node_states = np.arange(model.n_states)
-    coeffs = assemble_coefficients(model, exact.policy, node_states, int(model.states.goal))
+    coeffs = assemble_coefficients(model, exact.policy, node_states)
     rng = np.random.default_rng(2)
     for s in rng.integers(0, model.n_states, size=25):
         s = int(s)
@@ -125,7 +123,6 @@ def test_unmapped_node_rejected(zero_field_model):
             model,
             np.zeros(model.n_states, dtype=np.int64),
             np.array([0, 1, model.n_states + 3]),
-            0,
         )
 
 
@@ -134,9 +131,7 @@ def test_coefficients_csv_schema(tmp_path, zero_field_model):
 
     model = zero_field_model
     node_states = np.arange(model.n_states)
-    coeffs = assemble_coefficients(
-        model, np.zeros(model.n_states, dtype=np.int64), node_states, int(model.states.goal)
-    )
+    coeffs = assemble_coefficients(model, np.zeros(model.n_states, dtype=np.int64), node_states)
     path = tmp_path / "coeffs.csv"
     write_coefficients_csv(path, model.states.positions(), coeffs)
     header = path.read_text().splitlines()[0]

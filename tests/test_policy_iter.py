@@ -60,7 +60,7 @@ def test_wall_projection_matches_the_hull_node_loop(n, k, goal):
     mesh = fem.build_mesh(model.states, k)
     policy = np.random.default_rng(n + k).integers(0, 8, size=model.n_states)
     raw, got, want = (
-        assemble_coefficients(model, policy, mesh.node_state, mesh.goal_node) for _ in range(3)
+        assemble_coefficients(model, policy, mesh.node_state) for _ in range(3)
     )
     project_wall_tangential(got, mesh, model)
     _hull_loop_wall_projection(want, mesh, model)

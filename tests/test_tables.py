@@ -193,10 +193,10 @@ def test_coefficient_table_matches_the_csv_writer(tmp_path, zero_field_model):
     model = zero_field_model
     mesh = build_mesh(model.states, 1)
     policy = classic_policy_iteration(model).policy
-    coeffs = assemble_coefficients(model, policy, mesh.node_state, mesh.goal_node)
+    coeffs = assemble_coefficients(model, policy, mesh.node_state)
     _same_bytes(tmp_path, _reference_coefficients_csv, write_coefficients_csv, mesh.nodes, coeffs)
     edge = PdeCoefficients(
-        _edge(20, 2).reshape(10, 2), _edge(40, 5).reshape(10, 2, 2), _edge(10, 7), 0.95, 3
+        _edge(20, 2).reshape(10, 2), _edge(40, 5).reshape(10, 2, 2), _edge(10, 7), 0.95
     )
     positions = _edge(20).reshape(10, 2)
     _same_bytes(tmp_path, _reference_coefficients_csv, write_coefficients_csv, positions, edge)

@@ -13,9 +13,13 @@ on a small gyre, once more with its goal centre on the domain's lower edge,
 more over a sweep of two strengths with one obstacle, and ``flowplan solve``
 on it with a k=2 mesh, an even goal and one obstacle, once more without
 noise, and once more with an iteration budget of two that API runs out of.
-Every output file, each command's stdout and its exit status are compared
-byte for byte. The differing files are listed (marked when they differ only
-in line endings), and the exit status is 1 if any file differs, else 0.
+Two input errors run as well: ``flowplan solve`` on the ``csv-wall-k2``
+inputs of seed 7 with a grid one column past the field, and ``flowplan mse``
+on the small gyre made taller than wide. Every output file, each command's
+stdout and stderr and its exit status are compared byte for byte, so a
+changed error message shows. The differing files are listed (marked when
+they differ only in line endings), and the exit status is 1 if any file
+differs, else 0.
 
 For a differing CSV table or JSON-lines file the listing also says how it
 differs, cell by cell: the number of differing cells, the largest absolute
@@ -94,6 +98,14 @@ SMALL_GYRE_SWEEP = (
 # seed): k = 1 and k = 2 meshes on cells of 10/3 and 5/3 km, which are not
 # dyadic, and one parse of the field for the whole sweep.
 CSV_WALL_MSE = "mse.grid_sizes = 12, 24\n"
+# ``flowplan solve`` on the csv-wall-k2 inputs with a 25th column, whose state
+# centres lie half a cell past the field: an input error, named on stderr.
+CSV_WALL_GRID_PAST_FIELD = ("grid.nx = 24\n", "grid.nx = 25\n")
+# ``flowplan mse`` on the small gyre at twice its height, with the goal centre
+# in the upper half: mse's lattices tile only a square field.
+SMALL_GYRE_TALL = SMALL_GYRE.replace("field.height_km = 12.0", "field.height_km = 24.0").replace(
+    "grid.origin_y_km = 1.0", "grid.origin_y_km = 13.0"
+)
 
 
 def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
@@ -108,6 +120,9 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
     cfg = inputs / f"csv-wall-k2-s{SEEDS[0]}" / "mse.cfg"
     cfg.write_text((cfg.parent / "workload.cfg").read_text() + CSV_WALL_MSE)
     cases.append(("mse-csv-wall-k2", ["mse", "--config", str(cfg)]))
+    cfg = inputs / f"csv-wall-k2-s{SEEDS[0]}" / "grid-past-field.cfg"
+    cfg.write_text((cfg.parent / "workload.cfg").read_text().replace(*CSV_WALL_GRID_PAST_FIELD))
+    cases.append(("solve-csv-wall-k2-grid-past-field", ["solve", "--config", str(cfg)]))
     cfg = inputs / "mse-small-gyre" / "run.cfg"
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE)
@@ -136,6 +151,10 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE + SMALL_GYRE_SWEEP)
     cases.append(("simulate-small-gyre-sweep", ["simulate", "--config", str(cfg), "--seed", str(SEEDS[0])]))
+    cfg = inputs / "mse-small-gyre-tall" / "run.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text(SMALL_GYRE_TALL)
+    cases.append(("mse-small-gyre-tall", ["mse", "--config", str(cfg)]))
     return cases
 
 
@@ -147,9 +166,10 @@ def run_tree(src: Path, cases: list[tuple[str, list[str]]], out: Path) -> None:
         dest.mkdir(parents=True)
         proc = subprocess.run(
             [sys.executable, "-m", "flowplan.cli", *args, "--out", str(dest)],
-            env=env, stdout=subprocess.PIPE, check=False,
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False,
         )
         (dest / "stdout.txt").write_bytes(proc.stdout)
+        (dest / "stderr.txt").write_bytes(proc.stderr)
         (dest / "exit_status.txt").write_text(f"{proc.returncode}\n")
 
 
