@@ -27,6 +27,7 @@ from .config import (
     load_config,
     require_in_domain,
     strength_tag,
+    validate_config,
 )
 from .errors import (
     ConfigError,
@@ -187,6 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, sim_seed=args.seed)
+            validate_config(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         base_dir = Path(args.config).resolve().parent

@@ -190,6 +190,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         fail("sim.dt_h", "must be positive")
     if cfg.sim_goal_radius_km <= 0:
         fail("sim.goal_radius_km", "must be positive")
+    if cfg.sim_seed < 0:
+        fail("sim.seed", "must be non-negative")
     if cfg.output_raster_n < 2:
         fail("output.raster_n", "must be at least 2")
     for n in cfg.mse_grid_sizes:

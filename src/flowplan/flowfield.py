@@ -7,9 +7,10 @@ externally produced current estimates). A field's noise is its per-axis
 standard deviations; the simulator draws it.
 
 This module owns the CSV format on both sides: :func:`load_grid_field`
-reads a sampled field, and :func:`write_table` writes every table the
-commands emit; :func:`write_keyed_table` writes one whose rows come in
-runs that share their first cell.
+reads a sampled field in one pass of the csv module, with numpy reading a
+plain body, and :func:`write_table` writes every table the commands emit;
+:func:`write_keyed_table` writes one whose rows come in runs that share
+their first cell.
 """
 
 from __future__ import annotations
@@ -243,38 +244,16 @@ def _nearest(lattice: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(np.abs(lattice[lo] - values) <= np.abs(lattice[hi] - values), lo, hi)
 
 
-def _raise_first_bad_record(records: list[tuple[int, list[str]]]) -> None:
-    """Raise the FieldFormatError of the first bad record; ``records`` holds
-    the non-blank records after the header, each with its physical line
-    number."""
-    for lineno, row in records:
-        if len(row) != 4:
-            raise FieldFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        try:
-            record = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise FieldFormatError(f"line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, record)):
-            raise FieldFormatError(f"line {lineno}: values must be finite, got {row}")
-
-
-def _loadtxt_table(lines: list[str]) -> np.ndarray | None:
-    """The (records, 4) body table of a CSV input by ``np.loadtxt``, or None
-    where numpy's reader might read it apart from the csv module.
-
-    The header is found by the csv module, as in :func:`_csv_table`, and the
-    lines after it go to numpy, unless they are blank (numpy would warn of no
-    data), hold a character of ``_LOADTXT_REFUSED`` or a line longer than the
-    csv module's field size limit. What numpy then reads as four finite
-    columns is the csv module's table to the bit: both parse a number as
-    ``float`` does, and numpy refuses the spellings only ``float`` takes,
-    such as ``1_0`` and non-ASCII digits.
+def _loadtxt_body(body: list[str]) -> np.ndarray | None:
+    """The (records, 4) table of the lines after a CSV header by
+    ``np.loadtxt``, or None where numpy's reader might read them apart from
+    the csv module: where they are blank (numpy would warn of no data), hold
+    a character of ``_LOADTXT_REFUSED`` or a line longer than the csv
+    module's field size limit, or are not four finite columns to numpy.
+    What numpy reads is the csv module's table to the bit: both parse a
+    number as ``float`` does, and numpy refuses the spellings only ``float``
+    takes, such as ``1_0`` and non-ASCII digits.
     """
-    reader = csv.reader(lines)
-    header = next((row for row in reader if "".join(row).strip()), None)
-    if header is None or [cell.strip() for cell in header] != _HEADER:
-        return None
-    body = lines[reader.line_num :]
     text = "".join(body)
     if not text or text.isspace() or any(c in text for c in _LOADTXT_REFUSED):
         return None
@@ -289,30 +268,41 @@ def _loadtxt_table(lines: list[str]) -> np.ndarray | None:
     return table
 
 
-def _csv_table(lines: list[str]) -> np.ndarray:
-    """The (records, 4) body table of a CSV input read by the csv module,
-    record by record; FieldFormatError, naming the physical line of the
-    first bad record, for input that holds no such table."""
-    reader = csv.reader(lines)
-    records = [(reader.line_num, row) for row in reader if "".join(row).strip()]
-    if not records:
-        raise FieldFormatError("empty input")
-    header = [cell.strip() for cell in records[0][1]]
-    if header != _HEADER:
-        raise FieldFormatError(f"unexpected header {header}")
+def _read_table(lines: list[str]) -> np.ndarray:
+    """The (records, 4) body table of a CSV input, in one pass of one
+    ``csv.reader``; FieldFormatError for input that holds no such table.
 
-    # Parse the whole table at once; only when a check fails, look for the
-    # first bad line to name it.
-    body = [row for _, row in records[1:]]
-    table = None
-    if set(map(len, body)) <= {4}:
-        try:
-            table = np.fromiter(map(float, itertools.chain.from_iterable(body)), dtype=float).reshape(-1, 4)
-        except ValueError:
-            pass
-    if table is None or not np.isfinite(table).all():
-        _raise_first_bad_record(records[1:])
-    return table
+    The reader finds the header, and :func:`_loadtxt_body` reads the lines
+    after it. Where numpy refuses them, the reader goes on record by record
+    and stops at the first bad record, naming the physical line the record
+    starts on; an error of the csv module names the line it arose on.
+    """
+    reader = csv.reader(lines)
+    try:
+        header = next((row for row in reader if "".join(row).strip()), None)
+        if header is None:
+            raise FieldFormatError("empty input")
+        header = [cell.strip() for cell in header]
+        if header != _HEADER:
+            raise FieldFormatError(f"unexpected header {header}")
+        table = _loadtxt_body(lines[reader.line_num :])
+        if table is not None:
+            return table
+        records, first = [], reader.line_num + 1
+        for row in reader:
+            if "".join(row).strip():
+                if len(row) != 4:
+                    raise FieldFormatError(f"line {first}: expected 4 fields, got {len(row)}")
+                try:
+                    records.append([float(cell) for cell in row])
+                except ValueError as exc:
+                    raise FieldFormatError(f"line {first}: {exc}") from exc
+                if not all(map(math.isfinite, records[-1])):
+                    raise FieldFormatError(f"line {first}: values must be finite, got {row}")
+            first = reader.line_num + 1
+    except csv.Error as exc:
+        raise FieldFormatError(f"line {reader.line_num}: {exc}") from exc
+    return np.array(records, dtype=float).reshape(-1, 4)
 
 
 def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> FlowField:
@@ -323,18 +313,17 @@ def load_grid_field(source: str | Path | Iterable[str], noise: NoiseParams) -> F
     tolerance. Missing, duplicate, off-lattice or non-finite records raise
     :class:`FieldFormatError`.
 
-    The body is read by ``np.loadtxt`` where that gives the csv module's
-    table to the bit (:func:`_loadtxt_table`), and record by record by the
-    csv module otherwise (:func:`_csv_table`), which names the first bad
-    line. Either way the same inputs are accepted, with the same values.
+    One ``csv.reader`` reads the input once (:func:`_read_table`): the body
+    goes to ``np.loadtxt`` where that gives the csv module's table to the
+    bit (:func:`_loadtxt_body`), and the reader parses it record by record
+    otherwise, naming the line of the first bad record. Either way the same
+    inputs are accepted, with the same values; a malformed input, the csv
+    module's own errors included, raises :class:`FieldFormatError`.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
             return load_grid_field(fh.readlines(), noise)
-    lines = list(source)
-    table = _loadtxt_table(lines)
-    if table is None:
-        table = _csv_table(lines)
+    table = _read_table(list(source))
     xs = _cluster(table[:, 0])
     ys = _cluster(table[:, 1])
     nx, ny = len(xs), len(ys)

@@ -151,9 +151,6 @@ class StateSpace:
     def n(self) -> int:
         return self.nx * self.ny
 
-    def index(self, i: int, j: int) -> int:
-        return j * self.nx + i
-
     def coords(self, s: int) -> tuple[int, int]:
         return s % self.nx, s // self.nx
 

@@ -17,6 +17,12 @@ def transition_row(model, s, a):
     return model.succ[s][keep], p[keep]
 
 
+def state_index(states, i, j):
+    """Id of the state in grid column ``i`` and row ``j``: states run row by
+    row from the lower-left cell."""
+    return j * states.nx + i
+
+
 def is_terminal(states, s):
     """Whether state ``s`` absorbs: the goal or an obstacle."""
     return s == states.goal or bool(states.obstacles[s])

@@ -133,6 +133,50 @@ def test_an_unreadable_input_is_a_config_error_without_a_traceback(tmp_path, cap
     assert "Traceback" not in captured.err + captured.out
 
 
+def _csv_cell_over_the_field_limit(tmp_path):
+    rows = ["x_km,y_km,vx_kmh,vy_kmh"] + [f"{2 * x}.0,{2 * y}.0,0.0,0.0" for y in range(7) for x in range(7)]
+    rows[3] = rows[3].replace(",0.0,", ",0." + "0" * 131_072 + ",", 1)
+    (tmp_path / "field.csv").write_text("\n".join(rows) + "\n")
+    return CSV_FIELD.encode()
+
+
+def _csv_with_an_unterminated_quote(tmp_path):
+    rows = ["x_km,y_km,vx_kmh,vy_kmh"] + [f"{2 * x}.0,{2 * y}.0,0.0,0.0" for y in range(7) for x in range(7)]
+    rows[2] = rows[2].replace(",0.0,", ',"0.0,', 1)
+    (tmp_path / "field.csv").write_text("\n".join(rows) + "\n")
+    return CSV_FIELD.encode()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_csv_cell_over_the_field_limit, "config error: line 4: field larger than field limit (131072)\n"),
+        (_csv_with_an_unterminated_quote, "config error: line 3: expected 4 fields, got 2\n"),
+    ],
+    ids=["cell-over-the-field-limit", "unterminated-quote"],
+)
+def test_a_malformed_csv_field_is_a_config_error_that_names_its_line(tmp_path, capsys, make, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(make(tmp_path))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == message
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, line", [(["--seed", "-1"], ""), ([], "sim.seed = -3\n")], ids=["flag", "key"])
+def test_a_negative_seed_is_a_config_error_before_any_trial(tmp_path, capsys, flag, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_GYRE + line + "sim.trials = 1\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), *flag])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "config error: sim.seed: must be non-negative\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out" / "stats.csv").exists()
+
+
 def test_mse_on_a_grid_under_4x4_is_a_config_error_before_any_solve(tmp_path, capsys):
     # Without mse.grid_sizes, mse solves the config's own grid size with k = 1
     # and k = 2; a 2x2 grid must fail up front, not after the k = 1 solve.

@@ -58,7 +58,7 @@ def valid_configs(draw) -> ExperimentConfig:
         sim_budget_h=draw(positive),
         sim_dt_h=draw(positive),
         sim_goal_radius_km=draw(positive),
-        sim_seed=draw(st.integers(-(2**63), 2**63 - 1)),
+        sim_seed=draw(st.integers(0, 2**63 - 1)),
         # A csv field has no strength to sweep.
         sweep_strengths=tuple(draw(st.lists(finite, max_size=4 if kind == "gyre" else 1, unique_by=strength_tag))),
         mse_grid_sizes=tuple(draw(st.lists(st.integers(4, 200), max_size=4))),
@@ -126,6 +126,7 @@ def test_serialized_config_parses_back_to_itself(cfg):
         ("grid.ny", {"grid_ny": 1}),
         ("field.height_km", {"field_height_km": 0.0}),
         ("sweep.strengths", {"field_kind": "csv", "field_csv_path": "f.csv", "sweep_strengths": (0.25, 0.5)}),
+        ("sim.seed", {"sim_seed": -1}),
     ],
 )
 def test_each_validation_branch_names_its_key(key, change):
@@ -182,6 +183,7 @@ def test_build_mdp_names_the_same_key_for_a_domain_fault_on_either_field(kind, k
         ("grid.nx = 20\ngrid.nx = 21", "duplicate key 'grid.nx'"),
         ("grid.nx = twenty", "grid.nx"),
         ("mse.grid_sizes = 10, x", "mse.grid_sizes"),
+        ("sim.seed = -3", "^sim.seed: must be non-negative$"),
     ],
 )
 def test_malformed_lines_are_config_errors(text, message):

@@ -24,6 +24,8 @@ from flowplan.mdp import StateSpace, build_model
 from flowplan.moments import PdeCoefficients, assemble_coefficients
 from flowplan.policy_iter import project_wall_tangential
 
+from conftest import state_index
+
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # The csv-wall-k2 benchmark grid: (nx, ny, cell, origin), goal (18, 17).
 CSV_WALL_CELL = 40.0 / 24.0
@@ -101,8 +103,8 @@ def test_full_mesh_triangles_in_cell_loop_order():
     want = []
     for j in range(states.ny - 1):
         for i in range(states.nx - 1):
-            sw, se = states.index(i, j), states.index(i + 1, j)
-            ne, nw = states.index(i + 1, j + 1), states.index(i, j + 1)
+            sw, se = state_index(states, i, j), state_index(states, i + 1, j)
+            ne, nw = state_index(states, i + 1, j + 1), state_index(states, i, j + 1)
             want += [(sw, se, ne), (sw, ne, nw)]
     mesh = build_mesh(states, k=1)
     assert mesh.triangles.tolist() == [list(t) for t in want]
@@ -190,7 +192,7 @@ def test_checkerboard_covers_all_but_cut_corners():
     mesh = build_mesh(states, k=2)
     outside = [s for s in range(states.n) if not mesh.covers(states.position(s))]
     # the two odd-parity corners of an even-sized board are cut by the hull
-    assert sorted(outside) == [states.index(7, 0), states.index(0, 7)]
+    assert sorted(outside) == [state_index(states, 7, 0), state_index(states, 0, 7)]
 
 
 def _reference_checkerboard(states):
@@ -203,7 +205,7 @@ def _reference_checkerboard(states):
 
     def nid(i, j):
         if 0 <= i < states.nx and 0 <= j < states.ny:
-            return node_of[states.index(i, j)]
+            return node_of[state_index(states, i, j)]
         return None
 
     def ccw(nodes, tri):
@@ -434,7 +436,7 @@ def _check_queries(mesh, points):
 def test_nearest_node_takes_lowest_id_on_exact_ties():
     states = grid_states(8, goal=(3, 3))
     mesh = build_mesh(states, k=2)
-    centre = states.position(states.index(4, 3))  # odd parity: four nodes at 2 km
+    centre = states.position(state_index(states, 4, 3))  # odd parity: four nodes at 2 km
     d = np.linalg.norm(mesh.nodes - np.asarray(centre), axis=1)
     tied = np.nonzero(d == d.min())[0]
     assert len(tied) == 4

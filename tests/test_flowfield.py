@@ -1,5 +1,4 @@
 import csv
-import itertools
 import math
 
 import numpy as np
@@ -479,6 +478,29 @@ def test_load_names_the_physical_line_after_blank_lines():
         load_grid_field(lines, NO_NOISE)
 
 
+def test_load_names_a_record_over_lines_by_its_first_line():
+    # The quote opened on line 3 is never closed: its record runs to the end.
+    lines = _csv_lines([(2.0 * i, 2.0 * j, 0.0, 0.0) for j in range(2) for i in range(2)])
+    lines[2] = '2.0,0.0,0.0,"0.0\n'
+    with pytest.raises(FieldFormatError) as excinfo:
+        load_grid_field(lines, NO_NOISE)
+    cell = "0.0\n0.0,2.0,0.0,0.0\n2.0,2.0,0.0,0.0\n"
+    assert str(excinfo.value) == f"line 3: could not convert string to float: {cell!r}"
+
+
+@pytest.mark.parametrize("line", [1, 4], ids=["header", "body"])
+def test_load_names_the_line_of_a_cell_over_the_csv_field_limit(line, tmp_path):
+    lines = _csv_lines([(2.0 * i, 2.0 * j, 0.0, 0.0) for j in range(2) for i in range(2)])
+    lines[line - 1] = "1" * (csv.field_size_limit() + 1) + lines[line - 1]
+    message = rf"^line {line}: field larger than field limit \({csv.field_size_limit()}\)$"
+    with pytest.raises(FieldFormatError, match=message):
+        load_grid_field(lines, NO_NOISE)
+    path = tmp_path / "field.csv"
+    path.write_text("".join(lines))
+    with pytest.raises(FieldFormatError, match=message):
+        load_grid_field(path, NO_NOISE)
+
+
 def test_load_skips_blank_and_whitespace_lines():
     lines = _csv_lines([(2.0 * i, 2.0 * j, float(i), float(j)) for j in range(2) for i in range(2)])
     lines[2:2] = ["\n", " , ,\t\n", "\r\n"]
@@ -539,8 +561,10 @@ def test_cluster_equals_the_record_loop(name):
 
 
 def _reference_load_grid_field(lines, noise):
-    """The csv-module reader that ``np.loadtxt`` now stands in for: every
-    record through ``csv.reader`` and ``float``, then the lattice checks."""
+    """The csv-module reader that ``np.loadtxt`` stands in for: every
+    record through ``csv.reader`` and ``float``, then the lattice checks. A
+    record is named by the line it ends on, which is the line it starts on
+    for every record of ``_csv_inputs``."""
     reader = csv.reader(lines)
     records = [(reader.line_num, row) for row in reader if "".join(row).strip()]
     if not records:
@@ -548,15 +572,17 @@ def _reference_load_grid_field(lines, noise):
     header = [cell.strip() for cell in records[0][1]]
     if header != ["x_km", "y_km", "vx_kmh", "vy_kmh"]:
         raise FieldFormatError(f"unexpected header {header}")
-    body = [row for _, row in records[1:]]
-    table = None
-    if set(map(len, body)) <= {4}:
+    body = []
+    for lineno, row in records[1:]:
+        if len(row) != 4:
+            raise FieldFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
         try:
-            table = np.fromiter(map(float, itertools.chain.from_iterable(body)), dtype=float).reshape(-1, 4)
-        except ValueError:
-            pass
-    if table is None or not np.isfinite(table).all():
-        flowfield._raise_first_bad_record(records[1:])
+            body.append([float(cell) for cell in row])
+        except ValueError as exc:
+            raise FieldFormatError(f"line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, body[-1])):
+            raise FieldFormatError(f"line {lineno}: values must be finite, got {row}")
+    table = np.array(body, dtype=float).reshape(-1, 4)
     xs = _reference_cluster(table[:, 0].tolist())
     ys = _reference_cluster(table[:, 1].tolist())
     nx, ny = len(xs), len(ys)
@@ -654,15 +680,17 @@ def _plain_lines(end="\n"):
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
-def test_a_plain_body_takes_numpys_reader(end, tmp_path):
+def test_a_plain_body_takes_numpys_reader(end, tmp_path, monkeypatch):
     lines = _plain_lines(end)
-    table = flowfield._loadtxt_table(lines)
-    assert table is not None and table.tobytes() == flowfield._csv_table(lines).tobytes()
+    table = flowfield._loadtxt_body(lines[1:])
+    assert table is not None and table.tobytes() == flowfield._read_table(lines).tobytes()
     path = tmp_path / "field.csv"
     path.write_text("".join(lines), newline="")
     assert _load_outcome(lambda _, noise: load_grid_field(path, noise), lines) == _load_outcome(
         _reference_load_grid_field, lines
     )
+    monkeypatch.setattr(flowfield, "_loadtxt_body", lambda body: None)  # the record loop alone
+    assert table.tobytes() == flowfield._read_table(lines).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -673,7 +701,7 @@ def test_a_plain_body_takes_numpys_reader(end, tmp_path):
 def test_a_body_numpy_may_read_apart_goes_to_the_csv_module(cell):
     lines = _plain_lines()
     lines[3] = lines[3].replace(lines[3].split(",")[2], cell, 1)
-    assert flowfield._loadtxt_table(lines) is None
+    assert flowfield._loadtxt_body(lines[1:]) is None
 
 
 @pytest.mark.parametrize("body", [[], ["\n", "\r\n"], ["  \t\n", "\n"]], ids=["none", "empty-lines", "whitespace"])

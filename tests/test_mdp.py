@@ -37,7 +37,7 @@ from flowplan.mdp import (
 )
 from flowplan.policy_iter import evaluate_policy_fem
 
-from conftest import is_terminal, policy_improvement_discrete, transition_row, value_iteration
+from conftest import is_terminal, policy_improvement_discrete, state_index, transition_row, value_iteration
 
 GAMMA = 0.95
 
@@ -72,7 +72,7 @@ def oracle_row(model, s, a):
     for dj in (-1, 0, 1):
         for di in (-1, 0, 1):
             if 0 <= i + di < states.nx and 0 <= j + dj < states.ny:
-                succ = states.index(i + di, j + dj)
+                succ = state_index(states, i + di, j + dj)
                 c = states.position(succ)
                 weights[succ] = norm.pdf(c.x, mean[0], sx) * norm.pdf(c.y, mean[1], sy)
     total = sum(weights.values())
@@ -94,22 +94,22 @@ def test_zero_noise_limit_lands_on_east_neighbor():
     field = _zero_field(sigma=0.0)
     states = StateSpace.regular(5, 5, 2.0, (4, 4))
     model = build_model(field, states, dt_h=2.0 / 3.0, v_max=3.0, gamma=GAMMA)
-    s = states.index(2, 2)
+    s = state_index(states, 2, 2)
     a = COMPASS_ORDER.index("E")
     ids, probs = transition_row(model, s, a)
-    assert list(ids) == [states.index(3, 2)]
+    assert list(ids) == [state_index(states, 3, 2)]
     assert probs[0] == 1.0
 
 
 def test_gaussian_symmetry_about_drift_axis(zero_field_model):
     model = zero_field_model
     states = model.states
-    s = states.index(2, 1)
+    s = state_index(states, 2, 1)
     a = COMPASS_ORDER.index("N")
     ids, probs = transition_row(model, s, a)
     row = dict(zip(ids.tolist(), probs.tolist()))
-    ne = row[states.index(3, 2)]
-    nw = row[states.index(1, 2)]
+    ne = row[state_index(states, 3, 2)]
+    nw = row[state_index(states, 1, 2)]
     assert ne == nw  # bit-for-bit, by mirrored per-axis weights
 
 
@@ -139,7 +139,7 @@ def test_goal_and_obstacles_absorb():
     field = _zero_field()
     states = StateSpace.regular(5, 5, 2.0, (2, 2), obstacle_cells=[(0, 0), (4, 1)])
     model = build_model(field, states, 1.0, 3.0, GAMMA)
-    for s in [states.goal, states.index(0, 0), states.index(4, 1)]:
+    for s in [states.goal, state_index(states, 0, 0), state_index(states, 4, 1)]:
         for a in range(8):
             ids, probs = transition_row(model, s, a)
             assert list(ids) == [s] and probs[0] == 1.0
@@ -148,7 +148,7 @@ def test_goal_and_obstacles_absorb():
 
 def test_expected_reward_interior_is_step_cost(zero_field_model):
     model = zero_field_model
-    s = model.states.index(0, 0)  # far from goal (2,2), no obstacles
+    s = state_index(model.states, 0, 0)  # far from goal (2,2), no obstacles
     assert model.rewards[s, 0] == pytest.approx(-0.1, abs=1e-12)
 
 
@@ -156,7 +156,7 @@ def test_expected_reward_near_obstacle_mixes_penalty():
     field = _zero_field()
     states = StateSpace.regular(5, 5, 2.0, (4, 4), obstacle_cells=[(2, 3)])
     model = build_model(field, states, 1.0, 3.0, GAMMA)
-    s = states.index(2, 2)
+    s = state_index(states, 2, 2)
     a = COMPASS_ORDER.index("N")
     ids, probs = transition_row(model, s, a)
     p_obs = sum(p for k, p in zip(ids.tolist(), probs.tolist()) if states.obstacles[k])
@@ -208,9 +208,9 @@ def test_improvement_prefers_high_value_neighbor():
     field = _zero_field(sigma=0.0)
     states = StateSpace.regular(5, 5, 2.0, (4, 4))
     model = build_model(field, states, 2.0 / 3.0, 3.0, GAMMA)
-    s = states.index(2, 2)
+    s = state_index(states, 2, 2)
     values = np.zeros(states.n)
-    values[states.index(3, 2)] = 5.0
+    values[state_index(states, 3, 2)] = 5.0
     policy = policy_improvement_discrete(model, values)
     assert COMPASS_ORDER[policy[s]] == "E"
 
@@ -254,9 +254,9 @@ def test_policy_iteration_deterministic_chain_geometric_values():
     for i in range(5):
         d = 5 - i
         want = -0.1 * (1 - GAMMA ** (d - 1)) / (1 - GAMMA)
-        assert res.values[states.index(i, 0)] == pytest.approx(want, abs=1e-10)
+        assert res.values[state_index(states, i, 0)] == pytest.approx(want, abs=1e-10)
         # co-optimal eastward headings; the greedy policy points at the goal
-        assert COMPASS_ORDER[res.policy[states.index(i, 0)]] in ("NE", "E", "SE")
+        assert COMPASS_ORDER[res.policy[state_index(states, i, 0)]] in ("NE", "E", "SE")
 
 
 def test_policy_iteration_matches_value_iteration_5x5():
@@ -315,9 +315,9 @@ def test_cells_outside_the_grid_are_rejected_not_wrapped(goal, obstacles):
 
 def test_state_at_clamps_to_grid():
     states = StateSpace.regular(4, 4, 2.0, (3, 3))
-    assert states.state_at(Point2(-5.0, -5.0)) == states.index(0, 0)
-    assert states.state_at(Point2(100.0, 3.2)) == states.index(3, 1)
-    assert states.state_at(Point2(3.0, 5.0)) == states.index(1, 2)
+    assert states.state_at(Point2(-5.0, -5.0)) == state_index(states, 0, 0)
+    assert states.state_at(Point2(100.0, 3.2)) == state_index(states, 3, 1)
+    assert states.state_at(Point2(3.0, 5.0)) == state_index(states, 1, 2)
 
 
 def test_state_at_rows_equal_the_per_point_cells():
@@ -330,8 +330,8 @@ def test_state_at_rows_equal_the_per_point_cells():
     for (x, y), s in zip(rows, cells):
         i = min(max(math.floor((x - 1.0) / 2.0 + 0.5), 0), 3)
         j = min(max(math.floor((y - 1.0) / 2.0 + 0.5), 0), 3)
-        assert s == states.index(i, j) == states.state_at(Point2(x, y))
-    assert states.state_at(Point2(2.0, 4.0)) == states.index(1, 2)
+        assert s == state_index(states, i, j) == states.state_at(Point2(x, y))
+    assert states.state_at(Point2(2.0, 4.0)) == state_index(states, 1, 2)
 
 
 def test_value_and_policy_csv_schema(tmp_path, zero_field_model):
@@ -393,7 +393,7 @@ def _reference_build_model(field, states, dt_h, v_max, gamma):
             continue
         dis = np.array([di for di in (-1, 0, 1) if 0 <= i + di < states.nx])
         djs = np.array([dj for dj in (-1, 0, 1) if 0 <= j + dj < states.ny])
-        ids = np.array([[states.index(i + di, j + dj) for dj in djs] for di in dis]).ravel()
+        ids = np.array([[state_index(states, i + di, j + dj) for dj in djs] for di in dis]).ravel()
         succ[s, : len(ids)] = ids
         succ[s, len(ids) :] = s
         drift = field_velocity(field, pos)
@@ -729,7 +729,7 @@ def test_exact_evaluation_of_a_singular_system_is_a_numerical_error(zero_field_m
 @pytest.mark.parametrize("table", ["rewards", "prob"])
 def test_exact_evaluation_of_non_finite_input_is_a_numerical_error(zero_field_model, table):
     model = zero_field_model
-    s = model.states.index(0, 0)
+    s = state_index(model.states, 0, 0)
     if table == "rewards":
         model.rewards[s, :] = np.nan
     else:

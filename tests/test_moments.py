@@ -7,7 +7,7 @@ from flowplan.flowfield import GyreParams, NoiseParams, gyre_field
 from flowplan.mdp import COMPASS_ORDER, StateSpace, build_model
 from flowplan.moments import assemble_coefficients, transition_moments
 
-from conftest import is_terminal, transition_row
+from conftest import is_terminal, state_index, transition_row
 
 
 def _chain_model(cell=2.0, sigma=0.0):
@@ -19,7 +19,7 @@ def _chain_model(cell=2.0, sigma=0.0):
 
 def test_deterministic_east_step_moments():
     model = _chain_model()
-    m = transition_moments(model, model.states.index(2, 0), COMPASS_ORDER.index("E"))
+    m = transition_moments(model, state_index(model.states, 2, 0), COMPASS_ORDER.index("E"))
     np.testing.assert_allclose(m.drift, [2.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(m.diffusion, [[4.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
@@ -66,8 +66,8 @@ def test_moments_scale_with_cell_size():
     small = _chain_model(cell=2.0, sigma=1.5)
     big = _chain_model(cell=4.0, sigma=1.5 * np.sqrt(2.0))
     # identical probabilities (scaled geometry): check then compare moments
-    s_small = small.states.index(2, 0)
-    s_big = big.states.index(2, 0)
+    s_small = state_index(small.states, 2, 0)
+    s_big = state_index(big.states, 2, 0)
     np.testing.assert_allclose(
         transition_row(small, s_small, a)[1], transition_row(big, s_big, a)[1], atol=1e-12
     )
@@ -98,7 +98,7 @@ def test_interior_source_is_step_reward(zero_field_model):
     model = zero_field_model
     node_states = np.arange(model.n_states)
     coeffs = assemble_coefficients(model, np.zeros(model.n_states, dtype=np.int64), node_states)
-    far = model.states.index(0, 0)
+    far = state_index(model.states, 0, 0)
     assert coeffs.source[far] == pytest.approx(-0.1, abs=1e-12)
     assert -coeffs.source[far] == pytest.approx(0.1, abs=1e-12)
 

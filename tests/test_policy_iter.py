@@ -18,7 +18,7 @@ from flowplan.policy_iter import (
     _state_scores,
 )
 
-from conftest import policy_improvement_discrete
+from conftest import policy_improvement_discrete, state_index
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +71,9 @@ def test_wall_projection_matches_the_hull_node_loop(n, k, goal):
 def test_initial_policy_aims_at_goal(zero_field_model):
     model = zero_field_model
     policy = initial_policy(model)
-    s = model.states.index(0, 2)  # due west of the goal (2, 2)
+    s = state_index(model.states, 0, 2)  # due west of the goal (2, 2)
     assert COMPASS_ORDER[policy[s]] == "E"
-    s = model.states.index(2, 0)
+    s = state_index(model.states, 2, 0)
     assert COMPASS_ORDER[policy[s]] == "N"
 
 
@@ -98,7 +98,7 @@ def test_improvement_follows_linear_value_gradient():
     mesh = fem.build_mesh(states, 1)
     v = fem.ContinuousValue(mesh, mesh.nodes[:, 0].copy())
     policy = improve_policy_continuous(model, v)
-    s = states.index(2, 2)
+    s = state_index(states, 2, 2)
     assert COMPASS_ORDER[policy[s]] == "E"
 
 
@@ -113,7 +113,7 @@ def test_improvement_exact_tie_takes_lowest_action():
     model = build_model(field, states, 1.0, 3.0, 0.95)
     model.rewards[:] = -0.1
     mesh = fem.build_mesh(states, 1)
-    s = states.index(2, 2)
+    s = state_index(states, 2, 2)
     v = fem.ContinuousValue(mesh, mesh.nodes[:, 0].copy())
     assert COMPASS_ORDER[improve_policy_continuous(model, v)[s]] == "NE"
     v = fem.ContinuousValue(mesh, -mesh.nodes[:, 0])

@@ -24,6 +24,8 @@ from flowplan.simulator import (
     step,
 )
 
+from conftest import state_index
+
 
 @pytest.fixture
 def gyre():
@@ -103,7 +105,7 @@ def test_continuous_planner_takes_lowest_action_on_exact_ties():
     model = build_model(field, states, 1.0, 3.0, 0.95)
     model.rewards[:] = -0.1
     mesh = fem.build_mesh(states, 1)
-    p = states.position(states.index(2, 2))
+    p = states.position(state_index(states, 2, 2))
     headings = {a.compass: a.heading for a in model.actions}
     for sign, compass in ((1.0, "NE"), (-1.0, "SW")):
         planner = ContinuousPlanner(model, fem.ContinuousValue(mesh, sign * mesh.nodes[:, 0]))

@@ -13,13 +13,15 @@ on a small gyre, once more with its goal centre on the domain's lower edge,
 more over a sweep of two strengths with one obstacle, and ``flowplan solve``
 on it with a k=2 mesh, an even goal and one obstacle, once more without
 noise, and once more with an iteration budget of two that API runs out of.
-Two input errors run as well: ``flowplan solve`` on the ``csv-wall-k2``
-inputs of seed 7 with a grid one column past the field, and ``flowplan mse``
-on the small gyre made taller than wide. Every output file, each command's
-stdout and stderr and its exit status are compared byte for byte, so a
-changed error message shows. The differing files are listed (marked when
-they differ only in line endings), and the exit status is 1 if any file
-differs, else 0.
+Four input errors run as well: ``flowplan solve`` on the ``csv-wall-k2``
+inputs of seed 7 with a grid one column past the field, and once more with
+one cell of the field padded past the csv module's field size limit;
+``flowplan mse`` on the small gyre made taller than wide; and ``flowplan
+simulate`` on the small gyre with a negative seed. Every output file, each
+command's stdout and stderr and its exit status are compared byte for
+byte, so a changed error message shows. The differing files are listed
+(marked when they differ only in line endings), and the exit status is 1 if
+any file differs, else 0.
 
 For a differing CSV table or JSON-lines file the listing also says how it
 differs, cell by cell: the number of differing cells, the largest absolute
@@ -101,6 +103,10 @@ CSV_WALL_MSE = "mse.grid_sizes = 12, 24\n"
 # ``flowplan solve`` on the csv-wall-k2 inputs with a 25th column, whose state
 # centres lie half a cell past the field: an input error, named on stderr.
 CSV_WALL_GRID_PAST_FIELD = ("grid.nx = 24\n", "grid.nx = 25\n")
+# ``flowplan solve`` on the csv-wall-k2 inputs with the first cell of the
+# field's third record padded with leading zeros past the csv module's field
+# size limit: a number still, but an input error that names its line.
+CSV_WALL_LONG_CELL = ("field.csv_path = field.csv\n", "field.csv_path = field-long-cell.csv\n")
 # ``flowplan mse`` on the small gyre at twice its height, with the goal centre
 # in the upper half: mse's lattices tile only a square field.
 SMALL_GYRE_TALL = SMALL_GYRE.replace("field.height_km = 12.0", "field.height_km = 24.0").replace(
@@ -123,6 +129,12 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
     cfg = inputs / f"csv-wall-k2-s{SEEDS[0]}" / "grid-past-field.cfg"
     cfg.write_text((cfg.parent / "workload.cfg").read_text().replace(*CSV_WALL_GRID_PAST_FIELD))
     cases.append(("solve-csv-wall-k2-grid-past-field", ["solve", "--config", str(cfg)]))
+    rows = (cfg.parent / "field.csv").read_text().split("\n")
+    rows[3] = "0" * csv.field_size_limit() + rows[3]
+    (cfg.parent / "field-long-cell.csv").write_text("\n".join(rows))
+    cfg = cfg.parent / "long-cell.cfg"
+    cfg.write_text((cfg.parent / "workload.cfg").read_text().replace(*CSV_WALL_LONG_CELL))
+    cases.append(("solve-csv-wall-k2-long-cell", ["solve", "--config", str(cfg)]))
     cfg = inputs / "mse-small-gyre" / "run.cfg"
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE)
@@ -155,6 +167,10 @@ def write_cases(inputs: Path) -> list[tuple[str, list[str]]]:
     cfg.parent.mkdir()
     cfg.write_text(SMALL_GYRE_TALL)
     cases.append(("mse-small-gyre-tall", ["mse", "--config", str(cfg)]))
+    cfg = inputs / "simulate-small-gyre-negative-seed" / "run.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text(SMALL_GYRE + SMALL_GYRE_SIM)
+    cases.append(("simulate-small-gyre-negative-seed", ["simulate", "--config", str(cfg), "--seed", "-1"]))
     return cases
 
 
