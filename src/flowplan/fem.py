@@ -35,13 +35,16 @@ each fitted at the offsets (di h, dj h). ``ContinuousValue.expansion``
 gives the value, gradient and Hessian at many points from one
 ``Mesh.locate_rows`` (point location and projection); ``expansion_at`` does
 the same at rows located before, such as the state centres
-(``Mesh.centres``). All three follow one rule: the barycentric interpolant
-of nodal values (the coefficients, the recovered gradients, the fitted
-Hessians), so the expansion is continuous over the cover. It is the one
-implementation of these queries: ``evaluate``, ``gradient`` and ``hessian``
-send it a batch of one; its sums are elementwise in a written order, never
-a BLAS dot. Edge adjacency has one table too,
-``Mesh.edge_neighbours``, built from the sorted edge keys of every triangle.
+(``Mesh.centres``). The value, the recovered gradient and the fitted
+Hessian of every node are the rows of one component-major table
+(``ContinuousValue.expansion_table``), and the expansion at a point is the
+barycentric interpolant of that table over its triangle: one gather of the
+corners and one written sum over all seven rows, so the expansion is
+continuous over the cover. It is the one implementation of these queries:
+``evaluate``, ``gradient`` and ``hessian`` send it a batch of one; its sums
+are elementwise in a written order, never a BLAS dot. Edge adjacency has
+one table too, ``Mesh.edge_neighbours``, built from the sorted edge keys of
+every triangle.
 """
 
 from __future__ import annotations
@@ -619,20 +622,23 @@ def constrain_goal(system: SparseSystem, goal_node: int) -> SparseSystem:
     return SparseSystem(*entries, rhs)
 
 
-def solve(system: SparseSystem) -> np.ndarray:
+def solve(system: SparseSystem, return_residual: bool = False):
     """Banded LU solve, ``mdp._band_solve``, with a relative residual gate of 1e-8.
 
     Node ids follow the state lattice row by row, so every element couples
     nodes at most one grid row apart (half-bandwidth nx + 1 for k=1, about
     nx for k=2) and the band stays narrow. The one exception, an odd-parity
     goal numbered last on the k=2 mesh, loses its couplings to the goal
-    constraint. A singular system raises NumericalError."""
+    constraint. A singular system raises NumericalError. With
+    ``return_residual`` it returns the coefficients and the gate's max
+    |A x - rhs|, so a caller that reports the residual does not compute it
+    again."""
     coeffs = _band_solve(system.row, system.col, system.data, system.rhs)
-    residual = np.max(np.abs(system.residual(coeffs)))
+    residual = float(np.max(np.abs(system.residual(coeffs))))
     denom = max(1.0, float(np.max(np.abs(system.rhs))))
     if not residual / denom < 1e-8:
         raise NumericalError(f"linear solve residual {residual:.3e} exceeds tolerance")
-    return coeffs
+    return (coeffs, residual) if return_residual else coeffs
 
 
 def element_peclet(mesh: Mesh, coeffs: PdeCoefficients) -> np.ndarray:
@@ -657,15 +663,15 @@ def element_peclet(mesh: Mesh, coeffs: PdeCoefficients) -> np.ndarray:
 class ContinuousValue:
     """P1 value function: a mesh plus nodal coefficients.
 
-    Its value, gradient and Hessian at a point are each the barycentric
-    interpolant of nodal values over the point's triangle
-    (``_interpolate``): of the coefficients, of the recovered gradients
-    (``node_gradients``, the area-weighted mean of the element gradients
-    around each node) and of the fitted Hessians (``node_hessians``, a
-    least-squares quadratic fit over each node's patch, zero by policy where
-    the patch cannot support the fit; see ``Mesh.hessian_patches``). So all
-    three are continuous over the mesh cover. The fits of every node are one
-    matvec of ``Mesh.hessian_operator`` with the coefficients.
+    Its value, gradient and Hessian at a point are the barycentric
+    interpolant, over the point's triangle, of one nodal table,
+    ``expansion_table``: the coefficients, the recovered gradients (the
+    area-weighted mean of the element gradients around each node) and the
+    fitted Hessians (a least-squares quadratic fit over each node's patch,
+    one matvec of ``Mesh.hessian_operator`` with the coefficients, zero by
+    policy where the patch cannot support the fit; see
+    ``Mesh.hessian_patches``). So all three are continuous over the mesh
+    cover.
 
     ``expansion`` answers all three queries for many points at once: one
     ``Mesh.locate_rows``, then ``expansion_at`` the located rows. The
@@ -681,53 +687,55 @@ class ContinuousValue:
         if self.coefficients.shape != (self.mesh.n_nodes,):
             raise ValueError("need exactly one coefficient per mesh node")
 
-    def _interpolate(self, nodal: np.ndarray, tri: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """(l0 q0 + l1 q1) + l2 q2 over each row's weights l and its
-        triangle's corner entries q of ``nodal``, one entry per node (a
-        number, a vector or a matrix): the interpolation of ``expansion_at``
-        and ``evaluate_many``."""
-        q = nodal[self.mesh.triangles[tri]]
-        lq = lam.reshape(lam.shape + (1,) * (q.ndim - 2)) * q
-        return (lq[:, 0] + lq[:, 1]) + lq[:, 2]
-
     @cached_property
-    def node_gradients(self) -> np.ndarray:
-        """Area-weighted mean of the element gradients around each node,
-        summed over corners 0, 1 and 2 in turn. An element's gradient is
-        (g0 c0 + g1 c1) + g2 c2 over its basis gradients g and corner values c."""
-        table = self.mesh.assembly_table
-        gc = self.mesh.basis_gradients * self.coefficients[self.mesh.triangles][..., None]
-        weighted = ((gc[:, 0] + gc[:, 1]) + gc[:, 2]) * self.mesh.areas[:, None]
-        num = np.stack(
-            [np.bincount(table.corners, weights=np.tile(w, 3), minlength=self.mesh.n_nodes) for w in weighted.T],
-            axis=-1,
-        )
-        return num / table.node_area[:, None]
+    def expansion_table(self) -> np.ndarray:
+        """The nodal expansion, built on first use: one read-only table of
+        shape (7, n_nodes) whose rows are the coefficients, the recovered
+        gradient in x and y, and the fitted Hessian at (0, 0), (0, 1), (1, 0)
+        and (1, 1).
+
+        A node's gradient is the area-weighted mean of the element gradients
+        around it, summed over corners 0, 1 and 2 in turn; an element's
+        gradient is (g0 c0 + g1 c1) + g2 c2 over its basis gradients g and
+        corner values c. A node's Hessian is twice its fitted x^2 and y^2
+        coefficients on the diagonal and its xy coefficient off it, each the
+        products of ``Mesh.hessian_operator``'s weights and nodal values
+        summed slot by slot from 0.0, as a CSR matvec sums a row: numpy adds
+        a reduction over an axis other than the fast one term by term, in
+        order, as pairwise summation is only for the fast axis."""
+        mesh, c = self.mesh, self.coefficients
+        table, op = mesh.assembly_table, mesh.hessian_operator
+        gc = mesh.basis_gradients * c[mesh.triangles][..., None]
+        weighted = ((gc[:, 0] + gc[:, 1]) + gc[:, 2]) * mesh.areas[:, None]
+        fit = np.add.reduce(op.weights * c[op.ids], axis=1, initial=0.0)
+        out = np.empty((7, mesh.n_nodes))
+        out[0] = c
+        for d in range(2):
+            area_sum = np.bincount(table.corners, weights=np.tile(weighted[:, d], 3), minlength=mesh.n_nodes)
+            out[1 + d] = area_sum / table.node_area
+        out[3], out[4], out[5], out[6] = 2.0 * fit[0], fit[1], fit[1], 2.0 * fit[2]
+        out.setflags(write=False)
+        return out
+
+    def _interpolate(self, nodal: np.ndarray, tri: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """(l0 q0 + l1 q1) + l2 q2 over each query row's weights l and its
+        triangle's corner entries q of every row of ``nodal`` (k, n_nodes),
+        shape (k, rows): one gather of the corners, corner-major as
+        ``AssemblyTable.corners``, one product and two sums over whole
+        blocks."""
+        corners = self.mesh.assembly_table.corners.reshape(3, -1).take(tri, axis=1)
+        lq = nodal.take(corners, axis=1) * lam.T  # (k, corner, row)
+        return (lq[:, 0] + lq[:, 1]) + lq[:, 2]
 
     def evaluate(self, p: Point2 | np.ndarray) -> float:
         return float(self.expansion(p)[0][0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """The value at each row, interpolated as ``expansion_at`` does."""
-        return self._interpolate(self.coefficients, *self.mesh.locate_many(points))
+        return self._interpolate(self.coefficients[None], *self.mesh.locate_many(points))[0]
 
     def gradient(self, p: Point2 | np.ndarray) -> np.ndarray:
         return self.expansion(p)[1][0]
-
-    @cached_property
-    def node_hessians(self) -> np.ndarray:
-        """Fitted Hessian at every node, shape (n_nodes, 2, 2): the products of
-        ``Mesh.hessian_operator``'s weights and nodal values summed slot by
-        slot from 0.0, as a CSR matvec sums a row: numpy adds a reduction
-        over an axis other than the fast one term by term, in order, as
-        pairwise summation is only for the fast axis."""
-        op = self.mesh.hessian_operator
-        c = np.add.reduce(op.weights * self.coefficients[op.ids], axis=1, initial=0.0)
-        out = np.empty((self.mesh.n_nodes, 2, 2))
-        out[:, 0, 0] = 2.0 * c[0]
-        out[:, 0, 1] = out[:, 1, 0] = c[1]
-        out[:, 1, 1] = 2.0 * c[2]
-        return out
 
     def hessian(self, p: Point2 | np.ndarray) -> np.ndarray:
         return self.expansion(p)[2][0]
@@ -744,14 +752,12 @@ class ContinuousValue:
         self, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value (n,), gradient (n, 2) and Hessian (n, 2, 2) at rows located
-        by ``Mesh.locate_rows``: ``_interpolate`` at the raw weights of the
-        coefficients, ``node_gradients`` and ``node_hessians``."""
+        by ``Mesh.locate_rows``: ``_interpolate`` of ``expansion_table`` at
+        the raw weights. The three are views of one (7, n) block, so
+        ``gradient[:, i]`` and ``hessian[:, i, j]`` are contiguous rows."""
         _, tri, lam = rows
-        return (
-            self._interpolate(self.coefficients, tri, lam),
-            self._interpolate(self.node_gradients, tri, lam),
-            self._interpolate(self.node_hessians, tri, lam),
-        )
+        e = self._interpolate(self.expansion_table, tri, lam)
+        return e[0], e[1:3].T, e[3:].T.reshape(-1, 2, 2)
 
 
 def write_mesh_csv(nodes_path, tris_path, mesh: Mesh) -> None:

@@ -191,7 +191,7 @@ class MdpModel:
     action) row's probabilities over it, zero on the padding, which exact
     policy evaluation's coupling floor keeps out of its band. ``rewards``
     (n_states, n_actions) holds each row's expected reward and
-    ``moment_table``, built on first use, its displacement moments. The
+    ``moment_rows``, built on first use, its displacement moments. The
     noise and the vehicle speed are those of ``field`` and ``actions``.
     """
 
@@ -213,30 +213,33 @@ class MdpModel:
         return len(self.actions)
 
     @cached_property
-    def moment_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only drift E[s' - s], shape (n_states, n_actions, 2), and
-        second moment E[(s' - s)(s' - s)^T], shape (n_states, n_actions, 2, 2),
-        of every transition row (km and km^2), state-major as ``rewards``,
-        each a ``_sum_successors`` sum. Padding entries have zero
-        displacement and zero probability, so they add nothing. Each state's
-        displacements are gathered once, over its successor list."""
+    def moment_rows(self) -> np.ndarray:
+        """The displacement moments of every transition row (km and km^2),
+        built on first use: one read-only table of shape (6, n_states,
+        n_actions), component-major, whose rows are the drift E[s' - s] in x
+        and y and the second moment E[(s' - s)(s' - s)^T] at (0, 0), (0, 1),
+        (1, 0) and (1, 1), each a ``_sum_successors`` sum. Padding entries
+        have zero displacement and zero probability, so they add nothing.
+        Each state's displacements are gathered once, over its successor
+        list. The (0, 1) and (1, 0) rows are summed apart, as (p dx) dy and
+        (p dy) dx, so the second moment is not exactly symmetric."""
         positions = self.states.positions()
         disp = positions[self.succ] - positions[:, None, :]
         dx, dy = disp[:, None, :, 0], disp[:, None, :, 1]
         px, py = self.prob * dx, self.prob * dy
-        drift = np.stack([_sum_successors(px), _sum_successors(py)], axis=-1)
-        # The (0, 1) and (1, 0) entries are summed apart, as (p dx) dy and
-        # (p dy) dx, so the table is not exactly symmetric.
-        second = np.stack(
-            [
-                np.stack([_sum_successors(px * dx), _sum_successors(px * dy)], axis=-1),
-                np.stack([_sum_successors(py * dx), _sum_successors(py * dy)], axis=-1),
-            ],
-            axis=-2,
-        )
-        drift.setflags(write=False)
-        second.setflags(write=False)
-        return drift, second
+        # One product at a time, so no two (n_states, n_actions, 9) temporaries live at once.
+        second = (_sum_successors(p * d) for p in (px, py) for d in (dx, dy))
+        rows = np.stack([_sum_successors(px), _sum_successors(py), *second])
+        rows.setflags(write=False)
+        return rows
+
+    @property
+    def moment_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``moment_rows`` as the read-only views drift, shape (n_states,
+        n_actions, 2), and second moment, shape (n_states, n_actions, 2, 2),
+        state-major as ``rewards``."""
+        rows = self.moment_rows
+        return rows[:2].transpose(1, 2, 0), rows[2:].reshape(2, 2, *rows.shape[1:]).transpose(2, 3, 0, 1)
 
 
 def _sum_successors(terms: np.ndarray) -> np.ndarray:

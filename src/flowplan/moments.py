@@ -44,20 +44,31 @@ class PdeCoefficients:
 
 def transition_moments(
     model: MdpModel,
-    s: int | np.ndarray,
+    s: int | np.ndarray | slice,
     a: int | np.ndarray | slice,
 ) -> DriftDiffusion:
     """Displacement moments of a transition row, read from the model's table.
 
     drift_i = sum_s' T(s,a;s') (s'_i - s_i) and
     diffusion_ij = sum_s' T(s,a;s') (s'_i - s_i)(s'_j - s_j). ``s`` and ``a``
-    index the state-major table as numpy indices do: ``a=slice(None)`` gives
-    every action's row of state ``s`` in action order, shape (n_actions, 2),
-    or (n, n_actions, 2) for an array of n states. Integer and slice indices
-    give read-only views of the table; index arrays give copies.
+    index the state and action axes of ``MdpModel.moment_rows`` as numpy
+    indices do: ``a=slice(None)`` gives every action's row of state ``s`` in
+    action order, shape (n_actions, 2), or (n, n_actions, 2) for an array of
+    n states. Both are views, components last, of one read of all six rows.
+    Integer and slice indices give read-only views of the table; index
+    arrays give copies.
     """
-    drift, diffusion = model.moment_table
-    return DriftDiffusion(drift[s, a], diffusion[s, a])
+    table = model.moment_rows
+    if isinstance(s, np.ndarray) and isinstance(a, slice):
+        # ``take`` lays each component out as one contiguous (states, actions)
+        # block, where a fancy index would interleave the six.
+        rows = table.take(s, axis=1)[..., a]
+    else:
+        rows = table[:, s, a]
+    lead = rows.ndim - 1
+    drift = rows[:2].transpose(*range(1, lead + 1), 0)
+    diffusion = rows[2:].reshape(2, 2, *rows.shape[1:]).transpose(*range(2, lead + 2), 0, 1)
+    return DriftDiffusion(drift, diffusion)
 
 
 def assemble_coefficients(

@@ -54,25 +54,35 @@ class ApiResult:
 
 def _state_scores(
     model: MdpModel,
-    s: int | np.ndarray,
+    s: int | np.ndarray | slice,
     value_at: float | np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
 ) -> np.ndarray:
     """Every action's score at state ``s``: expected reward plus the drift and
     curvature terms of the local expansion of the value, less the reaction
-    term. With an array of states (and one value, gradient and Hessian row
-    per state) it scores each state in its own row, shape (n, n_actions),
-    with the arithmetic of the one-state case. The drift term d0 g0 + d1 g1
+    term. With an array of states, or a slice, and one value, gradient and
+    Hessian row per state, it scores each state in its own row, shape (n,
+    n_actions), with the arithmetic of the one-state case. The continuous
+    planner and ``improve_policy_continuous`` both call it. With their
+    component axes moved to the front, the moments of ``transition_moments``
+    are one (states, actions) block per component, and the gradient and
+    Hessian of ``ContinuousValue.expansion_at`` one row per component, so
+    each term is one product of whole blocks. The drift term d0 g0 + d1 g1
     and the curvature term ((S00 H00 + S01 H01) + S10 H10) + S11 H11 are
     elementwise sums in that order, so a score rounds alike on every BLAS."""
     gamma = model.gamma
     m = transition_moments(model, s, slice(None))
-    dg = m.drift * np.asarray(grad)[..., None, :]  # (..., n_a, 2)
-    sh = m.diffusion * np.asarray(hess)[..., None, :, :]  # (..., n_a, 2, 2)
-    curvature = ((sh[..., 0, 0] + sh[..., 0, 1]) + sh[..., 1, 0]) + sh[..., 1, 1]
+    dg = _components_first(m.drift, 1) * _components_first(np.asarray(grad), 1)[..., None]
+    sh = _components_first(m.diffusion, 2) * _components_first(np.asarray(hess), 2)[..., None]
+    curvature = ((sh[0, 0] + sh[0, 1]) + sh[1, 0]) + sh[1, 1]
     reaction = (1.0 - gamma) * np.asarray(value_at)[..., None]
-    return model.rewards[s] + gamma * ((dg[..., 0] + dg[..., 1]) + 0.5 * curvature) - reaction
+    return model.rewards[s] + gamma * ((dg[0] + dg[1]) + 0.5 * curvature) - reaction
+
+
+def _components_first(a: np.ndarray, k: int) -> np.ndarray:
+    """A view of ``a`` with its last ``k`` (component) axes moved to the front."""
+    return a.transpose(*range(a.ndim - k, a.ndim), *range(a.ndim - k))
 
 
 def improve_policy_continuous(
@@ -91,14 +101,16 @@ def improve_policy_continuous(
     (the loop's hysteresis), a state keeps its incumbent action unless the
     best challenger clears the margin. All states and actions are scored in
     one pass of ``ContinuousValue.expansion_at`` over the centres the mesh
-    located once (``Mesh.centres``), so the loop does not relocate them. A
-    value whose mesh is not built on ``model.states`` raises DomainError.
+    located once (``Mesh.centres``), so the loop does not relocate them, and
+    one call of ``_state_scores`` on the whole of ``MdpModel.moment_rows``,
+    read in place. A value whose mesh is not built on ``model.states``
+    raises DomainError.
     """
     if value.mesh.states is not model.states:
         raise DomainError("the value's mesh is not built on the model's states")
     states = np.arange(model.n_states)
     v, grad, hess = value.expansion_at(value.mesh.centres)
-    scores = _state_scores(model, states, v, grad, hess)
+    scores = _state_scores(model, slice(None), v, grad, hess)
     best = best_action(scores)
     if incumbent is None:
         return best
@@ -139,11 +151,12 @@ def policy_coefficients(model: MdpModel, policy: np.ndarray, mesh: fem.Mesh) -> 
 def evaluate_policy_fem(
     model: MdpModel, policy: np.ndarray, mesh: fem.Mesh
 ) -> tuple[fem.ContinuousValue, float]:
-    """One finite-element policy evaluation; returns the value and residual."""
+    """One finite-element policy evaluation; returns the value and the
+    solve's max residual, the one its gate computed."""
     coeffs = policy_coefficients(model, policy, mesh)
     system = fem.constrain_goal(fem.assemble(mesh, coeffs), mesh.goal_node)
-    nodal = fem.solve(system)
-    return fem.ContinuousValue(mesh, nodal), float(np.max(np.abs(system.residual(nodal))))
+    nodal, residual = fem.solve(system, return_residual=True)
+    return fem.ContinuousValue(mesh, nodal), residual
 
 
 def approximate_policy_iteration(model: MdpModel, cfg: ApiConfig = ApiConfig()) -> ApiResult:

@@ -146,8 +146,11 @@ class ContinuousPlanner(_CompassPlanner):
     Uses the model's per-state transition moments at the containing cell but
     the value, gradient, and recovered curvature at the vehicle's actual
     position (projected onto the mesh cover when just outside it). Rows of
-    points are scored in one pass over ``ContinuousValue.expansion``. The
-    value's mesh must be built on the model's states; ValueError otherwise.
+    points are scored in one pass: ``ContinuousValue.expansion`` interpolates
+    the value's expansion table at all of them, and ``_state_scores`` scores
+    them against their cells' rows of the model's moment table, the kernel
+    of ``improve_policy_continuous``. The value's mesh must be built on the
+    model's states; ValueError otherwise.
     """
 
     def __init__(self, model: MdpModel, value: fem.ContinuousValue):

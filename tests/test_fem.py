@@ -20,9 +20,10 @@ from flowplan.fem import (
     solve,
 )
 from flowplan.flowfield import GyreParams, NoiseParams, Point2, gyre_field
-from flowplan.mdp import StateSpace, build_model
+from flowplan.mdp import StateSpace, best_action, build_model
 from flowplan.moments import PdeCoefficients, assemble_coefficients
-from flowplan.policy_iter import project_wall_tangential
+from flowplan.policy_iter import _state_scores, improve_policy_continuous, project_wall_tangential
+from flowplan.simulator import ContinuousPlanner
 
 from conftest import state_index
 
@@ -546,7 +547,8 @@ def test_expansion_is_continuous_across_interior_edges(nx, ny, cell, origin, k, 
         on = a + t[:, None] * (b - a)
         inside, across = (mesh.locate_rows(on + s * 1e-9 * outward) for s in (-1.0, 1.0))
         assert np.array_equal(inside[1], e) and np.array_equal(across[1], other)
-        for q, nodal in ((0, value.coefficients), (1, value.node_gradients), (2, value.node_hessians)):
+        table = value.expansion_table
+        for q, nodal in ((0, table[0]), (1, table[1:3]), (2, table[3:])):
             jump = np.abs(value.expansion_at(inside)[q] - value.expansion_at(across)[q]).max()
             assert jump <= 1e-6 * np.abs(nodal).max()
 
@@ -571,12 +573,12 @@ def _reference_interpolation(value, nodal, p):
 
 def _reference_gradient(value, p):
     """One point's gradient: the interpolant of the recovered nodal gradients."""
-    return _reference_interpolation(value, value.node_gradients, p)
+    return _reference_interpolation(value, value.expansion_table[1:3].T, p)
 
 
 def _reference_hessian(value, p):
     """One point's Hessian: the interpolant of the fitted nodal Hessians."""
-    return _reference_interpolation(value, value.node_hessians, p)
+    return _reference_interpolation(value, value.expansion_table[3:].T.reshape(-1, 2, 2), p)
 
 
 def _check_expansion(mesh, pts, rng):
@@ -611,7 +613,7 @@ def _check_expansion(mesh, pts, rng):
 def test_node_hessians_are_the_patch_fits(k, goal):
     mesh = build_mesh(grid_states(8, goal=goal), k=k)
     coefficients = np.random.default_rng(k).normal(size=mesh.n_nodes)
-    hessians = ContinuousValue(mesh, coefficients).node_hessians
+    hessians = ContinuousValue(mesh, coefficients).expansion_table[3:].T.reshape(-1, 2, 2)
     fitted = 0
     for n, (ids, pinv) in enumerate(mesh.hessian_patches):
         d = mesh.nodes[ids] - mesh.nodes[n]
@@ -762,7 +764,7 @@ def test_assemble_of_the_unit_right_triangle_matches_the_coo_reference_bit_for_b
         coeffs = _random_coefficients(mesh, rng)
         _assert_same_system(assemble(mesh, coeffs), _reference_assemble(mesh, coeffs))
         value = ContinuousValue(mesh, rng.standard_normal(3))
-        assert np.array_equal(value.node_gradients, _reference_node_gradients(value))
+        assert np.array_equal(value.expansion_table[1:3].T, _reference_node_gradients(value))
 
 
 # Geometries of the assembly reference checks: (nx, ny, cell, origin, k, goal,
@@ -807,7 +809,7 @@ def test_assemble_matches_the_coo_reference_bit_for_bit(geometry, coefficients):
         system = assemble(mesh, coeffs)
         _assert_same_system(system, _reference_assemble(mesh, coeffs))
         value = ContinuousValue(mesh, solve(constrain_goal(system, mesh.goal_node)))
-        assert np.array_equal(value.node_gradients, _reference_node_gradients(value))
+        assert np.array_equal(value.expansion_table[1:3].T, _reference_node_gradients(value))
 
 
 @pytest.mark.parametrize("geometry", ASSEMBLY_GEOMETRIES.values(), ids=ASSEMBLY_GEOMETRIES.keys())
@@ -824,6 +826,95 @@ def test_residual_matches_the_csr_matvec_bit_for_bit(geometry):
     for x in (rng.standard_normal(mesh.n_nodes), solve(pinned)):
         assert np.array_equal(system.residual(x), matrix @ x - rhs)
         assert np.array_equal(pinned.residual(x), _csr(pinned) @ x - pinned.rhs)
+
+
+# ------------------------------------- component-major expansion and scores
+
+
+def _row_major_node_hessians(value):
+    """The fitted nodal Hessians as an (n_nodes, 2, 2) table: the products of
+    the operator's weights and nodal values summed slot by slot from 0.0."""
+    op = value.mesh.hessian_operator
+    c = np.add.reduce(op.weights * value.coefficients[op.ids], axis=1, initial=0.0)
+    out = np.empty((value.mesh.n_nodes, 2, 2))
+    out[:, 0, 0] = 2.0 * c[0]
+    out[:, 0, 1] = out[:, 1, 0] = c[1]
+    out[:, 1, 1] = 2.0 * c[2]
+    return out
+
+
+def _row_major_expansion_at(value, rows):
+    """Value, gradient and Hessian at located rows as three interpolations of
+    node-major tables, the coefficients (n_nodes,), the recovered gradients
+    (n_nodes, 2) and the fitted Hessians (n_nodes, 2, 2): each (l0 q0 + l1
+    q1) + l2 q2 with the weights broadcast over the trailing axes of the
+    corner entries q."""
+    _, tri, lam = rows
+    out = []
+    for nodal in (value.coefficients, _reference_node_gradients(value), _row_major_node_hessians(value)):
+        q = nodal[value.mesh.triangles[tri]]
+        lq = lam.reshape(lam.shape + (1,) * (q.ndim - 2)) * q
+        out.append((lq[:, 0] + lq[:, 1]) + lq[:, 2])
+    return tuple(out)
+
+
+def _broadcast_state_scores(model, s, value_at, grad, hess):
+    """Every action's score at the states ``s``, with each state's gradient
+    and Hessian broadcast against its actions' rows of the state-major moment
+    table, over their trailing axes of 2 and 2x2."""
+    gamma = model.gamma
+    drift, second = (t[s] for t in model.moment_table)
+    dg = drift * np.asarray(grad)[..., None, :]
+    sh = second * np.asarray(hess)[..., None, :, :]
+    curvature = ((sh[..., 0, 0] + sh[..., 0, 1]) + sh[..., 1, 0]) + sh[..., 1, 1]
+    reaction = (1.0 - gamma) * np.asarray(value_at)[..., None]
+    return model.rewards[s] + gamma * ((dg[..., 0] + dg[..., 1]) + 0.5 * curvature) - reaction
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [ASSEMBLY_GEOMETRIES[name] for name in ("8-k1", "paper-k1", "8-k2-odd-goal-inside", "csv-wall-k2")],
+    ids=["8-k1", "paper-k1", "8-k2-odd-goal-inside", "csv-wall-k2"],
+)
+def test_component_major_expansion_and_scores_equal_the_row_major_reference_bit_for_bit(geometry):
+    # The value of a random policy's FEM evaluation, expanded and scored on
+    # rows on the cover, rows projected onto it, single rows and the state
+    # centres: the planner's and the improvement's choices follow.
+    model, mesh = _assembly_case(geometry)
+    states = model.states
+    rng = np.random.default_rng(mesh.n_nodes)
+    coeffs = assemble_coefficients(model, rng.integers(0, 8, size=states.n), mesh.node_state)
+    project_wall_tangential(coeffs, mesh, model)
+    value = ContinuousValue(mesh, solve(constrain_goal(assemble(mesh, coeffs), mesh.goal_node)))
+    for table in (model.moment_rows, *model.moment_table, value.expansion_table):
+        assert not table.flags.writeable
+    assert model.moment_rows.shape == (6, states.n, model.n_actions)
+    assert value.expansion_table.shape == (7, mesh.n_nodes)
+
+    planner = ContinuousPlanner(model, value)
+    points = _query_points(mesh, states, rng)
+    on = mesh._find_many(points)[0] >= 0
+    assert on.any() and not on.all()
+    for rows in (points[on], points[~on], points[on][:1], points[~on][:1]):
+        cells = states.state_at(rows)
+        located = mesh.locate_rows(rows, cells)
+        got, want = value.expansion_at(located), _row_major_expansion_at(value, located)
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+        scores, reference = _state_scores(model, cells, *got), _broadcast_state_scores(model, cells, *want)
+        assert _same_bits(scores, reference)
+        assert np.array_equal(planner._choose(rows, cells), best_action(reference))
+        one = _state_scores(model, int(cells[0]), float(got[0][0]), got[1][0], got[2][0])
+        assert _same_bits(one, _broadcast_state_scores(model, int(cells[0]), want[0][0], want[1][0], want[2][0]))
+
+    got, want = value.expansion_at(mesh.centres), _row_major_expansion_at(value, mesh.centres)
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    reference = _broadcast_state_scores(model, np.arange(states.n), *want)
+    assert _same_bits(_state_scores(model, slice(None), *got), reference)
+    assert np.array_equal(improve_policy_continuous(model, value), best_action(reference))
 
 
 def test_writing_into_an_assembled_matrix_leaves_the_next_assembly_unchanged():
@@ -1169,7 +1260,7 @@ def _reference_hessian_operator(mesh):
 def test_hessian_operator_matches_the_node_loop_reference(nx, ny, k, goal):
     # Read node by node, coefficient by coefficient and slot by slot, the
     # filled slots are the reference's canonical CSR arrays; the padding
-    # weighs nothing, so node_hessians sums each row as the CSR matvec does.
+    # weighs nothing, so the expansion table sums each row as the CSR matvec does.
     mesh = build_mesh(StateSpace.regular(nx, ny, 0.7, goal, origin=Point2(0.3, -1.1)), k=k)
     got, want = mesh.hessian_operator, _reference_hessian_operator(mesh)
     assert want.has_canonical_format
@@ -1186,7 +1277,7 @@ def test_hessian_operator_matches_the_node_loop_reference(nx, ny, k, goal):
     coefficients = np.random.default_rng(nx * ny + k).normal(size=mesh.n_nodes)
     value = ContinuousValue(mesh, coefficients)
     xx, xy, yy = (want @ coefficients).reshape(-1, 3).T
-    assert np.array_equal(value.node_hessians.reshape(-1, 4), np.stack([2.0 * xx, xy, xy, 2.0 * yy], axis=-1))
+    assert np.array_equal(value.expansion_table[3:], np.stack([2.0 * xx, xy, xy, 2.0 * yy]))
 
 
 def test_hessian_patches_support_fit_everywhere_on_grid_mesh():

@@ -120,9 +120,9 @@ def test_values_are_written_interpolations_in_python_floats(model, k):
     corners = value.coefficients[mesh.triangles[tri]].tolist()
     got = value.expansion_at(rows)
     assert _same_bits(got[0], _interpolate(lam.tolist(), corners))
-    # The gradient and the Hessian interpolate their nodal tables entry by entry.
-    for have, nodal in zip(got[1:], (value.node_gradients, value.node_hessians)):
-        entries = nodal[mesh.triangles[tri]].reshape(len(tri), 3, -1)
+    # The gradient and the Hessian interpolate their rows of the nodal table entry by entry.
+    for have, nodal in zip(got[1:], (value.expansion_table[1:3].T, value.expansion_table[3:].T)):
+        entries = nodal[mesh.triangles[tri]]
         for c in range(entries.shape[-1]):
             assert _same_bits(have.reshape(len(tri), -1)[:, c], _interpolate(lam.tolist(), entries[..., c].tolist()))
     # The raster's values interpolate at the same raw weights.

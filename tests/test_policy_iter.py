@@ -13,6 +13,7 @@ from flowplan.policy_iter import (
     evaluate_policy_fem,
     improve_policy_continuous,
     initial_policy,
+    policy_coefficients,
     project_wall_tangential,
     value_mse,
     _state_scores,
@@ -259,6 +260,20 @@ def test_api_diagnostics_recorded(gyre_api):
     first = res.diagnostics[0]
     assert {"iteration", "policy_changes", "solve_residual", "value_min", "value_max"} <= set(first)
     assert res.diagnostics[-1]["policy_changes"] == 0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_evaluation_reports_the_residual_its_solve_gated(gyre_benchmark, k):
+    # The residual comes from the solve's gate, not from a second matvec: the
+    # same number as the max |A x - rhs| of the constrained system.
+    model, _ = gyre_benchmark
+    mesh = fem.build_mesh(model.states, k)
+    policy = initial_policy(model)
+    value, residual = evaluate_policy_fem(model, policy, mesh)
+    system = fem.constrain_goal(fem.assemble(mesh, policy_coefficients(model, policy, mesh)), mesh.goal_node)
+    nodal, gated = fem.solve(system, return_residual=True)
+    assert np.array_equal(nodal, fem.solve(system)) and np.array_equal(value.coefficients, nodal)
+    assert type(residual) is float and residual == gated == float(np.max(np.abs(system.residual(nodal))))
 
 
 def test_api_deterministic(gyre_benchmark):
