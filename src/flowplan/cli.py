@@ -2,9 +2,9 @@
 
 Every command is driven by one config file and emits data artifacts only
 (CSV tables, line-delimited JSON diagnostics); plotting is left to external
-tools. Flags select the command, override the master seed, and choose the
-output directory. Exit codes: 0 success, 2 config error, 3 numerical
-failure.
+tools. Flags select the command, override the master seed (only
+``simulate`` reads it), and choose the output directory. Exit codes: 0
+success, 2 config error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the experiment config")
-        cmd.add_argument("--seed", type=int, default=None, help="override sim.seed")
+        cmd.add_argument("--seed", type=int, default=None, help="override sim.seed, which only simulate reads")
         cmd.add_argument("--out", default="out", help="output directory (created if missing)")
     args = parser.parse_args(argv)
 

@@ -31,16 +31,16 @@ one padded recovery table from nodal values to nodal Hessians (in the
 spirit of patch recovery, Zienkiewicz & Zhu 1992), with one pseudo-inverse
 per patch shape, computed in one stack per patch size. A shape is the patch's integer lattice steps
 from its node, so a lattice has a few dozen shapes whatever its cell size,
-each fitted at the offsets (di h, dj h). ``ContinuousValue.expansion``
-gives the value, gradient and Hessian at many points from one
-``Mesh.locate_rows`` (point location and projection); ``expansion_at`` does
-the same at rows located before, such as the state centres
-(``Mesh.centres``). The value, the recovered gradient and the fitted
-Hessian of every node are the rows of one component-major table
+each fitted at the offsets (di h, dj h). The value, the recovered gradient
+and the fitted Hessian of every node are the rows of one component-major table
 (``ContinuousValue.expansion_table``), and the expansion at a point is the
 barycentric interpolant of that table over its triangle: one gather of the
 corners and one written sum over all seven rows, so the expansion is
-continuous over the cover. It is the one implementation of these queries:
+continuous over the cover. ``ContinuousValue.expansion`` returns it at many
+points, located by one ``Mesh.locate_rows`` (point location and
+projection), as one (7, n) block in the table's layout; ``expansion_at``
+does the same at rows located before, such as the state centres
+(``Mesh.centres``). It is the one implementation of these queries:
 ``evaluate``, ``gradient`` and ``hessian`` send it a batch of one; its sums
 are elementwise in a written order, never a BLAS dot. Edge adjacency has
 one table too, ``Mesh.edge_neighbours``, built from the sorted edge keys of
@@ -622,23 +622,22 @@ def constrain_goal(system: SparseSystem, goal_node: int) -> SparseSystem:
     return SparseSystem(*entries, rhs)
 
 
-def solve(system: SparseSystem, return_residual: bool = False):
+def solve(system: SparseSystem) -> tuple[np.ndarray, float]:
     """Banded LU solve, ``mdp._band_solve``, with a relative residual gate of 1e-8.
 
     Node ids follow the state lattice row by row, so every element couples
     nodes at most one grid row apart (half-bandwidth nx + 1 for k=1, about
     nx for k=2) and the band stays narrow. The one exception, an odd-parity
     goal numbered last on the k=2 mesh, loses its couplings to the goal
-    constraint. A singular system raises NumericalError. With
-    ``return_residual`` it returns the coefficients and the gate's max
-    |A x - rhs|, so a caller that reports the residual does not compute it
-    again."""
+    constraint. A singular system raises NumericalError. Returns the
+    coefficients and the gate's max |A x - rhs|, so a caller that reports
+    the residual does not compute it again."""
     coeffs = _band_solve(system.row, system.col, system.data, system.rhs)
     residual = float(np.max(np.abs(system.residual(coeffs))))
     denom = max(1.0, float(np.max(np.abs(system.rhs))))
     if not residual / denom < 1e-8:
         raise NumericalError(f"linear solve residual {residual:.3e} exceeds tolerance")
-    return (coeffs, residual) if return_residual else coeffs
+    return coeffs, residual
 
 
 def element_peclet(mesh: Mesh, coeffs: PdeCoefficients) -> np.ndarray:
@@ -674,10 +673,12 @@ class ContinuousValue:
     cover.
 
     ``expansion`` answers all three queries for many points at once: one
-    ``Mesh.locate_rows``, then ``expansion_at`` the located rows. The
-    continuous planner uses it; policy improvement calls ``expansion_at`` on
-    the state centres, located once per mesh (``Mesh.centres``).
-    ``evaluate``, ``gradient`` and ``hessian`` are its batches of one.
+    ``Mesh.locate_rows``, then ``expansion_at`` the located rows, which
+    returns the interpolated table itself, one (7, n) block with a column
+    per point. The continuous planner scores that block; policy improvement
+    calls ``expansion_at`` on the state centres, located once per mesh
+    (``Mesh.centres``). ``evaluate``, ``gradient`` and ``hessian`` are its
+    batches of one, read off rows of the block.
     """
 
     mesh: Mesh
@@ -728,36 +729,31 @@ class ContinuousValue:
         return (lq[:, 0] + lq[:, 1]) + lq[:, 2]
 
     def evaluate(self, p: Point2 | np.ndarray) -> float:
-        return float(self.expansion(p)[0][0])
+        return float(self.expansion(p)[0, 0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """The value at each row, interpolated as ``expansion_at`` does."""
         return self._interpolate(self.coefficients[None], *self.mesh.locate_many(points))[0]
 
     def gradient(self, p: Point2 | np.ndarray) -> np.ndarray:
-        return self.expansion(p)[1][0]
+        return self.expansion(p)[1:3, 0]
 
     def hessian(self, p: Point2 | np.ndarray) -> np.ndarray:
-        return self.expansion(p)[2][0]
+        return self.expansion(p)[3:, 0].reshape(2, 2)
 
-    def expansion(
-        self, points: np.ndarray, cells: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def expansion(self, points: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
         """``expansion_at`` the rows of ``points``, located by one batched
         ``Mesh.locate_rows``, which takes the rows' ``cells`` when given and
         answers a row off the mesh cover at its closest point of the cover."""
         return self.expansion_at(self.mesh.locate_rows(points, cells))
 
-    def expansion_at(
-        self, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Value (n,), gradient (n, 2) and Hessian (n, 2, 2) at rows located
-        by ``Mesh.locate_rows``: ``_interpolate`` of ``expansion_table`` at
-        the raw weights. The three are views of one (7, n) block, so
-        ``gradient[:, i]`` and ``hessian[:, i, j]`` are contiguous rows."""
+    def expansion_at(self, rows: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """The (7, n) block of ``expansion_table``'s rows at n rows located by
+        ``Mesh.locate_rows``, ``_interpolate`` at the raw weights: the value,
+        the gradient in x and y, and the Hessian at (0, 0), (0, 1), (1, 0)
+        and (1, 1), one column per located row."""
         _, tri, lam = rows
-        e = self._interpolate(self.expansion_table, tri, lam)
-        return e[0], e[1:3].T, e[3:].T.reshape(-1, 2, 2)
+        return self._interpolate(self.expansion_table, tri, lam)
 
 
 def write_mesh_csv(nodes_path, tris_path, mesh: Mesh) -> None:

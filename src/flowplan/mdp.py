@@ -233,14 +233,6 @@ class MdpModel:
         rows.setflags(write=False)
         return rows
 
-    @property
-    def moment_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """``moment_rows`` as the read-only views drift, shape (n_states,
-        n_actions, 2), and second moment, shape (n_states, n_actions, 2, 2),
-        state-major as ``rewards``."""
-        rows = self.moment_rows
-        return rows[:2].transpose(1, 2, 0), rows[2:].reshape(2, 2, *rows.shape[1:]).transpose(2, 3, 0, 1)
-
 
 def _sum_successors(terms: np.ndarray) -> np.ndarray:
     """Sum over the last (successor) axis in order, from 0.0 (an exact zero

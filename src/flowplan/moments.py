@@ -55,16 +55,8 @@ def transition_moments(
     indices do: ``a=slice(None)`` gives every action's row of state ``s`` in
     action order, shape (n_actions, 2), or (n, n_actions, 2) for an array of
     n states. Both are views, components last, of one read of all six rows.
-    Integer and slice indices give read-only views of the table; index
-    arrays give copies.
     """
-    table = model.moment_rows
-    if isinstance(s, np.ndarray) and isinstance(a, slice):
-        # ``take`` lays each component out as one contiguous (states, actions)
-        # block, where a fancy index would interleave the six.
-        rows = table.take(s, axis=1)[..., a]
-    else:
-        rows = table[:, s, a]
+    rows = model.moment_rows[:, s, a]
     lead = rows.ndim - 1
     drift = rows[:2].transpose(*range(1, lead + 1), 0)
     diffusion = rows[2:].reshape(2, 2, *rows.shape[1:]).transpose(*range(2, lead + 2), 0, 1)

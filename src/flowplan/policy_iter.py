@@ -17,7 +17,8 @@ import numpy as np
 from . import fem
 from .errors import DomainError
 from .mdp import MdpModel, best_action, initial_policy
-from .moments import PdeCoefficients, assemble_coefficients, transition_moments
+from .moments import PdeCoefficients, assemble_coefficients
+from .moments import transition_moments  # noqa: F401  (a binding that perfbench/selftest.py wraps)
 
 # Score margin a challenger action must beat the incumbent by during the loop.
 # Near-tied states otherwise flip forever as the evaluated value jitters, so
@@ -52,37 +53,24 @@ class ApiResult:
     diagnostics: list[dict] = field(default_factory=list)
 
 
-def _state_scores(
-    model: MdpModel,
-    s: int | np.ndarray | slice,
-    value_at: float | np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
-) -> np.ndarray:
-    """Every action's score at state ``s``: expected reward plus the drift and
-    curvature terms of the local expansion of the value, less the reaction
-    term. With an array of states, or a slice, and one value, gradient and
-    Hessian row per state, it scores each state in its own row, shape (n,
-    n_actions), with the arithmetic of the one-state case. The continuous
-    planner and ``improve_policy_continuous`` both call it. With their
-    component axes moved to the front, the moments of ``transition_moments``
-    are one (states, actions) block per component, and the gradient and
-    Hessian of ``ContinuousValue.expansion_at`` one row per component, so
-    each term is one product of whole blocks. The drift term d0 g0 + d1 g1
-    and the curvature term ((S00 H00 + S01 H01) + S10 H10) + S11 H11 are
+def _state_scores(model: MdpModel, s: np.ndarray | slice, expansion: np.ndarray) -> np.ndarray:
+    """Every action's score at each of the states ``s`` (an index array, or
+    ``slice(None)`` for all of them), shape (n, n_actions): expected reward
+    plus the drift and curvature terms of the local expansion of the value,
+    less the reaction term. ``expansion`` is the (7, n) block that
+    ``ContinuousValue.expansion_at`` interpolates, one column per state. The
+    continuous planner and ``improve_policy_continuous`` both call it. The
+    states' rows of ``MdpModel.moment_rows`` (read in place for a slice) are
+    one (n, n_actions) block per component, and each is multiplied by its
+    row of the expansion in one product. The drift term d0 g0 + d1 g1 and
+    the curvature term ((S00 H00 + S01 H01) + S10 H10) + S11 H11 are
     elementwise sums in that order, so a score rounds alike on every BLAS."""
     gamma = model.gamma
-    m = transition_moments(model, s, slice(None))
-    dg = _components_first(m.drift, 1) * _components_first(np.asarray(grad), 1)[..., None]
-    sh = _components_first(m.diffusion, 2) * _components_first(np.asarray(hess), 2)[..., None]
-    curvature = ((sh[0, 0] + sh[0, 1]) + sh[1, 0]) + sh[1, 1]
-    reaction = (1.0 - gamma) * np.asarray(value_at)[..., None]
-    return model.rewards[s] + gamma * ((dg[0] + dg[1]) + 0.5 * curvature) - reaction
-
-
-def _components_first(a: np.ndarray, k: int) -> np.ndarray:
-    """A view of ``a`` with its last ``k`` (component) axes moved to the front."""
-    return a.transpose(*range(a.ndim - k, a.ndim), *range(a.ndim - k))
+    rows = model.moment_rows if isinstance(s, slice) else model.moment_rows.take(s, axis=1)
+    t = rows * expansion[1:, :, None]
+    curvature = ((t[2] + t[3]) + t[4]) + t[5]
+    reaction = (1.0 - gamma) * expansion[0][:, None]
+    return model.rewards[s] + gamma * ((t[0] + t[1]) + 0.5 * curvature) - reaction
 
 
 def improve_policy_continuous(
@@ -109,8 +97,7 @@ def improve_policy_continuous(
     if value.mesh.states is not model.states:
         raise DomainError("the value's mesh is not built on the model's states")
     states = np.arange(model.n_states)
-    v, grad, hess = value.expansion_at(value.mesh.centres)
-    scores = _state_scores(model, slice(None), v, grad, hess)
+    scores = _state_scores(model, slice(None), value.expansion_at(value.mesh.centres))
     best = best_action(scores)
     if incumbent is None:
         return best
@@ -155,7 +142,7 @@ def evaluate_policy_fem(
     solve's max residual, the one its gate computed."""
     coeffs = policy_coefficients(model, policy, mesh)
     system = fem.constrain_goal(fem.assemble(mesh, coeffs), mesh.goal_node)
-    nodal, residual = fem.solve(system, return_residual=True)
+    nodal, residual = fem.solve(system)
     return fem.ContinuousValue(mesh, nodal), residual
 
 

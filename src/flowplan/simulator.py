@@ -147,10 +147,10 @@ class ContinuousPlanner(_CompassPlanner):
     the value, gradient, and recovered curvature at the vehicle's actual
     position (projected onto the mesh cover when just outside it). Rows of
     points are scored in one pass: ``ContinuousValue.expansion`` interpolates
-    the value's expansion table at all of them, and ``_state_scores`` scores
-    them against their cells' rows of the model's moment table, the kernel
-    of ``improve_policy_continuous``. The value's mesh must be built on the
-    model's states; ValueError otherwise.
+    the value's expansion table at all of them into one (7, rows) block, and
+    ``_state_scores`` scores it against their cells' rows of the model's
+    moment table, the kernel of ``improve_policy_continuous``. The value's
+    mesh must be built on the model's states; ValueError otherwise.
     """
 
     def __init__(self, model: MdpModel, value: fem.ContinuousValue):
@@ -161,8 +161,7 @@ class ContinuousPlanner(_CompassPlanner):
         self.value = value
 
     def _choose(self, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-        v, grad, hess = self.value.expansion(rows, cells=s)
-        return best_action(_state_scores(self.model, s, v, grad, hess))
+        return best_action(_state_scores(self.model, s, self.value.expansion(rows, cells=s)))
 
     def command(self, points: np.ndarray, cells: np.ndarray):
         """Heading and speed arrays at rows of points and their cells."""

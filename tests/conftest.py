@@ -23,6 +23,21 @@ def state_index(states, i, j):
     return j * states.nx + i
 
 
+def expansion_block(value, grad, hess):
+    """Values (n,), gradients (n, 2) and Hessians (n, 2, 2), or one point's
+    value, gradient and Hessian, packed as the (7, n) block that
+    ``ContinuousValue.expansion_at`` returns."""
+    value = np.atleast_1d(value)
+    n = len(value)
+    return np.vstack([value, np.reshape(grad, (n, 2)).T, np.reshape(hess, (n, 4)).T])
+
+
+def expansion_parts(block):
+    """A (7, n) expansion block as views of its value (n,), gradient (n, 2)
+    and Hessian (n, 2, 2)."""
+    return block[0], block[1:3].T, block[3:].T.reshape(-1, 2, 2)
+
+
 def is_terminal(states, s):
     """Whether state ``s`` absorbs: the goal or an obstacle."""
     return s == states.goal or bool(states.obstacles[s])

@@ -490,7 +490,7 @@ def test_mse_writes_one_row_per_grid_size_and_k(tmp_path, capsys):
 
 
 def test_numerical_failure_in_the_solve_exits_3(tmp_path, capsys, monkeypatch):
-    def fail(system, return_residual=False):
+    def fail(system):
         raise NumericalError("linear solve residual nan exceeds tolerance")
 
     monkeypatch.setattr(fem, "solve", fail)

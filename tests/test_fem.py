@@ -21,11 +21,11 @@ from flowplan.fem import (
 )
 from flowplan.flowfield import GyreParams, NoiseParams, Point2, gyre_field
 from flowplan.mdp import StateSpace, best_action, build_model
-from flowplan.moments import PdeCoefficients, assemble_coefficients
+from flowplan.moments import PdeCoefficients, assemble_coefficients, transition_moments
 from flowplan.policy_iter import _state_scores, improve_policy_continuous, project_wall_tangential
 from flowplan.simulator import ContinuousPlanner
 
-from conftest import state_index
+from conftest import expansion_parts, state_index
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # The csv-wall-k2 benchmark grid: (nx, ny, cell, origin), goal (18, 17).
@@ -547,10 +547,9 @@ def test_expansion_is_continuous_across_interior_edges(nx, ny, cell, origin, k, 
         on = a + t[:, None] * (b - a)
         inside, across = (mesh.locate_rows(on + s * 1e-9 * outward) for s in (-1.0, 1.0))
         assert np.array_equal(inside[1], e) and np.array_equal(across[1], other)
-        table = value.expansion_table
-        for q, nodal in ((0, table[0]), (1, table[1:3]), (2, table[3:])):
+        for q in (slice(0, 1), slice(1, 3), slice(3, 7)):  # value, gradient, Hessian
             jump = np.abs(value.expansion_at(inside)[q] - value.expansion_at(across)[q]).max()
-            assert jump <= 1e-6 * np.abs(nodal).max()
+            assert jump <= 1e-6 * np.abs(value.expansion_table[q]).max()
 
 
 def _reference_evaluate(value, p):
@@ -590,7 +589,7 @@ def _check_expansion(mesh, pts, rng):
     value = ContinuousValue(
         mesh, np.sin(0.4 * x) * np.cos(0.3 * y) + rng.normal(0.0, 0.01, mesh.n_nodes)
     )
-    vals, grads, hessians = value.expansion(pts)
+    vals, grads, hessians = expansion_parts(value.expansion(pts))
     kinds = set()
     for p, v, g, h in zip(pts, vals, grads, hessians):
         q = p if mesh.covers(p) else mesh.project(Point2(*p))
@@ -808,7 +807,7 @@ def test_assemble_matches_the_coo_reference_bit_for_bit(geometry, coefficients):
             project_wall_tangential(coeffs, mesh, model)
         system = assemble(mesh, coeffs)
         _assert_same_system(system, _reference_assemble(mesh, coeffs))
-        value = ContinuousValue(mesh, solve(constrain_goal(system, mesh.goal_node)))
+        value = ContinuousValue(mesh, solve(constrain_goal(system, mesh.goal_node))[0])
         assert np.array_equal(value.expansion_table[1:3].T, _reference_node_gradients(value))
 
 
@@ -823,7 +822,7 @@ def test_residual_matches_the_csr_matvec_bit_for_bit(geometry):
     system = assemble(mesh, coeffs)
     matrix, rhs = _reference_assemble(mesh, coeffs)
     pinned = constrain_goal(system, mesh.goal_node)
-    for x in (rng.standard_normal(mesh.n_nodes), solve(pinned)):
+    for x in (rng.standard_normal(mesh.n_nodes), solve(pinned)[0]):
         assert np.array_equal(system.residual(x), matrix @ x - rhs)
         assert np.array_equal(pinned.residual(x), _csr(pinned) @ x - pinned.rhs)
 
@@ -863,7 +862,7 @@ def _broadcast_state_scores(model, s, value_at, grad, hess):
     and Hessian broadcast against its actions' rows of the state-major moment
     table, over their trailing axes of 2 and 2x2."""
     gamma = model.gamma
-    drift, second = (t[s] for t in model.moment_table)
+    drift, second = transition_moments(model, s, slice(None))
     dg = drift * np.asarray(grad)[..., None, :]
     sh = second * np.asarray(hess)[..., None, :, :]
     curvature = ((sh[..., 0, 0] + sh[..., 0, 1]) + sh[..., 1, 0]) + sh[..., 1, 1]
@@ -889,8 +888,8 @@ def test_component_major_expansion_and_scores_equal_the_row_major_reference_bit_
     rng = np.random.default_rng(mesh.n_nodes)
     coeffs = assemble_coefficients(model, rng.integers(0, 8, size=states.n), mesh.node_state)
     project_wall_tangential(coeffs, mesh, model)
-    value = ContinuousValue(mesh, solve(constrain_goal(assemble(mesh, coeffs), mesh.goal_node)))
-    for table in (model.moment_rows, *model.moment_table, value.expansion_table):
+    value = ContinuousValue(mesh, solve(constrain_goal(assemble(mesh, coeffs), mesh.goal_node))[0])
+    for table in (model.moment_rows, *transition_moments(model, slice(None), slice(None)), value.expansion_table):
         assert not table.flags.writeable
     assert model.moment_rows.shape == (6, states.n, model.n_actions)
     assert value.expansion_table.shape == (7, mesh.n_nodes)
@@ -903,17 +902,17 @@ def test_component_major_expansion_and_scores_equal_the_row_major_reference_bit_
         cells = states.state_at(rows)
         located = mesh.locate_rows(rows, cells)
         got, want = value.expansion_at(located), _row_major_expansion_at(value, located)
-        assert all(_same_bits(a, b) for a, b in zip(got, want))
-        scores, reference = _state_scores(model, cells, *got), _broadcast_state_scores(model, cells, *want)
+        assert all(_same_bits(a, b) for a, b in zip(expansion_parts(got), want))
+        scores, reference = _state_scores(model, cells, got), _broadcast_state_scores(model, cells, *want)
         assert _same_bits(scores, reference)
         assert np.array_equal(planner._choose(rows, cells), best_action(reference))
-        one = _state_scores(model, int(cells[0]), float(got[0][0]), got[1][0], got[2][0])
+        one = _state_scores(model, cells[:1], got[:, :1])[0]
         assert _same_bits(one, _broadcast_state_scores(model, int(cells[0]), want[0][0], want[1][0], want[2][0]))
 
     got, want = value.expansion_at(mesh.centres), _row_major_expansion_at(value, mesh.centres)
-    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    assert all(_same_bits(a, b) for a, b in zip(expansion_parts(got), want))
     reference = _broadcast_state_scores(model, np.arange(states.n), *want)
-    assert _same_bits(_state_scores(model, slice(None), *got), reference)
+    assert _same_bits(_state_scores(model, slice(None), got), reference)
     assert np.array_equal(improve_policy_continuous(model, value), best_action(reference))
 
 
@@ -935,7 +934,7 @@ def test_writing_into_an_assembled_matrix_leaves_the_next_assembly_unchanged():
 def test_constrain_goal_toy_system():
     system = _system(np.array([[2.0, 1.0], [1.0, 2.0]]), [1.0, 1.0])
     constrained = constrain_goal(system, 0)
-    got = solve(constrained)
+    got = solve(constrained)[0]
     np.testing.assert_allclose(got, [0.0, 0.5], atol=1e-14)
 
 
@@ -972,14 +971,14 @@ def test_constrain_goal_keeps_the_stored_pattern_of_lil_elimination():
 def test_solve_identity_system():
     rhs = np.array([3.0, -1.0, 2.0])
     system = _system(np.eye(3), rhs)
-    np.testing.assert_allclose(solve(system), rhs, atol=0)
+    np.testing.assert_allclose(solve(system)[0], rhs, atol=0)
 
 
 def test_goal_coefficient_is_zero_after_solve():
     mesh = build_mesh(unit_square_states(6), k=1)
     coeffs = constant_coefficients(mesh, source=0.1)
     system = constrain_goal(assemble(mesh, coeffs), mesh.goal_node)
-    a = solve(system)
+    a = solve(system)[0]
     assert a[mesh.goal_node] == 0.0
 
 
@@ -1013,7 +1012,7 @@ def test_solve_agrees_with_the_general_sparse_solve(nx, ny, k, goal):
     # an odd goal numbered last, so every coupling stays within a grid row.
     assert np.abs(system.row.astype(np.int64) - system.col).max() <= nx + 1
     want = spla.spsolve(_csr(system).tocsc(), system.rhs)
-    got = solve(system)
+    got = solve(system)[0]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -1050,7 +1049,7 @@ def _manufactured_l2_error(n, gamma=0.95):
     forcing = gamma * np.pi**2 * np.cos(np.pi * x) * np.cos(np.pi * y) + (1 - gamma) * vstar(x, y)
     coeffs = constant_coefficients(mesh, gamma=gamma)
     coeffs.source[:] = forcing
-    a = solve(constrain_goal(assemble(mesh, coeffs), mesh.goal_node))
+    a = solve(constrain_goal(assemble(mesh, coeffs), mesh.goal_node))[0]
     # elementwise edge-midpoint rule (exact for quadratics)
     tris = mesh.triangles
     p = mesh.nodes[tris]

@@ -17,7 +17,7 @@ from flowplan.mdp import OBSTACLE_REWARD, STEP_REWARD, StateSpace, action_values
 from flowplan.moments import transition_moments
 from flowplan.policy_iter import _state_scores
 
-from conftest import is_terminal
+from conftest import expansion_block, is_terminal
 
 
 @pytest.fixture(scope="module")
@@ -99,10 +99,10 @@ def test_state_scores_are_written_sums_in_python_floats(model):
         hess = rng.normal(0.0, 0.02, (model.n_states, 2, 2))
         hess[:, 1, 0] = hess[:, 0, 1]
         want = [_reference_scores(model, s, float(value[s]), grad[s].tolist(), hess[s].tolist()) for s in states]
-        assert _same_bits(_state_scores(model, states, value, grad, hess), want)
+        assert _same_bits(_state_scores(model, states, expansion_block(value, grad, hess)), want)
         for s in states[::7]:
-            got = _state_scores(model, int(s), float(value[s]), grad[s], hess[s])
-            assert _same_bits(got, want[s])
+            got = _state_scores(model, states[s : s + 1], expansion_block(float(value[s]), grad[s], hess[s]))
+            assert _same_bits(got, want[s : s + 1])
 
 
 def _interpolate(lam, corners):
@@ -121,9 +121,8 @@ def test_values_are_written_interpolations_in_python_floats(model, k):
     got = value.expansion_at(rows)
     assert _same_bits(got[0], _interpolate(lam.tolist(), corners))
     # The gradient and the Hessian interpolate their rows of the nodal table entry by entry.
-    for have, nodal in zip(got[1:], (value.expansion_table[1:3].T, value.expansion_table[3:].T)):
-        entries = nodal[mesh.triangles[tri]]
-        for c in range(entries.shape[-1]):
-            assert _same_bits(have.reshape(len(tri), -1)[:, c], _interpolate(lam.tolist(), entries[..., c].tolist()))
+    for c in range(1, 7):
+        entries = value.expansion_table[c][mesh.triangles[tri]].tolist()
+        assert _same_bits(got[c], _interpolate(lam.tolist(), entries))
     # The raster's values interpolate at the same raw weights.
     assert _same_bits(value.evaluate_many(points), _interpolate(lam.tolist(), corners))

@@ -333,7 +333,7 @@ def _toward(p, goal, v_max):
 
 def _reference_command(planner, p):
     """One planner command at one point, as the planners gave it before they
-    took rows: the continuous planner scores the point's state as an integer."""
+    took rows: the continuous planner scores the point's state alone."""
     if isinstance(planner, GoalOrientedPlanner):
         return _toward(p, planner.goal, planner.v_max)
     s = planner.states.state_at(p)
@@ -342,8 +342,7 @@ def _reference_command(planner, p):
     if isinstance(planner, DiscretePlanner):
         act = planner.actions[int(planner.policy[s])]
     else:
-        v, grad, hess = planner.value.expansion(np.array([p]))
-        scores = _state_scores(planner.model, s, v[0], grad[0], hess[0])
+        scores = _state_scores(planner.model, np.array([s]), planner.value.expansion(np.array([p])))[0]
         act = planner.actions[best_action(scores)]
     return act.heading, act.speed
 
