@@ -17,9 +17,10 @@ define a value function that is continuous over the whole mesh cover and
 evaluable (with recovered first and second derivatives) anywhere inside it.
 Point location is lattice arithmetic on batches of rows: a point's state
 (``StateSpace.state_at``) lists the few triangles that may contain it, which
-gives the answer a search of the whole mesh gives. Every query row off the
-cover is projected, in one batch, onto the hull edges and answered there;
-only ``Mesh.locate`` raises DomainError off the cover.
+gives the answer a search of the whole mesh gives, and one per-cell frame
+table holds their barycentric frames, so a batch gathers them at once. Every
+query row off the cover is projected, in one batch, onto the hull edges and
+answered there; only ``Mesh.locate`` raises DomainError off the cover.
 First derivatives are recovered at the nodes as the area-weighted mean of
 the element gradients around them. Second derivatives come from a quadratic
 fit over a node patch with the symmetry of the state lattice: at interior
@@ -110,12 +111,13 @@ class Mesh:
     point's state, ``states.state_at``: the lattice point nearest it, clamped
     onto the grid. It weighs the triangles whose integer lattice box holds
     that lattice point (a triangle that contains the point within the
-    barycentric tolerance does), and takes the first, in triangle order, with
-    the largest minimum barycentric weight: the pick of a search of the whole
-    mesh. ``locate`` raises DomainError off the cover; the batched queries
-    project such rows in one batch onto the hull edges (``edge_neighbours``
-    < 0), where the closest point of the cover lies, and take the first
-    closest in triangle-edge order.
+    barycentric tolerance does), their frames read in one gather from the
+    per-cell frame table ``_frames``, and takes the first, in triangle order,
+    with the largest minimum barycentric weight: the pick of a search of the
+    whole mesh. ``locate`` raises DomainError off the cover; the batched
+    queries project such rows in one batch onto the hull edges
+    (``edge_neighbours`` < 0), where the closest point of the cover lies, and
+    take the first closest in triangle-edge order.
     """
 
     states: StateSpace
@@ -167,13 +169,6 @@ class Mesh:
         return np.linalg.inv(mats), p[:, 0]
 
     @cached_property
-    def _bary_columns(self) -> np.ndarray:
-        """``_bary_frames`` as the rows (inv00, inv01, inv10, inv11, x0, y0)
-        of one (6, n_tris) table, so a batch of queries gathers them at once."""
-        inv, r0 = self._bary_frames
-        return np.vstack([inv.reshape(-1, 4).T, r0.T])
-
-    @cached_property
     def _node_ij(self) -> np.ndarray:
         """Integer lattice coordinates (i, j) of every node, shape (n_nodes, 2)."""
         nx = self.states.nx
@@ -198,6 +193,17 @@ class Mesh:
         table = np.zeros((self.states.n, count.max()), dtype=np.int64)
         table[key[order], np.arange(len(key)) - np.repeat(np.cumsum(count) - count, count)] = tri[order]
         return table
+
+    @cached_property
+    def _frames(self) -> np.ndarray:
+        """Per lattice point, each ``_point_triangles`` candidate's inverse
+        edge matrix and corner 0, component-major (inv00, inv01, inv10,
+        inv11, x0, y0): one read-only (6, n_states, candidates) table, so a
+        batch of rows takes one contiguous (rows, candidates) block of each."""
+        inv, r0 = self._bary_frames
+        frames = np.vstack([inv.reshape(-1, 4).T, r0.T]).take(self._point_triangles, axis=1)
+        frames.setflags(write=False)
+        return frames
 
     @cached_property
     def _hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -228,19 +234,20 @@ class Mesh:
         ``StateSpace.state_at`` when the caller has them."""
         if lattice is None:
             lattice = self.states.state_at(points)
-        tris = self._point_triangles[lattice]
         # Elementwise on the (row, candidate) arrays: einsum and reductions
         # over axes of two or three cost more than the arithmetic.
-        i00, i01, i10, i11, x0, y0 = self._bary_columns[:, tris]
+        i00, i01, i10, i11, x0, y0 = self._frames.take(lattice, axis=1)
         dx, dy = points[:, :1] - x0, points[:, 1:] - y0
-        lam = np.empty((3, *tris.shape))
+        lam = np.empty((3, *dx.shape))
         lam[1] = i00 * dx + i01 * dy
         lam[2] = i10 * dx + i11 * dy
         lam[0] = 1.0 - (lam[1] + lam[2])
         mins = np.minimum(np.minimum(lam[0], lam[1]), lam[2])
-        rows, k = np.arange(len(points)), mins.argmax(axis=1)
+        k = mins.argmax(axis=1)
+        pick = np.arange(0, mins.size, mins.shape[1]) + k  # flat (row, candidate) index
         # + 0.0 makes an exact zero weight +0.0 whatever the signs of its two products.
-        return np.where(mins[rows, k] >= -_BARY_TOL, tris[rows, k], -1), lam[:, rows, k].T + 0.0
+        lam = lam.reshape(3, -1)[:, pick].T + 0.0
+        return np.where(mins.ravel()[pick] >= -_BARY_TOL, self._point_triangles[lattice, k], -1), lam
 
     def _project_many(self, points: np.ndarray) -> np.ndarray:
         """Closest hull-edge point of every row; the first closest in
@@ -706,13 +713,14 @@ class ContinuousValue:
         order, as pairwise summation is only for the fast axis."""
         mesh, c = self.mesh, self.coefficients
         table, op = mesh.assembly_table, mesh.hessian_operator
-        gc = mesh.basis_gradients * c[mesh.triangles][..., None]
-        weighted = ((gc[:, 0] + gc[:, 1]) + gc[:, 2]) * mesh.areas[:, None]
+        # Block entries (0, j) of ``grad`` are g_jc: (component, corner, triangle).
+        gc = table.grad[:, :, :3].transpose(0, 2, 1) * c[table.corners].reshape(3, -1)
+        weighted = ((gc[:, 0] + gc[:, 1]) + gc[:, 2]) * mesh.areas
         fit = np.add.reduce(op.weights * c[op.ids], axis=1, initial=0.0)
         out = np.empty((7, mesh.n_nodes))
         out[0] = c
         for d in range(2):
-            area_sum = np.bincount(table.corners, weights=np.tile(weighted[:, d], 3), minlength=mesh.n_nodes)
+            area_sum = np.bincount(table.corners, weights=np.tile(weighted[d], 3), minlength=mesh.n_nodes)
             out[1 + d] = area_sum / table.node_area
         out[3], out[4], out[5], out[6] = 2.0 * fit[0], fit[1], fit[1], 2.0 * fit[2]
         out.setflags(write=False)

@@ -406,7 +406,7 @@ def initial_policy(model: MdpModel) -> np.ndarray:
 def best_action(scores: np.ndarray) -> np.ndarray:
     """Index of the best score of each row; scores within 1e-12 of the best
     count as tied, and the lowest action index wins a tie."""
-    best = scores.max(axis=-1, keepdims=True)
+    best = np.maximum.reduce(scores, axis=-1, keepdims=True)
     return np.argmax(scores >= best - _TIE_TOL, axis=-1)
 
 

@@ -6,13 +6,13 @@ All trials of all planners advance in lockstep as the rows of one
 (planners x trials, 2) array, planner-major: each step moves every live row,
 checks goal entry and locates the containing cell once for all of them, and
 each planner gets one batched command call for its own live rows, with
-their cells.
+their cells. The live rows are kept compact, so each planner's are one slice.
 Trial ``t`` has one generator, shared by every planner's copy of the trial:
 the same seed gives each planner the same draws, so one stream serves them
 all. Per-step noise is drawn in blocks of a fixed number of steps, once per
 trial while any planner's copy of it is live, so a path does not depend on
 the other trials or planners. Positions and headings are recorded in blocks
-of the same number of steps.
+of the same number of steps, and trajectories cut from one transposed copy.
 Every planner is asked for a new command at every step. Three planner kinds
 are supported: a discrete grid policy that looks up the containing cell's
 action, a continuous planner that re-scores the compass actions against a
@@ -245,13 +245,15 @@ def simulate_trials(
     lockstep batch, each until goal entry, obstacle hit, or budget
     exhaustion; one list of trajectories per planner, in trial order.
 
-    The rows of the batch are planner-major, with the trials in order. Each
-    step moves every live row in one :func:`step`, then checks goal entry and
-    locates the containing cells of all of them at once. Each planner then
-    gets its own live rows, in trial order, in one call, with their cells,
-    and gives each a new command. A planner whose ``states`` is not
-    ``states`` is a ValueError. A trial that ends without reaching the goal
-    reports the full budget as its time cost.
+    The rows of the batch are planner-major, with the trials in order, and
+    the live rows are kept compact in that order, so each planner's are one
+    slice. Each step moves every live row in one :func:`step`, then checks
+    goal entry and locates the containing cells of all of them at once. Each
+    planner then gets its slice, in trial order, in one call, with their
+    cells, and gives each a new command; rows that end leave through one
+    order-keeping mask. A planner whose ``states`` is not ``states`` is a
+    ValueError. A trial that ends without reaching the goal reports the full
+    budget as its time cost.
 
     Every planner's trial ``r`` draws its noise from ``rngs[r]`` alone, a
     block of steps at a time, while any planner's copy of the trial is live.
@@ -260,35 +262,44 @@ def simulate_trials(
     own, and a path is the same alone as in any batch. A generator may end
     up advanced past its trial's last step. Positions and headings are
     recorded a block of steps at a time; at the end the blocks are joined
-    once, and each trajectory's arrays are copies cut from them.
+    once into one transposed copy, a contiguous run of samples per row, and
+    each trajectory's arrays (copies) and length are cut from it.
     """
     if any(getattr(pl, "states", states) is not states for pl in planners):
         raise ValueError("a grid planner plans on another StateSpace than the simulator's")
     n_trials = len(rngs)
     n = len(planners) * n_trials
-    trial = np.tile(np.arange(n_trials), len(planners))  # the trial of each row
     bounds = np.arange(len(planners) + 1) * n_trials  # each planner's first row, then n
     p = np.tile(np.asarray(start, dtype=float), (n, 1))
     n_steps = int(opts.budget_h / opts.dt_h + 1e-9)  # stay within the budget
     sigma = (field.noise.sigma_x, field.noise.sigma_y)
     blocks = np.empty((n_trials, min(_NOISE_BLOCK, n_steps), 2))
-    cell = states.state_at(p)
-    heading, speed = np.empty(n), np.empty(n)
-
-    def command(rows: np.ndarray) -> None:
-        """New commands for ``rows``, ascending: one call per planner."""
-        cut = np.searchsorted(rows, bounds).tolist()
-        for j, planner in enumerate(planners):
-            if cut[j] < cut[j + 1]:
-                own = rows[cut[j] : cut[j + 1]]
-                heading[own], speed[own] = planner.command(p[own], cell[own])
-
-    command(np.arange(n))
-    history_p, history_h = [], []  # blocks of _NOISE_BLOCK samples: points, headings
+    # The live rows, compact and planner-major; planner j's are cut[j]:cut[j + 1].
+    live, q, cell, trial = np.arange(n), p.copy(), states.state_at(p), np.tile(np.arange(n_trials), len(planners))
+    cut = bounds.tolist()
+    psi, speed = np.empty(n), np.empty(n)
     reason = np.full(n, "budget", dtype=object)
-    end = np.zeros(n, dtype=np.int64)  # step of each row's last sample
-    reason[_in_goal(p, goal, opts.goal_radius_km)] = "goal"
-    live = np.flatnonzero(reason == "budget")
+    end = np.full(n, n_steps)  # step of each row's last sample
+
+    def command() -> None:
+        """New commands for the live rows: one call per planner's slice."""
+        for planner, a, b in zip(planners, cut, cut[1:]):
+            if a < b:
+                psi[a:b], speed[a:b] = planner.command(q[a:b], cell[a:b])
+
+    def leave(gone: np.ndarray, last: int) -> None:
+        """The rows of ``gone`` end at step ``last`` and leave, in order."""
+        nonlocal live, q, cell, trial, cut
+        end[live[gone]] = last
+        live, q, cell, trial = (a[~gone] for a in (live, q, cell, trial))
+        cut = np.searchsorted(live, bounds).tolist()
+
+    command()
+    heading = psi.copy()
+    history_p, history_h = [], []  # blocks of _NOISE_BLOCK samples: points, headings
+    home = _in_goal(p, goal, opts.goal_radius_km)
+    reason[home] = "goal"
+    leave(home, 0)
 
     for k in range(n_steps + 1):
         at = k % _NOISE_BLOCK
@@ -300,32 +311,33 @@ def simulate_trials(
             break
         if at == 0:
             m = min(_NOISE_BLOCK, n_steps - k)
-            for t in np.unique(trial[live]).tolist():
+            for t in np.unique(trial).tolist():
                 blocks[t, :m] = rngs[t].normal(0.0, sigma, size=(m, 2))
-        moved = step(field, p[live], (heading[live], speed[live]), opts.dt_h, blocks[trial[live], at])
-        p[live] = moved
-        end[live] = k + 1
-        arrived = _in_goal(moved, goal, opts.goal_radius_km)
-        if arrived.any():
+        q = step(field, q, (psi[: len(q)], speed[: len(q)]), opts.dt_h, blocks[trial, at])
+        p[live] = q
+        cell = states.state_at(q)
+        arrived = _in_goal(q, goal, opts.goal_radius_km)
+        crashed = states.obstacles[cell] & ~arrived  # a collision ends the trial as a failure
+        gone = arrived | crashed
+        if gone.any():
             reason[live[arrived]] = "goal"
-            live, moved = live[~arrived], moved[~arrived]
-        s = states.state_at(moved)
-        crashed = states.obstacles[s]  # a collision ends the trial as a failure
-        if crashed.any():
             reason[live[crashed]] = "collision"
-            live, s = live[~crashed], s[~crashed]
-        cell[live] = s
-        command(live)
+            leave(gone, k + 1)
+        command()
+        heading[live] = psi[: len(live)]
 
-    history_p, history_h = np.concatenate(history_p), np.concatenate(history_h)
+    count = int(end.max(initial=0)) + 1  # samples of the longest row
+    history_p = np.concatenate([b.transpose(1, 0, 2) for b in history_p], axis=1)[:, :count]
+    history_h = np.concatenate([b.T for b in history_h], axis=1)[:, :count]
+    seg_length = np.diff(history_p, axis=1)  # in place where it can be: the copies come next
+    seg_length = np.square(seg_length, out=seg_length).sum(axis=-1)
+    np.sqrt(seg_length, out=seg_length)
     clock = np.arange(n_steps + 1) * opts.dt_h
     runs = []
     for r, last in enumerate(end.tolist()):
-        pts = history_p[: last + 1, r].copy()
-        seg = np.diff(pts, axis=0)
-        length = float(np.sqrt((seg**2).sum(axis=1)).sum())
+        pts, headings = history_p[r, : last + 1].copy(), history_h[r, : last + 1].copy()
+        length = float(seg_length[r, :last].sum())  # a 1-D contiguous sum, as of a lone trial's segments
         time_cost = last * opts.dt_h if reason[r] == "goal" else opts.budget_h
-        headings = history_h[: last + 1, r].copy()
         runs.append(Trajectory(clock[: last + 1].copy(), pts, headings, reason[r], time_cost, length))
     return [runs[j * n_trials : (j + 1) * n_trials] for j in range(len(planners))]
 

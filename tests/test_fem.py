@@ -470,6 +470,22 @@ def test_locate_many_is_locate_rows_bit_for_bit():
     assert (lams < 0.0).any()
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_locate_reads_one_lazy_read_only_frame_table(k):
+    # Built on the first query, not with the mesh; candidate c of lattice
+    # point s holds the inverse edge matrix and corner 0 of the triangle
+    # _point_triangles lists there.
+    mesh = build_mesh(grid_states(8, goal=(3, 4)), k=k)
+    assert "_frames" not in vars(mesh)
+    mesh.locate(mesh.nodes[0])
+    inv, r0 = mesh._bary_frames
+    tris = mesh._point_triangles
+    frames = mesh._frames
+    assert frames.shape == (6, *tris.shape) and frames.flags.c_contiguous and not frames.flags.writeable
+    assert np.array_equal(frames[:4], inv.reshape(-1, 4).T[:, tris])
+    assert np.array_equal(frames[4:], r0.T[:, tris])
+
+
 @pytest.mark.parametrize(
     "nx, ny, cell, origin, k, goal",
     _geometry_params(

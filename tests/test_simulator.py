@@ -294,6 +294,32 @@ class _StillPlanner:
         return np.zeros(len(points)), np.zeros(len(points))
 
 
+class _ForkPlanner:
+    """Full speed along the diagonal y = x while on it, north above it and
+    east below it: the first noise draw sends each trial one way or the other."""
+
+    def command(self, points, cells):
+        side = points[:, 1] - points[:, 0]
+        heading = np.where(side > 0, 0.5 * math.pi, np.where(side < 0, 0.0, 0.25 * math.pi))
+        return heading, np.full(len(points), 3.0)
+
+
+def test_a_planner_whose_rows_all_end_between_two_that_go_on_equals_the_reference():
+    # In still water and faint noise, the fork planner's trials split at the
+    # first step: those heading north enter the goal and those heading east
+    # hit an obstacle, all at one step, while the planners before and after it
+    # go on; so an empty slice of rows lies between two that are not.
+    field = gyre_field(GyreParams(0.0, 20.0), NoiseParams.isotropic(0.01), extent=(20.0, 20.0))
+    states = StateSpace.regular(10, 10, 2.0, (2, 6), obstacle_cells=[(6, 2)])
+    goal, start, opts = states.position(states.goal), Point2(5.0, 5.0), SimOptions(budget_h=10.0)
+    planners = {"slow": GoalOrientedPlanner(goal, 1.0), "fork": _ForkPlanner(), "still": _StillPlanner()}
+    _, runs = run_experiment(field, planners, start, goal, opts, 6, 3, states)
+    assert {run.end_reason for run in runs["fork"]} == {"goal", "collision"}
+    assert {len(run) for run in runs["fork"]} == {25}
+    assert min(len(run) for name in ("slow", "still") for run in runs[name]) > _NOISE_BLOCK + 1
+    _assert_reference_runs(runs, planners, field, states, start, goal, opts, 3)
+
+
 def test_the_noise_law_adds_sigma_squared_dt_per_hour():
     """A step moves a vehicle by w * dt with fresh w ~ N(0, sigma^2) per
     axis, so in still water an hour of ten 0.1 h steps spreads it by a
